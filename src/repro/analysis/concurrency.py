@@ -29,10 +29,10 @@ outside their lock), performs escape analysis on carried stream state
 (does a session's state dict leak through module globals, mutable
 default arguments or shared carrier objects), and builds a static
 lock-acquisition graph with cycle detection for deadlock potential --
-emitting the stable diagnostics L049-L056.  The verdicts gate the
-daemon's ``--sessions N`` concurrent scoring mode and mark plan
-stages safe for cross-thread materialisation: nothing unproven runs
-concurrently.
+emitting the stable diagnostics L049-L056.  The verdicts audit code
+before it is shared across threads; no runtime mode is gated on them
+(the parallel engine's wave hold-back reads the effect analyzer's
+``parallel_safe`` verdict instead).
 
 Soundness boundary: like the vectorize and streamable passes, the
 analysis is intraprocedural over each operation body plus its module
@@ -1283,9 +1283,8 @@ def pass_concurrency(graph, diagnostics) -> None:
     """Template pass: surface per-step concurrency refusals (L055).
 
     A template whose steps are all concurrent-safe except one is worth
-    a warning -- that one step pins the whole template out of
-    ``--sessions N`` serving.  Purely advisory: the hard gate lives in
-    :meth:`StreamSession.raise_if_concurrency_refused`.
+    a warning -- that one step alone keeps the template from being
+    shared across threads.  Purely advisory.
     """
     from repro.analysis.diagnostics import Diagnostic, Severity
 
@@ -1307,11 +1306,11 @@ def pass_concurrency(graph, diagnostics) -> None:
                 "L055",
                 Severity.WARNING,
                 f"step {node.index} ({node.func}) is racy and pins this"
-                " otherwise concurrent-safe template out of --sessions N"
-                f" serving ({report.refusal})",
+                " otherwise concurrent-safe template to one thread"
+                f" ({report.refusal})",
                 step=node.index,
                 operation=node.func,
                 hint="make the operation session-confined or lock-guarded"
-                " to unlock concurrent serving",
+                " so the whole template is concurrent-safe",
             )
         )

@@ -507,7 +507,7 @@ def operation_stream_report(operation) -> StreamReport:
                 "window-bounded op must expire idle state",
                 operation=operation.name,
                 hint="evict on FIN/RST or an inactivity timeout (see "
-                "StreamingFlowDetector)",
+                "KitsuneStreamState.evict_idle)",
             )
         )
     if (

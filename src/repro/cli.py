@@ -871,12 +871,9 @@ def _cmd_run_template(args: argparse.Namespace) -> int:
     from repro.datasets import load_dataset
 
     pipeline = load_pipeline(args.template)
-    parallel = args.parallel is not None or args.unsafe_parallel
     engine = ExecutionEngine(
-        track_memory=not parallel,
-        parallel=parallel,
+        parallel=args.parallel is not None,
         max_workers=args.parallel or 4,
-        unsafe_parallel=args.unsafe_parallel,
     )
     out = engine.run(pipeline, load_dataset(args.dataset))
     for name, value in out.items():
@@ -955,7 +952,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         model_cache=args.model_cache,
         train_fraction=args.train_fraction,
         epochs=args.epochs,
-        sessions=args.sessions,
     )
     clock = ReplayClock() if args.virtual_time else MonotonicClock()
     daemon = ServeDaemon(
@@ -1276,9 +1272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=None, metavar="N",
                    help="execute independent steps concurrently with "
                    "N workers (stateful-flagged ops are serialized)")
-    p.add_argument("--unsafe-parallel", action="store_true",
-                   help="escape hatch: run even stateful-flagged ops "
-                   "concurrently (results may be corrupted)")
     _add_trace_flag(p)
     p.set_defaults(fn=_cmd_run_template)
 
@@ -1377,10 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pickle the trained model here / load it if present")
     p.add_argument("--train-fraction", type=float, default=0.3)
     p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--sessions", type=int, default=1, metavar="N",
-                   help="score each chunk in N concurrent sessions; the "
-                   "template must pass the concurrency-safety gate "
-                   "(repro races) or startup is refused")
     p.add_argument("--virtual-time", action="store_true",
                    help="drive pacing/backoff/watchdog on a virtual clock "
                    "(deterministic soak; sleeps cost nothing)")

@@ -23,8 +23,11 @@ implementation is classified by the effect analyzer
 (:mod:`repro.analysis.safety`), the result cache only memoizes steps
 whose op is pure or seeded-stochastic, cache keys incorporate the seed
 params of seeded ops, and steps flagged stateful/io are serialized
-after each parallel wave (or run concurrently anyway under the
-``unsafe_parallel=True`` escape hatch).
+after each parallel wave.
+
+Every driver -- :meth:`~ExecutionEngine.run`, its wave scheduler,
+:meth:`~ExecutionEngine.run_plan` and :meth:`StreamSession.process_chunk`
+-- executes steps through one core, :meth:`ExecutionEngine._run_step`.
 """
 
 from __future__ import annotations
@@ -122,19 +125,6 @@ def _stream_refusal(operation):
     return operation_stream_report(operation).refusal
 
 
-def _concurrency_refusal(operation):
-    """Why concurrent sessions must not share this step, or ``None``.
-
-    The concurrency analyzer's verdict gates exactly like the purity,
-    vectorization and streaming verdicts: racy/opaque operations and
-    declaration drift refuse (L049-L056); session-confined,
-    lock-guarded and read-only-shared operations are admitted.
-    """
-    from repro.analysis.concurrency import operation_concurrency_report
-
-    return operation_concurrency_report(operation).refusal
-
-
 def _carried_state_bytes(states: dict) -> int:
     """Recursive in-memory size of the carried stream state, for spans."""
     import sys
@@ -180,6 +170,16 @@ def _concat_stream_parts(name: str, parts: list):
         f"cannot concatenate streamed output {name!r} of type "
         f"{type(first).__name__}"
     )
+
+
+#: value types worth caching across runs (models are re-trained so
+#: hyperparameter seeds behave; metrics are trivially recomputed)
+_CACHEABLE = {
+    ValueType.PACKETS,
+    ValueType.FLOWS,
+    ValueType.FEATURES,
+    ValueType.LABELS,
+}
 
 
 class _ResultCache:
@@ -405,11 +405,15 @@ class StreamSession:
 
     Nothing unproven streams: construction computes the same refusals
     :meth:`~ExecutionEngine.run_stream` enforces, and
-    :meth:`raise_if_refused` raises before the first chunk.
+    :meth:`raise_if_refused` raises before the first chunk.  Steps run
+    through the opening engine's step core, so a chunk step is traced,
+    probed and counted exactly like a batch step -- but never touches
+    the shared result cache.
     """
 
     def __init__(
         self,
+        engine: "ExecutionEngine",
         pipeline: Pipeline,
         *,
         outputs: list[str] | None = None,
@@ -418,6 +422,7 @@ class StreamSession:
         from repro.analysis import analyze_pipeline
 
         analyze_pipeline(pipeline).raise_if_errors()
+        self.engine = engine
         self.pipeline = pipeline
         self.outputs = (
             list(outputs) if outputs is not None else [pipeline.output_name]
@@ -427,12 +432,6 @@ class StreamSession:
             f"{call.name}:{refusal}"
             for call in pipeline.calls
             for refusal in (_stream_refusal(call.operation),)
-            if refusal is not None
-        ]
-        self.concurrency_refusals = [
-            f"{call.name}:{refusal}"
-            for call in pipeline.calls
-            for refusal in (_concurrency_refusal(call.operation),)
             if refusal is not None
         ]
         self.chunks = 0
@@ -459,34 +458,6 @@ class StreamSession:
         ).inc(len(self.refusals))
         raise TemplateError(f"pipeline is not proven streamable: {reason}")
 
-    @property
-    def concurrency_refusal_reason(self) -> str | None:
-        return (
-            ";".join(self.concurrency_refusals)
-            if self.concurrency_refusals
-            else None
-        )
-
-    def raise_if_concurrency_refused(self, span=None) -> None:
-        """Refuse concurrent serving visibly: span attr + counter + error.
-
-        Single-session use never calls this; it gates only execution
-        modes that would run this pipeline from more than one thread
-        (``repro serve --sessions N``).
-        """
-        if not self.concurrency_refusals:
-            return
-        reason = self.concurrency_refusal_reason
-        if span is not None:
-            span.set("concurrency_refused", reason)
-        METRICS.counter(
-            metric_names.CONCURRENCY_REFUSALS,
-            "steps refused by the concurrency-safety gate",
-        ).inc(len(self.concurrency_refusals))
-        raise TemplateError(
-            f"pipeline is not proven concurrent-safe: {reason}"
-        )
-
     def _step_fingerprint(self, index: int) -> str:
         call = self.pipeline.calls[index]
         return f"{call.name}({_params_token(call.params)})"
@@ -512,25 +483,10 @@ class StreamSession:
         ) as chunk_span:
             env: dict[str, Any] = {SOURCE_NAME: chunk}
             for index, call in enumerate(self.pipeline.calls):
-                inputs = [env[name] for name in call.inputs]
-                for value, expected in zip(
-                    inputs, call.operation.input_types
-                ):
-                    check_type(value, expected, f"operation {call.name!r}")
-                try:
-                    if call.operation.stream_fn is not None:
-                        result = call.operation.stream_fn(
-                            inputs, call.params, self._states[index]
-                        )
-                    else:
-                        result = call.operation.fn(inputs, call.params)
-                except Exception as exc:
-                    raise PipelineError(call.name, index, exc) from exc
-                env[call.output] = result
-                METRICS.counter(
-                    metric_names.STREAM_STEPS,
-                    "pipeline steps executed in chunked stream mode",
-                ).inc()
+                self.engine._run_step(
+                    index, call, env, parent=chunk_span,
+                    state=self._states[index],
+                )
             missing = [name for name in self.outputs if name not in env]
             if missing:
                 raise KeyError(f"pipeline never produced outputs: {missing}")
@@ -629,16 +585,6 @@ class StreamSession:
         self._states.clear()
 
 
-#: value types worth caching across runs (models are re-trained so
-#: hyperparameter seeds behave; metrics are trivially recomputed)
-_CACHEABLE = {
-    ValueType.PACKETS,
-    ValueType.FLOWS,
-    ValueType.FEATURES,
-    ValueType.LABELS,
-}
-
-
 class ExecutionEngine:
     """Executes pipelines with profiling, caching and DCE."""
 
@@ -651,24 +597,30 @@ class ExecutionEngine:
         parallel: bool = False,
         max_workers: int = 4,
         track_memory: bool = True,
-        unsafe_parallel: bool = False,
         vectorize: bool = True,
     ) -> None:
         self.use_cache = use_cache
         self.parallel = parallel
         self.max_workers = max_workers
-        self.track_memory = track_memory
+        # tracemalloc state is process-global: per-step allocation
+        # tracking is meaningless (and racy) once pool threads share it,
+        # so a parallel engine never tracks allocations
+        self.track_memory = track_memory and not parallel
         # batched execution stays verdict-gated even when enabled: the
         # engine only swaps in an op's batch= body when the analyzer
         # proves it elementwise/row-parallel (see _vector_refusal)
         self.vectorize = vectorize
-        # escape hatch: run even stateful-flagged ops concurrently.
-        # Caching stays gated -- a corrupted value in the shared cache
-        # would outlive the run that opted into the risk.
-        self.unsafe_parallel = unsafe_parallel
         self.last_report: ProfileReport | None = None
 
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def _prologue(source: PacketTable, source_token: str | None):
+        """``(token, env, keys)`` rooting one execution at ``source``."""
+        token = source_token or fingerprint_table(source)
+        env: dict[str, Any] = {SOURCE_NAME: source}
+        keys: dict[str, str] = {SOURCE_NAME: f"src:{token}"}
+        return token, env, keys
 
     def run(
         self,
@@ -692,9 +644,7 @@ class ExecutionEngine:
         analyze_pipeline(pipeline).raise_if_errors()
 
         wanted = outputs if outputs is not None else [pipeline.output_name]
-        token = source_token or fingerprint_table(source)
-        env: dict[str, Any] = {SOURCE_NAME: source}
-        keys: dict[str, str] = {SOURCE_NAME: f"src:{token}"}
+        token, env, keys = self._prologue(source, source_token)
         last_use = pipeline.consumers()
         report = ProfileReport()
 
@@ -704,21 +654,15 @@ class ExecutionEngine:
             source=token,
             steps=len(pipeline.calls),
             parallel=self.parallel,
-            unsafe_parallel=self.unsafe_parallel,
             outputs=",".join(wanted),
         ) as run_span:
             run_probe = ResourceProbe(cpu="process").start()
             if self.parallel:
-                # tracemalloc state is process-global; per-step memory
-                # tracking is meaningless (and racy) across threads.
-                previous = self.track_memory
-                self.track_memory = False
-                try:
-                    self._run_parallel(
-                        pipeline, env, keys, wanted, last_use, report, run_span
-                    )
-                finally:
-                    self.track_memory = previous
+                self._run_waves(pipeline, env, keys, report, run_span)
+                # wave mode frees memory after the last wave, not per step
+                self._collect_garbage(
+                    len(pipeline.calls) - 1, env, last_use, wanted
+                )
             else:
                 for index, call in enumerate(pipeline.calls):
                     self._run_step(index, call, env, keys, report)
@@ -749,14 +693,13 @@ class ExecutionEngine:
     ) -> dict[str, Any]:
         """Execute the pipeline chunk by chunk with carried state.
 
-        Generalizes the hand-written detectors in
-        :mod:`repro.core.streaming`: the time-ordered trace is split
-        into ``chunk_seconds`` windows (as a capture loop would deliver
-        them) and every step runs once per chunk -- through its
-        registered ``stream_fn`` with a persistent per-step state dict
-        when it has one, or its plain body when the step is proven
-        stateless.  Per-chunk outputs concatenate to the requested
-        values, equal to :meth:`run` on the time-sorted trace.
+        The time-ordered trace is split into ``chunk_seconds`` windows
+        (as a capture loop would deliver them) and every step runs once
+        per chunk -- through its registered ``stream_fn`` with a
+        persistent per-step state dict when it has one, or its plain
+        body when the step is proven stateless.  Per-chunk outputs
+        concatenate to the requested values, equal to :meth:`run` on
+        the time-sorted trace.
 
         Nothing unproven streams: any step the streaming analyzer
         refuses (batch-only verdict, declaration drift, unbounded
@@ -810,7 +753,7 @@ class ExecutionEngine:
         session driven by :func:`repro.core.streaming.chunked`.
         """
         return StreamSession(
-            pipeline, outputs=outputs, source_token=source_token
+            self, pipeline, outputs=outputs, source_token=source_token
         )
 
     # ------------------------------------------------------------------
@@ -845,9 +788,7 @@ class ExecutionEngine:
             plan.algorithms
         )
         stages = plan.stages_for(wanted)
-        token = source_token or fingerprint_table(source)
-        env: dict[str, Any] = {SOURCE_NAME: source}
-        keys: dict[str, str] = {SOURCE_NAME: f"src:{token}"}
+        token, env, keys = self._prologue(source, source_token)
         report = ProfileReport()
         tracer = get_tracer()
         executed = shared = 0
@@ -885,11 +826,6 @@ class ExecutionEngine:
                     span_attrs={
                         "plan_stage": stage.stage_id,
                         "dedup_hits": stage.refcount - 1,
-                        # concurrency verdict: stages proven safe here
-                        # may materialize from worker threads once the
-                        # planner grows a threaded executor
-                        "thread_safe": _concurrency_refusal(operation)
-                        is None,
                     },
                 )
                 executed += 1
@@ -935,41 +871,73 @@ class ExecutionEngine:
     def _step_key(self, call, keys: dict[str, str]) -> str:
         return hashlib.sha1(self._key_material(call, keys).encode()).hexdigest()
 
+    def _body(self, operation, inputs, state, span):
+        """The implementation one step runs, as ``body(inputs, params)``.
+
+        A stream step with a registered ``stream_fn`` threads its
+        carried ``state`` through it; otherwise the analyzer-approved
+        ``batch`` body replaces ``fn`` when vectorization is on.
+        """
+        if state is not None and operation.stream_fn is not None:
+            return lambda inputs, params: operation.stream_fn(
+                inputs, params, state
+            )
+        if not self.vectorize or operation.batch is None:
+            return operation.fn
+        refusal = _vector_refusal(operation, inputs)
+        if refusal is not None:
+            span.set("vector_refused", refusal)
+            METRICS.counter(
+                metric_names.VECTOR_REFUSALS,
+                "batch-declaring steps refused vectorized execution",
+            ).inc()
+            return operation.fn
+        span.set("vectorized", True)
+        METRICS.counter(
+            metric_names.VECTORIZED_STEPS,
+            "steps executed via the analyzer-approved batch path",
+        ).inc()
+        return operation.batch
+
     def _run_step(
-        self, index, call, env, keys, report, parent=None, serialized=False,
-        span_attrs=None,
+        self, index, call, env, keys=None, report=None, parent=None, *,
+        state=None, span_attrs=None,
     ) -> None:
-        safety = _operation_report(call.operation)
-        key = self._step_key(call, keys)
-        keys[call.output] = key
-        cacheable = (
-            self.use_cache
-            and call.operation.output_type in _CACHEABLE
-            and safety.cacheable
-        )
-        tracer = get_tracer()
-        with tracer.span(
-            f"step:{call.name}",
-            parent=parent,
-            step=index,
-            operation=call.name,
-            output=call.output,
-            cache_key=key,
-            purity=safety.purity,
-            thread=threading.current_thread().name,
+        """Execute one step: the core every driver shares.
+
+        Type-checks the inputs, picks the body (see :meth:`_body`),
+        wraps failures in :class:`PipelineError`, and records a
+        ``step:<name>`` span with its :class:`ResourceProbe` block and
+        the step metrics.  Batch drivers pass ``keys`` and a
+        ``report``: the step is keyed and, when its operation is proven
+        pure or seeded, memoized in the shared cache.  Stream steps
+        pass their carried ``state`` instead and never read or write
+        the cache -- a chunk's value is not the trace's value.
+        """
+        operation = call.operation
+        safety = _operation_report(operation)
+        attrs = {
+            "step": index,
+            "operation": call.name,
+            "output": call.output,
+            "purity": safety.purity,
+            "thread": threading.current_thread().name,
+        }
+        cache_typed = False
+        if keys is not None:
+            key = keys[call.output] = self._step_key(call, keys)
+            attrs["cache_key"] = key
+            cache_typed = (
+                self.use_cache and operation.output_type in _CACHEABLE
+            )
+        cacheable = cache_typed and safety.cacheable
+        with get_tracer().span(
+            f"step:{call.name}", parent=parent, **attrs, **(span_attrs or {})
         ) as span:
             # the probe covers the whole step -- cache lookups included,
             # since a lookup still spends CPU the trace should account
             probe = ResourceProbe(track_alloc=self.track_memory).start()
-            for attr, value in (span_attrs or {}).items():
-                span.set(attr, value)
-            if serialized:
-                span.set("serialized", True)
-            if (
-                self.use_cache
-                and call.operation.output_type in _CACHEABLE
-                and not safety.cacheable
-            ):
+            if cache_typed and not safety.cacheable:
                 span.set("cache_refused", safety.purity)
                 METRICS.counter(
                     metric_names.CACHE_REFUSALS,
@@ -991,29 +959,12 @@ class ExecutionEngine:
                     report.add_span(span)
                     return
             inputs = [env[name] for name in call.inputs]
-            for value, expected in zip(inputs, call.operation.input_types):
+            for value, expected in zip(inputs, operation.input_types):
                 check_type(value, expected, f"operation {call.name!r}")
-            fn = call.operation.fn
-            if self.vectorize and call.operation.batch is not None:
-                refusal = _vector_refusal(call.operation, inputs)
-                if refusal is None:
-                    fn = call.operation.batch
-                    span.set("vectorized", True)
-                    METRICS.counter(
-                        metric_names.VECTORIZED_STEPS,
-                        "steps executed via the analyzer-approved"
-                        " batch path",
-                    ).inc()
-                else:
-                    span.set("vector_refused", refusal)
-                    METRICS.counter(
-                        metric_names.VECTOR_REFUSALS,
-                        "batch-declaring steps refused vectorized"
-                        " execution",
-                    ).inc()
+            body = self._body(operation, inputs, state, span)
             started = time.perf_counter()
             try:
-                result = fn(inputs, call.params)
+                result = body(inputs, call.params)
             except Exception as exc:
                 probe.finish(span)
                 if isinstance(exc, PipelineError):
@@ -1021,22 +972,28 @@ class ExecutionEngine:
                 raise PipelineError(call.name, index, exc) from exc
             elapsed = time.perf_counter() - started
             resources = probe.finish(span)
-            peak = resources.get("alloc_peak_bytes", 0)
             env[call.output] = result
             if cacheable:
                 self.shared_cache.put(key, result)
             span.set("cached", False)
             span.set("wall_seconds", elapsed)
-            span.set("peak_memory_bytes", int(peak))
+            span.set("peak_memory_bytes",
+                     int(resources.get("alloc_peak_bytes", 0)))
             METRICS.counter(
                 metric_names.STEPS_EXECUTED, "operation steps executed"
             ).inc()
+            if state is not None:
+                METRICS.counter(
+                    metric_names.STREAM_STEPS,
+                    "pipeline steps executed in chunked stream mode",
+                ).inc()
             METRICS.histogram(
                 metric_names.STEP_SECONDS,
                 "wall seconds per executed step, labeled by operation",
                 labelnames=("operation",),
             ).labels(operation=call.name).observe(elapsed)
-            report.add_span(span)
+            if report is not None:
+                report.add_span(span)
 
     @staticmethod
     def _collect_garbage(index, env, last_use, wanted) -> None:
@@ -1047,17 +1004,14 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
 
-    def _run_parallel(
-        self, pipeline, env, keys, wanted, last_use, report, run_span=None
-    ) -> None:
+    def _run_waves(self, pipeline, env, keys, report, run_span) -> None:
         """Execute in dataflow waves: each wave runs every step whose
         inputs are already available, concurrently.
 
         Steps whose operation the effect analyzer could not prove
         parallel-safe are held back from the pool and run serially on
         this thread *after* the wave's concurrent batch has drained, so
-        a stateful op never overlaps any other step.  ``unsafe_parallel``
-        disables the hold-back.
+        a stateful op never overlaps any other step.
         """
         tracer = get_tracer()
         pending = list(enumerate(pipeline.calls))
@@ -1075,17 +1029,11 @@ class ExecutionEngine:
                         names[0], pending[0][0],
                         RuntimeError("dataflow deadlock (cyclic inputs?)"),
                     )
-                if self.unsafe_parallel:
-                    concurrent, serial = ready, []
-                else:
-                    concurrent = [
-                        item for item in ready
-                        if _operation_report(item[1].operation).parallel_safe
-                    ]
-                    serial = [
-                        item for item in ready
-                        if not _operation_report(item[1].operation).parallel_safe
-                    ]
+                concurrent = [
+                    item for item in ready
+                    if _operation_report(item[1].operation).parallel_safe
+                ]
+                serial = [item for item in ready if item not in concurrent]
                 with tracer.span(
                     "wave", parent=run_span,
                     wave=wave_index, size=len(ready),
@@ -1105,7 +1053,7 @@ class ExecutionEngine:
                     for index, call in serial:
                         self._run_step(
                             index, call, env, keys, report, wave_span,
-                            serialized=True,
+                            span_attrs={"serialized": True},
                         )
                         METRICS.counter(
                             metric_names.STEPS_SERIALIZED,
@@ -1119,6 +1067,3 @@ class ExecutionEngine:
                 done = {index for index, _ in ready}
                 pending = [item for item in pending if item[0] not in done]
                 wave_index += 1
-        # wave mode frees memory between waves rather than per step
-        max_index = len(pipeline.calls) - 1
-        self._collect_garbage(max_index, env, last_use, wanted)

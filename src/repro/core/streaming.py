@@ -1,224 +1,17 @@
-"""Online (streaming) detection at the gateway.
+"""Chunked delivery of a trace, as a gateway capture loop would see it.
 
 The paper's deployment story is an IoT gateway inspecting traffic at a
-chokepoint.  Batch evaluation answers *which* algorithm to deploy; this
-module is the deployment shape itself: a :class:`StreamingDetector`
-consumes packets chunk by chunk -- as a capture loop would deliver them
--- and emits per-chunk verdicts, carrying the feature state (damped
-incremental statistics) across chunks so scores are identical to a
-single-pass run.
-
-Packet-level algorithms stream naturally.  Flow-like algorithms buffer
-packets per flow and emit a verdict when a flow completes (FIN/RST or
-an inactivity timeout), mirroring how Zeek emits conn.log records.
+chokepoint.  :func:`chunked` is the stand-in for that capture loop:
+:meth:`~repro.core.engine.ExecutionEngine.run_stream` and the
+``repro serve`` daemon feed its time-contiguous chunks through an
+engine :class:`~repro.core.engine.StreamSession`, which carries each
+step's state (damped incremental statistics, flow tables) across chunk
+boundaries so the scores equal a single-pass run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.core.incstats import DEFAULT_LAMBDAS, KitsuneStreamState
 from repro.net.table import PacketTable
-
-
-@dataclass
-class StreamVerdict:
-    """One scored unit emitted by a streaming detector."""
-
-    timestamp: float
-    score: float
-    is_anomalous: bool
-    unit: str  # "packet" or "flow"
-    src_ip: int = 0
-    dst_ip: int = 0
-
-
-class StreamingKitsune:
-    """Single-pass online Kitsune: incremental features + fitted KitNET.
-
-    Train the model offline (on a benign capture); then feed live
-    chunks.  The damped statistics live here and are updated packet by
-    packet, so chunk boundaries do not change the scores.
-    """
-
-    def __init__(
-        self,
-        model,
-        threshold: float,
-        lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
-        max_idle: float = 3600.0,
-    ) -> None:
-        self._model = model
-        self._threshold = threshold
-        self._lambdas = tuple(lambdas)
-        # the same carried accumulators the engine's run_stream mode
-        # uses for the KitsuneFeatures op, shared via incstats
-        self._state = KitsuneStreamState(self._lambdas)
-        self.max_idle = max_idle
-
-    @classmethod
-    def train(
-        cls,
-        benign: PacketTable,
-        *,
-        quantile: float = 0.98,
-        n_epochs: int = 25,
-        seed: int = 0,
-        lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
-    ) -> "StreamingKitsune":
-        """Fit KitNET on a benign capture and calibrate the threshold."""
-        from repro.core.incstats import kitsune_packet_features
-        from repro.ml import KitNET
-
-        features = kitsune_packet_features(benign, lambdas)
-        model = KitNET(n_epochs=n_epochs, seed=seed)
-        model.fit(features)
-        scores = model.score_samples(features)
-        threshold = float(np.quantile(scores, quantile))
-        return cls(model, threshold, lambdas)
-
-    # ------------------------------------------------------------------
-
-    def process_chunk(self, chunk: PacketTable) -> list[StreamVerdict]:
-        """Score one chunk of packets; state persists across calls.
-
-        Hosts idle longer than ``max_idle`` are evicted at chunk end,
-        bounding the carried state on long-running captures (see
-        :meth:`KitsuneStreamState.evict_idle` for the documented score
-        tolerance).
-        """
-        if len(chunk) == 0:
-            return []
-        features = self._state.features(chunk)
-        scores = self._model.score_samples(features)
-        verdicts = [
-            StreamVerdict(
-                timestamp=float(chunk.ts[i]),
-                score=float(scores[i]),
-                is_anomalous=bool(scores[i] > self._threshold),
-                unit="packet",
-                src_ip=int(chunk.src_ip[i]),
-                dst_ip=int(chunk.dst_ip[i]),
-            )
-            for i in range(len(chunk))
-        ]
-        self._state.evict_idle(float(chunk.ts.max()), self.max_idle)
-        return verdicts
-
-
-@dataclass
-class _FlowBuffer:
-    """Per-flow packet buffer for the streaming flow detector.
-
-    Holds one packet-table fragment per chunk the flow appeared in, so
-    flows spanning chunk boundaries reassemble exactly.
-    """
-
-    first_ts: float
-    last_ts: float
-    pieces: list[PacketTable] = field(default_factory=list)
-    finished: bool = False
-
-    def assemble(self) -> PacketTable:
-        return PacketTable.concat(self.pieces)
-
-
-class StreamingFlowDetector:
-    """Streams a fitted flow-level algorithm over chunked traffic.
-
-    Buffers packets per connection key; a flow is emitted (featurised
-    through the algorithm's normal pipeline and scored) when it sees
-    FIN/RST from both sides or has been idle longer than ``timeout``.
-    ``flush()`` force-emits everything at capture end.
-    """
-
-    def __init__(self, algorithm_spec, model, *, timeout: float = 60.0) -> None:
-        from repro.core.engine import ExecutionEngine
-
-        self.spec = algorithm_spec
-        self.model = model
-        self.timeout = timeout
-        self._buffers: dict[tuple, _FlowBuffer] = {}
-        self._engine = ExecutionEngine(use_cache=False, track_memory=False)
-        self._clock = 0.0
-
-    @staticmethod
-    def _key(table: PacketTable, i: int) -> tuple:
-        endpoints = sorted(
-            [
-                (int(table.src_ip[i]), int(table.src_port[i])),
-                (int(table.dst_ip[i]), int(table.dst_port[i])),
-            ]
-        )
-        return (int(table.proto[i]), tuple(endpoints[0]), tuple(endpoints[1]))
-
-    def process_chunk(self, chunk: PacketTable) -> list[StreamVerdict]:
-        """Buffer a chunk; return verdicts for flows that completed."""
-        # group this chunk's packets per flow key
-        chunk_rows: dict[tuple, list[int]] = {}
-        closers: set[tuple] = set()
-        for i in range(len(chunk)):
-            key = self._key(chunk, i)
-            chunk_rows.setdefault(key, []).append(i)
-            self._clock = max(self._clock, float(chunk.ts[i]))
-            if int(chunk.tcp_flags[i]) & 0x05:  # FIN or RST
-                closers.add(key)
-        finished: list[_FlowBuffer] = []
-        for key, rows in chunk_rows.items():
-            piece = chunk.select(np.array(rows, dtype=np.int64))
-            buffer = self._buffers.get(key)
-            if buffer is None:
-                buffer = _FlowBuffer(
-                    first_ts=float(piece.ts.min()), last_ts=0.0
-                )
-                self._buffers[key] = buffer
-            buffer.pieces.append(piece)
-            buffer.last_ts = float(piece.ts.max())
-            if key in closers:
-                buffer.finished = True
-                finished.append(buffer)
-                del self._buffers[key]
-        verdicts = []
-        for buffer in finished:
-            verdicts.extend(self._emit(buffer.assemble()))
-        # idle flows time out relative to the newest packet seen
-        expired = [
-            key
-            for key, buffer in self._buffers.items()
-            if self._clock - buffer.last_ts > self.timeout
-        ]
-        for key in expired:
-            buffer = self._buffers.pop(key)
-            verdicts.extend(self._emit(buffer.assemble()))
-        return verdicts
-
-    def _emit(self, flow_packets: PacketTable) -> list[StreamVerdict]:
-        if len(flow_packets) == 0:
-            return []
-        X, _ = self.spec.featurize(flow_packets, self._engine)
-        predictions = np.asarray(self.model.predict(X))
-        scores = (
-            self.model.score_samples(X)
-            if hasattr(self.model, "score_samples")
-            else predictions.astype(float)
-        )
-        return [
-            StreamVerdict(
-                timestamp=float(flow_packets.ts[0]),
-                score=float(scores[i]),
-                is_anomalous=bool(predictions[i] == 1),
-                unit="flow",
-                src_ip=int(flow_packets.src_ip[0]),
-                dst_ip=int(flow_packets.dst_ip[0]),
-            )
-            for i in range(len(X))
-        ]
-
-    def flush(self) -> None:
-        """Drop any remaining buffered state (capture ended)."""
-        self._buffers.clear()
 
 
 def chunked(table: PacketTable, chunk_seconds: float):

@@ -61,6 +61,9 @@ class Packet:
     payload: bytes = b""
     label: int = 0  # 0 = benign, 1 = malicious
     attack: str = ""  # attack name when label == 1
+    #: the record's original length when a snaplen cut the capture
+    #: short of it; 0 when every byte was captured
+    orig_len: int = 0
 
     def layer(self, layer_type: type) -> Layer | None:
         """Return the first layer of the given type, or ``None``."""
@@ -92,7 +95,13 @@ class Packet:
 
     @property
     def wire_length(self) -> int:
-        """Total on-the-wire length in bytes."""
+        """Total on-the-wire length in bytes.
+
+        A truncated capture reports the record's original length; the
+        captured layers and payload would under-count it.
+        """
+        if self.orig_len:
+            return self.orig_len
         total = len(self.payload)
         for item in self.layers:
             total += item.WIRE_LEN
@@ -104,22 +113,27 @@ class Packet:
         data: bytes,
         timestamp: float = 0.0,
         link_type: LinkType = LinkType.ETHERNET,
+        orig_len: int = 0,
     ) -> "Packet":
         """Parse a raw frame into a layered :class:`Packet`.
 
         Parsing is best-effort beyond the link layer: once a layer fails
         to decode, remaining bytes become the payload.  The link layer
         itself must decode, otherwise :class:`HeaderError` propagates.
+        ``orig_len`` is the capture record's original length; it is kept
+        only when it exceeds ``len(data)``, i.e. the frame was truncated.
         """
         layers: list[Layer] = []
         offset = 0
+        orig_len = orig_len if orig_len > len(data) else 0
 
         if link_type == LinkType.IEEE802_11:
             dot11, consumed = Dot11Header.decode(data)
             layers.append(dot11)
             offset += consumed
             return cls(
-                timestamp=timestamp, layers=layers, payload=bytes(data[offset:])
+                timestamp=timestamp, layers=layers,
+                payload=bytes(data[offset:]), orig_len=orig_len,
             )
 
         ether, consumed = EthernetHeader.decode(data)
@@ -136,7 +150,10 @@ class Packet:
                 offset += consumed
         except HeaderError:
             pass  # remaining bytes become the payload
-        return cls(timestamp=timestamp, layers=layers, payload=bytes(data[offset:]))
+        return cls(
+            timestamp=timestamp, layers=layers,
+            payload=bytes(data[offset:]), orig_len=orig_len,
+        )
 
     @staticmethod
     def _parse_ipv4(data: bytes, offset: int, layers: list[Layer]) -> int:

@@ -133,7 +133,7 @@ class PcapReader:
                     return
                 if len(header) < _RECORD_HEADER.size:
                     raise PcapFormatError("truncated pcap record header")
-                seconds, fraction, captured_len, _ = struct.unpack(
+                seconds, fraction, captured_len, orig_len = struct.unpack(
                     order + "IIII", header
                 )
                 data = handle.read(captured_len)
@@ -143,7 +143,9 @@ class PcapReader:
                 if raw:
                     yield timestamp, data
                 else:
-                    yield Packet.parse(data, timestamp, self.link_type)
+                    yield Packet.parse(
+                        data, timestamp, self.link_type, orig_len
+                    )
 
     def __iter__(self) -> Iterator[Packet]:
         return iter(self.records())

@@ -4,7 +4,9 @@ The observability counterpart of the tracer (:mod:`repro.obs.spans`):
 where spans answer "where did *this run* spend its time", metrics
 answer "what has the *process* done so far" -- cache hit-rates across a
 whole evaluation matrix, packets generated while building datasets,
-steps actually executed versus served from cache.
+steps actually executed versus served from cache.  Every engine driver
+runs its steps through one core, so streamed chunk steps count into
+``engine_steps_executed_total`` beside batch, parallel and planned ones.
 
 Everything here is stdlib-only and thread-safe: the engine increments
 counters from pool threads in parallel mode, and every read
@@ -65,7 +67,6 @@ VECTOR_REFUSALS = "engine_vector_refusals_total"
 PROGRESS_EVENTS = "bench_progress_events_total"
 STREAM_STEPS = "engine_stream_steps_total"
 STREAM_REFUSALS = "engine_stream_refusals_total"
-CONCURRENCY_REFUSALS = "engine_concurrency_refusals_total"
 ENGINE_UPTIME = "engine_uptime_seconds"
 SERVE_PACKETS_INGESTED = "serve_packets_ingested_total"
 SERVE_CHUNKS_ASSEMBLED = "serve_chunks_assembled_total"
@@ -80,7 +81,6 @@ SERVE_WATCHDOG_RESTARTS = "serve_watchdog_restarts_total"
 SERVE_RELOADS = "serve_reloads_total"
 SERVE_CHECKPOINTS = "serve_checkpoints_written_total"
 SERVE_CHECKPOINT_ERRORS = "serve_checkpoint_errors_total"
-SERVE_SESSIONS = "serve_sessions"
 
 
 class Counter:

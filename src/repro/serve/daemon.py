@@ -43,20 +43,6 @@ The control loop is deliberately single-threaded -- ingest, score,
 poll, checkpoint, in that order, every tick -- so that with a
 :class:`~repro.serve.clock.ReplayClock` the whole daemon is a
 deterministic function of (trace, template, config, fault plan).
-
-**Concurrent sessions** (``--sessions N``) keep that determinism: the
-control loop stays single-threaded, but each admitted chunk fans out
-to ``N`` independent :class:`StreamSession` replicas scored on a small
-thread pool.  Sessions share *nothing* mutable -- the concurrency
-analyzer proves it (every operation session-confined, lock-guarded or
-read-only-shared) before the daemon accepts the template, and refuses
-visibly (``concurrency_refused`` span attr +
-``engine_concurrency_refusals_total``) otherwise.  Fault injection is
-drawn once per attempt on the control thread, never per session, so
-the injected-fault schedule is identical to a single-session run and
-every session's outputs stay byte-equal to ``N`` sequential
-single-session runs.  Chunks are journaled once (rows are not
-double-counted); replica digests ride along for cross-checking.
 """
 
 from __future__ import annotations
@@ -127,9 +113,6 @@ class ServeConfig:
     epochs: int = 5
     idle_sleep: float = 0.01
     max_ticks: int = 1_000_000
-    #: independent concurrent scoring sessions per chunk; > 1 requires
-    #: the template to pass the concurrency-safety gate (L049-L056)
-    sessions: int = 1
 
 
 @dataclass
@@ -166,10 +149,6 @@ class ServeDaemon:
         dataset_id: str = "",
     ) -> None:
         self.config = config or ServeConfig()
-        if self.config.sessions < 1:
-            raise ValueError(
-                f"sessions must be >= 1, got {self.config.sessions}"
-            )
         self.clock = clock or MonotonicClock()
         self.table = table.sort_by_time()
         self.dataset_id = dataset_id
@@ -198,16 +177,10 @@ class ServeDaemon:
         self._started_at = 0.0
         self._model = None  # (model, threshold) when enabled
         self.results: list[dict] = []
-        # per-session output parts: _collected[i][name] -> [chunk, ...]
-        self._collected: list[dict[str, list]] = []
+        # per-output chunk parts: _collected[name] -> [chunk, ...]
+        self._collected: dict[str, list] = {}
 
         self.session: StreamSession | None = None
-        # replica sessions for --sessions N (sessions 1..N-1; the
-        # primary stays self.session so checkpoint/reload/status code
-        # is untouched by concurrency)
-        self._replicas: list[StreamSession] = []
-        self._replica_goods: list = []
-        self._pool = None  # ThreadPoolExecutor when sessions > 1
         self.source: ReplaySource | None = None
         self.assembler: ChunkAssembler | None = None
         self.queue = BoundedChunkQueue(
@@ -257,9 +230,14 @@ class ServeDaemon:
 
     def _build_session(self) -> StreamSession:
         pipeline = Pipeline.from_template(self._read_template())
-        session = self.engine.open_stream(
-            pipeline, outputs=self.config.outputs
-        )
+        outputs = self.config.outputs
+        if outputs is None and self.config.model != "none":
+            # the model scores score_output: collect it beside the
+            # template's final output unless outputs were chosen
+            outputs = list(
+                dict.fromkeys([pipeline.output_name, self.config.score_output])
+            )
+        session = self.engine.open_stream(pipeline, outputs=outputs)
         session.raise_if_refused()
         if (
             self.config.model != "none"
@@ -322,26 +300,8 @@ class ServeDaemon:
         ]
         return checkpoints[-1] if checkpoints else None
 
-    def _startup(self, span=None) -> None:
+    def _startup(self) -> None:
         self.session = self._build_session()
-        if self.config.sessions > 1:
-            # nothing unproven runs concurrently: refuse (visibly, on
-            # the serve root span) before the first replica is built
-            self.session.raise_if_concurrency_refused(span)
-            self._replicas = [
-                self._build_session()
-                for _ in range(self.config.sessions - 1)
-            ]
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.sessions,
-                thread_name_prefix="serve-session",
-            )
-        METRICS.gauge(
-            metric_names.SERVE_SESSIONS,
-            "concurrent scoring sessions per chunk",
-        ).set(self.config.sessions)
         start_row = 0
         origin = None
         record = None
@@ -352,8 +312,6 @@ class ServeDaemon:
             # restore refuses on template drift -- a resume into an
             # edited template must re-serve from scratch instead
             self.session.restore(snapshot)
-            for replica in self._replicas:
-                replica.restore(snapshot)  # restore() deep-copies
             start_row = int(record["consumed_rows"])
             origin = record.get("window_origin")
             self._scored = int(record.get("chunks_scored", 0))
@@ -382,11 +340,7 @@ class ServeDaemon:
         )
         self._model = self._prepare_model()
         self._last_good = self.session.snapshot()
-        self._replica_goods = [r.snapshot() for r in self._replicas]
-        self._collected = [
-            {name: [] for name in self.session.outputs}
-            for _ in range(self.config.sessions)
-        ]
+        self._collected = {name: [] for name in self.session.outputs}
         self.watchdog.beat()
         self._started_ok = True
         self._write_status("serving")
@@ -407,12 +361,11 @@ class ServeDaemon:
             pps=float(self.config.pps),
             policy=self.config.policy,
             queue_capacity=self.config.queue_capacity,
-            sessions=self.config.sessions,
         ) as span:
             try:
                 self._write_status("starting")
                 try:
-                    self._startup(span)
+                    self._startup()
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
@@ -496,8 +449,6 @@ class ServeDaemon:
                 return
             self.watchdog.trip(idle=round(self.watchdog.stall_seconds, 3))
             self.session.restore(self._last_good)
-            for replica, good in zip(self._replicas, self._replica_goods):
-                replica.restore(good)
         # 5. let time pass when there is nothing to do right now
         if not progressed:
             self._idle_sleep()
@@ -577,105 +528,39 @@ class ServeDaemon:
         jitter = 0.5 + 0.5 * (int.from_bytes(digest[:8], "big") / 2**64)
         return self.config.backoff_base * (2 ** (attempt - 1)) * jitter
 
-    def _all_sessions(self) -> list:
-        return [self.session, *self._replicas]
-
     def _score_attempt(self, chunk: Chunk, parent, attempt: int):
-        """One scoring attempt across every session; returns (outs, anomalies).
-
-        Single-session mode keeps the exact PR 9 shape (fault drawn
-        inside the ``score_chunk`` span, scored inline on the control
-        thread).  Multi-session mode draws the fault *once* on the
-        control thread -- a per-session draw would make the injected
-        schedule depend on thread scheduling -- then fans the chunk out
-        to one worker per session; an injected fault therefore fails
-        the whole attempt before any span opens, and every session
-        retries or quarantines in lockstep.
-        """
-        tracer = get_tracer()
-        if self.config.sessions == 1:
-            with tracer.span(
-                "score_chunk",
-                parent=parent,
-                chunk=chunk.window,
-                rows=chunk.rows,
-                row_start=chunk.row_start,
-                attempt=attempt,
-                session=0,
-            ) as span:
-                maybe_inject(
-                    "score_chunk", window=chunk.window, attempt=attempt
-                )
-                out = call_with_deadline(
-                    lambda: self.session.process_chunk(
-                        chunk.table, parent=span
-                    ),
-                    self.config.chunk_deadline,
-                    f"score_chunk[{chunk.window}]",
-                )
-                anomalies = self._apply_model(out, span)
-            return [out], anomalies
-
-        maybe_inject("score_chunk", window=chunk.window, attempt=attempt)
-
-        def score_one(index: int, session) -> tuple:
-            with tracer.span(
-                "score_chunk",
-                parent=parent,
-                chunk=chunk.window,
-                rows=chunk.rows,
-                row_start=chunk.row_start,
-                attempt=attempt,
-                session=index,
-            ) as span:
-                out = call_with_deadline(
-                    lambda: session.process_chunk(chunk.table, parent=span),
-                    self.config.chunk_deadline,
-                    f"score_chunk[{chunk.window}]#{index}",
-                )
-                # the model tuple is touched by one worker only; the
-                # replicas score features, not anomalies
-                anomalies = self._apply_model(out, span) if index == 0 else 0
-            return out, anomalies
-
-        futures = [
-            self._pool.submit(score_one, index, session)
-            for index, session in enumerate(self._all_sessions())
-        ]
-        outs: list = []
-        anomalies = 0
-        first_error: Exception | None = None
-        for future in futures:
-            try:
-                out, found = future.result()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-                continue
-            outs.append(out)
-            anomalies += found
-        if first_error is not None:
-            raise first_error
-        return outs, anomalies
+        """One scoring attempt; returns ``(outputs, anomalies)``."""
+        with get_tracer().span(
+            "score_chunk",
+            parent=parent,
+            chunk=chunk.window,
+            rows=chunk.rows,
+            row_start=chunk.row_start,
+            attempt=attempt,
+        ) as span:
+            maybe_inject("score_chunk", window=chunk.window, attempt=attempt)
+            out = call_with_deadline(
+                lambda: self.session.process_chunk(chunk.table, parent=span),
+                self.config.chunk_deadline,
+                f"score_chunk[{chunk.window}]",
+            )
+            return out, self._apply_model(out, span)
 
     def _score_chunk(self, chunk: Chunk, parent) -> bool:
         tracer = get_tracer()
-        snapshots = [s.snapshot() for s in self._all_sessions()]
+        snapshot = self.session.snapshot()
         attempts = self.config.retries + 1
         for attempt in range(1, attempts + 1):
             try:
-                outs, anomalies = self._score_attempt(chunk, parent, attempt)
-                self._finish_chunk(chunk, outs, anomalies)
+                out, anomalies = self._score_attempt(chunk, parent, attempt)
+                self._finish_chunk(chunk, out, anomalies)
                 return True
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:
                 # roll the carried state back before anything else: no
                 # retry or quarantine may see a half-updated stream
-                for sess, snap in zip(self._all_sessions(), snapshots):
-                    sess.restore(snap)
+                self.session.restore(snapshot)
                 self._last_error = f"{type(exc).__name__}: {exc}"
                 if isinstance(exc, StallError):
                     self.watchdog.trip(chunk=chunk.window)
@@ -708,7 +593,7 @@ class ServeDaemon:
         span.set("anomalies", anomalies)
         return anomalies
 
-    def _finish_chunk(self, chunk: Chunk, outs: list, anomalies: int) -> None:
+    def _finish_chunk(self, chunk: Chunk, out: dict, anomalies: int) -> None:
         self._scored += 1
         self._anomalies += anomalies
         self._consumed_rows += chunk.rows
@@ -717,29 +602,18 @@ class ServeDaemon:
             "chunks scored by the serve daemon",
         ).inc()
         if self.config.collect:
-            for index, out in enumerate(outs):
-                for name in self.session.outputs:
-                    self._collected[index][name].append(out[name])
+            for name in self.session.outputs:
+                self._collected[name].append(out[name])
         if self._results_journal is not None:
-            # one record per chunk regardless of session count, so row
-            # accounting (sum of scored rows vs packets_total) holds;
-            # replica digests ride along for cross-checking
-            record = {
+            self._results_journal.append({
                 "kind": "chunk",
                 "window": chunk.window,
                 "row_start": chunk.row_start,
                 "rows": chunk.rows,
                 "anomalies": anomalies,
-                "digest": _digest_outputs(outs[0]),
-            }
-            if len(outs) > 1:
-                record["sessions"] = len(outs)
-                record["session_digests"] = [
-                    _digest_outputs(out) for out in outs
-                ]
-            self._results_journal.append(record)
+                "digest": _digest_outputs(out),
+            })
         self._last_good = self.session.snapshot()
-        self._replica_goods = [r.snapshot() for r in self._replicas]
         if (
             self._checkpoint_journal is not None
             and self.config.checkpoint_every > 0
@@ -838,26 +712,16 @@ class ServeDaemon:
         self._reload_requested = False
         self._write_status("reloading")
         old = self.session
-        old_replicas = self._replicas
         try:
             fresh = self._build_session()
-            if self.config.sessions > 1:
-                fresh.raise_if_concurrency_refused()
             handoff = fresh.adopt_state(old)
-            fresh_replicas = []
-            for old_replica in old_replicas:
-                replica = self._build_session()
-                replica.adopt_state(old_replica)
-                fresh_replicas.append(replica)
             self.session = fresh
-            self._replicas = fresh_replicas
             self._model = self._prepare_model()
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
             # a broken new template must not take down the old one
             self.session = old
-            self._replicas = old_replicas
             self._last_error = f"reload: {type(exc).__name__}: {exc}"
             get_tracer().event(
                 "serve.reload_failed", error=type(exc).__name__
@@ -865,13 +729,9 @@ class ServeDaemon:
             self._write_status("serving")
             return
         old.close()  # free the retired session's stream accumulators
-        for old_replica in old_replicas:
-            old_replica.close()
-        for collected in self._collected:
-            for name in self.session.outputs:
-                collected.setdefault(name, [])
+        for name in self.session.outputs:
+            self._collected.setdefault(name, [])
         self._last_good = self.session.snapshot()
-        self._replica_goods = [r.snapshot() for r in self._replicas]
         self._reloads += 1
         METRICS.counter(
             metric_names.SERVE_RELOADS,
@@ -942,9 +802,6 @@ class ServeDaemon:
         ):
             self._write_checkpoint()
         self._write_status("stopped")
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         for journal in (
             self._checkpoint_journal,
             self._quarantine_journal,
@@ -979,13 +836,11 @@ class ServeDaemon:
     # verification against the offline reference
     # ------------------------------------------------------------------
 
-    def collected(self, session: int = 0) -> dict:
-        """One session's concatenated per-chunk outputs (collect=True)."""
-        if not self._collected:
-            return {}
+    def collected(self) -> dict:
+        """The concatenated per-chunk outputs (collect=True)."""
         return {
             name: _concat_stream_parts(name, parts)
-            for name, parts in self._collected[session].items()
+            for name, parts in self._collected.items()
             if parts
         }
 
@@ -1003,8 +858,6 @@ class ServeDaemon:
         the daemon's carried state evolves exactly as an offline stream
         over the *surviving* rows -- so the concatenated daemon outputs
         must be byte-equal to ``run_stream`` on the surviving table.
-        With ``--sessions N`` the reference is computed once and every
-        session's collected outputs must match it independently.
         Returns ``{output name: bool}``; every value must be True.
         """
         surviving = self.surviving_table()
@@ -1014,18 +867,16 @@ class ServeDaemon:
             chunk_seconds=self.config.chunk_seconds,
             outputs=self.session.outputs,
         )
+        mine = self.collected()
         verdict: dict[str, bool] = {}
-        for session in range(self.config.sessions):
-            mine = self.collected(session)
-            for name in self.session.outputs:
-                ours, theirs = mine.get(name), reference.get(name)
-                if ours is None or theirs is None:
-                    ok = ours is None and theirs is None
-                else:
-                    ok = bool(
-                        np.array_equal(np.asarray(ours), np.asarray(theirs))
-                    )
-                verdict[name] = verdict.get(name, True) and ok
+        for name in self.session.outputs:
+            ours, theirs = mine.get(name), reference.get(name)
+            if ours is None or theirs is None:
+                verdict[name] = ours is None and theirs is None
+            else:
+                verdict[name] = bool(
+                    np.array_equal(np.asarray(ours), np.asarray(theirs))
+                )
         return verdict
 
 

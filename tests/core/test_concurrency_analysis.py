@@ -1,13 +1,12 @@
-"""Tests for the concurrency-safety analyzer and the engine gate.
+"""Tests for the concurrency-safety analyzer.
 
 Covers lock discovery and the ``with``-held walker, shared-state
 classification into the four verdicts, the lock-acquisition graph with
 cycle detection, bare acquire/release detection, thread-hostile
 callees, escape analysis on carried stream state, the registry-facing
 reports with the L049-L056 diagnostics (positive and negative fixture
-operations), the full-registry audit regression, the template-level
-pass (L055), and the engine gate: ``StreamSession`` refusing unproven
-pipelines visibly and ``run_plan`` marking stages thread-safe.
+operations), the full-registry audit regression, and the template-level
+pass (L055).
 """
 
 import ast
@@ -38,8 +37,6 @@ from repro.analysis.concurrency import (
     unguarded_module_state,
     _make_resolver,
 )
-from repro.core import ExecutionEngine, Pipeline
-from repro.core.errors import TemplateError
 from repro.core.operations import (
     CONCURRENCY_CLASSES,
     OPERATIONS,
@@ -47,8 +44,6 @@ from repro.core.operations import (
     register_stream,
 )
 from repro.core.types import ValueType
-from repro.obs import METRICS, RingBufferSink, get_tracer
-from repro.obs import metrics as metric_names
 
 # module-level fixtures the analyzer sees when it parses this file:
 # a real lock, a constant-style registry, and a lowercase mutable
@@ -624,91 +619,3 @@ class TestTemplatePass:
             ]
         )
         assert "L055" not in result.codes()
-
-
-STREAM_TEMPLATE = [
-    {"func": "KitsuneFeatures", "input": None, "output": "X",
-     "lambdas": [1.0, 0.1]},
-    {"func": "Labels", "input": None, "output": "y"},
-]
-
-
-def capture(fn):
-    sink = RingBufferSink(capacity=None)
-    tracer = get_tracer()
-    tracer.add_sink(sink)
-    try:
-        fn()
-    finally:
-        tracer.remove_sink(sink)
-    return [e for e in sink.events() if e.get("kind") == "span"]
-
-
-class TestEngineGate:
-    def test_proven_pipeline_passes_the_gate(self, small_trace):
-        engine = ExecutionEngine(use_cache=False, track_memory=False)
-        session = engine.open_stream(
-            Pipeline.from_template(STREAM_TEMPLATE), outputs=["X", "y"]
-        )
-        assert session.concurrency_refusals == []
-        session.raise_if_concurrency_refused()  # must not raise
-        session.close()
-
-    def test_racy_pipeline_is_refused_visibly(self, scratch_ops):
-        def racy_fn(inputs, params):
-            return inputs[0].length
-
-        def racy_stream(table, params, state):
-            _RACY_SINK["live"] = state
-            return table.length, state
-
-        scratch_ops(
-            "RacyServe", racy_fn, stream_fn=racy_stream,
-            stream="stateless",
-        )
-        engine = ExecutionEngine(use_cache=False, track_memory=False)
-        session = engine.open_stream(
-            Pipeline.from_template(
-                [{"func": "RacyServe", "input": None, "output": "X"}]
-            ),
-            outputs=["X"],
-        )
-        assert session.concurrency_refusals
-        before = METRICS.counter(
-            metric_names.CONCURRENCY_REFUSALS, ""
-        ).value
-        tracer = get_tracer()
-        sink = RingBufferSink(capacity=None)
-        tracer.add_sink(sink)
-        try:
-            with pytest.raises(TemplateError, match="concurrent-safe"):
-                with tracer.span("probe") as span:
-                    session.raise_if_concurrency_refused(span)
-        finally:
-            tracer.remove_sink(sink)
-        after = METRICS.counter(
-            metric_names.CONCURRENCY_REFUSALS, ""
-        ).value
-        assert after > before
-        probe = next(
-            e for e in sink.events()
-            if e.get("kind") == "span" and e["name"] == "probe"
-        )
-        assert "RacyServe" in probe["attrs"]["concurrency_refused"]
-        session.close()
-
-    def test_run_plan_marks_stages_thread_safe(self, small_trace):
-        from repro.analysis.planner import build_plan
-
-        engine = ExecutionEngine(use_cache=False, track_memory=False)
-        plan = build_plan(
-            {"a": STREAM_TEMPLATE}, datasets=("F0",),
-            outputs=("X", "y"),
-        )
-        spans = capture(lambda: engine.run_plan(plan, small_trace))
-        staged = [
-            s for s in spans if "plan_stage" in s.get("attrs", {})
-        ]
-        assert staged, "run_plan produced no stage spans"
-        for span in staged:
-            assert span["attrs"]["thread_safe"] is True

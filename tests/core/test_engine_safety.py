@@ -3,7 +3,7 @@
 Regression guarantees for the safety gating: the result cache never
 memoizes a stateful fixture op, seeded ops key their cache entries on
 the seed param, and the parallel wave scheduler serializes unsafe steps
-at ``max_workers=4`` (unless ``unsafe_parallel`` opts out).
+at ``max_workers=4``.
 """
 
 import threading
@@ -224,36 +224,6 @@ class TestWaveSerialization:
             if e["kind"] == "span" and e["name"] == "wave"
         ]
         assert wave["attrs"]["serialized"] == len(names)
-
-    def test_unsafe_parallel_escape_hatch(self, scratch_ops, small_trace):
-        active, peak, lock = [0], [0], threading.Lock()
-        names = [
-            scratch_ops(f"Tracked{i}", self._tracking_op(active, peak, lock))
-            for i in range(4)
-        ]
-        template = self._fanout_template(names)
-        outputs = [step["output"] for step in template]
-        events = _capture(
-            lambda: ExecutionEngine(
-                use_cache=False, parallel=True, max_workers=4,
-                track_memory=False, unsafe_parallel=True,
-            ).run(Pipeline.from_template(template), small_trace,
-                  outputs=outputs)
-        )
-        steps = _step_spans(events)
-        # the hold-back is disabled: nothing is marked serialized...
-        assert all("serialized" not in e["attrs"] for e in steps)
-        (wave,) = [
-            e for e in events
-            if e["kind"] == "span" and e["name"] == "wave"
-        ]
-        assert wave["attrs"]["serialized"] == 0
-        # ...but the cache still refuses stateful results
-        assert all(
-            e["attrs"].get("cache_refused") is None for e in steps
-        )  # use_cache=False: no refusal attr either way
-        run = next(e for e in events if e["name"] == "run")
-        assert run["attrs"]["unsafe_parallel"] is True
 
     def test_pure_catalog_ops_still_parallelize(self, small_trace):
         template = [

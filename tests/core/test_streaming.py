@@ -1,21 +1,19 @@
-"""Tests for the streaming (online) detection mode."""
+"""Tests for chunked delivery and online (streaming) detection."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms import build_algorithm
+from repro.core import ExecutionEngine, Pipeline
 from repro.core.incstats import (
     KitsuneStreamState,
     kitsune_packet_features,
     kitsune_packet_features_stream,
 )
 from repro.core.operations import OPERATIONS
-from repro.core.streaming import (
-    StreamingFlowDetector,
-    StreamingKitsune,
-    chunked,
-)
+from repro.core.streaming import chunked
+from repro.ml import KitNET
 from repro.net.table import PacketTable
+from repro.serve.daemon import DEFAULT_TEMPLATE
 from repro.traffic import AttackSpec, NetworkScenario
 
 
@@ -56,46 +54,85 @@ class TestChunking:
         assert list(chunked(PacketTable.empty(), 5.0)) == []
 
 
-class TestStreamingKitsune:
+class TestKitsuneOpenStream:
+    """Online Kitsune scoring through ``engine.open_stream``: the
+    ``repro serve`` default template feeding a KitNET trained offline."""
+
     @pytest.fixture(scope="class")
-    def detector(self, benign_trace):
+    def engine(self):
+        return ExecutionEngine(use_cache=False, track_memory=False)
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        return Pipeline.from_template([dict(s) for s in DEFAULT_TEMPLATE])
+
+    @pytest.fixture(scope="class")
+    def detector(self, engine, pipeline, benign_trace):
         small = benign_trace.select(np.arange(0, len(benign_trace), 4))
-        return StreamingKitsune.train(small, n_epochs=10, seed=0)
+        features = engine.run(pipeline, small, outputs=["X"])["X"]
+        model = KitNET(n_epochs=10, seed=0)
+        model.fit(features)
+        threshold = float(np.quantile(model.score_samples(features), 0.98))
+        return model, threshold
 
-    def test_verdict_per_packet(self, detector, attack_trace):
-        chunk = attack_trace.select(np.arange(200))
-        verdicts = detector.process_chunk(chunk)
-        assert len(verdicts) == 200
-        assert all(v.unit == "packet" for v in verdicts)
-
-    def test_chunking_invariance(self, benign_trace, attack_trace):
-        """Scores must not depend on chunk boundaries."""
-        small_benign = benign_trace.select(np.arange(0, len(benign_trace), 4))
-        sample = attack_trace.select(np.arange(400))
-
-        one = StreamingKitsune.train(small_benign, n_epochs=5, seed=0)
-        single = [
-            v.score for v in one.process_chunk(sample)
+    def scores(self, engine, pipeline, model, chunks):
+        session = engine.open_stream(pipeline, outputs=["X"])
+        parts = [
+            model.score_samples(session.process_chunk(chunk)["X"])
+            for chunk in chunks
         ]
-        two = StreamingKitsune.train(small_benign, n_epochs=5, seed=0)
-        halves = []
-        halves += two.process_chunk(sample.select(np.arange(0, 150)))
-        halves += two.process_chunk(sample.select(np.arange(150, 400)))
-        assert np.allclose(single, [v.score for v in halves])
+        return np.concatenate(parts)
 
-    def test_flags_flood_packets(self, detector, attack_trace):
-        verdicts = []
-        for chunk in chunked(attack_trace, 20.0):
-            verdicts.extend(detector.process_chunk(chunk))
-        labels = attack_trace.sort_by_time().label
-        flagged = np.array([v.is_anomalous for v in verdicts])
+    def test_score_per_packet(self, engine, pipeline, detector, attack_trace):
+        chunk = attack_trace.select(np.arange(200))
+        scores = self.scores(engine, pipeline, detector[0], [chunk])
+        assert scores.shape == (200,)
+
+    def test_chunking_invariance(
+        self, engine, pipeline, detector, attack_trace
+    ):
+        """Scores must not depend on chunk boundaries."""
+        sample = attack_trace.select(np.arange(400))
+        model = detector[0]
+        single = self.scores(engine, pipeline, model, [sample])
+        for splits in ((0, 150, 400), (0, 1, 77, 399, 400)):
+            chunks = [
+                sample.select(np.arange(lo, hi))
+                for lo, hi in zip(splits, splits[1:])
+            ]
+            assert np.array_equal(
+                single, self.scores(engine, pipeline, model, chunks)
+            ), splits
+
+    def test_flags_flood_packets(
+        self, engine, pipeline, detector, attack_trace
+    ):
+        model, threshold = detector
+        ordered = attack_trace.sort_by_time()
+        scores = self.scores(
+            engine, pipeline, model, chunked(ordered, 20.0)
+        )
+        flagged = scores > threshold
         # flood traffic is flagged at a much higher rate than benign
-        flood_rate = flagged[labels == 1].mean()
-        benign_rate = flagged[labels == 0].mean()
+        flood_rate = flagged[ordered.label == 1].mean()
+        benign_rate = flagged[ordered.label == 0].mean()
         assert flood_rate > benign_rate
 
-    def test_empty_chunk(self, detector):
-        assert detector.process_chunk(PacketTable.empty()) == []
+    def test_empty_chunk(self, engine, pipeline, attack_trace):
+        session = engine.open_stream(pipeline, outputs=["X", "y"])
+        head = attack_trace.select(np.arange(50))
+        session.process_chunk(head)
+        before = session.snapshot()
+        out = session.process_chunk(PacketTable.empty())
+        assert len(out["X"]) == 0 and len(out["y"]) == 0
+        # an empty chunk advances the chunk count, never the state
+        assert session.chunks == 2
+        after = session.snapshot()
+        tail = attack_trace.select(np.arange(50, 100))
+        session.restore(before)
+        expected = session.process_chunk(tail)["X"]
+        session.restore(after)
+        assert np.array_equal(session.process_chunk(tail)["X"], expected)
 
 
 class TestKitsuneStreamState:
@@ -191,103 +228,3 @@ class TestConvertedOpStreams:
                 start += size
             streamed = np.concatenate(parts, axis=0)
             assert np.array_equal(expected, streamed), (name, splits)
-
-
-class TestStreamingFlowDetector:
-    @pytest.fixture(scope="class")
-    def detector(self, attack_trace):
-        spec = build_algorithm("A14")
-        X, y = spec.featurize(attack_trace)
-        model = spec.build_model()
-        model.fit(X, y)
-        return StreamingFlowDetector(spec, model, timeout=30.0)
-
-    def test_emits_flow_verdicts(self, detector, attack_trace):
-        verdicts = []
-        for chunk in chunked(attack_trace, 15.0):
-            verdicts.extend(detector.process_chunk(chunk))
-        assert len(verdicts) > 50
-        assert all(v.unit == "flow" for v in verdicts)
-        detector.flush()
-
-    def test_detects_the_flood(self, attack_trace):
-        spec = build_algorithm("A14")
-        X, y = spec.featurize(attack_trace)
-        model = spec.build_model()
-        model.fit(X, y)
-        detector = StreamingFlowDetector(spec, model, timeout=30.0)
-        verdicts = []
-        for chunk in chunked(attack_trace, 15.0):
-            verdicts.extend(detector.process_chunk(chunk))
-        anomalous = [v for v in verdicts if v.is_anomalous]
-        assert len(anomalous) > 10
-
-    def test_cross_chunk_flow_reassembly(self):
-        # one long flow split across two chunks must emit exactly once,
-        # with all its packets
-        from repro.traffic.builder import TraceBuilder
-
-        builder = TraceBuilder()
-        for i in range(10):
-            builder.add_tcp(float(i), 1, 2, 4000, 80, 100)
-        builder.add_tcp(10.0, 1, 2, 4000, 80, 0, flags=0x11)  # FIN|ACK
-        table = builder.build()
-
-        spec = build_algorithm("A15")
-        reference = NetworkScenario(
-            name="ref", device_counts={"smart_hub": 1}, duration=60.0, seed=1
-        ).generate()
-        X, y = spec.featurize(reference)
-        model = spec.build_model()
-        model.fit(X, y)
-
-        detector = StreamingFlowDetector(spec, model, timeout=1000.0)
-        first = detector.process_chunk(table.select(table.ts < 5.0))
-        second = detector.process_chunk(table.select(table.ts >= 5.0))
-        assert first == []  # flow still open after the first chunk
-        assert len(second) == 1
-
-    def test_idle_timeout_evicts_under_out_of_order_timestamps(self):
-        # flow A goes idle; a later chunk arrives with its packets out
-        # of order (a fresh packet at t=50 *before* a straggler at t=3
-        # in delivery order).  The detector clock is the max timestamp
-        # seen, so flow A is evicted exactly once, and the straggler --
-        # already older than the timeout horizon -- is emitted
-        # immediately rather than buffered forever.
-        from repro.traffic.builder import TraceBuilder
-
-        builder = TraceBuilder()
-        builder.add_tcp(0.0, 1, 2, 4000, 80, 100)  # flow A
-        builder.add_tcp(2.0, 1, 2, 4000, 80, 100)  # flow A
-        builder.add_tcp(3.0, 3, 4, 5000, 80, 100)  # flow C (straggler)
-        builder.add_tcp(50.0, 5, 6, 6000, 80, 100)  # flow B (fresh)
-        table = builder.build(sort=False)
-
-        spec = build_algorithm("A15")
-        reference = NetworkScenario(
-            name="ref", device_counts={"smart_hub": 1}, duration=60.0, seed=1
-        ).generate()
-        X, y = spec.featurize(reference)
-        model = spec.build_model()
-        model.fit(X, y)
-
-        detector = StreamingFlowDetector(spec, model, timeout=30.0)
-        first = detector.process_chunk(
-            table.select(np.array([0, 1], dtype=np.int64))
-        )
-        assert first == []
-        # deliver t=50 before t=3 inside the second chunk
-        second = detector.process_chunk(
-            table.select(np.array([3, 2], dtype=np.int64))
-        )
-        assert sorted(v.src_ip for v in second) == [1, 3]
-        assert len([v for v in second if v.src_ip == 1]) == 1
-        # only the fresh flow stays open
-        assert len(detector._buffers) == 1
-        # a third chunk must not resurrect or re-emit the evicted flows
-        third = detector.process_chunk(
-            table.select(np.array([], dtype=np.int64))
-        )
-        assert third == []
-        detector.flush()
-        assert detector._buffers == {}

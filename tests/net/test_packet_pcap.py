@@ -17,7 +17,14 @@ from repro.net.headers import (
     IPPROTO_UDP,
 )
 from repro.net.packet import LinkType, Packet
-from repro.net.pcap import PcapFormatError, PcapReader, read_pcap, write_pcap
+from repro.net.pcap import (
+    PcapFormatError,
+    PcapReader,
+    PcapWriter,
+    read_pcap,
+    write_pcap,
+)
+from repro.net.table import PacketTable
 
 
 def make_tcp_packet(ts=1.0, payload=b"data", flags=0x02):
@@ -47,6 +54,15 @@ class TestPacketModel:
     def test_wire_length(self):
         packet = make_tcp_packet(payload=b"abcd")
         assert packet.wire_length == 14 + 20 + 20 + 4
+
+    def test_parse_keeps_orig_len_only_when_truncated(self):
+        data = make_tcp_packet(payload=b"abcdefgh").encode()
+        whole = Packet.parse(data, orig_len=len(data))
+        assert whole.orig_len == 0
+        assert whole.wire_length == len(data)
+        cut = Packet.parse(data[:40], orig_len=len(data))
+        assert cut.orig_len == len(data)
+        assert cut.wire_length == len(data)
 
     def test_link_type_detection(self):
         assert make_tcp_packet().link_type == LinkType.ETHERNET
@@ -208,3 +224,41 @@ class TestPcap:
         timestamp, data = records[0]
         assert timestamp == pytest.approx(9.0)
         assert data.endswith(b"xyz")
+
+
+class TestSnaplen:
+    """``length`` survives a capture whose snaplen truncates records."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        import numpy as np
+
+        from repro.datasets import load_dataset
+
+        return load_dataset("F0").sort_by_time().select(np.arange(200))
+
+    def round_trip(self, table, path, **writer_kwargs):
+        with PcapWriter(path, **writer_kwargs) as writer:
+            for packet in table.to_packets():
+                writer.write(packet)
+        return PacketTable.from_packets(read_pcap(path))
+
+    def test_truncated_capture_keeps_wire_length(self, table, tmp_path):
+        back = self.round_trip(table, tmp_path / "cut.pcap", snaplen=60)
+        assert (table.length > 60).any()  # the snaplen really truncates
+        assert back.length.tobytes() == table.length.tobytes()
+
+    def test_untruncated_capture_is_unchanged(self, table, tmp_path):
+        path = tmp_path / "whole.pcap"
+        back = self.round_trip(table, path)
+        assert all(packet.orig_len == 0 for packet in read_pcap(path))
+        # byte-identical to decoding the frames without any orig_len
+        reader = PcapReader(path)
+        plain = PacketTable.from_packets([
+            Packet.parse(data, timestamp)
+            for timestamp, data in reader.records(raw=True)
+        ])
+        assert list(back.columns) == list(plain.columns)
+        for name, column in plain.columns.items():
+            assert back.columns[name].tobytes() == column.tobytes(), name
+        assert back.length.tobytes() == table.length.tobytes()

@@ -1,7 +1,7 @@
 """Concurrency stress tests for the obs substrate.
 
-The ``--sessions N`` serve mode scores one chunk on N pool threads,
-and every one of them increments counters and opens spans through the
+The parallel engine runs one dataflow wave on N pool threads, and
+every one of them increments counters and opens spans through the
 process-global registry and tracer.  These tests hammer both from many
 threads and assert *exact* totals -- a single lost update or torn read
 fails the count.  The concurrency-safety analyzer proves

@@ -6,12 +6,22 @@ wave span must carry the resource block the profiler and
 ``tools/check_trace.py`` rely on.
 """
 
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from repro.core import ExecutionEngine, Pipeline
-from repro.obs import ResourceProbe, RingBufferSink, get_tracer, rss_peak_bytes
+from repro.obs import (
+    JsonlFileSink,
+    ResourceProbe,
+    RingBufferSink,
+    get_tracer,
+    read_trace,
+    rss_peak_bytes,
+)
 from repro.obs.spans import Span
 from repro.traffic import AttackSpec, NetworkScenario
 
@@ -31,6 +41,14 @@ TEMPLATE = [
     {"func": "SortByTime", "input": None, "output": "sorted"},
     {"func": "ProtocolOneHot", "input": ["sorted"], "output": "X"},
     {"func": "Labels", "input": ["sorted"], "output": "y"},
+]
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+STREAM_TEMPLATE = [
+    {"func": "KitsuneFeatures", "input": None, "output": "X",
+     "lambdas": [1.0, 0.1]},
+    {"func": "Labels", "input": None, "output": "y"},
 ]
 
 
@@ -144,6 +162,34 @@ class TestEngineResourceSpans:
         for span in waves:
             assert span["attrs"]["cpu_seconds"] >= 0
             assert span["attrs"]["rss_peak_bytes"] > 0
+
+    def test_stream_steps_hang_off_their_chunk(self, small_trace, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        sink = JsonlFileSink(path)
+        tracer = get_tracer()
+        tracer.add_sink(sink)
+        try:
+            ExecutionEngine(use_cache=False, track_memory=False).run_stream(
+                Pipeline.from_template(STREAM_TEMPLATE), small_trace,
+                chunk_seconds=10.0, outputs=["X", "y"],
+            )
+        finally:
+            tracer.remove_sink(sink)
+            sink.close()
+        spans = [e for e in read_trace(path) if e.get("kind") == "span"]
+        chunks = {s["span_id"] for s in spans if s["name"] == "stream_chunk"}
+        steps = [s for s in spans if s["name"].startswith("step:")]
+        assert len(steps) == len(STREAM_TEMPLATE) * len(chunks) > 0
+        for span in steps:
+            assert span["parent_id"] in chunks
+            assert "cache_key" not in span["attrs"]
+            assert span["attrs"]["cpu_seconds"] >= 0
+        checker = REPO_ROOT / "tools" / "check_trace.py"
+        proc = subprocess.run(
+            [sys.executable, str(checker), str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout
 
     def test_cached_steps_still_carry_resources(self, small_trace):
         def both_runs():

@@ -20,6 +20,10 @@ from repro.serve import ReplayClock, ServeConfig, ServeDaemon
 
 CHUNK_SECONDS = 5.0
 
+# chunk sizes: many tiny chunks, uneven mid-size chunks, one chunk
+# spanning the whole trace
+CHUNK_GRID = [1.0, 7.3, 1e6]
+
 
 def make_daemon(trace, tmp_path=None, **overrides) -> ServeDaemon:
     """An unpaced virtual-time daemon over the shared test trace."""
@@ -63,6 +67,16 @@ class TestCleanRun:
         assert report.packets_ingested == report.packets_total
         assert report.packets_lost == 0
         assert report.chunks_scored > 1
+        assert all(daemon.verify_against_offline().values())
+
+    @pytest.mark.parametrize("chunk_seconds", CHUNK_GRID)
+    def test_byte_equal_to_offline_at_any_chunk_size(
+        self, serve_trace, chunk_seconds
+    ):
+        daemon = make_daemon(serve_trace, chunk_seconds=chunk_seconds)
+        report = daemon.run()
+        assert report.ok, report.reason
+        assert report.packets_lost == 0
         assert all(daemon.verify_against_offline().values())
 
     def test_paced_run_matches_unpaced(self, serve_trace):
@@ -116,6 +130,20 @@ class TestChaos:
             + METRICS.counter(metric_names.SERVE_INGEST_RETRIES).value
         )
         assert retried > 0
+
+    @pytest.mark.parametrize("chunk_seconds", CHUNK_GRID)
+    def test_faults_byte_equal_at_any_chunk_size(
+        self, serve_trace, chunk_seconds
+    ):
+        plan = FaultPlan.parse("score_chunk:0.4", seed=13)
+        daemon = make_daemon(
+            serve_trace, chunk_seconds=chunk_seconds, retries=4
+        )
+        with active(plan):
+            report = daemon.run()
+        assert report.ok, report.reason
+        # whatever was quarantined is journaled; the rest is byte-equal
+        assert all(daemon.verify_against_offline().values())
 
     def test_exhausted_retries_quarantine_visibly(self, serve_trace, tmp_path):
         # fail-first 8 scoring attempts at 2 attempts per chunk: the

@@ -859,17 +859,17 @@ class TestServeCommand:
         assert status["state"] == "stopped"
         assert status["chunks_scored"] == 3
 
-    def test_concurrent_sessions_verify_against_offline(
-        self, tmp_path, capsys
-    ):
+    def test_kitnet_model_without_outputs(self, tmp_path, capsys):
+        # the session collects the scored output beside the template's
+        # final one, so --model needs no --outputs
         assert main([
-            "serve", "F0", "--virtual-time", "--outputs", "X,y",
-            "--chunk-seconds", "10", "--sessions", "2",
-            "--verify-offline",
+            "serve", "F0", "--virtual-time", "--model", "kitnet",
+            "--epochs", "1", "--chunk-seconds", "10", "--max-chunks", "3",
+            "--model-cache", str(tmp_path / "kitnet.pkl"),
         ]) == 0
         out = capsys.readouterr().out
-        assert "byte-equal" in out
-        assert "MISMATCH" not in out
+        assert "served 3 chunk(s)" in out
+        assert "anomalies" in out
 
     def test_chaos_run_verifies_against_offline(self, tmp_path, capsys):
         quarantine = tmp_path / "quarantine.jsonl"

@@ -54,16 +54,16 @@ Rules:
   path anywhere (``pop``/``del``/``clear`` on the same state, or a
   method whose name mentions evict/expire/flush/timeout/prune).  Live
   detectors must bound their memory; see
-  ``KitsuneStreamState.evict_idle`` and ``StreamingFlowDetector``.
+  ``KitsuneStreamState.evict_idle``.
 
 * **AL011** -- lock-discipline violations: bare ``lock.acquire()`` /
   ``lock.release()`` calls on lock-like receivers anywhere (manual
   pairing leaks the lock on any exception path between the two calls
   -- use ``with lock:``), plus, in serving code (any file under a
   ``serve`` package), mutable module-level state that is written from
-  a function body outside every lock.  The serve daemon fans one chunk
-  out to N concurrent sessions, so its module globals are shared state
-  by construction.
+  a function body outside every lock.  Serving code is long-lived and
+  its module globals outlive every session, so they must be guarded or
+  confined.
 
 AL005/AL006 reuse the effect analyzer
 (``src/repro/analysis/effects.py``), AL009 the vectorization analyzer
@@ -683,8 +683,8 @@ def _check_lock_discipline(
         out.append(Violation(
             path, line, "AL011",
             f"module global '{name}' in serving code is {detail} -- "
-            f"concurrent sessions share module state; guard it with a "
-            f"lock or confine it to the session",
+            f"threads that share module state race on it; guard it "
+            f"with a lock or confine it to the session",
         ))
 
 

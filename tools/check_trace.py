@@ -9,7 +9,9 @@ trace id), that the file contains at least one span, and that every
 ``step:*`` span carries the resource attributes the engine's
 :class:`ResourceProbe` attaches (cpu_seconds, rss_peak_bytes,
 gc_collections; alloc_bytes/alloc_peak_bytes when memory tracking was
-on).  ``run_stream`` spans must carry either a non-empty
+on), wherever it hangs: under ``run``, ``wave``, ``plan`` or
+``stream_chunk``, since every engine driver runs steps through one
+core.  ``run_stream`` spans must carry either a non-empty
 ``stream_refused`` reason or a ``chunks`` count, and every
 ``stream_chunk`` span must carry its chunk index and the carried-state
 byte measurement.  The serve daemon's spans are validated too: a
@@ -223,7 +225,6 @@ _SCORE_CHUNK_ATTRS = {
     "rows": int,
     "row_start": int,
     "attempt": int,
-    "session": int,
 }
 
 
