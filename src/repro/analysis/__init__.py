@@ -10,7 +10,7 @@ over it -- *without executing anything*:
   train-before-model ordering, missing terminal steps),
 * implementation-level effect analysis of the operations the template
   uses (purity, in-place mutation, hidden state, unseeded RNG -- see
-  :mod:`repro.analysis.effects` / :mod:`repro.analysis.safety`),
+  :mod:`repro.analysis.facts` / :mod:`repro.analysis.safety`),
 * the paper's faithfulness rule, when a dataset id is supplied.
 
 Every finding is a :class:`~repro.analysis.diagnostics.Diagnostic`

@@ -1,12 +1,11 @@
-"""Registry-facing purity/parallel-safety layer on top of :mod:`effects`.
+"""Purity and parallel safety of registered operations (L021--L028).
 
-Where :mod:`repro.analysis.effects` analyzes *AST nodes*, this module
-analyzes *registered operations*: it recovers each callable's source
-via :func:`inspect.getsource`, runs the effect visitor against it plus
-the surrounding module's top-level bindings, folds in runtime facts the
-AST cannot see (mutable objects captured in ``fn.__closure__``), and
-publishes the result as an :class:`EffectReport` with stable diagnostic
-codes L021--L027.
+Reads the effect findings of each operation body from
+:mod:`repro.analysis.facts` -- the AST effect walk over the recovered
+source, the surrounding module's top-level bindings, and the runtime
+closure cells the AST cannot see -- and publishes an
+:class:`EffectReport` per operation with stable diagnostic codes
+L021--L027.
 
 The engine consults these reports to decide, per step, whether the
 result cache may memoize the output and whether the parallel wave
@@ -18,30 +17,23 @@ neither cache nor parallelize.
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.effects import (
+from repro.analysis.facts import (
     IO,
     PURE,
     SEEDED,
     STATEFUL,
-    EffectFinding,
     EffectKind,
-    FunctionEffects,
-    analyze_function,
-    collect_module_context,
+    body_facts,
+    memo,
+    purity_of,
 )
 
 __all__ = [
     "EffectReport",
     "operation_report",
-    "function_effects",
     "audit_registry",
     "pass_effects",
     "PURE",
@@ -63,19 +55,6 @@ _KIND_TO_CODE = {
     EffectKind.PERFORMS_IO: ("L026", Severity.WARNING),
     EffectKind.SOURCE_UNAVAILABLE: ("L027", Severity.WARNING),
 }
-
-_IMMUTABLE_CLOSURE_TYPES = (
-    int,
-    float,
-    complex,
-    bool,
-    str,
-    bytes,
-    tuple,
-    frozenset,
-    type(None),
-    type,
-)
 
 
 @dataclass(frozen=True)
@@ -122,98 +101,9 @@ class EffectReport:
         }
 
 
-_REPORT_CACHE: dict = {}
-_MODULE_CTX_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _module_context(fn):
-    """The :class:`ModuleContext` for the module defining ``fn``."""
-    try:
-        path = inspect.getsourcefile(fn)
-    except TypeError:
-        path = None
-    if path is None:
-        return None
-    with _CACHE_LOCK:
-        if path in _MODULE_CTX_CACHE:
-            return _MODULE_CTX_CACHE[path]
-    try:
-        tree = ast.parse(Path(path).read_text())
-        ctx = collect_module_context(tree)
-    except (OSError, SyntaxError, ValueError):
-        ctx = None
-    with _CACHE_LOCK:
-        _MODULE_CTX_CACHE[path] = ctx
-    return ctx
-
-
-def _closure_findings(fn) -> list:
-    """Mutable objects captured by reference in ``fn.__closure__``."""
-    findings = []
-    cells = getattr(fn, "__closure__", None) or ()
-    names = getattr(fn.__code__, "co_freevars", ()) if hasattr(fn, "__code__") else ()
-    for name, cell in zip(names, cells):
-        try:
-            value = cell.cell_contents
-        except ValueError:  # empty cell
-            continue
-        if callable(value) or isinstance(value, _IMMUTABLE_CLOSURE_TYPES):
-            continue
-        findings.append(
-            EffectFinding(
-                kind=EffectKind.MUTABLE_CLOSURE,
-                line=getattr(fn.__code__, "co_firstlineno", 0),
-                detail=(
-                    f"captures mutable {type(value).__name__} {name!r}"
-                    " by closure"
-                ),
-            )
-        )
-    return findings
-
-
-def function_effects(fn) -> FunctionEffects:
-    """Effect analysis for a live callable (source + runtime closure)."""
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError, IndentationError, ValueError):
-        tree = None
-    node = None
-    if tree is not None:
-        node = next(
-            (
-                n
-                for n in ast.walk(tree)
-                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ),
-            None,
-        )
-        if node is None:
-            node = next(
-                (n for n in ast.walk(tree) if isinstance(n, ast.Lambda)), None
-            )
-    if node is None:
-        name = getattr(fn, "__name__", repr(fn))
-        return FunctionEffects(
-            name=name,
-            findings=[
-                EffectFinding(
-                    kind=EffectKind.SOURCE_UNAVAILABLE,
-                    line=0,
-                    detail=f"cannot recover source for {name}",
-                )
-            ],
-        )
-    fx = analyze_function(node, module=_module_context(fn))
-    fx.findings.extend(_closure_findings(fn))
-    return fx
-
-
-def _diagnostics_for(name: str, fx: FunctionEffects) -> tuple:
+def _diagnostics_for(name: str, findings) -> tuple:
     out = []
-    for finding in fx.findings:
+    for finding in findings:
         mapped = _KIND_TO_CODE.get(finding.kind)
         if mapped is None:
             continue
@@ -231,6 +121,24 @@ def _diagnostics_for(name: str, fx: FunctionEffects) -> tuple:
     return tuple(out)
 
 
+def _report(operation) -> EffectReport:
+    findings: tuple = ()
+    seeds: set = set()
+    for body in (operation.fn, getattr(operation, "batch", None)):
+        if body is None:
+            continue
+        facts = body_facts(body)
+        findings += facts.effects
+        seeds.update(facts.seed_params)
+    return EffectReport(
+        operation=operation.name,
+        purity=purity_of(findings),
+        seed_params=tuple(sorted(seeds)),
+        findings=findings,
+        diagnostics=_diagnostics_for(operation.name, findings),
+    )
+
+
 def operation_report(operation) -> EffectReport:
     """The cached :class:`EffectReport` for a registered operation.
 
@@ -239,28 +147,10 @@ def operation_report(operation) -> EffectReport:
     from a batched path the engine must refuse to cache.
     """
     batch = getattr(operation, "batch", None)
-    key = (operation.name, operation.fn, batch)
-    with _CACHE_LOCK:
-        cached = _REPORT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    fx = function_effects(operation.fn)
-    if batch is not None:
-        batch_fx = function_effects(batch)
-        fx.findings.extend(batch_fx.findings)
-        fx.seed_params = tuple(
-            sorted(set(fx.seed_params) | set(batch_fx.seed_params))
-        )
-    report = EffectReport(
-        operation=operation.name,
-        purity=fx.purity,
-        seed_params=fx.seed_params,
-        findings=tuple(fx.findings),
-        diagnostics=_diagnostics_for(operation.name, fx),
+    return memo(
+        ("effects", operation.name, operation.fn, batch),
+        lambda: _report(operation),
     )
-    with _CACHE_LOCK:
-        _REPORT_CACHE[key] = report
-    return report
 
 
 def audit_registry(operations=None) -> dict:

@@ -1,11 +1,11 @@
-"""Streaming-safety analysis: incrementality and state-bound inference.
+"""Streaming safety: incrementality and state-bound inference (L041-L048).
 
-The PR 6 vectorization analyzer proves which operations are safe to
+The vectorization analyzer proves which operations are safe to
 *batch*; this module proves which are safe to *stream* -- to execute
 chunk by chunk over a live capture with carried state, as the engine's
-``run_stream`` mode and the ROADMAP's online detection service require.
-It reuses the same stdlib-only AST machinery (the effects alias helpers
-and the vectorize row-taint visitor) and classifies every registered
+``run_stream`` mode and ``repro serve`` require.  It reads the row
+findings and the carried-state growth/eviction sites of every body
+from :mod:`repro.analysis.facts` and classifies every registered
 operation's incrementality:
 
 ``stateless``
@@ -26,44 +26,26 @@ operation's incrementality:
 Alongside the verdict the pass infers a symbolic *state-size bound* --
 ``O(1)``, ``O(window)``, ``O(flows)`` or ``O(n)`` -- and emits the
 stable diagnostics L041-L048.  The verdicts gate
-``ExecutionEngine.run_stream`` exactly as PR 3 verdicts gate caching
-and PR 6 verdicts gate batching: nothing unproven streams.
-
-The module is importable standalone by file path (``tools/astlint.py``
-loads it next to ``effects.py``/``vectorize.py`` for the AL010 check),
-so the top level imports nothing from the repo besides those two
-analyzers, with fallbacks to the lint loader's module names.
+``ExecutionEngine.run_stream`` exactly as purity verdicts gate caching
+and vectorization verdicts gate batching: nothing unproven streams.
 """
 
 from __future__ import annotations
 
-import ast
-import threading
 from dataclasses import dataclass
 
-try:  # normal package import
-    from repro.analysis.effects import _base_name
-except ImportError:  # loaded standalone by file path (tools/astlint.py)
-    from _astlint_effects import _base_name  # type: ignore
-
-try:
-    from repro.analysis.vectorize import (
-        OPAQUE,
-        ROW_VALUE_KINDS,
-        RowKind,
-        _fn_findings,
-        order_sensitive,
-        row_domain,
-    )
-except ImportError:
-    from _astlint_vectorize import (  # type: ignore
-        OPAQUE,
-        ROW_VALUE_KINDS,
-        RowKind,
-        _fn_findings,
-        order_sensitive,
-        row_domain,
-    )
+from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.facts import (
+    OPAQUE,
+    ROW_VALUE_KINDS,
+    RowKind,
+    body_facts,
+    memo,
+    operation_rows,
+    order_sensitive,
+    prefixed,
+    row_domain,
+)
 
 __all__ = [
     "STATELESS",
@@ -74,7 +56,6 @@ __all__ = [
     "BOUND_ORDER",
     "classify_stream",
     "infer_state_bound",
-    "stream_state_audit",
     "StreamReport",
     "operation_stream_report",
     "audit_streamable",
@@ -156,19 +137,6 @@ _WINDOW_CALLS = frozenset({"assemble_flows"})
 #: params that make a window bound derivable at the operation level
 _WINDOW_PARAMS = frozenset({"window", "timeout"})
 
-#: container methods that grow carried state
-_GROWTH_METHODS = frozenset(
-    {"append", "extend", "insert", "add", "update", "setdefault",
-     "appendleft", "push"}
-)
-
-#: container methods that shrink carried state (an eviction path)
-_SHRINK_METHODS = frozenset({"pop", "popitem", "clear", "remove", "discard"})
-
-#: method-name fragments that count as an eviction/timeout path
-_EVICTION_NAME_HINTS = ("evict", "expire", "flush", "timeout", "prune")
-
-
 def _marker_names(findings) -> set:
     """Callee names carried by call-marker findings.
 
@@ -245,88 +213,6 @@ def infer_state_bound(verdict: str, findings) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Carried-state growth/eviction audit (shared with astlint AL010)
-# ---------------------------------------------------------------------------
-
-
-def _carrier_names(node: ast.AST, seeds) -> set:
-    """Names (transitively) bound from the carried-state seeds.
-
-    Flat fixed-point over assignments: ``buffer = self._buffers.get(k)``
-    makes ``buffer`` a carrier when ``self`` is a seed.
-    """
-    names = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Assign):
-                continue
-            value = sub.value
-            if isinstance(value, ast.Call):
-                # the return of a carrier's method (get/setdefault/...)
-                # aliases the carried container
-                value = value.func
-            if _base_name(value) not in names:
-                continue
-            for target in sub.targets:
-                if isinstance(target, ast.Name) and target.id not in names:
-                    names.add(target.id)
-                    changed = True
-    return names
-
-
-def stream_state_audit(node: ast.AST, seeds) -> dict:
-    """Growth and eviction sites for carried state under ``node``.
-
-    ``seeds`` are the base names holding carried state (``{"self"}``
-    for a detector class, ``{"state"}`` for a stream body).  Growth is
-    a container-growing method call or a non-constant subscript
-    assignment on a carrier; eviction is any shrink call, ``del`` on a
-    carrier subscript, or a call whose name suggests an eviction path
-    (evict/expire/flush/timeout/prune).
-    """
-    carriers = _carrier_names(node, seeds)
-    growth: list = []
-    eviction: list = []
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            method = sub.func.attr
-            base = _base_name(sub.func.value)
-            receiver = ast.unparse(sub.func.value)
-            if any(hint in method.lower() for hint in _EVICTION_NAME_HINTS):
-                eviction.append((sub.lineno, f"{receiver}.{method}()"))
-            elif base in carriers and method in _SHRINK_METHODS:
-                eviction.append((sub.lineno, f"{receiver}.{method}()"))
-            elif base in carriers and method in _GROWTH_METHODS:
-                growth.append((sub.lineno, f"{receiver}.{method}()"))
-        elif isinstance(sub, ast.Assign):
-            for target in sub.targets:
-                if not isinstance(target, ast.Subscript):
-                    continue
-                base = _base_name(target.value)
-                if base not in carriers:
-                    continue
-                if isinstance(target.slice, ast.Constant):
-                    continue  # fixed-key slot, not per-row growth
-                growth.append(
-                    (sub.lineno,
-                     f"{ast.unparse(target.value)}[...] grows per key")
-                )
-        elif isinstance(sub, ast.Delete):
-            for target in sub.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and _base_name(target.value) in carriers
-                ):
-                    eviction.append(
-                        (target.value.lineno,
-                         f"del {ast.unparse(target.value)}[...]")
-                    )
-    return {"growth": sorted(growth), "eviction": sorted(eviction)}
-
-
-# ---------------------------------------------------------------------------
 # Registry-facing reports
 # ---------------------------------------------------------------------------
 
@@ -374,53 +260,20 @@ class StreamReport:
         }
 
 
-_STREAM_CACHE: dict = {}
-_STREAM_LOCK = threading.Lock()
-
-
-def _stream_body_node(fn) -> ast.AST | None:
-    try:
-        from repro.analysis.vectorize import _function_node
-    except ImportError:
-        from _astlint_vectorize import _function_node  # type: ignore
-    return _function_node(fn)
-
-
-def _state_arg_name(node: ast.AST) -> str:
-    args = getattr(node, "args", None)
-    if args is None:
-        return "state"
-    positional = [*args.posonlyargs, *args.args]
-    if len(positional) > 2:
-        return positional[2].arg
-    return "state"
-
-
-def operation_stream_report(operation) -> StreamReport:
-    """Analyze (and cache) one operation's streaming safety."""
+def _report(operation) -> StreamReport:
     stream_fn = getattr(operation, "stream_fn", None)
     declared = getattr(operation, "stream", None)
     declared_bound = getattr(operation, "state_bound", None)
-    key = (
-        operation.name, operation.fn, getattr(operation, "batch", None),
-        stream_fn, declared, declared_bound,
-    )
-    with _STREAM_LOCK:
-        cached = _STREAM_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    from repro.analysis.diagnostics import Diagnostic, Severity
-
     input_kinds = tuple(t.value for t in operation.input_types)
     output_kind = operation.output_type.value
-    findings = _fn_findings(operation.fn)
-    batch = getattr(operation, "batch", None)
-    if batch is not None:
-        findings = findings + _fn_findings(batch, prefix="batch:")
+    findings = operation_rows(operation)
     stream_findings: tuple = ()
+    growth: tuple = ()
+    eviction: tuple = ()
     if stream_fn is not None:
-        stream_findings = _fn_findings(stream_fn, prefix="stream:")
+        stream = body_facts(stream_fn)
+        stream_findings = prefixed(stream.rows, "stream:")
+        growth, eviction = stream.growth, stream.eviction
     verdict = classify_stream(findings, input_kinds, output_kind)
     bound = infer_state_bound(verdict, findings)
     sort_key = getattr(operation, "sort_key", None)
@@ -429,11 +282,6 @@ def operation_stream_report(operation) -> StreamReport:
     params |= set(getattr(operation, "optional_params", {}) or {})
     window_derivable = bool(params & _WINDOW_PARAMS)
 
-    state_audit = {"growth": [], "eviction": []}
-    if stream_fn is not None:
-        body = _stream_body_node(stream_fn)
-        if body is not None:
-            state_audit = stream_state_audit(body, {_state_arg_name(body)})
 
     diagnostics = []
     whole_trace = (
@@ -463,9 +311,7 @@ def operation_stream_report(operation) -> StreamReport:
             )
         )
     tight_budget = declared_bound in (None, "O(1)")
-    grows_unbounded = (
-        bool(state_audit["growth"]) and not state_audit["eviction"]
-    )
+    grows_unbounded = bool(growth) and not eviction
     carried_rows = any(
         finding.kind is RowKind.LOOP_CARRIED
         and "accumulates across rows" in finding.detail
@@ -477,9 +323,8 @@ def operation_stream_report(operation) -> StreamReport:
         and (grows_unbounded or carried_rows)
     ):
         where = (
-            f"line {state_audit['growth'][0][0]}: "
-            f"{state_audit['growth'][0][1]}"
-            if state_audit["growth"]
+            f"line {growth[0][0]}: {growth[0][1]}"
+            if growth
             else "row accumulator in the scalar body"
         )
         diagnostics.append(
@@ -498,7 +343,7 @@ def operation_stream_report(operation) -> StreamReport:
         and grows_unbounded
         and not tight_budget
     ):
-        line, detail = state_audit["growth"][0]
+        line, detail = growth[0]
         diagnostics.append(
             Diagnostic(
                 "L047", Severity.ERROR,
@@ -561,7 +406,7 @@ def operation_stream_report(operation) -> StreamReport:
     elif verdict != STATELESS and stream_fn is None:
         refusal = "no-stream-implementation"
 
-    report = StreamReport(
+    return StreamReport(
         operation=operation.name,
         verdict=verdict,
         state_bound=bound,
@@ -575,9 +420,20 @@ def operation_stream_report(operation) -> StreamReport:
         diagnostics=tuple(diagnostics),
         refusal=refusal,
     )
-    with _STREAM_LOCK:
-        _STREAM_CACHE[key] = report
-    return report
+
+
+def operation_stream_report(operation) -> StreamReport:
+    """The cached streaming-safety report for one operation."""
+    return memo(
+        (
+            "streamable", operation.name, operation.fn,
+            getattr(operation, "batch", None),
+            getattr(operation, "stream_fn", None),
+            getattr(operation, "stream", None),
+            getattr(operation, "state_bound", None),
+        ),
+        lambda: _report(operation),
+    )
 
 
 def audit_streamable(operations=None) -> dict:
@@ -641,19 +497,11 @@ def pass_streamable(graph, diagnostics) -> None:
     sitting in the middle of an otherwise streamable feature pipeline
     pins the whole template to batch mode (L046).
     """
-    from repro.analysis.diagnostics import Diagnostic, Severity
-
     reports: dict = {}
     for node in graph.nodes:
         if node.operation is None:
             continue
-        try:
-            report = operation_stream_report(node.operation)
-        except Exception:
-            report = None
-        if report is None:
-            continue
-        reports[node.index] = report
+        report = reports[node.index] = operation_stream_report(node.operation)
         for diagnostic in report.diagnostics:
             if diagnostic.code in ("L043", "L044"):
                 diagnostics.append(

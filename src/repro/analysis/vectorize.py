@@ -1,10 +1,10 @@
-"""Vectorization-safety analysis: row dependence and shape inference.
+"""Vectorization safety: which operations may run batched (L034-L040).
 
-The PR 3 effect analyzer (:mod:`repro.analysis.effects`) proves which
+The effect analyzer (:mod:`repro.analysis.safety`) proves which
 operations are safe to *cache* and *parallelize*; this module proves
-which are safe to *batch*.  It runs a stdlib-only AST pass over every
-registered operation's implementation and classifies its per-row
-behaviour:
+which are safe to *batch*.  It reads the row findings of every body
+from :mod:`repro.analysis.facts` and classifies each operation's
+per-row behaviour:
 
 ``elementwise``
     row *i* of the output depends only on row *i* of the inputs
@@ -18,35 +18,33 @@ behaviour:
 ``opaque``
     no source is available to analyze.
 
-The pass reuses PR 3's alias helpers (``_dotted``/``_base_name``/
-transparent-call handling) for a lightweight *input-taint* analysis:
-a ``for`` loop is a **row loop** only when its iterable derives from
-the operation's row-structured inputs, and a row loop is **loop
-carried** when it accumulates into state bound outside the loop.
 Registry-facing reports attach the verdicts to operations (and, via
-PR 5's canonical normal form, to semantic fingerprints), emit the
-stable diagnostics L034-L040, and gate the engine's batched execution
-path exactly as PR 3 verdicts gate caching.
-
-The module is importable standalone by file path (``tools/astlint.py``
-loads it next to ``effects.py`` for the AL009 check), so the top level
-imports nothing from the repo besides the effects helpers, with a
-fallback to the lint loader's module name.
+the canonical normal form, to semantic fingerprints), emit the stable
+diagnostics L034-L040, and gate the engine's batched execution path
+exactly as purity verdicts gate caching.  The template pass propagates
+symbolic shapes and dtypes (L035-L039).
 """
 
 from __future__ import annotations
 
-import ast
-import enum
-import inspect
-import textwrap
-import threading
 from dataclasses import dataclass
 
-try:  # normal package import
-    from repro.analysis.effects import _base_name, _dotted
-except ImportError:  # loaded standalone by file path (tools/astlint.py)
-    from _astlint_effects import _base_name, _dotted  # type: ignore
+from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.facts import (
+    BATCHABLE_VERDICTS,
+    ELEMENTWISE,
+    OPAQUE,
+    ROW_PARALLEL,
+    SEQUENTIAL,
+    RowKind,
+    body_facts,
+    classify,
+    memo,
+    operation_rows,
+    order_sensitive,
+    row_domain,
+)
+from repro.analysis.safety import operation_report
 
 __all__ = [
     "ELEMENTWISE",
@@ -55,8 +53,6 @@ __all__ = [
     "OPAQUE",
     "BATCHABLE_VERDICTS",
     "RowKind",
-    "RowFinding",
-    "analyze_rows",
     "classify",
     "row_domain",
     "VectorReport",
@@ -66,126 +62,6 @@ __all__ = [
     "pass_vectorize",
     "ShapeFact",
 ]
-
-# ---------------------------------------------------------------------------
-# Verdicts
-# ---------------------------------------------------------------------------
-
-ELEMENTWISE = "elementwise"
-ROW_PARALLEL = "row-parallel"
-SEQUENTIAL = "windowed-sequential"
-OPAQUE = "opaque"
-
-#: verdicts that permit the engine's batched execution path
-BATCHABLE_VERDICTS = frozenset({ELEMENTWISE, ROW_PARALLEL})
-
-#: :class:`~repro.core.types.ValueType` values with row structure
-ROW_VALUE_KINDS = frozenset(
-    {"packets", "flows", "features", "labels", "predictions"}
-)
-
-
-class RowKind(enum.Enum):
-    """What one row-dependence finding is about."""
-
-    ROW_LOOP = "python-row-loop"
-    LOOP_CARRIED = "loop-carried-dependence"
-    SEQUENTIAL_CALL = "cross-row-sequential-call"
-    ORDER_SENSITIVE = "row-order-sensitive-call"
-    GROUPED_REDUCTION = "grouped-reduction-call"
-    ROW_SELECTION = "row-subset-call"
-    OBJECT_DTYPE = "object-dtype-fallback"
-    WHOLE_INPUT = "whole-input-reduction"
-    SOURCE_UNAVAILABLE = "source-unavailable"
-
-
-@dataclass(frozen=True)
-class RowFinding:
-    """One row-dependence fact found in an operation body."""
-
-    kind: RowKind
-    line: int
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "line": self.line,
-            "detail": self.detail,
-        }
-
-
-# Callees that force a cross-row (sequential) verdict when applied to
-# input-derived data: incremental statistics, fits, sorts, prefix scans.
-_SEQ_CALLS = frozenset(
-    {
-        "assemble_flows",
-        "kitsune_packet_features",
-        "damped_group_stats",
-        "damped_interarrival_stats",
-        "fit",
-        "fit_transform",
-        "fit_predict",
-        "partial_fit",
-        "sort",
-        "argsort",
-        "lexsort",
-        "sort_by_time",
-        "cumsum",
-        "cumprod",
-        "accumulate",
-        "mean",
-        "std",
-        "var",
-        "median",
-        "average",
-        "nanmean",
-        "nanstd",
-        "percentile",
-        "quantile",
-    }
-)
-
-# Callees that are order-sensitive *within* a row's segment: demote to
-# sequential only when the rows themselves are the unit they run over.
-_ORDER_CALLS = frozenset({"diff", "ediff1d"})
-
-# Segmented per-group reductions: independent output rows, any order.
-_GROUP_CALLS = frozenset(
-    {
-        "reduce",
-        "reduceat",
-        "segment",
-        "segmented_median",
-        "segmented_nunique",
-        "segmented_entropy",
-        "flow_membership",
-        "propagate_labels",
-    }
-)
-
-# Row-subset operations: each output row is one input row.
-_SELECT_CALLS = frozenset({"select", "compress"})
-
-# Python-level fallbacks numpy cannot fuse (object arrays, ufunc shims).
-_OBJECT_CALLS = frozenset(
-    {"vectorize", "frompyfunc", "apply_along_axis"}
-)
-
-# Callee names whose presence makes an operation row-order sensitive
-# (it must declare a sort key, or emit L038).
-_ORDER_SENSITIVE_NAMES = frozenset(
-    {
-        "diff",
-        "ediff1d",
-        "cumsum",
-        "cumprod",
-        "accumulate",
-        "kitsune_packet_features",
-        "damped_group_stats",
-        "damped_interarrival_stats",
-    }
-)
 
 # Hard-sequential markers for L039: a producer with one of these (or a
 # Python row loop) cannot join a batched/shared stage at all.
@@ -199,322 +75,6 @@ _INCREMENTAL_NAMES = frozenset(
         "partial_fit",
     }
 )
-
-_ACCUMULATE_METHODS = frozenset(
-    {"append", "extend", "insert", "add", "update", "setdefault",
-     "appendleft", "push"}
-)
-
-#: same-granularity unit of each row-structured value kind
-_UNIT_BY_KIND = {"packets": "packet", "flows": "flow"}
-
-
-# ---------------------------------------------------------------------------
-# The AST pass: input taint + row loops + callee markers
-# ---------------------------------------------------------------------------
-
-
-def _final_name(func: ast.AST) -> str | None:
-    """The last component of a call target: ``np.diff`` -> ``diff``."""
-    dotted = _dotted(func)
-    if dotted is not None:
-        return dotted.rsplit(".", 1)[-1]
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _target_names(target: ast.AST, into: set) -> None:
-    if isinstance(target, ast.Name):
-        into.add(target.id)
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for elt in target.elts:
-            _target_names(elt, into)
-    elif isinstance(target, ast.Starred):
-        _target_names(target.value, into)
-
-
-class _RowVisitor(ast.NodeVisitor):
-    """Single forward pass tracking which names derive from the inputs.
-
-    The taint map assigns each name a role (``"inputs"`` or
-    ``"params"``); call results inherit the strongest role of their
-    receiver and arguments, literal collections are always fresh.
-    Flow-insensitive like the PR 3 effect visitor: one taint map for
-    the whole function, which is conservative in the safe direction.
-    """
-
-    def __init__(self, roles: dict) -> None:
-        self.taint: dict = dict(roles)
-        self.findings: list = []
-
-    # -- taint -----------------------------------------------------------
-
-    def _combine(self, *roles):
-        if "inputs" in roles:
-            return "inputs"
-        if "params" in roles:
-            return "params"
-        return None
-
-    def _role(self, node: ast.AST):
-        if isinstance(node, ast.Name):
-            return self.taint.get(node.id)
-        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
-            return self._role(node.value)
-        if isinstance(node, ast.NamedExpr):
-            return self._role(node.value)
-        if isinstance(node, ast.IfExp):
-            return self._combine(self._role(node.body), self._role(node.orelse))
-        if isinstance(node, ast.BoolOp):
-            return self._combine(*(self._role(v) for v in node.values))
-        if isinstance(node, ast.BinOp):
-            return self._combine(self._role(node.left), self._role(node.right))
-        if isinstance(node, ast.UnaryOp):
-            return self._role(node.operand)
-        if isinstance(node, ast.Compare):
-            return self._combine(
-                self._role(node.left),
-                *(self._role(c) for c in node.comparators),
-            )
-        if isinstance(node, ast.Call):
-            roles = []
-            if isinstance(node.func, ast.Attribute):
-                roles.append(self._role(node.func.value))
-            roles.extend(self._role(arg) for arg in node.args)
-            roles.extend(self._role(kw.value) for kw in node.keywords)
-            return self._combine(*roles)
-        # literal collections and comprehensions build fresh values; a
-        # loop over them is a constant-arity loop, not a row loop
-        return None
-
-    def _bind(self, target: ast.AST, role) -> None:
-        names: set = set()
-        _target_names(target, names)
-        for name in names:
-            if role is None:
-                self.taint.pop(name, None)
-            else:
-                self.taint[name] = role
-
-    # -- statements ------------------------------------------------------
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        role = self._role(node.value)
-        for target in node.targets:
-            self._bind(target, role)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._bind(node.target, self._role(node.value))
-        self.generic_visit(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        role = self._role(node.iter)
-        self._bind(node.target, role)
-        if role == "inputs":
-            detail = _dotted(node.iter) or _base_name(node.iter) or "<expr>"
-            self.findings.append(
-                RowFinding(RowKind.ROW_LOOP, node.lineno,
-                           f"for-loop over {detail}")
-            )
-            self._check_carried(node)
-        self.generic_visit(node)
-
-    # -- loop-carried state ---------------------------------------------
-
-    def _check_carried(self, loop: ast.For) -> None:
-        bound: set = set()
-        _target_names(loop.target, bound)
-        for stmt in loop.body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        _target_names(target, bound)
-                elif isinstance(sub, (ast.For, ast.AnnAssign)):
-                    _target_names(
-                        sub.target if isinstance(sub, ast.For)
-                        else sub.target,
-                        bound,
-                    )
-        for stmt in loop.body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, ast.AugAssign):
-                    base = _base_name(sub.target)
-                    if base and base not in bound:
-                        self.findings.append(
-                            RowFinding(RowKind.LOOP_CARRIED, sub.lineno,
-                                       f"augmented update of {base}")
-                        )
-                elif (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _ACCUMULATE_METHODS
-                ):
-                    base = _base_name(sub.func.value)
-                    if base and base not in bound:
-                        self.findings.append(
-                            RowFinding(
-                                RowKind.LOOP_CARRIED, sub.lineno,
-                                f"{base}.{sub.func.attr}() accumulates "
-                                "across rows",
-                            )
-                        )
-                elif isinstance(sub, ast.Assign):
-                    # x = f(x, row): self-referential rebinding carries
-                    # state even though x is (re)bound inside the loop
-                    targets: set = set()
-                    for target in sub.targets:
-                        _target_names(target, targets)
-                    reads = {
-                        n.id
-                        for n in ast.walk(sub.value)
-                        if isinstance(n, ast.Name)
-                    }
-                    for name in sorted(targets & reads):
-                        self.findings.append(
-                            RowFinding(RowKind.LOOP_CARRIED, sub.lineno,
-                                       f"self-referential update of {name}")
-                        )
-
-    # -- calls -----------------------------------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        final = _final_name(node.func)
-        if final is not None:
-            roles = []
-            if isinstance(node.func, ast.Attribute):
-                roles.append(self._role(node.func.value))
-            roles.extend(self._role(arg) for arg in node.args)
-            roles.extend(self._role(kw.value) for kw in node.keywords)
-            tainted = self._combine(*roles) == "inputs"
-            if tainted and final in _SEQ_CALLS:
-                self.findings.append(
-                    RowFinding(RowKind.SEQUENTIAL_CALL, node.lineno, final)
-                )
-            elif tainted and final in _ORDER_CALLS:
-                self.findings.append(
-                    RowFinding(RowKind.ORDER_SENSITIVE, node.lineno, final)
-                )
-            elif tainted and final in _GROUP_CALLS:
-                self.findings.append(
-                    RowFinding(RowKind.GROUPED_REDUCTION, node.lineno, final)
-                )
-            elif tainted and final in _SELECT_CALLS:
-                self.findings.append(
-                    RowFinding(RowKind.ROW_SELECTION, node.lineno, final)
-                )
-            if final in _OBJECT_CALLS:
-                self.findings.append(
-                    RowFinding(RowKind.OBJECT_DTYPE, node.lineno, final)
-                )
-            if final == "astype" and node.args:
-                if _is_object_dtype(node.args[0]):
-                    self.findings.append(
-                        RowFinding(RowKind.OBJECT_DTYPE, node.lineno,
-                                   "astype(object)")
-                    )
-        for kw in node.keywords:
-            if kw.arg == "dtype" and _is_object_dtype(kw.value):
-                self.findings.append(
-                    RowFinding(RowKind.OBJECT_DTYPE, node.lineno,
-                               "dtype=object")
-                )
-        self.generic_visit(node)
-
-
-def _is_object_dtype(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name) and node.id == "object":
-        return True
-    if isinstance(node, ast.Constant) and node.value in ("object", "O"):
-        return True
-    dotted = _dotted(node)
-    return dotted in ("np.object_", "numpy.object_")
-
-
-def _default_roles(node: ast.AST) -> dict:
-    """First positional arg -> inputs, second -> params (the op ABI)."""
-    roles: dict = {}
-    args = getattr(node, "args", None)
-    if args is None:
-        return roles
-    positional = [*args.posonlyargs, *args.args]
-    if positional:
-        roles[positional[0].arg] = "inputs"
-    if len(positional) > 1:
-        roles[positional[1].arg] = "params"
-    return roles
-
-
-def analyze_rows(node: ast.AST, *, roles: dict | None = None) -> list:
-    """Row-dependence findings for one function's AST.
-
-    ``node`` is a ``FunctionDef``/``Lambda``; ``roles`` overrides the
-    default argument-role assignment (first positional argument is the
-    ``inputs`` list, second the ``params`` dict).
-    """
-    if roles is None:
-        roles = _default_roles(node)
-    visitor = _RowVisitor(roles)
-    body = node.body if isinstance(node.body, list) else [node.body]
-    for stmt in body:
-        visitor.visit(stmt)
-    return sorted(
-        visitor.findings, key=lambda f: (f.line, f.kind.value, f.detail)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Verdicts
-# ---------------------------------------------------------------------------
-
-
-def row_domain(input_kinds, output_kind) -> str:
-    """``"rows"`` when row-structured data flows through the op."""
-    if any(kind in ROW_VALUE_KINDS for kind in input_kinds):
-        return "rows"
-    if output_kind in ROW_VALUE_KINDS:
-        return "rows"
-    return "scalar"
-
-
-def classify(findings, input_kinds, output_kind) -> str:
-    """The per-row verdict for one operation.
-
-    ``input_kinds``/``output_kind`` are :class:`ValueType` value
-    strings; they decide row granularity questions the AST alone
-    cannot (an intra-flow ``np.diff`` is row-local at flow granularity
-    but cross-row at packet granularity) and classify whole-input
-    reductions (features -> model/metrics) as sequential.
-    """
-    kinds = {finding.kind for finding in findings}
-    if RowKind.SOURCE_UNAVAILABLE in kinds:
-        return OPAQUE
-    if row_domain(input_kinds, output_kind) == "scalar":
-        # no rows flow through (model factories/wrappers): vacuously
-        # elementwise, and there is nothing to batch anyway
-        return ELEMENTWISE
-    row_inputs = [kind for kind in input_kinds if kind in ROW_VALUE_KINDS]
-    if row_inputs and output_kind not in ROW_VALUE_KINDS:
-        # whole-input reduction: every output fact depends on all rows
-        return SEQUENTIAL
-    if RowKind.SEQUENTIAL_CALL in kinds or RowKind.LOOP_CARRIED in kinds:
-        return SEQUENTIAL
-    if RowKind.ORDER_SENSITIVE in kinds and "flows" not in input_kinds:
-        # diff/scan over the row axis itself couples neighbouring rows
-        return SEQUENTIAL
-    if RowKind.GROUPED_REDUCTION in kinds or RowKind.ROW_SELECTION in kinds:
-        return ROW_PARALLEL
-    return ELEMENTWISE
-
-
-def order_sensitive(findings) -> bool:
-    """Whether any finding names an order-sensitive callee."""
-    return any(
-        finding.detail.rsplit(".", 1)[-1] in _ORDER_SENSITIVE_NAMES
-        for finding in findings
-    )
 
 
 def hard_sequential(findings) -> bool:
@@ -571,65 +131,16 @@ class VectorReport:
         }
 
 
-_VECTOR_CACHE: dict = {}
-_VECTOR_LOCK = threading.Lock()
-
-
-def _function_node(fn) -> ast.AST | None:
-    try:
-        source = inspect.getsource(fn)
-    except (OSError, TypeError):
-        return None
-    try:
-        tree = ast.parse(textwrap.dedent(source))
-    except SyntaxError:
-        return None
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return node
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Lambda):
-            return node
-    return None
-
-
-def _fn_findings(fn, prefix: str = "") -> tuple:
-    node = _function_node(fn)
-    if node is None:
-        name = getattr(fn, "__name__", repr(fn))
-        return (
-            RowFinding(RowKind.SOURCE_UNAVAILABLE, 0, prefix + name),
-        )
-    findings = analyze_rows(node)
-    if prefix:
-        findings = [
-            RowFinding(f.kind, f.line, prefix + f.detail) for f in findings
-        ]
-    return tuple(findings)
-
-
-def operation_vector_report(operation) -> VectorReport:
-    """Analyze (and cache) one operation's vectorization safety."""
-    batch = getattr(operation, "batch", None)
-    key = (operation.name, operation.fn, batch)
-    with _VECTOR_LOCK:
-        cached = _VECTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    from repro.analysis.diagnostics import Diagnostic, Severity
-
+def _report(operation) -> VectorReport:
     input_kinds = tuple(t.value for t in operation.input_types)
     output_kind = operation.output_type.value
-    findings = _fn_findings(operation.fn)
-    if batch is not None:
-        findings = findings + _fn_findings(batch, prefix="batch:")
+    findings = operation_rows(operation)
     verdict = classify(findings, input_kinds, output_kind)
     domain = row_domain(input_kinds, output_kind)
     sort_key = getattr(operation, "sort_key", None)
     ordered = order_sensitive(findings)
     kinds = {finding.kind for finding in findings}
-    batch_declared = batch is not None
+    batch_declared = getattr(operation, "batch", None) is not None
 
     diagnostics = []
     if batch_declared and RowKind.LOOP_CARRIED in kinds:
@@ -711,7 +222,7 @@ def operation_vector_report(operation) -> VectorReport:
             )
         )
 
-    report = VectorReport(
+    return VectorReport(
         operation=operation.name,
         verdict=verdict,
         domain=domain,
@@ -722,9 +233,15 @@ def operation_vector_report(operation) -> VectorReport:
         diagnostics=tuple(diagnostics),
         refusal=refusal,
     )
-    with _VECTOR_LOCK:
-        _VECTOR_CACHE[key] = report
-    return report
+
+
+def operation_vector_report(operation) -> VectorReport:
+    """The cached vectorization-safety report for one operation."""
+    batch = getattr(operation, "batch", None)
+    return memo(
+        ("vectorize", operation.name, operation.fn, batch),
+        lambda: _report(operation),
+    )
 
 
 def audit_vectorization(operations=None) -> dict:
@@ -866,8 +383,6 @@ def pass_vectorize(graph, diagnostics) -> None:
     see is almost always a real bug, but execution (which re-checks at
     runtime) stays the ground truth.
     """
-    from repro.analysis.diagnostics import Diagnostic, Severity
-    from repro.analysis.safety import PURE, SEEDED, operation_report
     from repro.core.pipeline import SOURCE_NAME
 
     symbols = iter(range(1_000_000))
@@ -908,24 +423,19 @@ def pass_vectorize(graph, diagnostics) -> None:
     for node in graph.nodes:
         if node.operation is None:
             continue
-        try:
-            report = operation_vector_report(node.operation)
-        except Exception:
-            report = None
-        reports[node.index] = report
-        if report is not None:
-            for diagnostic in report.diagnostics:
-                if diagnostic.code in ("L036", "L037", "L038"):
-                    diagnostics.append(
-                        Diagnostic(
-                            diagnostic.code,
-                            Severity.WARNING,
-                            diagnostic.message,
-                            step=node.index,
-                            operation=node.func,
-                            hint=diagnostic.hint,
-                        )
+        report = reports[node.index] = operation_vector_report(node.operation)
+        for diagnostic in report.diagnostics:
+            if diagnostic.code in ("L036", "L037", "L038"):
+                diagnostics.append(
+                    Diagnostic(
+                        diagnostic.code,
+                        Severity.WARNING,
+                        diagnostic.message,
+                        step=node.index,
+                        operation=node.func,
+                        hint=diagnostic.hint,
                     )
+                )
         in_facts = [facts.get(name) for name in node.inputs]
         try:
             out = _apply_shape_rule(
@@ -945,13 +455,7 @@ def pass_vectorize(graph, diagnostics) -> None:
         report = reports.get(node.index)
         if report is None or not report.batchable:
             continue
-        try:
-            shareable = operation_report(node.operation).purity in (
-                PURE, SEEDED,
-            )
-        except Exception:
-            shareable = False
-        if not shareable:
+        if not operation_report(node.operation).cacheable:
             continue
         for name in node.inputs:
             producer = producer_of.get(name)

@@ -35,15 +35,6 @@ from repro.bench.analysis import (
 from repro.bench.validation import validation_report
 from repro.bench.report import generate_report
 from repro.bench.diffing import diff_stores, render_diff
-from repro.bench.history import (
-    append_history,
-    diff_payloads,
-    flatten_series,
-    load_history,
-    render_history,
-    render_perf_diff,
-)
-from repro.bench.perf import collect_provenance, run_perf_benchmark
 from repro.bench.progress import MatrixProgress, TtyProgressRenderer
 from repro.bench.relevance import feature_relevance, top_features
 from repro.bench.ablation import measure_rewrite_damage
@@ -73,14 +64,6 @@ __all__ = [
     "feature_relevance",
     "top_features",
     "measure_rewrite_damage",
-    "run_perf_benchmark",
-    "collect_provenance",
-    "append_history",
-    "diff_payloads",
-    "flatten_series",
-    "load_history",
-    "render_history",
-    "render_perf_diff",
     "MatrixProgress",
     "TtyProgressRenderer",
 ]

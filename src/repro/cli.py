@@ -20,10 +20,9 @@ The operator-facing surface of the benchmarking suite:
   render a saved ``.jsonl`` trace file);
 * ``metrics`` -- the process metrics registry, optionally after
   running a command;
-* ``bench-perf`` -- measure the throughput baseline and append it to
-  the perf trajectory; ``perf-diff`` -- compare two payloads under
-  noise thresholds (nonzero exit on regression: the CI perf gate);
-  ``perf-history`` -- the trajectory table.
+* ``audit`` -- the static audit of every registered operation:
+  purity, vectorization, streaming and concurrency safety
+  (``--strict`` is the CI gate).
 
 ``matrix --progress`` shows a live done/total + ETA line while the
 campaign runs; ``--progress-file`` journals the same events as JSONL.
@@ -337,170 +336,50 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if total_errors else 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.analysis.safety import STATEFUL, IO, audit_registry
+def _audit_payload(catalog: bool) -> dict:
+    """The four operation audits, keyed by section."""
+    from repro.analysis import (
+        audit_concurrency,
+        audit_registry,
+        audit_streamable,
+        audit_vectorization,
+        operation_stream_report,
+        verdict_fingerprints,
+    )
 
     reports = audit_registry()
-    payload = {
+    purities = [report.purity for report in reports.values()]
+    effects = {
         "operations": [
             reports[name].to_dict() for name in sorted(reports)
         ],
         "summary": {
             "total": len(reports),
-            "pure": sum(1 for r in reports.values() if r.purity == "pure"),
-            "seeded": sum(
-                1 for r in reports.values()
-                if r.purity == "seeded-stochastic"
-            ),
-            "io": sum(1 for r in reports.values() if r.purity == IO),
-            "stateful": sum(
-                1 for r in reports.values() if r.purity == STATEFUL
-            ),
+            "pure": purities.count("pure"),
+            "seeded": purities.count("seeded-stochastic"),
+            "io": purities.count("io"),
+            "stateful": purities.count("stateful"),
         },
     }
-    if args.out:
-        with open(args.out, "w") as handle:
-            json_module.dump(payload, handle, indent=2)
-            handle.write("\n")
-    if args.json:
-        print(json_module.dumps(payload, indent=2))
-    else:
-        header = (
-            f"{'operation':<22} {'purity':<18} {'cache':<6} "
-            f"{'parallel':<9} {'seeds':<12} codes"
-        )
-        print(header)
-        print("-" * len(header))
-        for name, report in reports.items():
-            print(
-                f"{name:<22} {report.purity:<18} "
-                f"{'yes' if report.cacheable else 'NO':<6} "
-                f"{'yes' if report.parallel_safe else 'NO':<9} "
-                f"{','.join(report.seed_params) or '-':<12} "
-                f"{','.join(report.codes()) or '-'}"
-            )
-            if args.verbose:
-                for finding in report.findings:
-                    print(
-                        f"    line {finding.line}: {finding.kind.value} "
-                        f"-- {finding.detail}"
-                    )
-        summary = payload["summary"]
-        print(
-            f"{summary['total']} operation(s): {summary['pure']} pure, "
-            f"{summary['seeded']} seeded, {summary['io']} io, "
-            f"{summary['stateful']} stateful"
-        )
-    unsafe = sorted(
-        name for name, report in reports.items()
-        if report.purity in (STATEFUL, IO)
-    )
-    if args.strict and unsafe:
-        print(
-            f"strict: {len(unsafe)} operation(s) not proven safe: "
-            f"{', '.join(unsafe)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_vectorize(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.analysis.vectorize import (
-        audit_vectorization,
-        verdict_fingerprints,
-    )
-
-    payload = audit_vectorization()
-    if args.catalog:
+    payload = {
+        "effects": effects,
+        "vectorize": audit_vectorization(),
+        "streamable": audit_streamable(),
+        "races": audit_concurrency(),
+    }
+    if catalog:
         from repro.algorithms import ALGORITHMS, build_algorithm
-
-        catalog = {}
-        for algorithm_id in sorted(ALGORITHMS):
-            spec = build_algorithm(algorithm_id)
-            fingerprints = verdict_fingerprints(
-                spec.full_template(), outputs=["metrics"]
-            )
-            catalog[algorithm_id] = {
-                fingerprint: fingerprints[fingerprint]
-                for fingerprint in sorted(fingerprints)
-            }
-        payload["catalog"] = catalog
-    if args.out:
-        with open(args.out, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    else:
-        header = (
-            f"{'operation':<22} {'verdict':<20} {'batch':<6} "
-            f"{'sort_key':<9} codes"
-        )
-        print(header)
-        print("-" * len(header))
-        for op in payload["operations"]:
-            batch = "-"
-            if op["batch"]:
-                batch = "yes" if op["batchable"] else "DRIFT"
-            codes = ",".join(
-                sorted({d.split()[0] for d in op["diagnostics"]})
-            )
-            print(
-                f"{op['operation']:<22} {op['verdict']:<20} {batch:<6} "
-                f"{op['sort_key'] or '-':<9} {codes or '-'}"
-            )
-            if args.verbose:
-                for finding in op["findings"]:
-                    print(
-                        f"    line {finding['line']}: {finding['kind']} "
-                        f"-- {finding['detail']}"
-                    )
-        summary = payload["summary"]
-        print(
-            f"{summary['total']} operation(s): "
-            f"{summary['elementwise']} elementwise, "
-            f"{summary['row_parallel']} row-parallel, "
-            f"{summary['sequential']} sequential, "
-            f"{summary['opaque']} opaque; "
-            f"{summary['batchable']} batchable"
-        )
-    if args.strict:
-        problems = []
-        if payload["summary"]["errors"]:
-            problems.append(
-                f"{payload['summary']['errors']} verdict-drift error(s)"
-            )
-        if payload["summary"]["opaque"]:
-            problems.append(
-                f"{payload['summary']['opaque']} opaque verdict(s)"
-            )
-        if problems:
-            print(f"strict: {'; '.join(problems)}", file=sys.stderr)
-            return 1
-    return 0
-
-
-def _cmd_streamable(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.analysis.streamable import audit_streamable
-
-    payload = audit_streamable()
-    if args.catalog:
-        from repro.algorithms import ALGORITHMS, build_algorithm
-        from repro.analysis.streamable import operation_stream_report
         from repro.core.operations import OPERATIONS
 
-        catalog = {}
+        vector_catalog = {}
+        stream_catalog = {}
         for algorithm_id in sorted(ALGORITHMS):
-            spec = build_algorithm(algorithm_id)
+            template = build_algorithm(algorithm_id).full_template()
+            vector_catalog[algorithm_id] = verdict_fingerprints(
+                template, outputs=["metrics"]
+            )
             steps = []
-            for step in spec.full_template():
+            for step in template:
                 operation = OPERATIONS.get(step.get("func"))
                 if operation is None:
                     continue
@@ -513,259 +392,224 @@ def _cmd_streamable(args: argparse.Namespace) -> int:
                         "refusal": report.refusal,
                     }
                 )
-            catalog[algorithm_id] = {
+            stream_catalog[algorithm_id] = {
                 "steps": steps,
                 "streamable": all(
                     step["refusal"] is None for step in steps
                 ),
             }
-        payload["catalog"] = catalog
-    if args.out:
-        with open(args.out, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    else:
-        header = (
-            f"{'operation':<22} {'verdict':<18} {'bound':<10} "
-            f"{'declared':<18} {'stream':<7} codes"
-        )
-        print(header)
-        print("-" * len(header))
-        for op in payload["operations"]:
-            stream = "-"
-            if op["stream_fn"]:
-                stream = "yes" if op["streamable"] else "DRIFT"
-            codes = ",".join(
-                sorted({d.split()[0] for d in op["diagnostics"]})
-            )
-            print(
-                f"{op['operation']:<22} {op['verdict']:<18} "
-                f"{op['state_bound']:<10} {op['declared'] or '-':<18} "
-                f"{stream:<7} {codes or '-'}"
-            )
-            if args.verbose:
-                for finding in op["findings"]:
-                    print(
-                        f"    line {finding['line']}: {finding['kind']} "
-                        f"-- {finding['detail']}"
-                    )
-                if op["refusal"]:
-                    print(f"    refusal: {op['refusal']}")
-        summary = payload["summary"]
-        print(
-            f"{summary['total']} operation(s): "
-            f"{summary['stateless']} stateless, "
-            f"{summary['prefix_mergeable']} prefix-mergeable, "
-            f"{summary['window_bounded']} window-bounded, "
-            f"{summary['batch_only']} batch-only, "
-            f"{summary['opaque']} opaque; "
-            f"{summary['streamable']} streamable"
-        )
-    if args.strict:
-        problems = []
-        if payload["summary"]["errors"]:
-            problems.append(
-                f"{payload['summary']['errors']} drift/state-bound "
-                "error(s) (L041/L042/L045/L047/L048)"
-            )
-        if payload["summary"]["opaque"]:
-            problems.append(
-                f"{payload['summary']['opaque']} opaque verdict(s)"
-            )
-        if problems:
-            print(f"strict: {'; '.join(problems)}", file=sys.stderr)
-            return 1
-    return 0
-
-
-def _cmd_races(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.analysis.concurrency import audit_concurrency
-
-    payload = audit_concurrency()
-    if args.out:
-        with open(args.out, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    else:
-        header = (
-            f"{'operation':<22} {'verdict':<18} {'declared':<18} "
-            f"{'safe':<5} codes"
-        )
-        print(header)
-        print("-" * len(header))
-        for op in payload["operations"]:
-            codes = ",".join(
-                sorted({d.split()[0] for d in op["diagnostics"]})
-            )
-            print(
-                f"{op['operation']:<22} {op['verdict']:<18} "
-                f"{op['declared'] or '-':<18} "
-                f"{'yes' if op['concurrent_safe'] else 'NO':<5} "
-                f"{codes or '-'}"
-            )
-            if args.verbose:
-                for name, line, guards in op["shared_writes"]:
-                    held = f" (under {guards})" if guards else ""
-                    print(
-                        f"    line {line}: shared write -- {name}{held}"
-                    )
-                for line, detail in op["escapes"]:
-                    print(f"    line {line}: state escape -- {detail}")
-                for line, dotted in op["hostile"]:
-                    print(f"    line {line}: hostile call -- {dotted}")
-                if op["refusal"]:
-                    print(f"    refusal: {op['refusal']}")
-        print()
-        header = f"{'module':<34} {'verdict':<18} cycles codes"
-        print(header)
-        print("-" * len(header))
-        for module in payload["modules"]:
-            codes = ",".join(
-                sorted({d.split()[0] for d in module["diagnostics"]})
-            )
-            print(
-                f"{module['module']:<34} {module['verdict']:<18} "
-                f"{len(module['cycles']):<6} {codes or '-'}"
-            )
-            if args.verbose:
-                for name, state in sorted(module["state"].items()):
-                    guard = state["guard"] or "-"
-                    print(
-                        f"    {name}: {state['verdict']} "
-                        f"(guard={guard}, writes={state['writes']})"
-                    )
-        summary = payload["summary"]
-        print(
-            f"\n{summary['total']} operation(s): "
-            f"{summary['session_confined']} session-confined, "
-            f"{summary['lock_guarded']} lock-guarded, "
-            f"{summary['read_only_shared']} read-only-shared, "
-            f"{summary['racy']} racy, "
-            f"{summary['opaque']} opaque; "
-            f"{summary['concurrent_safe']} concurrent-safe; "
-            f"{summary['racy_modules']} racy module(s), "
-            f"{summary['module_cycles']} lock cycle(s)"
-        )
-    if args.strict:
-        problems = []
-        if payload["summary"]["errors"]:
-            problems.append(
-                f"{payload['summary']['errors']} concurrency error(s) "
-                "(L049-L052/L054/L056)"
-            )
-        if payload["summary"]["racy"]:
-            problems.append(
-                f"{payload['summary']['racy']} racy operation(s)"
-            )
-        if payload["summary"]["racy_modules"]:
-            problems.append(
-                f"{payload['summary']['racy_modules']} racy module(s)"
-            )
-        if payload["summary"]["module_cycles"]:
-            problems.append(
-                f"{payload['summary']['module_cycles']} lock cycle(s)"
-            )
-        if problems:
-            print(f"strict: {'; '.join(problems)}", file=sys.stderr)
-            return 1
-    return 0
-
-
-def _cmd_bench_perf(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.bench.history import append_history
-    from repro.bench.perf import run_perf_benchmark
-
-    payload = run_perf_benchmark(
-        repeat=args.repeat,
-        cells_algorithm=None if args.no_cells else "A14",
-    )
-    with open(args.out, "w") as handle:
-        json_module.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    if not args.no_history:
-        append_history(payload, args.history)
-    if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-    else:
-        converted = payload["converted_ops"]
-        featurize = payload["featurize"]
-        print(f"workload: {payload['workload']}")
-        for name, row in converted["ops"].items():
-            print(
-                f"{name:<16} {row['rows']:>7} rows  "
-                f"scalar {row['scalar_rows_per_sec']:>12.0f}/s  "
-                f"batch {row['batch_rows_per_sec']:>12.0f}/s  "
-                f"speedup {row['speedup']:.2f}x  "
-                f"byte_equal={row['byte_equal']}"
-            )
-        print(f"converted-op aggregate speedup: {converted['speedup']:.2f}x")
-        print(
-            f"featurize: {featurize['scalar_packets_per_sec']:.0f} pkt/s "
-            f"scalar -> {featurize['vectorized_packets_per_sec']:.0f} "
-            f"pkt/s vectorized ({featurize['speedup']:.2f}x)"
-        )
-        if "cells" in payload:
-            print(
-                f"cells: {payload['cells']['seconds_per_cell']:.2f} "
-                f"s/cell = {payload['cells']['cells_per_hour']:.0f} "
-                "cells/hour"
-            )
-    print(f"baseline written to {args.out}")
-    if not args.no_history:
-        print(f"trajectory appended to {args.history}")
-    return 0
-
-
-def _load_perf_payload(path: str) -> dict:
-    """One perf payload from a ``BENCH_perf.json``-style file."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: payload is not a JSON object")
+        payload["vectorize"]["catalog"] = vector_catalog
+        payload["streamable"]["catalog"] = stream_catalog
     return payload
 
 
-def _cmd_perf_diff(args: argparse.Namespace) -> int:
-    from repro.bench.history import diff_payloads, render_perf_diff
+def _finding_lines(op: dict) -> None:
+    for finding in op["findings"]:
+        print(
+            f"    line {finding['line']}: {finding['kind']} "
+            f"-- {finding['detail']}"
+        )
 
-    try:
-        before = _load_perf_payload(args.before)
-        after = _load_perf_payload(args.after)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    kwargs = {}
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    diff = diff_payloads(before, after, **kwargs)
+
+def _codes(op: dict) -> str:
+    return ",".join(sorted({d.split()[0] for d in op["diagnostics"]})) or "-"
+
+
+def _print_effects(section: dict, verbose: bool) -> None:
+    header = (
+        f"{'operation':<22} {'purity':<18} {'cache':<6} "
+        f"{'parallel':<9} {'seeds':<12} codes"
+    )
+    print(header)
+    print("-" * len(header))
+    for op in section["operations"]:
+        print(
+            f"{op['operation']:<22} {op['purity']:<18} "
+            f"{'yes' if op['cacheable'] else 'NO':<6} "
+            f"{'yes' if op['parallel_safe'] else 'NO':<9} "
+            f"{','.join(op['seed_params']) or '-':<12} "
+            f"{','.join(op['codes']) or '-'}"
+        )
+        if verbose:
+            _finding_lines(op)
+    summary = section["summary"]
+    print(
+        f"{summary['total']} operation(s): {summary['pure']} pure, "
+        f"{summary['seeded']} seeded, {summary['io']} io, "
+        f"{summary['stateful']} stateful"
+    )
+
+
+def _print_vectorize(section: dict, verbose: bool) -> None:
+    header = (
+        f"{'operation':<22} {'verdict':<20} {'batch':<6} "
+        f"{'sort_key':<9} codes"
+    )
+    print(header)
+    print("-" * len(header))
+    for op in section["operations"]:
+        batch = "-"
+        if op["batch"]:
+            batch = "yes" if op["batchable"] else "DRIFT"
+        print(
+            f"{op['operation']:<22} {op['verdict']:<20} {batch:<6} "
+            f"{op['sort_key'] or '-':<9} {_codes(op)}"
+        )
+        if verbose:
+            _finding_lines(op)
+    summary = section["summary"]
+    print(
+        f"{summary['total']} operation(s): "
+        f"{summary['elementwise']} elementwise, "
+        f"{summary['row_parallel']} row-parallel, "
+        f"{summary['sequential']} sequential, "
+        f"{summary['opaque']} opaque; "
+        f"{summary['batchable']} batchable"
+    )
+
+
+def _print_streamable(section: dict, verbose: bool) -> None:
+    header = (
+        f"{'operation':<22} {'verdict':<18} {'bound':<10} "
+        f"{'declared':<18} {'stream':<7} codes"
+    )
+    print(header)
+    print("-" * len(header))
+    for op in section["operations"]:
+        stream = "-"
+        if op["stream_fn"]:
+            stream = "yes" if op["streamable"] else "DRIFT"
+        print(
+            f"{op['operation']:<22} {op['verdict']:<18} "
+            f"{op['state_bound']:<10} {op['declared'] or '-':<18} "
+            f"{stream:<7} {_codes(op)}"
+        )
+        if verbose:
+            _finding_lines(op)
+            if op["refusal"]:
+                print(f"    refusal: {op['refusal']}")
+    summary = section["summary"]
+    print(
+        f"{summary['total']} operation(s): "
+        f"{summary['stateless']} stateless, "
+        f"{summary['prefix_mergeable']} prefix-mergeable, "
+        f"{summary['window_bounded']} window-bounded, "
+        f"{summary['batch_only']} batch-only, "
+        f"{summary['opaque']} opaque; "
+        f"{summary['streamable']} streamable"
+    )
+
+
+def _print_races(section: dict, verbose: bool) -> None:
+    header = (
+        f"{'operation':<22} {'verdict':<18} {'declared':<18} "
+        f"{'safe':<5} codes"
+    )
+    print(header)
+    print("-" * len(header))
+    for op in section["operations"]:
+        print(
+            f"{op['operation']:<22} {op['verdict']:<18} "
+            f"{op['declared'] or '-':<18} "
+            f"{'yes' if op['concurrent_safe'] else 'NO':<5} "
+            f"{_codes(op)}"
+        )
+        if verbose:
+            for name, line, guards in op["shared_writes"]:
+                held = f" (under {guards})" if guards else ""
+                print(f"    line {line}: shared write -- {name}{held}")
+            for line, detail in op["escapes"]:
+                print(f"    line {line}: state escape -- {detail}")
+            for line, dotted in op["hostile"]:
+                print(f"    line {line}: hostile call -- {dotted}")
+            if op["refusal"]:
+                print(f"    refusal: {op['refusal']}")
+    print()
+    header = f"{'module':<34} {'verdict':<18} cycles codes"
+    print(header)
+    print("-" * len(header))
+    for module in section["modules"]:
+        print(
+            f"{module['module']:<34} {module['verdict']:<18} "
+            f"{len(module['cycles']):<6} {_codes(module)}"
+        )
+        if verbose:
+            for name, state in sorted(module["state"].items()):
+                guard = state["guard"] or "-"
+                print(
+                    f"    {name}: {state['verdict']} "
+                    f"(guard={guard}, writes={state['writes']})"
+                )
+    summary = section["summary"]
+    print(
+        f"\n{summary['total']} operation(s): "
+        f"{summary['session_confined']} session-confined, "
+        f"{summary['lock_guarded']} lock-guarded, "
+        f"{summary['read_only_shared']} read-only-shared, "
+        f"{summary['racy']} racy, "
+        f"{summary['opaque']} opaque; "
+        f"{summary['concurrent_safe']} concurrent-safe; "
+        f"{summary['racy_modules']} racy module(s), "
+        f"{summary['module_cycles']} lock cycle(s)"
+    )
+
+
+def _strict_problems(payload: dict) -> list:
+    """Every ``--strict`` failure reason across the four sections."""
+    problems = []
+    unsafe = sorted(
+        op["operation"]
+        for op in payload["effects"]["operations"]
+        if op["purity"] in ("stateful", "io")
+    )
+    if unsafe:
+        problems.append(
+            f"effects: {len(unsafe)} operation(s) not proven safe: "
+            f"{', '.join(unsafe)}"
+        )
+    checks = (
+        ("vectorize", "errors", "verdict-drift error(s)"),
+        ("vectorize", "opaque", "opaque verdict(s)"),
+        ("streamable", "errors",
+         "drift/state-bound error(s) (L041/L042/L045/L047/L048)"),
+        ("streamable", "opaque", "opaque verdict(s)"),
+        ("races", "errors", "concurrency error(s) (L049-L052/L054/L056)"),
+        ("races", "racy", "racy operation(s)"),
+        ("races", "racy_modules", "racy module(s)"),
+        ("races", "module_cycles", "lock cycle(s)"),
+    )
+    for section, key, what in checks:
+        count = payload[section]["summary"][key]
+        if count:
+            problems.append(f"{section}: {count} {what}")
+    return problems
+
+
+def _cmd_audit(args: argparse.Namespace) -> int:
+    payload = _audit_payload(args.catalog)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
     if args.json:
-        print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
+        print(text)
     else:
-        print(render_perf_diff(diff))
-    return 1 if diff.has_regressions else 0
-
-
-def _cmd_perf_history(args: argparse.Namespace) -> int:
-    from repro.bench.history import load_history, render_history
-
-    try:
-        entries = load_history(args.history)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(entries, indent=2, sort_keys=True))
-    else:
-        print(render_history(entries, series=args.series, limit=args.limit))
-    return 0
+        sections = (
+            ("effects", "purity, caching and parallel safety", _print_effects),
+            ("vectorize", "row dependence and batching", _print_vectorize),
+            ("streamable", "incrementality and state bounds",
+             _print_streamable),
+            ("races", "shared state and lock discipline", _print_races),
+        )
+        for number, (key, title, render) in enumerate(sections):
+            if number:
+                print()
+            print(f"== {key}: {title} ==")
+            render(payload[key], args.verbose)
+    problems = _strict_problems(payload) if args.strict else []
+    for problem in problems:
+        print(f"strict: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -1150,120 +994,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "audit",
-        help="effect/purity audit of every registered operation")
+        help="static audit of every registered operation: purity, "
+        "vectorization, streaming and concurrency safety")
     p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON (for CI)")
+                   help="print the four sections as one JSON object")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the JSON audit to a file")
     p.add_argument("--strict", action="store_true",
-                   help="exit 1 if any operation audits stateful or io")
+                   help="exit 1 on any stateful/io operation, verdict "
+                   "drift, opaque verdict, racy operation or module, "
+                   "or lock cycle")
+    p.add_argument("--catalog", action="store_true",
+                   help="also attach vectorization and streaming "
+                   "verdicts to every catalog algorithm's template")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="show per-finding detail under each operation")
     p.set_defaults(fn=_cmd_audit)
-
-    p = sub.add_parser(
-        "vectorize",
-        help="vectorization-safety audit of every registered operation")
-    p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON (for CI)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON audit to a file")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 on verdict drift (L034/L040) or any "
-                   "opaque verdict")
-    p.add_argument("--catalog", action="store_true",
-                   help="also attach verdicts to the semantic "
-                   "fingerprints of every catalog algorithm's template")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="show per-finding detail under each operation")
-    p.set_defaults(fn=_cmd_vectorize)
-
-    p = sub.add_parser(
-        "streamable",
-        help="streaming-safety audit: incrementality verdicts and "
-        "state bounds for every registered operation")
-    p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON (for CI)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON audit to a file")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 on verdict drift or unbounded state "
-                   "(L041/L042/L045/L047/L048) or any opaque verdict")
-    p.add_argument("--catalog", action="store_true",
-                   help="also report per-step verdicts and overall "
-                   "streamability for every catalog algorithm")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="show per-finding detail under each operation")
-    p.set_defaults(fn=_cmd_streamable)
-
-    p = sub.add_parser(
-        "races",
-        help="concurrency-safety audit: shared-state verdicts, lock "
-        "discipline, and escape analysis for every registered "
-        "operation and the core modules")
-    p.add_argument("--json", action="store_true",
-                   help="print the audit as JSON (for CI)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON audit to a file")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 on any concurrency error "
-                   "(L049-L052/L054/L056), racy verdict, or lock cycle")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="show shared writes, escapes, and hostile calls "
-                   "under each operation and per-name module state")
-    p.set_defaults(fn=_cmd_races)
-
-    p = sub.add_parser(
-        "bench-perf",
-        help="measure the throughput baseline (packets/sec, cells/hour,"
-        " scalar vs batch) and write BENCH_perf.json")
-    p.add_argument("--out", default="BENCH_perf.json", metavar="PATH",
-                   help="where to write the baseline (default: "
-                   "BENCH_perf.json)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="timing repetitions; the best run counts")
-    p.add_argument("--json", action="store_true",
-                   help="also print the payload to stdout")
-    p.add_argument("--no-cells", action="store_true",
-                   help="skip the cells/hour measurement (quick smoke)")
-    p.add_argument("--history", default="BENCH_history.jsonl",
-                   metavar="PATH",
-                   help="append the payload to this perf-trajectory "
-                   "store (default: BENCH_history.jsonl)")
-    p.add_argument("--no-history", action="store_true",
-                   help="do not append to the trajectory store")
-    p.set_defaults(fn=_cmd_bench_perf)
-
-    p = sub.add_parser(
-        "perf-diff",
-        help="compare two perf payloads series-by-series; exits 1 on "
-        "any regression past the noise threshold (the CI perf gate)")
-    p.add_argument("before", help="baseline BENCH_perf.json")
-    p.add_argument("after", help="candidate BENCH_perf.json")
-    p.add_argument("--threshold", type=float, default=None,
-                   metavar="FRACTION",
-                   help="relative drop tolerated per series before it "
-                   "counts as a regression (default: 0.20; known-noisy "
-                   "series keep their wider built-in thresholds)")
-    p.add_argument("--json", action="store_true",
-                   help="print the diff as JSON")
-    p.set_defaults(fn=_cmd_perf_diff)
-
-    p = sub.add_parser(
-        "perf-history",
-        help="render the perf trajectory (BENCH_history.jsonl) as a "
-        "table, newest entry last")
-    p.add_argument("--history", default="BENCH_history.jsonl",
-                   metavar="PATH",
-                   help="the trajectory store to read")
-    p.add_argument("--series", default=None, metavar="SUBSTRING",
-                   help="show every series whose name contains "
-                   "SUBSTRING instead of the summary columns")
-    p.add_argument("--limit", type=int, default=None, metavar="N",
-                   help="only the most recent N entries")
-    p.add_argument("--json", action="store_true",
-                   help="print the raw payload entries as JSON")
-    p.set_defaults(fn=_cmd_perf_history)
 
     p = sub.add_parser("run-template",
                        help="validate and run a template file")

@@ -23,19 +23,23 @@ from repro.analysis.concurrency import (
     READ_ONLY_SHARED,
     SESSION_CONFINED,
     audit_concurrency,
-    bare_lock_ops,
     classify_shared,
+    module_concurrency_report,
+    operation_concurrency_report,
+)
+from repro.analysis.facts import (
+    bare_lock_ops,
+    class_access_sites,
     class_locks,
+    collect_module_context,
     lock_cycles,
     lock_order_edges,
-    module_concurrency_report,
+    make_resolver,
     module_locks,
-    operation_concurrency_report,
     shared_access_sites,
     state_escape_audit,
     thread_hostile_calls,
     unguarded_module_state,
-    _make_resolver,
 )
 from repro.core.operations import (
     CONCURRENCY_CLASSES,
@@ -68,7 +72,7 @@ def fn_of(source: str, name: str = "op") -> ast.FunctionDef:
 def sites_of(source: str, shared: set, name: str = "op"):
     tree = parse(source)
     locks = module_locks(tree)
-    resolve = _make_resolver(frozenset(locks))
+    resolve = make_resolver(frozenset(locks))
     return shared_access_sites(
         fn_of(source, name), frozenset(shared), resolve
     )
@@ -211,8 +215,6 @@ class TestSharedAccessClassification:
                 return np.sort(inputs[0].length)
             """
         )
-        from repro.analysis.effects import collect_module_context
-
         ctx = collect_module_context(tree)
         sites = shared_access_sites(
             fn_of("""
@@ -222,7 +224,7 @@ class TestSharedAccessClassification:
                 return np.sort(inputs[0].length)
             """),
             frozenset(ctx.bindings),
-            _make_resolver(frozenset()),
+            make_resolver(frozenset()),
             imports=ctx.imports,
         )
         assert [s for s in sites if s.kind == "write"] == []
@@ -243,7 +245,7 @@ class TestLockGraph:
                         pass
             """
         )
-        resolve = _make_resolver(frozenset(module_locks(tree)))
+        resolve = make_resolver(frozenset(module_locks(tree)))
         fn = next(
             n for n in tree.body if isinstance(n, ast.FunctionDef)
         )
@@ -270,7 +272,7 @@ class TestLockGraph:
                         pass
             """
         )
-        resolve = _make_resolver(frozenset(module_locks(tree)))
+        resolve = make_resolver(frozenset(module_locks(tree)))
         edges: dict = {}
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef):
@@ -587,9 +589,7 @@ class TestRegistryAudit:
                     self.items.append(x)
             """
         )
-        from repro.analysis.concurrency import _class_access_sites
-
-        sites = _class_access_sites(tree.body[1], frozenset())
+        sites = class_access_sites(tree.body[1], frozenset())
         info = classify_shared(sites)["Shared.items"]
         assert info["verdict"] == RACY
         assert info["mixed"]

@@ -1,6 +1,6 @@
 """Tests for the implementation-level effect/purity analyzer.
 
-Covers the AST layer (repro.analysis.effects) with fixture sources for
+Covers the AST layer (repro.analysis.facts) with fixture sources for
 every purity class, the false-positive guards that keep the stock
 catalog clean, and the registry-facing layer (repro.analysis.safety):
 diagnostics mapping, closure detection, lambda fallback, and the
@@ -10,8 +10,8 @@ regression guarantee that every stock operation audits pure/seeded.
 import ast
 import textwrap
 
-from repro.analysis import effects
-from repro.analysis.effects import (
+from repro.analysis import facts
+from repro.analysis.facts import (
     IO,
     PURE,
     SEEDED,
@@ -20,11 +20,7 @@ from repro.analysis.effects import (
     analyze_function,
     collect_module_context,
 )
-from repro.analysis.safety import (
-    audit_registry,
-    function_effects,
-    operation_report,
-)
+from repro.analysis.safety import audit_registry, operation_report
 from repro.core.operations import OPERATIONS
 
 
@@ -428,21 +424,26 @@ class TestModuleContext:
         assert "np" in ctx.imports
 
     def test_constant_style(self):
-        assert effects.is_constant_style("OPERATIONS")
-        assert effects.is_constant_style("_GRANULARITY_BY_FLOWID")
-        assert effects.is_constant_style("__all__")
-        assert not effects.is_constant_style("cache")
+        assert facts.is_constant_style("OPERATIONS")
+        assert facts.is_constant_style("_GRANULARITY_BY_FLOWID")
+        assert facts.is_constant_style("__all__")
+        assert not facts.is_constant_style("cache")
+
+
+def kinds(record):
+    """The effect kinds in a live body's facts record."""
+    return {finding.kind for finding in record.effects}
 
 
 class TestSafetyLayer:
     def test_lambda_source_is_conservatively_stateful(self):
-        fx = function_effects(eval("lambda inputs, params: None"))
-        assert EffectKind.SOURCE_UNAVAILABLE in fx.kinds()
+        fx = facts.body_facts(eval("lambda inputs, params: None"))
+        assert EffectKind.SOURCE_UNAVAILABLE in kinds(fx)
         assert fx.purity == STATEFUL
 
     def test_builtin_has_no_source(self):
-        fx = function_effects(len)
-        assert EffectKind.SOURCE_UNAVAILABLE in fx.kinds()
+        fx = facts.body_facts(len)
+        assert EffectKind.SOURCE_UNAVAILABLE in kinds(fx)
 
     def test_mutable_closure_is_stateful(self):
         state = {"calls": 0}
@@ -450,8 +451,8 @@ class TestSafetyLayer:
         def op(inputs, params):
             return state
 
-        fx = function_effects(op)
-        assert EffectKind.MUTABLE_CLOSURE in fx.kinds()
+        fx = facts.body_facts(op)
+        assert EffectKind.MUTABLE_CLOSURE in kinds(fx)
         assert fx.purity == STATEFUL
 
     def test_immutable_closure_is_fine(self):
@@ -460,8 +461,8 @@ class TestSafetyLayer:
         def op(inputs, params):
             return limit
 
-        fx = function_effects(op)
-        assert EffectKind.MUTABLE_CLOSURE not in fx.kinds()
+        fx = facts.body_facts(op)
+        assert EffectKind.MUTABLE_CLOSURE not in kinds(fx)
 
     def test_diagnostic_codes_mapped(self):
         report = operation_report(OPERATIONS["Downsample"])

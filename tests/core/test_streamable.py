@@ -28,9 +28,8 @@ from repro.analysis.streamable import (
     classify_stream,
     infer_state_bound,
     operation_stream_report,
-    stream_state_audit,
 )
-from repro.analysis.vectorize import analyze_rows
+from repro.analysis.facts import analyze_rows, stream_state_audit
 from repro.core import ExecutionEngine, Pipeline
 from repro.core.engine import _carried_state_bytes
 from repro.core.errors import TemplateError

@@ -22,12 +22,12 @@ from repro.analysis.vectorize import (
     ROW_PARALLEL,
     SEQUENTIAL,
     RowKind,
-    analyze_rows,
     audit_vectorization,
     classify,
     operation_vector_report,
     verdict_fingerprints,
 )
+from repro.analysis.facts import RowFinding, analyze_rows
 from repro.core.operations import (
     OPERATIONS,
     register_batch,
@@ -345,7 +345,6 @@ class TestClassifier:
 
     def test_no_source_is_opaque(self):
         # opaque comes from the registry layer (no source to analyze)
-        from repro.analysis.vectorize import RowFinding
 
         opaque = [RowFinding(RowKind.SOURCE_UNAVAILABLE, 0, "lambda")]
         assert classify(opaque, ("packets",), "features") == OPAQUE

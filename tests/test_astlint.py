@@ -1,5 +1,6 @@
 """Tests for the repo-wide AST lint gate (tools/astlint.py)."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -636,3 +637,65 @@ class TestGate:
             capture_output=True, text=True, cwd=REPO_ROOT,
         )
         assert proc.returncode == 0, proc.stdout
+
+
+class TestFactsLoader:
+    """A facts layer that fails to load stops the gate (exit 2).
+
+    The gate reads AL005/AL006/AL009-AL011 from one file loaded by
+    path; each case runs a copy of the gate next to a broken copy of
+    that file and lints a module with two bare lock calls, which the
+    intact gate reports as two AL011 violations.
+    """
+
+    FACTS = REPO_ROOT / "src" / "repro" / "analysis" / "facts.py"
+
+    def run_against(self, tmp_path, facts_source):
+        (tmp_path / "tools").mkdir()
+        shutil.copy(ASTLINT, tmp_path / "tools" / "astlint.py")
+        analysis = tmp_path / "src" / "repro" / "analysis"
+        analysis.mkdir(parents=True)
+        if facts_source is not None:
+            (analysis / "facts.py").write_text(facts_source)
+        target = tmp_path / "locks.py"
+        target.write_text(
+            "import threading\n"
+            "_lock = threading.Lock()\n"
+            "def f():\n"
+            "    _lock.acquire()\n"
+            "    _lock.release()\n"
+        )
+        return subprocess.run(
+            [sys.executable, str(tmp_path / "tools" / "astlint.py"),
+             str(target)],
+            capture_output=True, text=True,
+        )
+
+    def test_intact_copy_reports_the_violations(self, tmp_path):
+        proc = self.run_against(tmp_path, self.FACTS.read_text())
+        assert proc.returncode == 1
+        assert proc.stdout.count("AL011") == 2
+
+    def test_renamed_helper_exits_two_with_reason(self, tmp_path):
+        source = self.FACTS.read_text()
+        assert "\ndef dotted(" in source
+        proc = self.run_against(
+            tmp_path, source.replace("\ndef dotted(", "\ndef dotted_path(")
+        )
+        assert proc.returncode == 2
+        assert "violation(s)" not in proc.stdout
+        assert "cannot load" in proc.stderr and "dotted" in proc.stderr
+
+    def test_broken_module_body_exits_two_with_reason(self, tmp_path):
+        proc = self.run_against(
+            tmp_path, self.FACTS.read_text() + "\nraise RuntimeError('boom')\n"
+        )
+        assert proc.returncode == 2
+        assert "violation(s)" not in proc.stdout
+        assert "boom" in proc.stderr
+
+    def test_missing_file_exits_two(self, tmp_path):
+        proc = self.run_against(tmp_path, None)
+        assert proc.returncode == 2
+        assert "violation(s)" not in proc.stdout
+        assert "cannot load" in proc.stderr

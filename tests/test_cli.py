@@ -113,7 +113,7 @@ class TestAuditCommand:
 
     def test_audit_json_payload(self, capsys):
         assert main(["audit", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        payload = json.loads(capsys.readouterr().out)["effects"]
         assert payload["summary"]["stateful"] == 0
         by_name = {
             entry["operation"]: entry for entry in payload["operations"]
@@ -125,7 +125,8 @@ class TestAuditCommand:
 
     def test_audit_json_is_deterministic(self, capsys):
         assert main(["audit", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        payload = json.loads(out)["effects"]
         names = [entry["operation"] for entry in payload["operations"]]
         assert names == sorted(names)
         for entry in payload["operations"]:
@@ -137,13 +138,15 @@ class TestAuditCommand:
             assert keys == sorted(keys)
         capsys.readouterr()
         assert main(["audit", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out) == payload
+        assert capsys.readouterr().out == out
 
     def test_audit_out_file(self, tmp_path, capsys):
         out_file = tmp_path / "audit.json"
         assert main(["audit", "--out", str(out_file)]) == 0
         payload = json.loads(out_file.read_text())
-        assert payload["summary"]["total"] == len(payload["operations"])
+        assert set(payload) == {"effects", "vectorize", "streamable", "races"}
+        for section in payload.values():
+            assert section["summary"]["total"] == len(section["operations"])
 
     def test_audit_strict_clean_registry_passes(self, capsys):
         assert main(["audit", "--strict"]) == 0
@@ -168,12 +171,68 @@ class TestAuditCommand:
         finally:
             OPERATIONS.pop("AuditFixture", None)
 
+    def test_text_prints_the_four_sections_in_order(self, capsys):
+        assert main(["audit"]) == 0
+        headers = [
+            line.split(":")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("== ")
+        ]
+        assert headers == [
+            "== effects", "== vectorize", "== streamable", "== races",
+        ]
+
+    def test_catalog_adds_the_two_catalog_blocks(self, capsys):
+        assert main(["audit", "--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["audit", "--json", "--catalog"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert [k for k in full if "catalog" in full[k]] == [
+            "streamable", "vectorize",
+        ]
+        for key in plain:
+            assert "catalog" not in plain[key]
+            full[key].pop("catalog", None)
+        assert full == plain
+
+    def test_only_five_settable_flags(self):
+        args = vars(build_parser().parse_args(["audit"]))
+        assert set(args) - {"command", "fn"} == {
+            "json", "out", "strict", "verbose", "catalog",
+        }
+
+    def test_strict_prints_each_reason_on_its_own_line(self, capsys):
+        from repro.core.operations import OPERATIONS, register_operation
+        from repro.core.types import ValueType
+
+        def _racy(inputs, params):
+            _CLI_RACE_SINK["strict"] = 1
+            return inputs[0].length
+
+        register_operation(
+            "StrictReasonsFixture", (ValueType.PACKETS,),
+            ValueType.FEATURES,
+        )(_racy)
+        try:
+            assert main(["audit", "--strict"]) == 1
+            lines = capsys.readouterr().err.splitlines()
+        finally:
+            OPERATIONS.pop("StrictReasonsFixture", None)
+        assert lines == [
+            "strict: effects: 1 operation(s) not proven safe: "
+            "StrictReasonsFixture",
+            "strict: races: 1 concurrency error(s) (L049-L052/L054/L056)",
+            "strict: races: 1 racy operation(s)",
+        ]
+
 
 class TestVectorizeCommand:
+    """The vectorization section of ``repro audit``."""
+
     def test_table_lists_every_operation(self, capsys):
         from repro.core.operations import OPERATIONS
 
-        assert main(["vectorize"]) == 0
+        assert main(["audit"]) == 0
         out = capsys.readouterr().out
         for name in OPERATIONS:
             assert name in out
@@ -181,8 +240,8 @@ class TestVectorizeCommand:
         assert "windowed-sequential" in out
 
     def test_json_payload(self, capsys):
-        assert main(["vectorize", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["audit", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["vectorize"]
         summary = payload["summary"]
         assert summary["opaque"] == 0
         assert summary["errors"] == 0
@@ -194,27 +253,27 @@ class TestVectorizeCommand:
         assert by_name["SortByTime"]["verdict"] == "windowed-sequential"
 
     def test_json_is_byte_deterministic(self, capsys):
-        assert main(["vectorize", "--json"]) == 0
+        assert main(["audit", "--json"]) == 0
         first = capsys.readouterr().out
-        assert main(["vectorize", "--json"]) == 0
+        assert main(["audit", "--json"]) == 0
         assert capsys.readouterr().out == first
 
     def test_out_file(self, tmp_path, capsys):
-        out_file = tmp_path / "vectorize.json"
-        assert main(["vectorize", "--out", str(out_file)]) == 0
-        payload = json.loads(out_file.read_text())
+        out_file = tmp_path / "audit.json"
+        assert main(["audit", "--out", str(out_file)]) == 0
+        payload = json.loads(out_file.read_text())["vectorize"]
         assert payload["summary"]["total"] == len(payload["operations"])
 
     def test_catalog_attaches_fingerprint_verdicts(self, capsys):
-        assert main(["vectorize", "--json", "--catalog"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["audit", "--json", "--catalog"]) == 0
+        payload = json.loads(capsys.readouterr().out)["vectorize"]
         assert "A14" in payload["catalog"]
         for fingerprints in payload["catalog"].values():
             for entry in fingerprints.values():
                 assert set(entry) == {"func", "verdict"}
 
     def test_strict_clean_registry_passes(self, capsys):
-        assert main(["vectorize", "--strict"]) == 0
+        assert main(["audit", "--strict"]) == 0
 
     def test_strict_fails_on_verdict_drift(self, capsys):
         import numpy as np
@@ -237,7 +296,7 @@ class TestVectorizeCommand:
         )(_drifted)
         register_batch("VectorizeFixture")(_drifted)
         try:
-            assert main(["vectorize", "--strict"]) == 1
+            assert main(["audit", "--strict"]) == 1
             captured = capsys.readouterr()
             assert "verdict-drift" in captured.err
             assert "DRIFT" in captured.out
@@ -246,10 +305,12 @@ class TestVectorizeCommand:
 
 
 class TestStreamableCommand:
+    """The streaming-safety section of ``repro audit``."""
+
     def test_table_lists_every_operation(self, capsys):
         from repro.core.operations import OPERATIONS
 
-        assert main(["streamable"]) == 0
+        assert main(["audit"]) == 0
         out = capsys.readouterr().out
         for name in OPERATIONS:
             assert name in out
@@ -257,8 +318,8 @@ class TestStreamableCommand:
         assert "batch-only" in out
 
     def test_json_payload(self, capsys):
-        assert main(["streamable", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["audit", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["streamable"]
         summary = payload["summary"]
         assert summary["opaque"] == 0
         assert summary["errors"] == 0
@@ -270,20 +331,20 @@ class TestStreamableCommand:
         assert by_name["SortByTime"]["verdict"] == "batch-only"
 
     def test_json_is_byte_deterministic(self, capsys):
-        assert main(["streamable", "--json"]) == 0
+        assert main(["audit", "--json"]) == 0
         first = capsys.readouterr().out
-        assert main(["streamable", "--json"]) == 0
+        assert main(["audit", "--json"]) == 0
         assert capsys.readouterr().out == first
 
     def test_out_file(self, tmp_path, capsys):
-        out_file = tmp_path / "streamable.json"
-        assert main(["streamable", "--out", str(out_file)]) == 0
-        payload = json.loads(out_file.read_text())
+        out_file = tmp_path / "audit.json"
+        assert main(["audit", "--out", str(out_file)]) == 0
+        payload = json.loads(out_file.read_text())["streamable"]
         assert payload["summary"]["total"] == len(payload["operations"])
 
     def test_catalog_reports_per_template_streamability(self, capsys):
-        assert main(["streamable", "--json", "--catalog"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["audit", "--json", "--catalog"]) == 0
+        payload = json.loads(capsys.readouterr().out)["streamable"]
         assert "A14" in payload["catalog"]
         for entry in payload["catalog"].values():
             assert set(entry) == {"steps", "streamable"}
@@ -293,7 +354,7 @@ class TestStreamableCommand:
                 }
 
     def test_strict_clean_registry_passes(self, capsys):
-        assert main(["streamable", "--strict"]) == 0
+        assert main(["audit", "--strict"]) == 0
 
     def test_strict_fails_on_declaration_drift(self, capsys):
         import numpy as np
@@ -315,7 +376,7 @@ class TestStreamableCommand:
             ValueType.FEATURES, stream="stateless",
         )(_drifted)
         try:
-            assert main(["streamable", "--strict"]) == 1
+            assert main(["audit", "--strict"]) == 1
             captured = capsys.readouterr()
             assert "L045" in captured.err
         finally:
@@ -323,10 +384,12 @@ class TestStreamableCommand:
 
 
 class TestRacesCommand:
+    """The concurrency-safety section of ``repro audit``."""
+
     def test_table_lists_operations_and_modules(self, capsys):
         from repro.core.operations import OPERATIONS
 
-        assert main(["races"]) == 0
+        assert main(["audit"]) == 0
         out = capsys.readouterr().out
         for name in OPERATIONS:
             assert name in out
@@ -335,8 +398,8 @@ class TestRacesCommand:
         assert "concurrent-safe" in out
 
     def test_json_payload(self, capsys):
-        assert main(["races", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["audit", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)["races"]
         summary = payload["summary"]
         assert summary["total"] == len(payload["operations"])
         assert summary["racy"] == 0
@@ -346,21 +409,21 @@ class TestRacesCommand:
         assert "repro.obs.spans" in modules
 
     def test_json_is_byte_deterministic(self, capsys):
-        assert main(["races", "--json"]) == 0
+        assert main(["audit", "--json"]) == 0
         first = capsys.readouterr().out
-        assert main(["races", "--json"]) == 0
+        assert main(["audit", "--json"]) == 0
         assert capsys.readouterr().out == first
 
     def test_out_file(self, tmp_path, capsys):
-        out_file = tmp_path / "races.json"
-        assert main(["races", "--out", str(out_file)]) == 0
-        payload = json.loads(out_file.read_text())
+        out_file = tmp_path / "audit.json"
+        assert main(["audit", "--out", str(out_file)]) == 0
+        payload = json.loads(out_file.read_text())["races"]
         assert payload["summary"]["concurrent_safe"] == (
             payload["summary"]["total"]
         )
 
     def test_strict_clean_registry_passes(self, capsys):
-        assert main(["races", "--strict"]) == 0
+        assert main(["audit", "--strict"]) == 0
 
     def test_strict_fails_on_racy_operation(self, capsys):
         from repro.core.operations import (
@@ -378,7 +441,7 @@ class TestRacesCommand:
             ValueType.FEATURES,
         )(_racy)
         try:
-            assert main(["races", "--strict"]) == 1
+            assert main(["audit", "--strict"]) == 1
             captured = capsys.readouterr()
             assert "racy operation" in captured.err
         finally:
@@ -400,14 +463,14 @@ class TestRacesCommand:
             ValueType.FEATURES,
         )(_racy)
         try:
-            assert main(["races", "-v"]) == 0
+            assert main(["audit", "-v"]) == 0
             out = capsys.readouterr().out
             assert "shared write -- _CLI_RACE_SINK" in out
         finally:
             OPERATIONS.pop("VerboseRaceFixture", None)
 
 
-#: write target for the races fixtures above -- the analyzer parses
+#: write target for the racy fixtures above -- the analyzer parses
 #: this file and must see a module-global binding
 _CLI_RACE_SINK: dict = {}
 
@@ -697,105 +760,6 @@ class TestInspectAndDiff:
         capsys.readouterr()
         assert main(["diff", str(results), str(mutated)]) == 1
         assert "down" in capsys.readouterr().out
-
-
-def perf_payload(rate):
-    """A minimal synthetic BENCH_perf payload for the perf verbs."""
-    return {
-        "benchmark": "perf-baseline",
-        "provenance": {"schema": 2, "git_sha": "abc",
-                       "timestamp": "2026-08-08T00:00:00+00:00",
-                       "workload_fingerprint": "f" * 64},
-        "featurize": {
-            "scalar_packets_per_sec": rate / 2,
-            "vectorized_packets_per_sec": rate,
-            "speedup": 2.0,
-        },
-    }
-
-
-class TestPerfTrajectoryCommands:
-    def write(self, tmp_path, name, rate):
-        path = tmp_path / name
-        path.write_text(json.dumps(perf_payload(rate)))
-        return str(path)
-
-    def test_perf_diff_clean_exits_zero(self, tmp_path, capsys):
-        a = self.write(tmp_path, "a.json", 100_000.0)
-        assert main(["perf-diff", a, a]) == 0
-        assert "perf-diff: clean" in capsys.readouterr().out
-
-    def test_perf_diff_regression_exits_one_and_names_series(
-        self, tmp_path, capsys
-    ):
-        before = self.write(tmp_path, "a.json", 100_000.0)
-        after = self.write(tmp_path, "b.json", 70_000.0)  # -30%
-        assert main(["perf-diff", before, after]) == 1
-        out = capsys.readouterr().out
-        assert "featurize/vectorized_packets_per_sec" in out
-        assert "REGRESSED" in out
-
-    def test_perf_diff_threshold_flag(self, tmp_path, capsys):
-        before = self.write(tmp_path, "a.json", 100_000.0)
-        after = self.write(tmp_path, "b.json", 70_000.0)
-        assert main(["perf-diff", before, after, "--threshold", "0.5"]) == 0
-
-    def test_perf_diff_json_output(self, tmp_path, capsys):
-        before = self.write(tmp_path, "a.json", 100_000.0)
-        after = self.write(tmp_path, "b.json", 70_000.0)
-        assert main(["perf-diff", before, after, "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["has_regressions"] is True
-        assert ("featurize/vectorized_packets_per_sec"
-                in payload["regressions"])
-
-    def test_perf_diff_missing_file_exits_two(self, tmp_path, capsys):
-        a = self.write(tmp_path, "a.json", 1.0)
-        assert main(["perf-diff", a, str(tmp_path / "nope.json")]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_perf_history_table(self, tmp_path, capsys):
-        history = tmp_path / "h.jsonl"
-        with history.open("w") as handle:
-            for rate in (90_000.0, 110_000.0):
-                handle.write(json.dumps(perf_payload(rate)) + "\n")
-        assert main(["perf-history", "--history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "110,000" in out
-        assert "2026-08-08" in out
-
-    def test_perf_history_series_and_limit(self, tmp_path, capsys):
-        history = tmp_path / "h.jsonl"
-        with history.open("w") as handle:
-            for rate in (1.0, 2.0, 3.0):
-                handle.write(json.dumps(perf_payload(rate)) + "\n")
-        assert main(["perf-history", "--history", str(history),
-                     "--series", "featurize", "--limit", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "featurize/vectorized_packets_per_sec" in out
-
-    def test_perf_history_missing_file_exits_two(self, tmp_path, capsys):
-        assert main(["perf-history", "--history",
-                     str(tmp_path / "nope.jsonl")]) == 2
-
-    def test_bench_perf_appends_history(self, tmp_path, capsys):
-        out = tmp_path / "p.json"
-        history = tmp_path / "h.jsonl"
-        assert main(["bench-perf", "--repeat", "1", "--no-cells",
-                     "--out", str(out), "--history", str(history)]) == 0
-        assert "trajectory appended" in capsys.readouterr().out
-        lines = [line for line in history.read_text().splitlines()
-                 if line.strip()]
-        assert len(lines) == 1
-        assert json.loads(lines[0])["provenance"]["schema"] == 2
-
-    def test_bench_perf_no_history(self, tmp_path, capsys):
-        out = tmp_path / "p.json"
-        history = tmp_path / "h.jsonl"
-        assert main(["bench-perf", "--repeat", "1", "--no-cells",
-                     "--out", str(out), "--history", str(history),
-                     "--no-history"]) == 0
-        assert not history.exists()
 
 
 class TestMatrixProgressFlags:

@@ -65,19 +65,18 @@ Rules:
   its module globals outlive every session, so they must be guarded or
   confined.
 
-AL005/AL006 reuse the effect analyzer
-(``src/repro/analysis/effects.py``), AL009 the vectorization analyzer
-(``src/repro/analysis/vectorize.py``), AL010 the streaming-safety
-analyzer (``src/repro/analysis/streamable.py``), and AL011 the
-concurrency-safety analyzer (``src/repro/analysis/concurrency.py``)
--- all stdlib-only and loaded by file path, so this gate still
-imports nothing from the repo (and no numpy).
+AL005/AL006 and AL009-AL011 read the analyzers' AST walks from one
+file, ``src/repro/analysis/facts.py``: it is stdlib-only and loaded by
+file path, so this gate still imports nothing from the repo (and no
+numpy).  When that file cannot be loaded the gate prints why and exits
+2 instead of skipping those checks.
 
 Paths whose components include ``fixtures`` are skipped, as is any
 line carrying an ``# astlint: disable`` comment.
 
 Usage:  python tools/astlint.py SRC_DIR [MORE_DIRS_OR_FILES...]
-Exit status 1 when any violation is found.
+Exit status 1 when any violation is found, 2 when the analyzer facts
+cannot be loaded.
 """
 
 from __future__ import annotations
@@ -90,123 +89,46 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
-def _load_effects():
-    """Load the effect analyzer by file path (no repo/package import)."""
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "analysis" / "effects.py"
-    )
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_astlint_effects", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    # dataclass machinery resolves string annotations through
-    # sys.modules[cls.__module__]; register before executing
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(spec.name, None)
-        return None
-    return module
+#: the analyzer facts layer the AL005/AL006/AL009-AL011 checks read
+_FACTS_PATH = (
+    Path(__file__).resolve().parent.parent
+    / "src" / "repro" / "analysis" / "facts.py"
+)
+
+#: every name this gate uses from the facts layer
+_FACTS_API = (
+    "BATCHABLE_VERDICTS", "EffectKind", "RowKind", "analyze_function",
+    "analyze_rows", "bare_lock_ops", "classify", "collect_module_context",
+    "dotted", "is_constant_style", "module_locks", "state_arg_name",
+    "stream_state_audit", "unguarded_module_state",
+)
 
 
-_effects = _load_effects()
+def _load_facts():
+    """Load the facts layer by file path, or exit 2 naming the reason.
 
-
-def _load_vectorize():
-    """Load the vectorization analyzer by file path.
-
-    Must run after :func:`_load_effects`: ``vectorize.py`` falls back
-    to ``from _astlint_effects import ...`` when loaded standalone,
-    which resolves through the module registered there.
+    A gate that skipped its analyzer checks on a load failure would
+    report code it never looked at as clean.
     """
-    if _effects is None:
-        return None
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "analysis" / "vectorize.py"
-    )
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_astlint_vectorize", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
     try:
+        spec = importlib.util.spec_from_file_location(
+            "repro_facts", _FACTS_PATH
+        )
+        module = importlib.util.module_from_spec(spec)
+        # dataclass machinery resolves string annotations through
+        # sys.modules[cls.__module__]; register before executing
+        sys.modules[spec.name] = module
         spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(spec.name, None)
-        return None
+        missing = [name for name in _FACTS_API if not hasattr(module, name)]
+        if missing:
+            raise AttributeError(f"missing {', '.join(missing)}")
+    except Exception as exc:
+        print(f"astlint: cannot load {_FACTS_PATH}: {exc!r}", file=sys.stderr)
+        raise SystemExit(2) from exc
     return module
 
 
-_vectorize = _load_vectorize()
-
-
-def _load_streamable():
-    """Load the streaming-safety analyzer by file path.
-
-    Must run after :func:`_load_vectorize`: ``streamable.py`` falls
-    back to ``from _astlint_vectorize import ...`` (and the effects
-    helpers) when loaded standalone.
-    """
-    if _vectorize is None:
-        return None
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "analysis" / "streamable.py"
-    )
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_astlint_streamable", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(spec.name, None)
-        return None
-    return module
-
-
-_streamable = _load_streamable()
-
-
-def _load_concurrency():
-    """Load the concurrency-safety analyzer by file path.
-
-    Must run after :func:`_load_streamable`: ``concurrency.py`` falls
-    back to ``from _astlint_streamable import ...`` (and the effects /
-    vectorize helpers) when loaded standalone.
-    """
-    if _streamable is None:
-        return None
-    path = (
-        Path(__file__).resolve().parent.parent
-        / "src" / "repro" / "analysis" / "concurrency.py"
-    )
-    if not path.exists():
-        return None
-    spec = importlib.util.spec_from_file_location("_astlint_concurrency", path)
-    if spec is None or spec.loader is None:
-        return None
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    except Exception:
-        sys.modules.pop(spec.name, None)
-        return None
-    return module
-
-
-_concurrency = _load_concurrency()
+_facts = _load_facts()
 
 #: np.random attributes that use the unseeded process-global RNG
 _LEGACY_NP_RANDOM = {
@@ -249,23 +171,11 @@ class Violation:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """Render an attribute/name chain like ``np.random.rand``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _check_randomness(tree: ast.AST, path: Path, out: list[Violation]) -> None:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        dotted = _dotted(node.func)
+        dotted = _facts.dotted(node.func)
         if dotted is None:
             continue
         parts = dotted.split(".")
@@ -342,7 +252,7 @@ def _decorator_output_type(decorator: ast.Call) -> tuple[str | None, int]:
         for keyword in decorator.keywords:
             if keyword.arg == "output_type":
                 node = keyword.value
-    dotted = _dotted(node) if node is not None else None
+    dotted = _facts.dotted(node) if node is not None else None
     if dotted and dotted.startswith("ValueType."):
         return dotted.split(".", 1)[1], getattr(node, "lineno", decorator.lineno)
     return None, decorator.lineno
@@ -357,7 +267,7 @@ def _check_register_operation(
         for decorator in node.decorator_list:
             if not isinstance(decorator, ast.Call):
                 continue
-            if _dotted(decorator.func) != "register_operation":
+            if _facts.dotted(decorator.func) != "register_operation":
                 continue
             args = node.args
             n_args = len(args.posonlyargs) + len(args.args)
@@ -395,7 +305,7 @@ def _check_wall_clock(tree: ast.AST, path: Path, out: list[Violation]) -> None:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        if _dotted(node.func) == "time.time":
+        if _facts.dotted(node.func) == "time.time":
             out.append(Violation(
                 path, node.lineno, "AL004",
                 "raw time.time() in library code -- use "
@@ -408,30 +318,28 @@ def _check_operation_effects(
     tree: ast.AST, path: Path, out: list[Violation]
 ) -> None:
     """AL005: a registered operation mutates an argument binding."""
-    if _effects is None:
-        return
-    module_ctx = _effects.collect_module_context(tree)
+    module_ctx = _facts.collect_module_context(tree)
     mutation_kinds = (
-        _effects.EffectKind.MUTATES_INPUT,
-        _effects.EffectKind.MUTATES_PARAMS,
+        _facts.EffectKind.MUTATES_INPUT,
+        _facts.EffectKind.MUTATES_PARAMS,
     )
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
         registered = any(
             isinstance(decorator, ast.Call)
-            and _dotted(decorator.func) == "register_operation"
+            and _facts.dotted(decorator.func) == "register_operation"
             for decorator in node.decorator_list
         )
         if not registered:
             continue
-        effects = _effects.analyze_function(node, module=module_ctx)
+        effects = _facts.analyze_function(node, module=module_ctx)
         for finding in effects.findings:
             if finding.kind not in mutation_kinds:
                 continue
             binding = (
                 "inputs"
-                if finding.kind is _effects.EffectKind.MUTATES_INPUT
+                if finding.kind is _facts.EffectKind.MUTATES_INPUT
                 else "params"
             )
             out.append(Violation(
@@ -446,8 +354,6 @@ def _check_module_state(
     tree: ast.AST, path: Path, out: list[Violation]
 ) -> None:
     """AL006: lowercase module-level mutable state in engine packages."""
-    if _effects is None:
-        return
     parts = path.parts
     critical = any(
         parts[i:i + 2] in (("repro", "core"), ("repro", "analysis"))
@@ -455,11 +361,11 @@ def _check_module_state(
     )
     if not critical:
         return
-    module_ctx = _effects.collect_module_context(tree)
+    module_ctx = _facts.collect_module_context(tree)
     for name, line in sorted(
         module_ctx.mutable_globals.items(), key=lambda item: item[1]
     ):
-        if _effects.is_constant_style(name):
+        if _facts.is_constant_style(name):
             continue
         out.append(Violation(
             path, line, "AL006",
@@ -488,7 +394,7 @@ def _check_exception_swallowing(
         caught = node.type.elts if isinstance(node.type, ast.Tuple) else [
             node.type
         ]
-        names = {_dotted(item) for item in caught}
+        names = {_facts.dotted(item) for item in caught}
         if not names & {"Exception", "BaseException"}:
             continue
         body_swallows = all(
@@ -530,7 +436,7 @@ def _decorator_call(node: ast.FunctionDef, name: str) -> ast.Call | None:
     for decorator in node.decorator_list:
         if (
             isinstance(decorator, ast.Call)
-            and _dotted(decorator.func) == name
+            and _facts.dotted(decorator.func) == name
         ):
             return decorator
     return None
@@ -543,7 +449,7 @@ def _value_kinds(node: ast.AST | None) -> list[str] | None:
     items = node.elts if isinstance(node, (ast.Tuple, ast.List)) else [node]
     kinds: list[str] = []
     for item in items:
-        dotted = _dotted(item)
+        dotted = _facts.dotted(item)
         if not dotted or not dotted.startswith("ValueType."):
             return None
         kinds.append(dotted.split(".", 1)[1].lower())
@@ -552,8 +458,6 @@ def _value_kinds(node: ast.AST | None) -> list[str] | None:
 
 def _check_row_loops(tree: ast.AST, path: Path, out: list[Violation]) -> None:
     """AL009: Python row loops where the analyzer proves independence."""
-    if _vectorize is None:
-        return
     batch_ops: dict[str, ast.FunctionDef] = {}
     scalar_ops: list[tuple[ast.FunctionDef, str, list[str], str]] = []
     for node in ast.walk(tree):
@@ -593,14 +497,14 @@ def _check_row_loops(tree: ast.AST, path: Path, out: list[Violation]) -> None:
         scalar_ops.append((node, str(name), input_kinds, declared.lower()))
 
     for node, name, input_kinds, output_kind in scalar_ops:
-        findings = _vectorize.analyze_rows(node)
-        verdict = _vectorize.classify(findings, input_kinds, output_kind)
-        if verdict not in _vectorize.BATCHABLE_VERDICTS:
+        findings = _facts.analyze_rows(node)
+        verdict = _facts.classify(findings, input_kinds, output_kind)
+        if verdict not in _facts.BATCHABLE_VERDICTS:
             continue
         if name in batch_ops:
             continue
         for finding in findings:
-            if finding.kind is _vectorize.RowKind.ROW_LOOP:
+            if finding.kind is _facts.RowKind.ROW_LOOP:
                 out.append(Violation(
                     path, finding.line, "AL009",
                     f"{node.name}() iterates rows in Python "
@@ -611,9 +515,9 @@ def _check_row_loops(tree: ast.AST, path: Path, out: list[Violation]) -> None:
                 break
 
     for name, node in sorted(batch_ops.items()):
-        findings = _vectorize.analyze_rows(node)
+        findings = _facts.analyze_rows(node)
         for finding in findings:
-            if finding.kind is _vectorize.RowKind.ROW_LOOP:
+            if finding.kind is _facts.RowKind.ROW_LOOP:
                 out.append(Violation(
                     path, finding.line, "AL009",
                     f"{node.name}() is the batch implementation of "
@@ -628,15 +532,13 @@ def _check_stream_growth(
     tree: ast.AST, path: Path, out: list[Violation]
 ) -> None:
     """AL010: carried-state growth with no eviction in streaming code."""
-    if _streamable is None:
-        return
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             if _decorator_call(node, "register_stream") is None:
                 continue
-            positional = [*node.args.posonlyargs, *node.args.args]
-            seeds = {positional[2].arg} if len(positional) > 2 else {"state"}
-            audit = _streamable.stream_state_audit(node, seeds)
+            audit = _facts.stream_state_audit(
+                node, {_facts.state_arg_name(node)}
+            )
             if audit["growth"] and not audit["eviction"]:
                 line, detail = audit["growth"][0]
                 out.append(Violation(
@@ -653,7 +555,7 @@ def _check_stream_growth(
             }
             if "process_chunk" not in methods:
                 continue
-            audit = _streamable.stream_state_audit(node, {"self"})
+            audit = _facts.stream_state_audit(node, {"self"})
             if audit["growth"] and not audit["eviction"]:
                 line, detail = audit["growth"][0]
                 out.append(Violation(
@@ -668,10 +570,8 @@ def _check_lock_discipline(
     tree: ast.AST, path: Path, out: list[Violation]
 ) -> None:
     """AL011: bare acquire/release; unguarded globals in serving code."""
-    if _concurrency is None:
-        return
-    known = frozenset(_concurrency.module_locks(tree))
-    for line, receiver, method in _concurrency.bare_lock_ops(tree, known):
+    known = frozenset(_facts.module_locks(tree))
+    for line, receiver, method in _facts.bare_lock_ops(tree, known):
         out.append(Violation(
             path, line, "AL011",
             f"bare {receiver}.{method}() -- manual lock pairing leaks "
@@ -679,7 +579,7 @@ def _check_lock_discipline(
         ))
     if "serve" not in path.parts:
         return
-    for line, name, detail in _concurrency.unguarded_module_state(tree):
+    for line, name, detail in _facts.unguarded_module_state(tree):
         out.append(Violation(
             path, line, "AL011",
             f"module global '{name}' in serving code is {detail} -- "
