@@ -55,7 +55,6 @@ from repro.analysis.planner import (
     PlanStage,
     build_matrix_plan,
     build_plan,
-    verify_plan,
 )
 from repro.analysis.safety import (
     EffectReport,
@@ -117,7 +116,6 @@ __all__ = [
     "pass_streamable",
     "pass_vectorize",
     "verdict_fingerprints",
-    "verify_plan",
 ]
 
 

@@ -56,7 +56,6 @@ CODES: dict[str, str] = {
     "L030": "dead template branch pruned by the shared-work planner",
     "L031": "prefix shared structurally but unshareable (stateful closure)",
     "L032": "semantic fingerprint collision",
-    "L033": "plan/template drift (plan no longer matches the catalog)",
     "L034": "loop-carried dependence in an operation declared batchable",
     "L035": "shape mismatch across a template edge",
     "L036": "dtype widening or object-array fallback on a hot path",

@@ -5,10 +5,11 @@ against, the planner canonicalizes every template
 (:mod:`repro.analysis.equivalence`), merges equal-fingerprint nodes
 into shared **stages**, and emits an :class:`ExecutionPlan`: a
 JSON-serializable, topologically ordered list of stages with refcounts
-and static cost estimates.  The engine executes the plan once per
-dataset (:meth:`repro.core.engine.ExecutionEngine.run_plan`) so every
-proven-equivalent featurization prefix materializes exactly once and
-fans out to all consuming algorithms through the shared result cache.
+and static cost estimates.  The plan is a static report: nothing runs.
+The sharing it reports is performed by the engine's result cache
+(:class:`repro.core.engine.ExecutionEngine`), where the first matrix
+cell that computes a proven-equivalent featurization prefix fills the
+entry every later consumer on the same dataset reads.
 
 The merge is also a lint surface.  Planning diagnostics:
 
@@ -19,14 +20,11 @@ The merge is also a lint surface.  Planning diagnostics:
   but cannot be deduplicated because its closure contains a stateful or
   I/O operation;
 * **L032** -- fingerprint collision: two different structures hashed to
-  the same fingerprint (a broken digest -- always an error);
-* **L033** -- plan/template drift: a saved plan no longer matches the
-  catalog's current templates (:func:`verify_plan`).
+  the same fingerprint (a broken digest -- always an error).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import AnalysisResult, Diagnostic, Severity
@@ -43,7 +41,6 @@ __all__ = [
     "build_plan",
     "render_dot",
     "render_plan",
-    "verify_plan",
 ]
 
 #: the output names the benchmark matrix consumes per algorithm
@@ -102,20 +99,6 @@ class PlanStage:
             "purity": self.purity,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PlanStage":
-        return cls(
-            stage_id=payload["stage_id"],
-            func=payload["func"],
-            params=dict(payload["params"]),
-            inputs=tuple(payload["inputs"]),
-            consumers=tuple(payload["consumers"]),
-            refcount=int(payload["refcount"]),
-            cost=float(payload["cost"]),
-            shareable=bool(payload["shareable"]),
-            purity=payload["purity"],
-        )
-
 
 @dataclass
 class ExecutionPlan:
@@ -127,8 +110,6 @@ class ExecutionPlan:
     stages: tuple[PlanStage, ...]
     #: algorithm id -> output name -> stage id
     outputs: dict[str, dict[str, str]]
-    #: algorithm id -> canonical whole-template fingerprint (drift check)
-    template_fingerprints: dict[str, str]
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -142,15 +123,6 @@ class ExecutionPlan:
 
     def stage_map(self) -> dict[str, PlanStage]:
         return {stage.stage_id: stage for stage in self.stages}
-
-    def stages_for(self, algorithms) -> tuple[PlanStage, ...]:
-        """The topo-ordered stage subset the given algorithms need."""
-        wanted = set(algorithms)
-        return tuple(
-            stage
-            for stage in self.stages
-            if wanted & set(stage.consumers)
-        )
 
     def cost_summary(self) -> dict:
         """Static cost of the plan versus the naive unshared matrix."""
@@ -177,9 +149,6 @@ class ExecutionPlan:
                 algorithm: dict(mapping)
                 for algorithm, mapping in sorted(self.outputs.items())
             },
-            "template_fingerprints": dict(
-                sorted(self.template_fingerprints.items())
-            ),
             "diagnostics": [
                 {
                     "code": d.code,
@@ -193,43 +162,6 @@ class ExecutionPlan:
             ],
             "cost_summary": self.cost_summary(),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ExecutionPlan":
-        return cls(
-            algorithms=tuple(payload["algorithms"]),
-            datasets=tuple(payload["datasets"]),
-            pairs=tuple(tuple(pair) for pair in payload["pairs"]),
-            stages=tuple(
-                PlanStage.from_dict(stage) for stage in payload["stages"]
-            ),
-            outputs={
-                algorithm: dict(mapping)
-                for algorithm, mapping in payload["outputs"].items()
-            },
-            template_fingerprints=dict(payload["template_fingerprints"]),
-            diagnostics=[
-                Diagnostic(
-                    code=d["code"],
-                    severity=Severity(d["severity"]),
-                    message=d["message"],
-                    step=d.get("step"),
-                    operation=d.get("operation"),
-                    hint=d.get("hint"),
-                )
-                for d in payload.get("diagnostics", [])
-            ],
-        )
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "ExecutionPlan":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
 
 
 # ----------------------------------------------------------------------
@@ -424,9 +356,6 @@ def build_plan(
         pairs=pairs,
         stages=tuple(ordered),
         outputs=plan_outputs,
-        template_fingerprints={
-            label: graph.fingerprint for label, graph in canon.items()
-        },
         diagnostics=diagnostics,
     )
 
@@ -457,7 +386,6 @@ def build_matrix_plan(
     (feature template + per-unit attack ids).
     """
     from repro.bench.runner import faithful_pairs
-    from repro.datasets import DATASETS
 
     pairs = faithful_pairs(algorithm_ids, dataset_ids, strict=strict)
     algorithms = sorted({algorithm for algorithm, _ in pairs})
@@ -465,66 +393,12 @@ def build_matrix_plan(
         dataset_ids if dataset_ids is not None
         else {dataset for _, dataset in pairs}
     )
-    for dataset_id in datasets:
-        if dataset_id not in DATASETS:
-            raise KeyError(f"unknown dataset id: {dataset_id!r}")
     return build_plan(
         _matrix_templates(algorithms),
         datasets=tuple(datasets),
         pairs=tuple(pairs),
         outputs=MATRIX_OUTPUTS,
     )
-
-
-# ----------------------------------------------------------------------
-# Drift check (L033)
-# ----------------------------------------------------------------------
-
-
-def verify_plan(plan: ExecutionPlan) -> AnalysisResult:
-    """Does the plan still match the catalog's current templates?
-
-    A stale plan must never execute: stage params could silently
-    diverge from what the matrix would compute.  Every mismatch is an
-    **L033** error; :meth:`AnalysisResult.raise_if_errors` makes the
-    refusal one call.
-    """
-    from repro.algorithms import ALGORITHMS
-
-    diagnostics: list[Diagnostic] = []
-    missing = [a for a in plan.algorithms if a not in ALGORITHMS]
-    for algorithm_id in missing:
-        diagnostics.append(
-            Diagnostic(
-                "L033", Severity.ERROR,
-                f"plan references algorithm {algorithm_id!r} which is no "
-                f"longer in the catalog",
-                operation=algorithm_id,
-                hint="rebuild the plan with `repro plan --json --out ...`",
-            )
-        )
-    current = _matrix_templates(
-        [a for a in plan.algorithms if a not in missing]
-    )
-    for algorithm_id, template in current.items():
-        fingerprint = canonicalize(
-            template, outputs=list(MATRIX_OUTPUTS)
-        ).fingerprint
-        recorded = plan.template_fingerprints.get(algorithm_id)
-        if recorded != fingerprint:
-            diagnostics.append(
-                Diagnostic(
-                    "L033", Severity.ERROR,
-                    f"plan/template drift for {algorithm_id!r}: the "
-                    f"catalog template no longer matches the plan "
-                    f"(plan {str(recorded)[:16]}..., "
-                    f"current {fingerprint[:16]}...)",
-                    operation=algorithm_id,
-                    hint="rebuild the plan with `repro plan --json --out "
-                    "...` after template changes",
-                )
-            )
-    return AnalysisResult(diagnostics)
 
 
 # ----------------------------------------------------------------------

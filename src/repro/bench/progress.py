@@ -1,4 +1,4 @@
-"""Live matrix progress: done/total, rates, ETA, failures, sharing.
+"""Live matrix progress: done/total, rates, ETA, failures, cache hits.
 
 A multi-hour benchmark campaign should not run blind until the final
 report.  :class:`MatrixProgress` watches a campaign from inside
@@ -6,8 +6,7 @@ report.  :class:`MatrixProgress` watches a campaign from inside
 or skipped by a resume journal) produces one **progress event** -- a
 JSON-friendly dict with monotonically advancing counts, the measured
 cells/hour, an ETA, and the campaign-scoped deltas of the relevant
-process metrics (retries, cache hit-rate, plan-stage sharing, injected
-faults).
+process metrics (retries, cache hit-rate, injected faults).
 
 Events fan out to sinks, same contract as trace sinks (`emit(dict)`):
 
@@ -54,7 +53,6 @@ class ProgressEvent:
     cells_per_hour: float | None   # measured over executed cells
     eta_seconds: float | None
     cache_hit_rate: float | None   # engine cache, campaign-scoped
-    plan_stages_shared: int
     cell: str                 # the cell that just finished, "A00/F0/F0"
     outcome: str              # "ok" | "failed" | "resumed"
 
@@ -114,7 +112,6 @@ class MatrixProgress:
                 metric_names.FAULTS_INJECTED,
                 metric_names.CACHE_HITS,
                 metric_names.CACHE_MISSES,
-                metric_names.PLAN_STAGES_SHARED,
             )
         }
         self._begun = True
@@ -168,9 +165,6 @@ class MatrixProgress:
             cells_per_hour=rate,
             eta_seconds=eta,
             cache_hit_rate=hits / lookups if lookups else None,
-            plan_stages_shared=int(
-                self._delta(metric_names.PLAN_STAGES_SHARED)
-            ),
             cell=cell,
             outcome=outcome,
         )
@@ -206,8 +200,6 @@ def format_progress(event: dict) -> str:
     hit_rate = event.get("cache_hit_rate")
     if hit_rate is not None:
         parts.append(f"cache {hit_rate:.0%}")
-    if event.get("plan_stages_shared"):
-        parts.append(f"shared={event['plan_stages_shared']}")
     return "  ".join(parts)
 
 

@@ -55,9 +55,20 @@ def faithful_pairs(
     *,
     strict: bool = True,
 ) -> list[tuple[str, str]]:
-    """All (algorithm, dataset) combinations the rule allows."""
+    """All (algorithm, dataset) combinations the rule allows.
+
+    Raises :class:`KeyError` naming the kind and the id of the first
+    requested id that is not registered.
+    """
     algorithms = algorithm_ids or sorted(ALGORITHMS)
     datasets = dataset_ids or sorted(DATASETS)
+    for kind, ids, registry in (
+        ("algorithm", algorithms, ALGORITHMS),
+        ("dataset", datasets, DATASETS),
+    ):
+        for item in ids:
+            if item not in registry:
+                raise KeyError(f"unknown {kind} id: {item!r}")
     pairs = []
     for algorithm_id in algorithms:
         spec = ALGORITHMS[algorithm_id]
@@ -626,7 +637,6 @@ class BenchmarkRunner:
         algorithm_ids: list[str] | None = None,
         dataset_ids: list[str] | None = None,
         *,
-        plan=None,
         keep_going: bool = False,
         checkpoint: str | None = None,
         resume: str | None = None,
@@ -635,23 +645,17 @@ class BenchmarkRunner:
     ) -> ResultStore:
         """Both evaluation modes (the full Section 5 matrix).
 
-        Pass ``plan`` (an :class:`~repro.analysis.planner.ExecutionPlan`)
-        to materialize every proven-shared featurization prefix exactly
-        once per dataset *before* the cells run: the plan's stages prime
-        the engine's shared cache under the same keys the cells compute,
-        so each cell's featurization phase is pure cache fan-out.  With
-        no plan, execution is byte-identical to the classic path.
+        Cells share featurization work through the engine's result
+        cache: the first cell on a dataset computes each proven-shared
+        prefix and every later consumer's lookup is a cache hit.
 
         ``progress`` (a :class:`~repro.bench.progress.MatrixProgress`)
-        gets one event per finished cell; it is begun *before* plan
-        priming so its plan-stage-sharing and cache-hit deltas cover
-        the whole campaign.
+        gets one event per finished cell; it is begun before the first
+        cell so its cache-hit deltas cover the whole campaign.
         """
         cells = self.matrix_cells(algorithm_ids, dataset_ids)
         if progress is not None:
             progress.begin(len(cells))
-        if plan is not None:
-            self.prime_plan(plan, algorithm_ids, dataset_ids)
         return self._run_cells(
             cells,
             keep_going=keep_going,
@@ -660,51 +664,6 @@ class BenchmarkRunner:
             retry_failed=retry_failed,
             progress=progress,
         )
-
-    def prime_plan(
-        self,
-        plan,
-        algorithm_ids: list[str] | None = None,
-        dataset_ids: list[str] | None = None,
-    ) -> None:
-        """Execute a shared-work plan once per dataset it covers.
-
-        Refuses stale or defective plans: the drift check (L033) and
-        the plan's own error diagnostics (e.g. L032 collisions) raise
-        :class:`~repro.core.errors.TemplateDiagnosticError` before any
-        stage runs.
-        """
-        from repro.analysis.planner import verify_plan
-
-        plan.analysis().raise_if_errors()
-        verify_plan(plan).raise_if_errors()
-        want_algorithms = set(algorithm_ids or plan.algorithms)
-        want_datasets = set(dataset_ids or plan.datasets)
-        for dataset_id in plan.datasets:
-            if dataset_id not in want_datasets:
-                continue
-            algorithms = sorted(
-                {
-                    algorithm
-                    for algorithm, dataset in plan.pairs
-                    if dataset == dataset_id and algorithm in want_algorithms
-                }
-            )
-            if not algorithms:
-                continue
-            table = load_dataset(dataset_id)
-            self.engine.run_plan(
-                plan, table, source_token=dataset_id, algorithms=algorithms
-            )
-            METRICS.counter(
-                metric_names.PLAN_DATASETS_PRIMED,
-                "datasets whose shared featurization stages were "
-                "materialized from an execution plan",
-            ).inc()
-            get_tracer().event(
-                "plan.primed", dataset=dataset_id,
-                algorithms=",".join(algorithms),
-            )
 
 
 def evaluate_same_dataset(

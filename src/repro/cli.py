@@ -13,9 +13,9 @@ The operator-facing surface of the benchmarking suite:
 * ``validate`` -- the Section 5.2 validation table;
 * ``profile`` -- per-operation time/memory for one featurization;
 * ``synthesize`` -- the Section 5.4 greedy AM search;
-* ``plan`` -- build, lint, render or verify the shared-work execution
-  plan for the matrix (``--lint``/``--json``/``--dot``/``--strict``;
-  pure static analysis, nothing runs); ``matrix --plan`` executes it;
+* ``plan`` -- report, lint or render the work the matrix shares
+  through the engine's result cache (``--lint``/``--json``/``--dot``/
+  ``--strict``; pure static analysis, nothing runs);
 * ``trace`` -- run any repro command and print its span tree (or
   render a saved ``.jsonl`` trace file);
 * ``metrics`` -- the process metrics registry, optionally after
@@ -96,9 +96,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.bench import BenchmarkRunner, MatrixProgress, TtyProgressRenderer
+    from repro.bench import (
+        BenchmarkRunner,
+        MatrixProgress,
+        TtyProgressRenderer,
+        faithful_pairs,
+    )
     from repro.core.errors import TemplateDiagnosticError
 
+    algorithms = args.algorithms.split(",") if args.algorithms else None
+    datasets = args.datasets.split(",") if args.datasets else None
+    try:
+        faithful_pairs(algorithms, datasets)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     progress = None
     if args.progress or args.progress_file:
         progress = MatrixProgress()
@@ -124,27 +136,11 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         retries=args.retries,
         cell_timeout=args.cell_timeout,
     )
-    algorithms = args.algorithms.split(",") if args.algorithms else None
-    datasets = args.datasets.split(",") if args.datasets else None
-    execution_plan = None
-    if args.plan:
-        from repro.analysis.planner import ExecutionPlan, build_matrix_plan
-
-        try:
-            if args.plan == "auto":
-                execution_plan = build_matrix_plan(algorithms, datasets)
-            else:
-                execution_plan = ExecutionPlan.load(args.plan)
-            execution_plan.analysis().raise_if_errors()
-        except (OSError, ValueError, TemplateDiagnosticError) as exc:
-            print(f"error: bad execution plan: {exc}", file=sys.stderr)
-            return 2
     try:
         try:
             runner.run_matrix(
                 algorithms,
                 datasets,
-                plan=execution_plan,
                 keep_going=args.keep_going,
                 checkpoint=args.checkpoint,
                 resume=args.resume,
@@ -615,31 +611,20 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.analysis.diagnostics import Severity
     from repro.analysis.planner import (
-        ExecutionPlan,
         build_matrix_plan,
         render_dot,
         render_plan,
-        verify_plan,
     )
-    from repro.core.errors import TemplateDiagnosticError
 
     algorithms = args.algorithms.split(",") if args.algorithms else None
     datasets = args.datasets.split(",") if args.datasets else None
     try:
-        if args.verify:
-            plan = ExecutionPlan.load(args.verify)
-        else:
-            plan = build_matrix_plan(algorithms, datasets)
-    except (KeyError, OSError, ValueError, TemplateDiagnosticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        plan = build_matrix_plan(algorithms, datasets)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    diagnostics = list(plan.diagnostics)
-    if args.verify:
-        diagnostics.extend(verify_plan(plan).diagnostics)
+    diagnostics = plan.diagnostics
 
-    if args.out:
-        plan.save(args.out)
-        print(f"plan -> {args.out}", file=sys.stderr)
     if args.json:
         print(json.dumps(plan.to_dict(), indent=2))
     elif args.dot:
@@ -917,11 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(see docs/ROBUSTNESS.md)")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed for the fault plan's firing decisions")
-    p.add_argument("--plan", default=None, metavar="PATH",
-                   help="prime the featurization cache from a shared-work "
-                   "execution plan before running cells: a plan JSON "
-                   "saved by `repro plan --out`, or 'auto' to build one "
-                   "for the requested matrix in-process")
     p.add_argument("--progress", action="store_true",
                    help="live progress on stderr: cells done/total, "
                    "cells/hour, ETA, failures, cache hit-rate")
@@ -1023,24 +1003,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plan",
-        help="build (or verify) the shared-work execution plan for the "
-        "evaluation matrix -- static analysis only, nothing runs")
+        help="report the work the evaluation matrix shares through the "
+        "result cache -- static analysis only, nothing runs")
     p.add_argument("--algorithms", default=None,
                    help="comma-separated ids (default: all)")
     p.add_argument("--datasets", default=None)
     p.add_argument("--lint", action="store_true",
-                   help="print planning diagnostics (L029-L033)")
+                   help="print planning diagnostics (L029-L032)")
     p.add_argument("--strict", action="store_true",
                    help="with --lint: treat warnings as fatal")
     p.add_argument("--json", action="store_true",
                    help="print the plan as JSON instead of a table")
     p.add_argument("--dot", action="store_true",
                    help="print the super-DAG as Graphviz dot")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="save the plan JSON to PATH")
-    p.add_argument("--verify", default=None, metavar="PATH",
-                   help="load a saved plan and check it against the "
-                   "current catalog (L033 drift) instead of building")
     p.set_defaults(fn=_cmd_plan)
 
     p = sub.add_parser(

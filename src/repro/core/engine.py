@@ -25,9 +25,10 @@ whose op is pure or seeded-stochastic, cache keys incorporate the seed
 params of seeded ops, and steps flagged stateful/io are serialized
 after each parallel wave.
 
-Every driver -- :meth:`~ExecutionEngine.run`, its wave scheduler,
-:meth:`~ExecutionEngine.run_plan` and :meth:`StreamSession.process_chunk`
--- executes steps through one core, :meth:`ExecutionEngine._run_step`.
+The three drivers -- :meth:`~ExecutionEngine.run`, its wave scheduler
+and :meth:`StreamSession.process_chunk` (which
+:meth:`~ExecutionEngine.run_stream` loops over) -- execute steps
+through one core, :meth:`ExecutionEngine._run_step`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import PipelineError, TemplateError
-from repro.core.pipeline import OperationCall, Pipeline, SOURCE_NAME
+from repro.core.pipeline import Pipeline, SOURCE_NAME
 from repro.core.profiling import OperationProfile, ProfileReport
 from repro.core.types import ValueType, check_type, infer_type_info
 from repro.net.table import PacketTable
@@ -755,101 +756,6 @@ class ExecutionEngine:
         return StreamSession(
             self, pipeline, outputs=outputs, source_token=source_token
         )
-
-    # ------------------------------------------------------------------
-
-    def run_plan(
-        self,
-        plan,
-        source: PacketTable,
-        *,
-        source_token: str | None = None,
-        algorithms=None,
-    ) -> dict[str, dict[str, Any]]:
-        """Materialize an :class:`~repro.analysis.planner.ExecutionPlan`
-        against one source trace.
-
-        Every *shareable* stage executes exactly once, in the plan's
-        canonical topological order, through the ordinary step machinery
-        -- so each result lands in the shared cache under the exact key
-        a subsequent :meth:`run` of any consuming template would
-        compute, and the whole matrix fans out from one materialization
-        per (stage, dataset).  Stages the effect analyzer could not
-        prove pure or seeded are skipped (each consumer re-runs them
-        privately, same as the unplanned path).
-
-        Returns ``{algorithm: {output name: value}}`` for the requested
-        ``algorithms`` (default: all of the plan's), restricted to
-        outputs whose stage actually executed.
-        """
-        from repro.core.operations import OPERATIONS
-
-        wanted = list(algorithms) if algorithms is not None else list(
-            plan.algorithms
-        )
-        stages = plan.stages_for(wanted)
-        token, env, keys = self._prologue(source, source_token)
-        report = ProfileReport()
-        tracer = get_tracer()
-        executed = shared = 0
-        with tracer.span(
-            "plan",
-            source=token,
-            stages=len(stages),
-            algorithms=",".join(wanted),
-        ) as plan_span:
-            for position, stage in enumerate(stages):
-                if not stage.shareable:
-                    continue
-                if any(
-                    name != SOURCE_NAME and name not in env
-                    for name in stage.inputs
-                ):
-                    continue  # upstream stage was skipped as unshareable
-                operation = OPERATIONS.get(stage.func)
-                if operation is None:
-                    raise PipelineError(
-                        stage.func, position,
-                        KeyError(
-                            f"plan stage references unknown operation "
-                            f"{stage.func!r}; rebuild the plan"
-                        ),
-                    )
-                call = OperationCall(
-                    operation=operation,
-                    inputs=tuple(stage.inputs),
-                    output=stage.stage_id,
-                    params=dict(stage.params),
-                )
-                self._run_step(
-                    position, call, env, keys, report, plan_span,
-                    span_attrs={
-                        "plan_stage": stage.stage_id,
-                        "dedup_hits": stage.refcount - 1,
-                    },
-                )
-                executed += 1
-                METRICS.counter(
-                    metric_names.PLAN_STAGES_EXECUTED,
-                    "plan stages materialized by run_plan",
-                ).inc()
-                if stage.shared:
-                    shared += 1
-                    METRICS.counter(
-                        metric_names.PLAN_STAGES_SHARED,
-                        "plan stages shared by more than one consumer "
-                        "and materialized once",
-                    ).inc()
-            plan_span.set("executed", executed)
-            plan_span.set("shared", shared)
-        return {
-            algorithm: {
-                name: env[stage_id]
-                for name, stage_id in plan.outputs.get(algorithm, {}).items()
-                if stage_id in env
-            }
-            for algorithm in wanted
-        }
 
     # ------------------------------------------------------------------
 

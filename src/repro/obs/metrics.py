@@ -6,7 +6,7 @@ answer "what has the *process* done so far" -- cache hit-rates across a
 whole evaluation matrix, packets generated while building datasets,
 steps actually executed versus served from cache.  Every engine driver
 runs its steps through one core, so streamed chunk steps count into
-``engine_steps_executed_total`` beside batch, parallel and planned ones.
+``engine_steps_executed_total`` beside batch and parallel ones.
 
 Everything here is stdlib-only and thread-safe: the engine increments
 counters from pool threads in parallel mode, and every read
@@ -56,9 +56,6 @@ EVALUATIONS_FAILED = "bench_evaluations_failed_total"
 EVALUATIONS_RETRIED = "bench_evaluations_retried_total"
 EVALUATIONS_RESUMED = "bench_evaluations_resumed_total"
 EVALUATION_TIMEOUTS = "bench_evaluation_timeouts_total"
-PLAN_STAGES_EXECUTED = "engine_plan_stages_executed_total"
-PLAN_STAGES_SHARED = "engine_plan_stages_shared_total"
-PLAN_DATASETS_PRIMED = "bench_plan_datasets_primed_total"
 CACHE_CORRUPT = "engine_cache_corrupt_total"
 CACHE_WRITE_ERRORS = "engine_cache_write_errors_total"
 FAULTS_INJECTED = "faults_injected_total"

@@ -140,8 +140,7 @@ class TestTtyRenderer:
             "failed": 0, "resumed": 0, "retried": 0,
             "faults_injected": 0, "elapsed_seconds": 1.0,
             "cells_per_hour": 3600.0, "eta_seconds": 3.0,
-            "cache_hit_rate": None, "plan_stages_shared": 0,
-            "cell": "A14/F0/F0", "outcome": "ok",
+            "cache_hit_rate": None, "cell": "A14/F0/F0", "outcome": "ok",
         }
         base.update(overrides)
         return base

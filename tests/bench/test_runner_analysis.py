@@ -14,8 +14,10 @@ from repro.bench import (
     train_test_median_matrix,
 )
 from repro.bench.analysis import algorithms_below, asymmetry_pairs, no_single_best
+from repro.core import ExecutionEngine
 from repro.datasets import DATASETS
 from repro.flows import Granularity
+from repro.obs import RingBufferSink, get_tracer
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +48,46 @@ class TestFaithfulPairs:
             runner.evaluate("A14", "P0", "P0")
         with pytest.raises(ValueError, match="unfaithful"):
             runner.evaluate("A06", "F0", "P0")
+
+    @pytest.mark.parametrize("algorithms, datasets, message", [
+        (["NOPE"], ["F0"], "unknown algorithm id: 'NOPE'"),
+        (["A14"], ["NOPE"], "unknown dataset id: 'NOPE'"),
+    ], ids=["algorithm", "dataset"])
+    def test_unknown_id_names_kind_and_id(self, algorithms, datasets,
+                                          message):
+        with pytest.raises(KeyError) as info:
+            faithful_pairs(algorithms, datasets)
+        assert info.value.args == (message,)
+
+
+class TestSharedWork:
+    def test_shared_prefix_computed_once_per_dataset(self):
+        """The result cache runs each shared featurization prefix once
+        per dataset; every later cell's lookup is a cache hit."""
+        ExecutionEngine.shared_cache.clear()
+        sink = RingBufferSink(capacity=None)
+        tracer = get_tracer()
+        tracer.add_sink(sink)
+        try:
+            store = BenchmarkRunner().run_matrix(["A13", "A14"], ["F0", "F1"])
+        finally:
+            tracer.remove_sink(sink)
+            ExecutionEngine.shared_cache.clear()
+        assert len(store.results) == 8 and not store.failures
+        spans = {
+            e["span_id"]: e for e in sink.events() if e["kind"] == "span"
+        }
+
+        def dataset_of(span):
+            while span["name"] != "featurize":
+                span = spans[span["parent_id"]]
+            return span["attrs"]["dataset"]
+
+        groupby = [s for s in spans.values() if s["name"] == "step:Groupby"]
+        fresh = [s for s in groupby if not s["attrs"].get("cached")]
+        assert sorted(dataset_of(s) for s in fresh) == ["F0", "F1"]
+        # later cells still request the prefix; each lookup is a hit
+        assert len(groupby) > len(fresh)
 
 
 class TestRunner:

@@ -1,7 +1,7 @@
-"""Differential test of the engine's four drivers.
+"""Differential test of the engine's three drivers.
 
-``run``, ``run(parallel=True)``, ``run_stream`` and ``run_plan`` all
-execute steps through one step core, so over the same time-ordered
+``run``, ``run(parallel=True)`` and ``run_stream`` all execute steps
+through one step core, so over the same time-ordered
 trace they must produce byte-equal outputs for every stock template --
 at any chunk size for the templates the streaming analyzer admits.
 Stream steps must also leave the shared result cache untouched: a
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import algorithm_ids, build_algorithm
-from repro.analysis.planner import build_plan
 from repro.core import ExecutionEngine, Pipeline
 from repro.serve.daemon import DEFAULT_TEMPLATE
 
@@ -53,17 +52,13 @@ STREAMABLE = {"serve-default"}
 
 
 @pytest.mark.parametrize("label", sorted(STOCK))
-def test_four_drivers_agree(ordered, label):
+def test_drivers_agree(ordered, label):
     template = STOCK[label]
     pipeline = Pipeline.from_template(template)
     reference = engine().run(pipeline, ordered, outputs=OUTPUTS)
 
     parallel = engine(parallel=True).run(pipeline, ordered, outputs=OUTPUTS)
     assert_byte_equal(parallel, reference, f"{label} parallel")
-
-    plan = build_plan({label: template}, outputs=tuple(OUTPUTS))
-    planned = engine().run_plan(plan, ordered)[label]
-    assert_byte_equal(planned, reference, f"{label} plan")
 
     refused = engine().open_stream(pipeline, outputs=OUTPUTS).refusals
     assert bool(refused) == (label not in STREAMABLE), refused

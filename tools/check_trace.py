@@ -9,9 +9,8 @@ trace id), that the file contains at least one span, and that every
 ``step:*`` span carries the resource attributes the engine's
 :class:`ResourceProbe` attaches (cpu_seconds, rss_peak_bytes,
 gc_collections; alloc_bytes/alloc_peak_bytes when memory tracking was
-on), wherever it hangs: under ``run``, ``wave``, ``plan`` or
-``stream_chunk``, since every engine driver runs steps through one
-core.  ``run_stream`` spans must carry either a non-empty
+on), wherever it hangs: under ``run``, ``wave`` or ``stream_chunk``,
+since every engine driver runs steps through one core.  ``run_stream`` spans must carry either a non-empty
 ``stream_refused`` reason or a ``chunks`` count, and every
 ``stream_chunk`` span must carry its chunk index and the carried-state
 byte measurement.  The serve daemon's spans are validated too: a
@@ -80,7 +79,6 @@ _PROGRESS_FIELDS = {
     "retried": int,
     "faults_injected": int,
     "elapsed_seconds": _NUMBER,
-    "plan_stages_shared": int,
     "cell": str,
     "outcome": str,
 }
