@@ -3,11 +3,9 @@
 Covers the Section 3.2 engine claims:
 * the execution engine reports time/memory per operation;
 * intermediate-result sharing makes repeated featurization ~free;
-* dead-value elimination bounds the live environment;
-* the dataflow-parallel mode matches serial results.
+* dead-value elimination bounds the live environment.
 """
 
-import numpy as np
 import pytest
 
 from bench_common import save_artifact
@@ -83,27 +81,3 @@ def test_profile_report_artifact(pipeline, table):
     hotspots = report.hotspots(top=1)
     assert hotspots[0].operation in {"Groupby", "TimeSlice", "ApplyAggregates"}
 
-
-def test_parallel_mode_matches_serial(table, benchmark):
-    template = [
-        {"func": "Groupby", "input": None, "output": "flows",
-         "flowid": ["connection"]},
-        {"func": "ApplyAggregates", "input": ["flows"], "output": "A",
-         "list": ["count", "duration", "mean:length", "std:length"]},
-        {"func": "FirstNPackets", "input": ["flows"], "output": "B", "n": 4},
-        {"func": "ZeekConnLog", "input": ["flows"], "output": "C"},
-        {"func": "ConcatFeatures", "input": ["A", "B"], "output": "AB"},
-        {"func": "ConcatFeatures", "input": ["AB", "C"], "output": "X"},
-    ]
-    pipeline = Pipeline.from_template(template)
-    serial = ExecutionEngine(use_cache=False, track_memory=False).run(
-        pipeline, table, outputs=["X"]
-    )
-    parallel_engine = ExecutionEngine(
-        use_cache=False, parallel=True, track_memory=False
-    )
-
-    parallel = benchmark(
-        parallel_engine.run, pipeline, table, outputs=["X"]
-    )
-    assert np.array_equal(serial["X"], parallel["X"])

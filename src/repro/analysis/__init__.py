@@ -40,7 +40,6 @@ from repro.analysis.concurrency import (
     audit_concurrency,
     module_concurrency_report,
     operation_concurrency_report,
-    pass_concurrency,
 )
 from repro.analysis.faithfulness import pass_faithfulness
 from repro.analysis.graph import (
@@ -111,7 +110,6 @@ __all__ = [
     "operation_report",
     "operation_stream_report",
     "operation_vector_report",
-    "pass_concurrency",
     "pass_effects",
     "pass_streamable",
     "pass_vectorize",
@@ -132,7 +130,6 @@ def _run_passes(
     pass_effects(graph, diagnostics)
     pass_vectorize(graph, diagnostics)
     pass_streamable(graph, diagnostics)
-    pass_concurrency(graph, diagnostics)
     if dataset_id is not None:
         pass_faithfulness(graph, diagnostics, dataset_id)
     return AnalysisResult(diagnostics)

@@ -1,4 +1,4 @@
-"""Concurrency safety: shared state and lock discipline (L049-L056).
+"""Concurrency safety: shared state and lock discipline (L049-L053, L056).
 
 The vectorization and streaming analyzers prove which operations are
 safe to batch and to stream; this module proves which are safe to run
@@ -17,15 +17,16 @@ core-module global into one of four verdicts:
     one ``threading.Lock`` that guards that state;
 ``read-only-shared``
     reads mutable module state but never writes it -- safe to run
-    concurrently as long as every *writer* of that state is refused;
+    concurrently as long as no *writer* of that state is racy, which
+    ``repro audit --strict`` enforces;
 ``racy``
     unguarded or inconsistently guarded shared mutation, carried
     state escaping its session, or a thread-hostile callee.
 
 Lock-order cycles mark deadlock potential.  The verdicts audit code
 before it is shared across threads; no runtime mode is gated on them
-(the parallel engine's wave hold-back reads the effect analyzer's
-``parallel_safe`` verdict instead).
+-- the engine runs a pipeline's steps one after another on the
+caller's thread, and ``repro audit --strict`` is the only consumer.
 
 Soundness boundary: the analysis is intraprocedural over each
 operation body plus its module context -- callees are not chased
@@ -64,13 +65,11 @@ __all__ = [
     "LOCK_GUARDED",
     "READ_ONLY_SHARED",
     "RACY",
-    "CONCURRENT_SAFE_VERDICTS",
     "classify_shared",
     "ConcurrencyReport",
     "operation_concurrency_report",
     "module_concurrency_report",
     "audit_concurrency",
-    "pass_concurrency",
     "CORE_MODULES",
 ]
 
@@ -79,13 +78,6 @@ SESSION_CONFINED = "session-confined"
 LOCK_GUARDED = "lock-guarded"
 READ_ONLY_SHARED = "read-only-shared"
 RACY = "racy"
-
-#: verdicts a concurrent caller may admit.  ``read-only-shared`` is
-#: safe *because* every racy writer is refused: with all writers
-#: refused, concurrent readers observe a frozen value.
-CONCURRENT_SAFE_VERDICTS = frozenset(
-    {SESSION_CONFINED, LOCK_GUARDED, READ_ONLY_SHARED}
-)
 
 
 def classify_shared(sites) -> dict:
@@ -143,7 +135,6 @@ class ConcurrencyReport:
 
     operation: str
     verdict: str
-    declared: str | None = None
     shared_reads: tuple = ()  # global names read
     shared_writes: tuple = ()  # (name, line, guard-or-"")
     guards: tuple = ()  # lock keys guarding writes
@@ -152,12 +143,6 @@ class ConcurrencyReport:
     cycles: tuple = ()  # lock-order cycles
     bare_locks: tuple = ()  # (line, receiver, method)
     diagnostics: tuple = ()
-    refusal: str | None = None
-
-    @property
-    def concurrent_safe(self) -> bool:
-        """Whether the gate admits this operation (refusal is None)."""
-        return self.refusal is None
 
     def codes(self) -> set:
         return {d.code for d in self.diagnostics}
@@ -166,8 +151,6 @@ class ConcurrencyReport:
         return {
             "operation": self.operation,
             "verdict": self.verdict,
-            "declared": self.declared,
-            "concurrent_safe": self.concurrent_safe,
             "shared_reads": list(self.shared_reads),
             "shared_writes": [list(w) for w in self.shared_writes],
             "guards": list(self.guards),
@@ -176,7 +159,6 @@ class ConcurrencyReport:
             "cycles": [list(c) for c in self.cycles],
             "bare_locks": [list(b) for b in self.bare_locks],
             "diagnostics": [str(d) for d in self.diagnostics],
-            "refusal": self.refusal,
         }
 
 
@@ -300,31 +282,9 @@ def _report(operation) -> ConcurrencyReport:
     else:
         verdict = SESSION_CONFINED
 
-    declared = getattr(operation, "concurrency", None)
-    if declared is not None and declared != verdict:
-        diagnostics.append(
-            Diagnostic(
-                "L054",
-                Severity.ERROR,
-                f"declared concurrency={declared!r} but analysis infers"
-                f" {verdict!r}",
-                operation=operation.name,
-                hint="fix the declaration or the implementation",
-            )
-        )
-
-    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    if verdict not in CONCURRENT_SAFE_VERDICTS:
-        refusal = f"verdict:{verdict}"
-    elif errors:
-        refusal = f"diagnostics:{errors[0].code}"
-    else:
-        refusal = None
-
     return ConcurrencyReport(
         operation=operation.name,
         verdict=verdict,
-        declared=declared,
         shared_reads=tuple(sorted(reads)),
         shared_writes=tuple(
             (s.name, s.line, ";".join(s.guards)) for s in write_sites
@@ -335,7 +295,6 @@ def _report(operation) -> ConcurrencyReport:
         cycles=tuple(tuple(c) for c in cycles),
         bare_locks=tuple(sorted(set(bare))),
         diagnostics=tuple(diagnostics),
-        refusal=refusal,
     )
 
 
@@ -346,7 +305,6 @@ def operation_concurrency_report(operation) -> ConcurrencyReport:
             "races", operation.name, operation.fn,
             getattr(operation, "batch", None),
             getattr(operation, "stream_fn", None),
-            getattr(operation, "concurrency", None),
         ),
         lambda: _report(operation),
     )
@@ -476,8 +434,6 @@ def audit_concurrency(operations=None, modules=CORE_MODULES) -> dict:
     module_reports = [module_concurrency_report(name) for name in modules]
     summary = {
         "total": len(op_reports),
-        "concurrent_safe": sum(1 for r in op_reports if r.concurrent_safe),
-        "declared": sum(1 for r in op_reports if r.declared is not None),
         "errors": sum(
             sum(1 for d in r.diagnostics if d.severity.value == "error")
             for r in op_reports
@@ -503,33 +459,3 @@ def audit_concurrency(operations=None, modules=CORE_MODULES) -> dict:
         "summary": summary,
     }
 
-
-def pass_concurrency(graph, diagnostics) -> None:
-    """Template pass: surface per-step concurrency refusals (L055).
-
-    A template whose steps are all concurrent-safe except one is worth
-    a warning -- that one step alone keeps the template from being
-    shared across threads.  Purely advisory.
-    """
-    reports = []
-    for node in graph.nodes:
-        if node.operation is None:
-            return  # earlier passes already errored
-        reports.append((node, operation_concurrency_report(node.operation)))
-    unsafe = [(node, r) for node, r in reports if not r.concurrent_safe]
-    if not unsafe or len(unsafe) == len(reports):
-        return
-    for node, report in unsafe:
-        diagnostics.append(
-            Diagnostic(
-                "L055",
-                Severity.WARNING,
-                f"step {node.index} ({node.func}) is racy and pins this"
-                " otherwise concurrent-safe template to one thread"
-                f" ({report.refusal})",
-                step=node.index,
-                operation=node.func,
-                hint="make the operation session-confined or lock-guarded"
-                " so the whole template is concurrent-safe",
-            )
-        )

@@ -51,7 +51,7 @@ CODES: dict[str, str] = {
     "L025": "operation RNG seed is not threaded through params",
     "L026": "operation performs file or process I/O",
     "L027": "operation source unavailable for effect analysis",
-    "L028": "step uses an operation the engine cannot cache or parallelize",
+    "L028": "step uses an operation the engine cannot cache",
     "L029": "near-duplicate steps differing only by redundant params",
     "L030": "dead template branch pruned by the shared-work planner",
     "L031": "prefix shared structurally but unshareable (stateful closure)",
@@ -76,8 +76,6 @@ CODES: dict[str, str] = {
     "L051": "lock-acquisition cycle (deadlock potential)",
     "L052": "carried stream state escapes its session",
     "L053": "bare acquire()/release() instead of a with block",
-    "L054": "concurrency verdict/declaration drift",
-    "L055": "racy operation pinning a concurrent-safe template",
     "L056": "thread-hostile callee (process-global side effect)",
 }
 

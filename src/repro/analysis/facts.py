@@ -1,9 +1,11 @@
 """The facts layer: every AST walk the operation analyzers share.
 
-Four analyzers decide, per registered operation, what the engine may
-do with it: :mod:`~repro.analysis.safety` (cache and parallelize),
-:mod:`~repro.analysis.vectorize` (batch), :mod:`~repro.analysis.streamable`
-(stream) and :mod:`~repro.analysis.concurrency` (share across threads).
+Four analyzers judge every registered operation: three decide what
+the engine may do with it -- :mod:`~repro.analysis.safety` (cache),
+:mod:`~repro.analysis.vectorize` (batch) and
+:mod:`~repro.analysis.streamable` (stream) -- and
+:mod:`~repro.analysis.concurrency` audits whether it could be shared
+across threads.
 They read the same function bodies, so this module recovers each body
 once, walks it once per question, and hands the analyzers a frozen
 :class:`BodyFacts` record:

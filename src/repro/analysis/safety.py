@@ -1,4 +1,4 @@
-"""Purity and parallel safety of registered operations (L021--L028).
+"""Purity of registered operations (L021--L028).
 
 Reads the effect findings of each operation body from
 :mod:`repro.analysis.facts` -- the AST effect walk over the recovered
@@ -8,11 +8,10 @@ closure cells the AST cannot see -- and publishes an
 L021--L027.
 
 The engine consults these reports to decide, per step, whether the
-result cache may memoize the output and whether the parallel wave
-scheduler may run the step concurrently; ``repro audit`` renders the
-same reports for humans and CI.  ``pass_effects`` is the template-level
-bridge: it warns (L028) on steps whose operation the engine will
-neither cache nor parallelize.
+result cache may memoize the output; ``repro audit`` renders the same
+reports for humans and CI.  ``pass_effects`` is the template-level
+bridge: it warns (L028) on steps whose operation the engine will not
+cache.
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ class EffectReport:
         """May the result cache memoize this op's output?"""
         return self.purity in (PURE, SEEDED)
 
-    @property
-    def parallel_safe(self) -> bool:
-        """May the wave scheduler run this op concurrently?"""
-        return self.purity in (PURE, SEEDED)
-
     def codes(self) -> tuple:
         return tuple(sorted({d.code for d in self.diagnostics}))
 
@@ -88,7 +82,6 @@ class EffectReport:
             "operation": self.operation,
             "purity": self.purity,
             "cacheable": self.cacheable,
-            "parallel_safe": self.parallel_safe,
             "seed_params": sorted(self.seed_params),
             "codes": list(self.codes()),
             "findings": sorted(
@@ -170,7 +163,7 @@ def pass_effects(graph, diagnostics) -> None:
         if node.operation is None:
             continue
         report = operation_report(node.operation)
-        if report.cacheable and report.parallel_safe:
+        if report.cacheable:
             continue
         codes = ", ".join(report.codes()) or "no findings"
         diagnostics.append(
@@ -179,8 +172,7 @@ def pass_effects(graph, diagnostics) -> None:
                 severity=Severity.WARNING,
                 message=(
                     f"operation implementation is {report.purity} ({codes}):"
-                    " the engine will not cache this step and will serialize"
-                    " it in parallel mode"
+                    " the engine will not cache this step"
                 ),
                 step=node.index,
                 operation=node.func,

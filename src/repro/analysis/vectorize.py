@@ -1,7 +1,7 @@
 """Vectorization safety: which operations may run batched (L034-L040).
 
 The effect analyzer (:mod:`repro.analysis.safety`) proves which
-operations are safe to *cache* and *parallelize*; this module proves
+operations are safe to *cache*; this module proves
 which are safe to *batch*.  It reads the row findings of every body
 from :mod:`repro.analysis.facts` and classifies each operation's
 per-row behaviour:

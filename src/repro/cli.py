@@ -414,7 +414,7 @@ def _codes(op: dict) -> str:
 def _print_effects(section: dict, verbose: bool) -> None:
     header = (
         f"{'operation':<22} {'purity':<18} {'cache':<6} "
-        f"{'parallel':<9} {'seeds':<12} codes"
+        f"{'seeds':<12} codes"
     )
     print(header)
     print("-" * len(header))
@@ -422,7 +422,6 @@ def _print_effects(section: dict, verbose: bool) -> None:
         print(
             f"{op['operation']:<22} {op['purity']:<18} "
             f"{'yes' if op['cacheable'] else 'NO':<6} "
-            f"{'yes' if op['parallel_safe'] else 'NO':<9} "
             f"{','.join(op['seed_params']) or '-':<12} "
             f"{','.join(op['codes']) or '-'}"
         )
@@ -497,19 +496,11 @@ def _print_streamable(section: dict, verbose: bool) -> None:
 
 
 def _print_races(section: dict, verbose: bool) -> None:
-    header = (
-        f"{'operation':<22} {'verdict':<18} {'declared':<18} "
-        f"{'safe':<5} codes"
-    )
+    header = f"{'operation':<22} {'verdict':<18} codes"
     print(header)
     print("-" * len(header))
     for op in section["operations"]:
-        print(
-            f"{op['operation']:<22} {op['verdict']:<18} "
-            f"{op['declared'] or '-':<18} "
-            f"{'yes' if op['concurrent_safe'] else 'NO':<5} "
-            f"{_codes(op)}"
-        )
+        print(f"{op['operation']:<22} {op['verdict']:<18} {_codes(op)}")
         if verbose:
             for name, line, guards in op["shared_writes"]:
                 held = f" (under {guards})" if guards else ""
@@ -518,8 +509,6 @@ def _print_races(section: dict, verbose: bool) -> None:
                 print(f"    line {line}: state escape -- {detail}")
             for line, dotted in op["hostile"]:
                 print(f"    line {line}: hostile call -- {dotted}")
-            if op["refusal"]:
-                print(f"    refusal: {op['refusal']}")
     print()
     header = f"{'module':<34} {'verdict':<18} cycles codes"
     print(header)
@@ -544,7 +533,6 @@ def _print_races(section: dict, verbose: bool) -> None:
         f"{summary['read_only_shared']} read-only-shared, "
         f"{summary['racy']} racy, "
         f"{summary['opaque']} opaque; "
-        f"{summary['concurrent_safe']} concurrent-safe; "
         f"{summary['racy_modules']} racy module(s), "
         f"{summary['module_cycles']} lock cycle(s)"
     )
@@ -569,7 +557,7 @@ def _strict_problems(payload: dict) -> list:
         ("streamable", "errors",
          "drift/state-bound error(s) (L041/L042/L045/L047/L048)"),
         ("streamable", "opaque", "opaque verdict(s)"),
-        ("races", "errors", "concurrency error(s) (L049-L052/L054/L056)"),
+        ("races", "errors", "concurrency error(s) (L049-L052/L056)"),
         ("races", "racy", "racy operation(s)"),
         ("races", "racy_modules", "racy module(s)"),
         ("races", "module_cycles", "lock cycle(s)"),
@@ -591,7 +579,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print(text)
     else:
         sections = (
-            ("effects", "purity, caching and parallel safety", _print_effects),
+            ("effects", "purity and caching", _print_effects),
             ("vectorize", "row dependence and batching", _print_vectorize),
             ("streamable", "incrementality and state bounds",
              _print_streamable),
@@ -700,10 +688,7 @@ def _cmd_run_template(args: argparse.Namespace) -> int:
     from repro.datasets import load_dataset
 
     pipeline = load_pipeline(args.template)
-    engine = ExecutionEngine(
-        parallel=args.parallel is not None,
-        max_workers=args.parallel or 4,
-    )
+    engine = ExecutionEngine()
     out = engine.run(pipeline, load_dataset(args.dataset))
     for name, value in out.items():
         print(f"{name}: {value}")
@@ -995,9 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="validate and run a template file")
     p.add_argument("template")
     p.add_argument("dataset")
-    p.add_argument("--parallel", type=int, default=None, metavar="N",
-                   help="execute independent steps concurrently with "
-                   "N workers (stateful-flagged ops are serialized)")
     _add_trace_flag(p)
     p.set_defaults(fn=_cmd_run_template)
 

@@ -14,19 +14,16 @@ adding the three services the paper describes:
   A01-A04 pay for header-bit extraction once, and every
   connection-level algorithm shares one Groupby per dataset.
 
-The engine can also execute independent steps concurrently
-(``parallel=True``): steps whose inputs are all available run in one
-thread pool wave, which is the map-reduce shape the paper exploits with
-Ray.  Results are identical either way because operations are pure --
-and the engine *proves* that instead of assuming it: every operation's
+Sharing a result is only sound for a pure operation -- and the engine
+*proves* purity instead of assuming it: every operation's
 implementation is classified by the effect analyzer
 (:mod:`repro.analysis.safety`), the result cache only memoizes steps
-whose op is pure or seeded-stochastic, cache keys incorporate the seed
-params of seeded ops, and steps flagged stateful/io are serialized
-after each parallel wave.
+whose op is pure or seeded-stochastic, and cache keys incorporate the
+seed params of seeded ops.  Steps run one after another on the
+caller's thread.
 
-The three drivers -- :meth:`~ExecutionEngine.run`, its wave scheduler
-and :meth:`StreamSession.process_chunk` (which
+The two drivers -- :meth:`~ExecutionEngine.run` and
+:meth:`StreamSession.process_chunk` (which
 :meth:`~ExecutionEngine.run_stream` loops over) -- execute steps
 through one core, :meth:`ExecutionEngine._run_step`.
 """
@@ -39,7 +36,6 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -199,8 +195,8 @@ class _ResultCache:
         self.max_entries = max_entries
         self.disk_dir = disk_dir or os.environ.get("REPRO_DISK_CACHE")
         self._store: OrderedDict[str, Any] = OrderedDict()
-        # one lock covers the LRU dict and the stat counters: parallel
-        # mode calls get/put from pool threads
+        # one lock covers the LRU dict and the stat counters: the cache
+        # is class-level, so engines on different threads share it
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -595,18 +591,11 @@ class ExecutionEngine:
         self,
         *,
         use_cache: bool = True,
-        parallel: bool = False,
-        max_workers: int = 4,
         track_memory: bool = True,
         vectorize: bool = True,
     ) -> None:
         self.use_cache = use_cache
-        self.parallel = parallel
-        self.max_workers = max_workers
-        # tracemalloc state is process-global: per-step allocation
-        # tracking is meaningless (and racy) once pool threads share it,
-        # so a parallel engine never tracks allocations
-        self.track_memory = track_memory and not parallel
+        self.track_memory = track_memory
         # batched execution stays verdict-gated even when enabled: the
         # engine only swaps in an op's batch= body when the analyzer
         # proves it elementwise/row-parallel (see _vector_refusal)
@@ -654,20 +643,12 @@ class ExecutionEngine:
             "run",
             source=token,
             steps=len(pipeline.calls),
-            parallel=self.parallel,
             outputs=",".join(wanted),
         ) as run_span:
             run_probe = ResourceProbe(cpu="process").start()
-            if self.parallel:
-                self._run_waves(pipeline, env, keys, report, run_span)
-                # wave mode frees memory after the last wave, not per step
-                self._collect_garbage(
-                    len(pipeline.calls) - 1, env, last_use, wanted
-                )
-            else:
-                for index, call in enumerate(pipeline.calls):
-                    self._run_step(index, call, env, keys, report)
-                    self._collect_garbage(index, env, last_use, wanted)
+            for index, call in enumerate(pipeline.calls):
+                self._run_step(index, call, env, keys, report)
+                self._collect_garbage(index, env, last_use, wanted)
             run_span.set("cached_steps",
                          sum(1 for p in report.profiles if p.cached))
             run_probe.finish(run_span)
@@ -807,7 +788,7 @@ class ExecutionEngine:
 
     def _run_step(
         self, index, call, env, keys=None, report=None, parent=None, *,
-        state=None, span_attrs=None,
+        state=None,
     ) -> None:
         """Execute one step: the core every driver shares.
 
@@ -838,7 +819,7 @@ class ExecutionEngine:
             )
         cacheable = cache_typed and safety.cacheable
         with get_tracer().span(
-            f"step:{call.name}", parent=parent, **attrs, **(span_attrs or {})
+            f"step:{call.name}", parent=parent, **attrs
         ) as span:
             # the probe covers the whole step -- cache lookups included,
             # since a lookup still spends CPU the trace should account
@@ -907,69 +888,3 @@ class ExecutionEngine:
         for name, last in list(last_use.items()):
             if last == index and name not in wanted and name != SOURCE_NAME:
                 env.pop(name, None)
-
-    # ------------------------------------------------------------------
-
-    def _run_waves(self, pipeline, env, keys, report, run_span) -> None:
-        """Execute in dataflow waves: each wave runs every step whose
-        inputs are already available, concurrently.
-
-        Steps whose operation the effect analyzer could not prove
-        parallel-safe are held back from the pool and run serially on
-        this thread *after* the wave's concurrent batch has drained, so
-        a stateful op never overlaps any other step.
-        """
-        tracer = get_tracer()
-        pending = list(enumerate(pipeline.calls))
-        wave_index = 0
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            while pending:
-                ready = [
-                    (index, call)
-                    for index, call in pending
-                    if all(name in env for name in call.inputs)
-                ]
-                if not ready:
-                    names = [call.output for _, call in pending]
-                    raise PipelineError(
-                        names[0], pending[0][0],
-                        RuntimeError("dataflow deadlock (cyclic inputs?)"),
-                    )
-                concurrent = [
-                    item for item in ready
-                    if _operation_report(item[1].operation).parallel_safe
-                ]
-                serial = [item for item in ready if item not in concurrent]
-                with tracer.span(
-                    "wave", parent=run_span,
-                    wave=wave_index, size=len(ready),
-                    workers=min(self.max_workers, max(len(concurrent), 1)),
-                    serialized=len(serial),
-                ) as wave_span:
-                    # pool threads do the work: process CPU is the
-                    # honest unit for the wave as a whole
-                    wave_probe = ResourceProbe(cpu="process").start()
-                    futures = [
-                        pool.submit(self._run_step, index, call, env, keys,
-                                    report, wave_span)
-                        for index, call in concurrent
-                    ]
-                    for future in futures:
-                        future.result()
-                    for index, call in serial:
-                        self._run_step(
-                            index, call, env, keys, report, wave_span,
-                            span_attrs={"serialized": True},
-                        )
-                        METRICS.counter(
-                            metric_names.STEPS_SERIALIZED,
-                            "steps run serially in parallel mode because"
-                            " their operation is not proven parallel-safe",
-                        ).inc()
-                    wave_probe.finish(wave_span)
-                # pool threads append profiles in completion order;
-                # keep the report deterministic across runs
-                report.profiles.sort(key=lambda p: p.step)
-                done = {index for index, _ in ready}
-                pending = [item for item in pending if item[0] not in done]
-                wave_index += 1

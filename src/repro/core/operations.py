@@ -76,11 +76,6 @@ STREAM_CLASSES = ("stateless", "prefix-mergeable", "window-bounded",
 #: symbolic carried-state budgets accepted by ``state_bound=``
 STATE_BOUNDS = ("O(1)", "O(window)", "O(flows)", "O(n)")
 
-#: concurrency classes accepted by ``register_operation(concurrency=...)``
-#: (kept literal so the concurrency analyzer stays standalone-loadable)
-CONCURRENCY_CLASSES = ("session-confined", "lock-guarded",
-                       "read-only-shared", "racy")
-
 
 @dataclass(frozen=True)
 class Operation:
@@ -109,10 +104,6 @@ class Operation:
     #: declared carried-state budget (one of :data:`STATE_BOUNDS`);
     #: exceeding it is an L048 error
     state_bound: str | None = None
-    #: declared concurrency class (one of :data:`CONCURRENCY_CLASSES`);
-    #: the concurrency analyzer checks it against its inferred verdict
-    #: (L054 drift) before multi-session serving may admit the op
-    concurrency: str | None = None
 
     def validate_params(self, params: dict) -> dict:
         """Check required params are present and fill defaults."""
@@ -153,7 +144,6 @@ def register_operation(
     sort_key: str | None = None,
     stream: str | None = None,
     state_bound: str | None = None,
-    concurrency: str | None = None,
 ) -> Callable[[OpFn], OpFn]:
     """Decorator registering a function as a framework operation."""
 
@@ -170,11 +160,6 @@ def register_operation(
                 f"operation {name!r}: state_bound={state_bound!r} is "
                 f"not one of {STATE_BOUNDS}"
             )
-        if concurrency is not None and concurrency not in CONCURRENCY_CLASSES:
-            raise ValueError(
-                f"operation {name!r}: concurrency={concurrency!r} is "
-                f"not one of {CONCURRENCY_CLASSES}"
-            )
         OPERATIONS[name] = Operation(
             name=name,
             input_types=input_types,
@@ -186,7 +171,6 @@ def register_operation(
             sort_key=sort_key,
             stream=stream,
             state_bound=state_bound,
-            concurrency=concurrency,
         )
         return fn
 
@@ -471,7 +455,6 @@ def _time_slice(inputs: list, params: dict) -> FlowTable:
     description="Per-packet numeric feature matrix from raw fields.",
     stream="stateless",
     state_bound="O(1)",
-    concurrency="session-confined",
 )
 def _packet_fields(inputs: list, params: dict) -> np.ndarray:
     table: PacketTable = inputs[0]
@@ -489,7 +472,6 @@ def _packet_fields(inputs: list, params: dict) -> np.ndarray:
     description="One-hot encoding of the transport protocol per packet.",
     stream="stateless",
     state_bound="O(1)",
-    concurrency="session-confined",
 )
 def _protocol_one_hot(inputs: list, params: dict) -> np.ndarray:
     table: PacketTable = inputs[0]
@@ -627,13 +609,13 @@ def _nprint_header_blocks(table: PacketTable, layers: list) -> list:
     "NprintEncode",
     (ValueType.PACKETS,),
     ValueType.FEATURES,
-    optional_params={"layers": list(_NPRINT_LAYERS), "payload_bytes": 8},
+    optional_params={"layers": list(_NPRINT_LAYERS),
+                     "payload_bytes": 8},
     description="nPrint-style aligned header-bit representation: one "
     "column per header bit of the selected layers; -1 where the layer "
     "is absent (here encoded as 0/1 with a presence column per layer).",
     stream="stateless",
     state_bound="O(1)",
-    concurrency="session-confined",
 )
 def _nprint_encode(inputs: list, params: dict) -> np.ndarray:
     table: PacketTable = inputs[0]
@@ -699,11 +681,11 @@ def _nprint_encode_stream(
     ValueType.FEATURES,
     optional_params={"lambdas": [1.0, 0.1, 0.01]},
     description="Kitsune damped incremental statistics per packet "
-    "(source/channel/socket groupings x decay rates).",
+    "(source/channel/socket groupings "
+    "x decay rates).",
     sort_key="ts",
     stream="prefix-mergeable",
     state_bound="O(flows)",
-    concurrency="session-confined",
 )
 def _kitsune_features(inputs: list, params: dict) -> np.ndarray:
     from repro.core.incstats import kitsune_packet_features
@@ -1075,7 +1057,6 @@ def _select_columns(inputs: list, params: dict) -> np.ndarray:
     description="Ground-truth labels of the input packets or flows.",
     stream="stateless",
     state_bound="O(1)",
-    concurrency="session-confined",
 )
 def _labels(inputs: list, params: dict) -> np.ndarray:
     source = inputs[0]

@@ -5,8 +5,8 @@ spent in each operation" to point users at the operations needing
 optimisation.  The engine records a span per step
 (:mod:`repro.obs.spans`); an :class:`OperationProfile` is the flat view
 of one such step span, and :class:`ProfileReport` renders the table and
-flags hotspots.  The full hierarchy (run > wave > step, with cache keys
-and worker attribution) lives in the trace -- see ``repro trace`` and
+flags hotspots.  The full hierarchy (run > step, with cache keys
+and thread attribution) lives in the trace -- see ``repro trace`` and
 ``docs/OBSERVABILITY.md``.
 """
 

@@ -3,7 +3,7 @@
 Zero-dependency instrumentation for the whole framework:
 
 * :mod:`repro.obs.spans` -- a :class:`Tracer` producing hierarchical
-  spans (``run > wave > step``, ``evaluate > featurize/train/test``)
+  spans (``run > step``, ``evaluate > featurize/train/test``)
   via context managers, cheap enough to stay always-on;
 * :mod:`repro.obs.metrics` -- the process-global
   :class:`MetricsRegistry` (cache hits/misses, steps executed, packets

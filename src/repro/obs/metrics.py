@@ -4,12 +4,12 @@ The observability counterpart of the tracer (:mod:`repro.obs.spans`):
 where spans answer "where did *this run* spend its time", metrics
 answer "what has the *process* done so far" -- cache hit-rates across a
 whole evaluation matrix, packets generated while building datasets,
-steps actually executed versus served from cache.  Every engine driver
-runs its steps through one core, so streamed chunk steps count into
-``engine_steps_executed_total`` beside batch and parallel ones.
+steps actually executed versus served from cache.  Both engine drivers
+run their steps through one core, so streamed chunk steps count into
+``engine_steps_executed_total`` beside batch ones.
 
-Everything here is stdlib-only and thread-safe: the engine increments
-counters from pool threads in parallel mode, and every read
+Everything here is stdlib-only and thread-safe: engines on different
+threads increment the same counters, and every read
 (``value``, ``snapshot()``, the Prometheus exposition) takes the same
 lock the writers hold, so a snapshot taken mid-observation can never
 tear (a ``count`` from one observation paired with a ``sum`` from the
@@ -41,7 +41,6 @@ CACHE_DISK_HITS = "engine_cache_disk_hits_total"
 CACHE_EVICTIONS = "engine_cache_evictions_total"
 STEPS_EXECUTED = "engine_steps_executed_total"
 STEPS_CACHED = "engine_steps_cached_total"
-STEPS_SERIALIZED = "engine_steps_serialized_total"
 CACHE_REFUSALS = "engine_cache_refusals_total"
 BYTES_FINGERPRINTED = "engine_bytes_fingerprinted_total"
 RUNS_COMPLETED = "engine_runs_total"

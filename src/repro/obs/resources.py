@@ -3,14 +3,14 @@
 Wall-clock alone cannot distinguish "this step burned a core" from
 "this step waited on the pool": a :class:`ResourceProbe` samples the
 cheap process counters at span start and end and attaches the deltas
-as span attributes, so every engine step/wave and every benchmark
+as span attributes, so every engine step and run and every benchmark
 evaluation carries its own resource bill:
 
 * ``cpu_seconds`` -- CPU time consumed during the span: by the
-  *probing thread* (``time.thread_time``) for step spans, so
-  pool-thread steps are attributed to the thread that ran them; by the
-  whole *process* (``time.process_time``) for container spans (wave,
-  run, evaluate) whose work fans out across threads;
+  *probing thread* (``time.thread_time``) for step spans, so a step
+  is billed to the thread that ran it; by the whole *process*
+  (``time.process_time``) for container spans (run, evaluate) whose
+  work may span threads;
 * ``rss_peak_bytes`` -- the process peak resident set size
   (``getrusage`` high-water mark, normalised to bytes) observed at
   span end;

@@ -4,8 +4,8 @@ The span model is deliberately small -- the paper's engine "generates
 plots of memory and time spent in each operation"; this generalises
 that to the whole system:
 
-* ``run > wave > step`` -- one engine execution, its parallel dataflow
-  waves, and the operations inside them;
+* ``run > step`` -- one engine execution and the operations it ran,
+  in order;
 * ``evaluate > featurize/train/test > run > step`` -- one benchmark
   cell and its phases.
 
@@ -14,8 +14,9 @@ start, a duration measured with ``time.perf_counter()``, and a free
 attribute dict (cache disposition, peak memory, precision/recall, ...).
 Spans are created with the :meth:`Tracer.span` context manager; nesting
 follows a thread-local stack, so ordinary call structure produces the
-tree with no plumbing.  Work handed to a pool thread passes ``parent=``
-explicitly (the engine attributes each step to its wave this way).
+tree with no plumbing.  Work handed to another thread passes
+``parent=`` explicitly (the serve daemon's deadline thread attributes
+each chunk to its ``score_chunk`` span this way).
 
 The tracer is cheap enough to leave always-on: ending a span builds one
 dict and appends it to the attached sinks (a bounded ring buffer by

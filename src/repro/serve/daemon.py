@@ -10,8 +10,9 @@ scores must be byte-equal to the offline run over the same rows.
 
 The robustness contract, end to end:
 
-* **Atomic scoring.**  Every chunk attempt runs between a state
-  :meth:`~repro.core.engine.StreamSession.snapshot` and (on failure) a
+* **Atomic scoring.**  Every chunk attempt starts from the last good
+  state :meth:`~repro.core.engine.StreamSession.snapshot` (one is taken
+  per scored chunk), and a failed attempt rewinds to it with
   :meth:`~repro.core.engine.StreamSession.restore`, so retries,
   deadline kills and quarantine never leave half-updated accumulators
   behind.  Retries use the benchmark runner's seeded exponential
@@ -34,8 +35,8 @@ The robustness contract, end to end:
   step, same params, analyzer-proven finite bound), so a same-template
   reload changes no scores and drops no packets.
 * **Crash recovery.**  A periodic checkpoint journals the replay
-  offset, window origin, loss ledger and a pickled state snapshot
-  (torn-tail-tolerant JSONL, same mechanics as the benchmark
+  offset, window origin, loss ledger and the pickled last good state
+  snapshot (torn-tail-tolerant JSONL, same mechanics as the benchmark
   checkpoint); ``resume=True`` continues exactly where the last
   checkpoint left off.
 
@@ -547,8 +548,10 @@ class ServeDaemon:
             return out, self._apply_model(out, span)
 
     def _score_chunk(self, chunk: Chunk, parent) -> bool:
+        # the session enters every chunk at self._last_good: it is set
+        # at startup, after each scored chunk and after a reload, and
+        # restored on quarantine and on a watchdog trip
         tracer = get_tracer()
-        snapshot = self.session.snapshot()
         attempts = self.config.retries + 1
         for attempt in range(1, attempts + 1):
             try:
@@ -560,7 +563,7 @@ class ServeDaemon:
             except Exception as exc:
                 # roll the carried state back before anything else: no
                 # retry or quarantine may see a half-updated stream
-                self.session.restore(snapshot)
+                self.session.restore(self._last_good)
                 self._last_error = f"{type(exc).__name__}: {exc}"
                 if isinstance(exc, StallError):
                     self.watchdog.trip(chunk=chunk.window)
@@ -669,7 +672,10 @@ class ServeDaemon:
     # ------------------------------------------------------------------
 
     def _write_checkpoint(self) -> None:
-        snapshot = self.session.snapshot()
+        # the last good state, never a fresh snapshot: an interrupt
+        # inside process_chunk leaves the session half-advanced while
+        # consumed_rows still excludes that chunk
+        snapshot = self._last_good
         payload = {
             "kind": "serve_checkpoint",
             "chunk": snapshot.chunk_index,

@@ -4,7 +4,7 @@ The ``batch=`` contract is byte-equality: for every converted stock
 operation the batched body must produce ``tobytes()``-identical output
 on real traffic.  The engine half: batched execution is selected only
 when the analyzer approves, the choice is visible in span attributes
-and counters, and results are unchanged under ``max_workers>1``.
+and counters, and vectorized results equal scalar ones.
 """
 
 import numpy as np
@@ -169,15 +169,12 @@ TEMPLATE = [
 
 def _engine(**kwargs):
     return ExecutionEngine(
-        use_cache=False, parallel=True, max_workers=4,
-        track_memory=False, **kwargs,
+        use_cache=False, track_memory=False, **kwargs,
     )
 
 
 class TestEngineGating:
-    def test_vectorized_matches_scalar_under_parallelism(
-        self, small_trace
-    ):
+    def test_vectorized_matches_scalar(self, small_trace):
         pipeline = Pipeline.from_template(TEMPLATE)
         outputs = ["X", "W", "y"]
         scalar = _engine(vectorize=False).run(

@@ -4,9 +4,8 @@ Covers lock discovery and the ``with``-held walker, shared-state
 classification into the four verdicts, the lock-acquisition graph with
 cycle detection, bare acquire/release detection, thread-hostile
 callees, escape analysis on carried stream state, the registry-facing
-reports with the L049-L056 diagnostics (positive and negative fixture
-operations), the full-registry audit regression, and the template-level
-pass (L055).
+reports with the L049-L053/L056 diagnostics (positive and negative
+fixture operations), and the full-registry audit regression.
 """
 
 import ast
@@ -15,9 +14,7 @@ import threading
 
 import pytest
 
-from repro.analysis import analyze_template
 from repro.analysis.concurrency import (
-    CONCURRENT_SAFE_VERDICTS,
     LOCK_GUARDED,
     RACY,
     READ_ONLY_SHARED,
@@ -42,7 +39,6 @@ from repro.analysis.facts import (
     unguarded_module_state,
 )
 from repro.core.operations import (
-    CONCURRENCY_CLASSES,
     OPERATIONS,
     register_operation,
     register_stream,
@@ -438,8 +434,7 @@ class TestOperationReports:
         operation = scratch_ops("CleanProbe", clean)
         report = operation_concurrency_report(operation)
         assert report.verdict == SESSION_CONFINED
-        assert report.concurrent_safe
-        assert report.refusal is None
+        assert report.diagnostics == ()
 
     def test_global_write_is_racy_l049(self, scratch_ops):
         def racy(inputs, params):
@@ -450,8 +445,6 @@ class TestOperationReports:
         report = operation_concurrency_report(operation)
         assert report.verdict == RACY
         assert "L049" in report.codes()
-        assert report.refusal == f"verdict:{RACY}"
-        assert not report.concurrent_safe
 
     def test_guarded_write_is_lock_guarded(self, scratch_ops):
         def guarded(inputs, params):
@@ -463,7 +456,7 @@ class TestOperationReports:
         report = operation_concurrency_report(operation)
         assert report.verdict == LOCK_GUARDED
         assert report.guards == ("_TEST_LOCK",)
-        assert report.refusal is None
+        assert report.diagnostics == ()
 
     def test_mutable_global_read_is_read_only_shared(self, scratch_ops):
         def reader(inputs, params):
@@ -472,8 +465,7 @@ class TestOperationReports:
         operation = scratch_ops("ReaderProbe", reader)
         report = operation_concurrency_report(operation)
         assert report.verdict == READ_ONLY_SHARED
-        assert report.verdict in CONCURRENT_SAFE_VERDICTS
-        assert report.refusal is None
+        assert report.diagnostics == ()
 
     def test_hostile_callee_is_racy_l056(self, scratch_ops):
         def hostile(inputs, params):
@@ -502,38 +494,12 @@ class TestOperationReports:
         assert report.verdict == RACY
         assert "L052" in report.codes()
 
-    def test_declared_drift_is_l054(self, scratch_ops):
-        def racy(inputs, params):
-            _RACY_SINK["drift"] = 1
-            return inputs[0].length
-
-        operation = scratch_ops(
-            "DriftProbe", racy, concurrency="session-confined"
-        )
-        report = operation_concurrency_report(operation)
-        assert "L054" in report.codes()
-        assert report.declared == "session-confined"
-
     def test_opaque_body_is_refused(self, scratch_ops):
         operation = scratch_ops(
             "OpaqueProbe", eval("lambda inputs, params: inputs[0]")
         )
         report = operation_concurrency_report(operation)
         assert report.verdict == "opaque"
-        assert report.refusal == "verdict:opaque"
-
-    def test_bad_declaration_rejected(self):
-        with pytest.raises(ValueError, match="concurrency"):
-            register_operation(
-                "BadDecl", (ValueType.PACKETS,), ValueType.FEATURES,
-                concurrency="thread-hostile",
-            )(lambda inputs, params: inputs[0])
-        OPERATIONS.pop("BadDecl", None)
-
-    def test_declaration_classes_are_the_verdicts(self):
-        assert set(CONCURRENCY_CLASSES) == {
-            SESSION_CONFINED, LOCK_GUARDED, READ_ONLY_SHARED, RACY,
-        }
 
 
 class TestRegistryAudit:
@@ -541,7 +507,6 @@ class TestRegistryAudit:
         payload = audit_concurrency()
         summary = payload["summary"]
         assert summary["total"] == len(OPERATIONS)
-        assert summary["concurrent_safe"] == summary["total"]
         assert summary["racy"] == 0
         assert summary["errors"] == 0
         assert summary["module_cycles"] == 0
@@ -550,17 +515,6 @@ class TestRegistryAudit:
             assert op["verdict"] in (
                 SESSION_CONFINED, LOCK_GUARDED, READ_ONLY_SHARED,
             )
-
-    def test_stream_declaring_ops_declare_concurrency(self):
-        payload = audit_concurrency()
-        declared = {
-            op["operation"]: op["declared"]
-            for op in payload["operations"]
-            if op["declared"] is not None
-        }
-        assert declared, "no operation declares a concurrency class"
-        for name, klass in declared.items():
-            assert klass in CONCURRENCY_CLASSES, (name, klass)
 
     def test_obs_modules_are_lock_guarded(self):
         for module in ("repro.obs.metrics", "repro.obs.spans"):
@@ -594,28 +548,3 @@ class TestRegistryAudit:
         assert info["verdict"] == RACY
         assert info["mixed"]
 
-
-class TestTemplatePass:
-    def test_racy_step_pins_template_l055(self, scratch_ops):
-        def racy(inputs, params):
-            _RACY_SINK["pin"] = 1
-            return inputs[0].length
-
-        scratch_ops("PinProbe", racy, output=ValueType.FEATURES)
-        result = analyze_template(
-            [
-                {"func": "PinProbe", "input": None, "output": "X"},
-                {"func": "Labels", "input": None, "output": "y"},
-            ]
-        )
-        assert "L055" in result.codes()
-
-    def test_clean_template_has_no_l055(self):
-        result = analyze_template(
-            [
-                {"func": "PacketFields", "input": None, "output": "X",
-                 "list": ["length"]},
-                {"func": "Labels", "input": None, "output": "y"},
-            ]
-        )
-        assert "L055" not in result.codes()

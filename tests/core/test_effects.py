@@ -468,7 +468,7 @@ class TestSafetyLayer:
         report = operation_report(OPERATIONS["Downsample"])
         assert report.purity == SEEDED
         assert report.seed_params == ("seed",)
-        assert report.cacheable and report.parallel_safe
+        assert report.cacheable
         # param-threaded seeding is the desired state: no diagnostics
         assert report.codes() == ()
 
@@ -488,7 +488,7 @@ class TestStockRegistry:
         unsafe = {
             name: [f.kind.value for f in report.findings]
             for name, report in reports.items()
-            if not (report.cacheable and report.parallel_safe)
+            if not report.cacheable
         }
         assert unsafe == {}
 

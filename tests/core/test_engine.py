@@ -1,4 +1,4 @@
-"""Tests for the execution engine: caching, profiling, DCE, parallel."""
+"""Tests for the execution engine: caching, profiling, DCE, tracing."""
 
 import numpy as np
 import pytest
@@ -224,42 +224,6 @@ class TestProfilingAndMemory:
         assert set(out) == {"y"}
 
 
-class TestParallelExecution:
-    def test_parallel_matches_serial(self, small_trace):
-        template = [
-            {"func": "Groupby", "input": None, "output": "flows",
-             "flowid": ["connection"]},
-            # these three are independent given 'flows'
-            {"func": "ApplyAggregates", "input": ["flows"], "output": "A",
-             "list": ["count", "duration"]},
-            {"func": "FirstNPackets", "input": ["flows"], "output": "B",
-             "n": 3},
-            {"func": "ZeekConnLog", "input": ["flows"], "output": "C"},
-            {"func": "ConcatFeatures", "input": ["A", "B"], "output": "AB"},
-            {"func": "ConcatFeatures", "input": ["AB", "C"], "output": "X"},
-        ]
-        serial = ExecutionEngine(use_cache=False, track_memory=False).run(
-            Pipeline.from_template(template), small_trace, outputs=["X"]
-        )
-        parallel = ExecutionEngine(
-            use_cache=False, parallel=True, track_memory=False
-        ).run(Pipeline.from_template(template), small_trace, outputs=["X"])
-        assert np.array_equal(serial["X"], parallel["X"])
-
-
-PARALLEL_TEMPLATE = [
-    {"func": "Groupby", "input": None, "output": "flows",
-     "flowid": ["connection"]},
-    # these three are independent given 'flows'
-    {"func": "ApplyAggregates", "input": ["flows"], "output": "A",
-     "list": ["count", "duration"]},
-    {"func": "FirstNPackets", "input": ["flows"], "output": "B", "n": 3},
-    {"func": "ZeekConnLog", "input": ["flows"], "output": "C"},
-    {"func": "ConcatFeatures", "input": ["A", "B"], "output": "AB"},
-    {"func": "ConcatFeatures", "input": ["AB", "C"], "output": "X"},
-]
-
-
 class TestObservability:
     def _capture(self, fn):
         """Run ``fn`` with an unbounded sink on the global tracer."""
@@ -274,52 +238,17 @@ class TestObservability:
             tracer.remove_sink(sink)
         return sink.events()
 
-    def test_parallel_profiles_ordered_by_step(self, small_trace):
-        engine = ExecutionEngine(
-            use_cache=False, parallel=True, max_workers=4,
-            track_memory=False,
-        )
-        engine.run(Pipeline.from_template(PARALLEL_TEMPLATE), small_trace,
-                   outputs=["X"])
-        steps = [p.step for p in engine.last_report.profiles]
-        assert steps == sorted(steps)
-        assert len(steps) == len(PARALLEL_TEMPLATE)
-
-    def test_serial_and_parallel_span_trees_equivalent(self, small_trace):
-        """Same steps, same cache keys, regardless of execution mode."""
-
-        def steps_of(parallel):
-            events = self._capture(lambda: ExecutionEngine(
-                use_cache=False, parallel=parallel, track_memory=False
-            ).run(Pipeline.from_template(PARALLEL_TEMPLATE), small_trace,
-                  outputs=["X"], source_token="t"))
-            return {
-                (e["attrs"]["operation"], e["attrs"]["output"],
-                 e["attrs"]["cache_key"])
-                for e in events
-                if e["kind"] == "span" and e["name"].startswith("step:")
-            }
-
-        serial, parallel = steps_of(False), steps_of(True)
-        assert serial == parallel
-        assert len(serial) == len(PARALLEL_TEMPLATE)
-
-    def test_parallel_steps_attributed_to_waves(self, small_trace):
+    def test_steps_attributed_to_run(self, small_trace):
         events = self._capture(lambda: ExecutionEngine(
-            use_cache=False, parallel=True, max_workers=4,
-            track_memory=False,
-        ).run(Pipeline.from_template(PARALLEL_TEMPLATE), small_trace,
-              outputs=["X"]))
+            use_cache=False, track_memory=False,
+        ).run(Pipeline.from_template(TEMPLATE), small_trace,
+              outputs=["X", "y"]))
         spans = {e["span_id"]: e for e in events if e["kind"] == "span"}
-        waves = [e for e in spans.values() if e["name"] == "wave"]
+        (run,) = [e for e in spans.values() if e["name"] == "run"]
         steps = [e for e in spans.values() if e["name"].startswith("step:")]
-        assert len(waves) >= 3  # Groupby / fan-out / joins
-        run_ids = {e["span_id"] for e in spans.values() if e["name"] == "run"}
-        for wave in waves:
-            assert wave["parent_id"] in run_ids
+        assert [e["attrs"]["step"] for e in steps] == [0, 1, 2]
         for step in steps:
-            parent = spans[step["parent_id"]]
-            assert parent["name"] == "wave"
+            assert step["parent_id"] == run["span_id"]
             assert "thread" in step["attrs"]
 
     def test_step_times_bounded_by_run_duration(self, small_trace):
@@ -409,15 +338,19 @@ class TestObservability:
         assert "peak 3.0 MiB" in rendered
 
     def test_thread_safe_cache_under_parallel_load(self, small_trace):
-        """Hammer one cache from many engines; counters stay consistent."""
+        """Hammer one cache from many engines; counters stay consistent.
+
+        The engine runs steps on the caller's thread, but the cache is
+        class-level: sequential engines driven from a caller-owned pool
+        still share it across threads.
+        """
         from concurrent.futures import ThreadPoolExecutor
 
         cache = ExecutionEngine.shared_cache
         pipeline = Pipeline.from_template(TEMPLATE)
 
         def run(_):
-            ExecutionEngine(parallel=True, max_workers=4,
-                            track_memory=False).run(
+            ExecutionEngine(track_memory=False).run(
                 pipeline, small_trace, outputs=["X", "y"], source_token="t")
 
         with ThreadPoolExecutor(max_workers=4) as pool:

@@ -2,12 +2,8 @@
 
 Regression guarantees for the safety gating: the result cache never
 memoizes a stateful fixture op, seeded ops key their cache entries on
-the seed param, and the parallel wave scheduler serializes unsafe steps
-at ``max_workers=4``.
+the seed param, and every refusal is counted.
 """
-
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -164,92 +160,6 @@ class TestSeededCacheKeys:
         assert run(2) is False  # different seed: distinct cache entry
 
 
-class TestWaveSerialization:
-    def _tracking_op(self, active, peak, lock, delay=0.02):
-        def fn(inputs, params):
-            with lock:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-            time.sleep(delay)
-            with lock:
-                active[0] -= 1
-            return np.zeros((len(inputs[0]), 1))
-
-        return fn
-
-    def _fanout_template(self, names):
-        return [
-            {"func": name, "input": None, "output": f"x{i}"}
-            for i, name in enumerate(names)
-        ]
-
-    def test_stateful_steps_never_overlap(self, scratch_ops, small_trace):
-        active, peak, lock = [0], [0], threading.Lock()
-        # the mutable closure over active/peak is exactly what flags
-        # these ops stateful -- and what makes overlap observable
-        names = [
-            scratch_ops(f"Tracked{i}", self._tracking_op(active, peak, lock))
-            for i in range(4)
-        ]
-        template = self._fanout_template(names)
-        outputs = [step["output"] for step in template]
-        engine = ExecutionEngine(
-            use_cache=False, parallel=True, max_workers=4,
-            track_memory=False,
-        )
-        engine.run(Pipeline.from_template(template), small_trace,
-                   outputs=outputs)
-        assert peak[0] == 1
-
-    def test_serialization_is_visible_in_spans(self, scratch_ops,
-                                               small_trace):
-        active, peak, lock = [0], [0], threading.Lock()
-        names = [
-            scratch_ops(f"Tracked{i}", self._tracking_op(active, peak, lock))
-            for i in range(2)
-        ]
-        template = self._fanout_template(names)
-        outputs = [step["output"] for step in template]
-        events = _capture(
-            lambda: ExecutionEngine(
-                use_cache=False, parallel=True, max_workers=4,
-                track_memory=False,
-            ).run(Pipeline.from_template(template), small_trace,
-                  outputs=outputs)
-        )
-        steps = _step_spans(events)
-        assert all(e["attrs"]["serialized"] is True for e in steps)
-        (wave,) = [
-            e for e in events
-            if e["kind"] == "span" and e["name"] == "wave"
-        ]
-        assert wave["attrs"]["serialized"] == len(names)
-
-    def test_pure_catalog_ops_still_parallelize(self, small_trace):
-        template = [
-            {"func": "Groupby", "input": None, "output": "flows",
-             "flowid": ["connection"]},
-            {"func": "ApplyAggregates", "input": ["flows"], "output": "A",
-             "list": ["count"]},
-            {"func": "Labels", "input": ["flows"], "output": "y"},
-        ]
-        events = _capture(
-            lambda: ExecutionEngine(
-                use_cache=False, parallel=True, max_workers=4,
-                track_memory=False,
-            ).run(Pipeline.from_template(template), small_trace,
-                  outputs=["A", "y"])
-        )
-        waves = [
-            e for e in events
-            if e["kind"] == "span" and e["name"] == "wave"
-        ]
-        assert waves
-        assert all(e["attrs"]["serialized"] == 0 for e in waves)
-        steps = _step_spans(events)
-        assert all("serialized" not in e["attrs"] for e in steps)
-
-
 class TestSafetyMetrics:
     def test_counters_increment(self, scratch_ops, small_trace):
         from repro.obs import METRICS
@@ -260,12 +170,9 @@ class TestSafetyMetrics:
             {"func": "StatefulFixture", "input": None, "output": "bad"},
         ]
         refusals = METRICS.counter(metric_names.CACHE_REFUSALS)
-        serialized = METRICS.counter(metric_names.STEPS_SERIALIZED)
-        before = (refusals.value, serialized.value)
-        ExecutionEngine(parallel=True, max_workers=4,
-                        track_memory=False).run(
+        before = refusals.value
+        ExecutionEngine(track_memory=False).run(
             Pipeline.from_template(template), small_trace,
             source_token="tok",
         )
-        assert refusals.value == before[0] + 1
-        assert serialized.value == before[1] + 1
+        assert refusals.value == before + 1

@@ -1,9 +1,10 @@
 """Concurrency stress tests for the obs substrate.
 
-The parallel engine runs one dataflow wave on N pool threads, and
-every one of them increments counters and opens spans through the
-process-global registry and tracer.  These tests hammer both from many
-threads and assert *exact* totals -- a single lost update or torn read
+The engine runs a pipeline's steps on the caller's thread, but callers
+may drive engines from several threads (and the serve daemon scores
+chunks on a deadline thread); every one of them increments counters
+and opens spans through the process-global registry and tracer.
+These tests hammer both from many threads and assert *exact* totals -- a single lost update or torn read
 fails the count.  The concurrency-safety analyzer proves
 ``repro.obs.metrics`` and ``repro.obs.spans`` lock-guarded statically;
 this is the dynamic half of that claim.

@@ -1,8 +1,8 @@
 """Tests for resource telemetry (repro.obs.resources).
 
 The probe itself (CPU/RSS/GC/allocation readings), its tracemalloc
-ownership discipline, and the engine integration: every step, run and
-wave span must carry the resource block the profiler and
+ownership discipline, and the engine integration: every step and run
+span must carry the resource block the profiler and
 ``tools/check_trace.py`` rely on.
 """
 
@@ -152,16 +152,6 @@ class TestEngineResourceSpans:
         run = next(s for s in spans if s["name"] == "run")
         assert run["attrs"]["cpu_seconds"] >= 0
         assert run["attrs"]["rss_peak_bytes"] > 0
-
-    def test_wave_spans_carry_resources_in_parallel_mode(self, small_trace):
-        spans = self.run_spans(
-            small_trace, track_memory=False, parallel=True, max_workers=2
-        )
-        waves = [s for s in spans if s["name"] == "wave"]
-        assert waves
-        for span in waves:
-            assert span["attrs"]["cpu_seconds"] >= 0
-            assert span["attrs"]["rss_peak_bytes"] > 0
 
     def test_stream_steps_hang_off_their_chunk(self, small_trace, tmp_path):
         path = tmp_path / "stream.jsonl"

@@ -45,8 +45,8 @@ class TestJsonlRoundTrip:
     def test_write_parse_reconstruct_tree(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(sinks=[JsonlFileSink(path)])
-        with tracer.span("run", source="t"):
-            with tracer.span("wave", wave=0):
+        with tracer.span("featurize", dataset="F0"):
+            with tracer.span("run", source="t"):
                 with tracer.span("step:Groupby", step=0):
                     pass
                 with tracer.span("step:Labels", step=1):
@@ -54,9 +54,9 @@ class TestJsonlRoundTrip:
         events = read_trace(path)
         assert len(events) == 4
         roots, children = build_tree(events)
-        assert [r["name"] for r in roots] == ["run"]
-        wave = children[roots[0]["span_id"]][0]
-        steps = [e["name"] for e in children[wave["span_id"]]]
+        assert [r["name"] for r in roots] == ["featurize"]
+        run = children[roots[0]["span_id"]][0]
+        steps = [e["name"] for e in children[run["span_id"]]]
         assert steps == ["step:Groupby", "step:Labels"]
 
     def test_non_json_values_survive_as_repr(self, tmp_path):
@@ -88,6 +88,28 @@ class TestJsonlRoundTrip:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stdout
+
+    def test_checker_rejects_step_outside_a_driver(self, tmp_path):
+        path = tmp_path / "stray_step.jsonl"
+        tracer = Tracer(sinks=[JsonlFileSink(path)])
+        resources = {"cpu_seconds": 0.0, "rss_peak_bytes": 1,
+                     "gc_collections": 0}
+        # the step closes (and is written) before its parent: the
+        # checker must resolve the link after reading the whole file
+        with tracer.span("run", source="t") as run:
+            with tracer.span("wave", parent=run) as wave:
+                with tracer.span("step:Labels", parent=wave, **resources):
+                    pass
+            with tracer.span("step:Groupby", parent=run, **resources):
+                pass
+        proc = subprocess.run(
+            [sys.executable, str(CHECKER), str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "step:Labels hangs under 'wave'" in proc.stdout
+        assert "step:Groupby" not in proc.stdout
+        assert "1 problem(s)" in proc.stdout
 
     def test_checker_rejects_schema_violations(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -54,17 +54,17 @@ class TestNesting:
 
     def test_explicit_parent_crosses_threads(self, traced):
         tracer, sink = traced
-        with tracer.span("wave") as wave:
+        with tracer.span("score_chunk") as score:
             # run the span wholly inside the worker thread
             def work():
-                with tracer.span("step", parent=wave):
+                with tracer.span("stream_chunk", parent=score):
                     pass
             worker = threading.Thread(target=work)
             worker.start()
             worker.join()
-        step = next(e for e in sink.events() if e["name"] == "step")
-        assert step["parent_id"] == wave.span_id
-        assert step["trace_id"] == wave.trace_id
+        chunk = next(e for e in sink.events() if e["name"] == "stream_chunk")
+        assert chunk["parent_id"] == score.span_id
+        assert chunk["trace_id"] == score.trace_id
 
     def test_thread_local_stacks_are_independent(self, traced):
         tracer, sink = traced

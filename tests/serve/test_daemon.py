@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.engine import ExecutionEngine, StreamSession
 from repro.faults import FaultPlan, FaultRule, active
 from repro.obs import METRICS
 from repro.obs import metrics as metric_names
@@ -95,6 +96,28 @@ class TestCleanRun:
         assert status["state"] == "stopped"
         assert status["packets_ingested"] == len(serve_trace)
         assert status["chunks_scored"] == daemon._scored
+
+    def test_one_snapshot_per_scored_chunk(
+        self, serve_trace, tmp_path, monkeypatch
+    ):
+        calls = []
+        snapshot = StreamSession.snapshot
+
+        def counted(session):
+            calls.append(session.chunks)
+            return snapshot(session)
+
+        monkeypatch.setattr(StreamSession, "snapshot", counted)
+        daemon = make_daemon(
+            serve_trace,
+            checkpoint_path=str(tmp_path / "checkpoint.jsonl"),
+            checkpoint_every=1,
+        )
+        report = daemon.run()
+        assert report.ok and report.checkpoints_written > 1
+        # one at startup, one after each scored chunk: scoring rolls
+        # back to that snapshot and checkpoints pickle it
+        assert len(calls) == report.chunks_scored + 1
 
     def test_stop_request_drains_gracefully(self, serve_trace):
         class StopEarly(ServeDaemon):
@@ -340,6 +363,45 @@ class TestCrashRecovery:
                 [np.asarray(first[name]), np.asarray(second[name])]
             )
             assert np.array_equal(rejoined, np.asarray(value)), name
+
+    def test_interrupt_mid_chunk_resumes_byte_equal(
+        self, serve_trace, tmp_path, monkeypatch
+    ):
+        reference = baseline_outputs(serve_trace)
+        checkpoint = str(tmp_path / "checkpoint.jsonl")
+        run_step = ExecutionEngine._run_step
+
+        def interrupted(engine, index, call, env, *args, **kwargs):
+            run_step(engine, index, call, env, *args, **kwargs)
+            # Ctrl-C after chunk 4's Kitsune state advanced, before the
+            # chunk finished: the shutdown checkpoint must not keep it
+            if call.name == "KitsuneFeatures" and phase1.session.chunks == 4:
+                raise KeyboardInterrupt
+
+        phase1 = make_daemon(
+            serve_trace, checkpoint_path=checkpoint, checkpoint_every=1
+        )
+        monkeypatch.setattr(ExecutionEngine, "_run_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            phase1.run()
+        monkeypatch.undo()
+        assert phase1._scored == 4
+
+        phase2 = make_daemon(
+            serve_trace,
+            checkpoint_path=checkpoint,
+            checkpoint_every=1,
+            resume=True,
+        )
+        report2 = phase2.run()
+        assert report2.ok and report2.packets_lost == 0
+
+        first, second = phase1.collected(), phase2.collected()
+        for name, value in reference.items():
+            rejoined = np.concatenate(
+                [np.asarray(first[name]), np.asarray(second[name])]
+            )
+            assert rejoined.tobytes() == np.asarray(value).tobytes(), name
 
     def test_resume_without_checkpoint_starts_fresh(
         self, serve_trace, tmp_path

@@ -22,8 +22,7 @@ Rules:
   ``inputs``/``params`` binding in place (item/attribute assignment,
   mutating method calls, ``np.fill_diagonal``/``out=`` aimed at an
   argument alias).  Operations must copy before mutating: the engine
-  caches and parallelizes on the assumption that inputs survive a call
-  unchanged.
+  caches on the assumption that inputs survive a call unchanged.
 * **AL006** -- module-level mutable state (lowercase-named list/dict/
   set literal bindings) in the engine-critical packages
   ``src/repro/core/`` and ``src/repro/analysis/``.  Name read-only

@@ -9,8 +9,11 @@ trace id), that the file contains at least one span, and that every
 ``step:*`` span carries the resource attributes the engine's
 :class:`ResourceProbe` attaches (cpu_seconds, rss_peak_bytes,
 gc_collections; alloc_bytes/alloc_peak_bytes when memory tracking was
-on), wherever it hangs: under ``run``, ``wave`` or ``stream_chunk``,
-since every engine driver runs steps through one core.  ``run_stream`` spans must carry either a non-empty
+on).  A ``step:*`` span whose parent is in the file must hang under
+``run`` or ``stream_chunk`` -- the engine's two drivers, which run
+steps through one core.  Parent links are checked once the whole file
+is read, because a child span closes (and is written) before its
+parent.  ``run_stream`` spans must carry either a non-empty
 ``stream_refused`` reason or a ``chunks`` count, and every
 ``stream_chunk`` span must carry its chunk index and the carried-state
 byte measurement.  The serve daemon's spans are validated too: a
@@ -84,6 +87,9 @@ _PROGRESS_FIELDS = {
 }
 
 _PROGRESS_OUTCOMES = ("ok", "failed", "resumed")
+
+#: the spans a ``step:*`` span may hang under: the engine's two drivers
+_STEP_PARENTS = ("run", "stream_chunk")
 
 
 def _check_resources(where: str, span: dict, problems: list[str]) -> None:
@@ -248,6 +254,7 @@ def _check_score_chunk(where: str, span: dict, problems: list[str]) -> None:
 def check_file(path: Path) -> list[str]:
     problems: list[str] = []
     spans: dict[int, dict] = {}
+    linked: list[tuple[str, dict]] = []
     lines = 0
     try:
         text = path.read_text(encoding="utf-8")
@@ -289,11 +296,8 @@ def check_file(path: Path) -> list[str]:
         parent = event.get("parent_id")
         if parent is not None and not isinstance(parent, int):
             problems.append(f"{where}: parent_id is not an int or null")
-        elif parent in spans and spans[parent]["trace_id"] != event["trace_id"]:
-            problems.append(
-                f"{where}: span {event['span_id']} disagrees with its "
-                f"parent about the trace id"
-            )
+        elif parent is not None:
+            linked.append((where, event))
         if event["name"].startswith("step:"):
             _check_resources(where, event, problems)
         elif event["name"] == "stream_chunk":
@@ -307,6 +311,23 @@ def check_file(path: Path) -> list[str]:
         elif event["name"] == "score_chunk":
             _check_score_chunk(where, event, problems)
         spans[event["span_id"]] = event
+    for where, event in linked:
+        parent = spans.get(event["parent_id"])
+        if parent is None:
+            continue
+        if parent["trace_id"] != event["trace_id"]:
+            problems.append(
+                f"{where}: span {event['span_id']} disagrees with its "
+                f"parent about the trace id"
+            )
+        if (
+            event["name"].startswith("step:")
+            and parent["name"] not in _STEP_PARENTS
+        ):
+            problems.append(
+                f"{where}: {event['name']} hangs under "
+                f"{parent['name']!r}, not run or stream_chunk"
+            )
     if lines == 0:
         problems.append(f"{path}: trace is empty")
     elif not spans:
