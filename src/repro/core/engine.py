@@ -23,8 +23,8 @@ seed params of seeded ops.  Steps run one after another on the
 caller's thread.
 
 The two drivers -- :meth:`~ExecutionEngine.run` and
-:meth:`StreamSession.process_chunk` (which
-:meth:`~ExecutionEngine.run_stream` loops over) -- execute steps
+:meth:`StreamSession.stage` (which :meth:`StreamSession.process_chunk`
+and :meth:`~ExecutionEngine.run_stream` drive) -- execute steps
 through one core, :meth:`ExecutionEngine._run_step`.
 """
 
@@ -152,6 +152,51 @@ def _carried_state_bytes(states: dict) -> int:
         return total
 
     return size_of(states)
+
+
+def _state_bytes(states) -> int:
+    """Size of an iterable of per-step state dicts: a value's own
+    ``state_bytes`` count where it keeps one, the recursive walk
+    otherwise."""
+    total = 0
+    for state in states:
+        for value in state.values():
+            counted = getattr(value, "state_bytes", None)
+            total += (
+                counted if isinstance(counted, int)
+                else _carried_state_bytes(value)
+            )
+    return total
+
+
+def _begin(state: dict) -> tuple[dict, dict]:
+    """One step's chunk overlay of ``state``, and the values ``begin()`` made.
+
+    A value with the ``begin()``/``commit()`` protocol overlays itself;
+    any other value is deep-copied, so the step can only write into the
+    overlay either way.
+    """
+    begun = {
+        name: value.begin()
+        for name, value in state.items()
+        if hasattr(value, "begin")
+    }
+    overlay = {
+        name: begun[name] if name in begun else copy.deepcopy(value)
+        for name, value in state.items()
+    }
+    return overlay, begun
+
+
+def _commit(state: dict, overlay: dict, begun: dict) -> None:
+    """Fold one step's overlay into its committed ``state``."""
+    for name in [name for name in state if name not in overlay]:
+        del state[name]
+    for name, value in overlay.items():
+        if name in begun and begun[name] is value:
+            state[name].commit(value)
+        else:
+            state[name] = value
 
 
 def _concat_stream_parts(name: str, parts: list):
@@ -369,8 +414,8 @@ class StreamSnapshot:
 
     Snapshots are deep copies: restoring one rewinds the session to the
     exact chunk boundary it was taken at, and the same snapshot can be
-    restored more than once (a retry loop restores before every
-    attempt).  The ``fingerprints`` map records which (operation,
+    restored more than once (a checkpoint pickles one; resume restores
+    it).  The ``fingerprints`` map records which (operation,
     params) pair produced each step's state so a restore into a
     *different* pipeline is refused instead of silently corrupting.
     """
@@ -380,20 +425,41 @@ class StreamSnapshot:
     fingerprints: dict[int, str] = field(default_factory=dict)
 
 
+@dataclass
+class StagedChunk:
+    """One chunk run against overlays of the committed state.
+
+    :meth:`StreamSession.commit` folds ``overlays`` in; dropping the
+    object instead rolls the chunk back.
+    """
+
+    chunk_index: int
+    outputs: dict[str, Any]
+    #: per step: (overlay state dict, the values ``begin()`` made)
+    overlays: dict[int, tuple[dict, dict]]
+
+
 class StreamSession:
     """An incremental handle on chunked pipeline execution.
 
     Where :meth:`ExecutionEngine.run_stream` owns the whole chunk loop,
-    a session exposes it one :meth:`process_chunk` at a time -- the
-    shape a long-running consumer (``repro serve``) needs: the caller
-    decides when the next chunk arrives, and the carried per-step state
-    lives here between calls.
+    a session exposes it one chunk at a time -- the shape a
+    long-running consumer (``repro serve``) needs: the caller decides
+    when the next chunk arrives, and the carried per-step state lives
+    here between calls.
 
     The robustness hooks are the point:
 
-    * :meth:`snapshot` / :meth:`restore` -- deep-copied state capture,
-      so a failed or timed-out chunk can be retried (or abandoned)
-      without poisoning the carried accumulators;
+    * :meth:`stage` / :meth:`commit` -- one chunk is a transaction.
+      Staging runs every step against per-step overlays of the
+      committed state and writes nothing else; committing folds the
+      overlays in and advances :attr:`chunks`.  A failed, timed-out
+      or abandoned attempt commits nothing, so it can be retried (or
+      given up) without poisoning the carried accumulators, and both
+      steps cost O(state touched) for state with ``begin()``/``commit()``
+      (:class:`~repro.core.incstats.KitsuneStreamState`);
+    * :meth:`snapshot` / :meth:`restore` -- deep-copied capture of the
+      committed state, for checkpoints and resume;
     * :meth:`adopt_state` -- graceful-reload handoff: a freshly built
       session (new model, re-read template) takes over the old
       session's carried state at a chunk boundary, but only for steps
@@ -461,41 +527,76 @@ class StreamSession:
 
     # ------------------------------------------------------------------
 
-    def process_chunk(self, chunk: PacketTable, *, parent=None) -> dict:
-        """Run every step once over ``chunk`` with carried state.
+    def stage(self, chunk: PacketTable, *, parent=None) -> StagedChunk:
+        """Run every step once over ``chunk`` against overlays.
 
-        Returns ``{output name: value}`` for the session's outputs.
-        State mutation is *not* transactional: an exception can leave
-        carried accumulators partially advanced, which is why callers
-        that retry must :meth:`snapshot` first and :meth:`restore` on
-        failure.
+        Each step gets an overlay of its committed state -- ``begin()``
+        where a state value has it, a deep copy otherwise -- and writes
+        only into it, so staging leaves the session unchanged and is
+        safe to abandon on any thread.  :meth:`commit` applies it.
         """
         self.raise_if_refused()
         tracer = get_tracer()
+        chunk_index = self.chunks
         with tracer.span(
             "stream_chunk",
             parent=parent,
-            chunk=self.chunks,
+            chunk=chunk_index,
             rows=len(chunk),
         ) as chunk_span:
+            overlays = {
+                index: _begin(state) for index, state in self._states.items()
+            }
             env: dict[str, Any] = {SOURCE_NAME: chunk}
             for index, call in enumerate(self.pipeline.calls):
                 self.engine._run_step(
                     index, call, env, parent=chunk_span,
-                    state=self._states[index],
+                    state=overlays[index][0],
                 )
             missing = [name for name in self.outputs if name not in env]
             if missing:
                 raise KeyError(f"pipeline never produced outputs: {missing}")
-            chunk_span.set("state_bytes", _carried_state_bytes(self._states))
+            chunk_span.set(
+                "state_bytes",
+                _state_bytes(overlay for overlay, _ in overlays.values()),
+            )
+        return StagedChunk(
+            chunk_index=chunk_index,
+            outputs={name: env[name] for name in self.outputs},
+            overlays=overlays,
+        )
+
+    def commit(self, staged: StagedChunk) -> None:
+        """Fold a staged chunk into the carried state; advance ``chunks``.
+
+        Refuses a chunk staged at another chunk index, so a stale
+        attempt can never be applied twice or out of order.
+        """
+        if staged.chunk_index != self.chunks:
+            raise RuntimeError(
+                f"staged chunk {staged.chunk_index} is stale: the session "
+                f"is at chunk {self.chunks}"
+            )
+        for index, (overlay, begun) in staged.overlays.items():
+            _commit(self._states[index], overlay, begun)
         self.chunks += 1
-        return {name: env[name] for name in self.outputs}
+
+    def process_chunk(self, chunk: PacketTable, *, parent=None) -> dict:
+        """:meth:`stage` then :meth:`commit` ``chunk``; returns
+        ``{output name: value}`` for the session's outputs.
+
+        An exception commits nothing: the carried state stays at the
+        previous chunk boundary.
+        """
+        staged = self.stage(chunk, parent=parent)
+        self.commit(staged)
+        return staged.outputs
 
     # ------------------------------------------------------------------
 
     def state_bytes(self) -> int:
         """Current in-memory size of the carried state (for health)."""
-        return _carried_state_bytes(self._states)
+        return _state_bytes(self._states.values())
 
     def snapshot(self) -> StreamSnapshot:
         """A deep-copied, restorable capture of the carried state."""
@@ -729,8 +830,9 @@ class ExecutionEngine:
         """An incremental :class:`StreamSession` over ``pipeline``.
 
         The caller owns the chunk loop: feed time-ordered chunks to
-        :meth:`StreamSession.process_chunk` as they arrive, snapshot
-        and restore around risky work, and hand state over to a new
+        :meth:`StreamSession.process_chunk` as they arrive (or
+        :meth:`~StreamSession.stage` them and :meth:`~StreamSession.commit`
+        once the chunk's work succeeded), and hand state over to a new
         session on graceful reload.  :meth:`run_stream` is exactly this
         session driven by :func:`repro.core.streaming.chunked`.
         """

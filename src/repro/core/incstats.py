@@ -16,6 +16,8 @@ engine.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 #: Kitsune's default decay rates (per second, in powers of two).
@@ -44,6 +46,14 @@ class IncStat:
         self.w += 1.0
         self.ls += value
         self.ss += value * value
+
+    def copy(self) -> "IncStat":
+        twin = IncStat(self.lam)
+        twin.w = self.w
+        twin.ls = self.ls
+        twin.ss = self.ss
+        twin.last_t = self.last_t
+        return twin
 
     @property
     def mean(self) -> float:
@@ -161,6 +171,16 @@ def kitsune_packet_features(
     return np.hstack(blocks)
 
 
+#: one carried stream: its (tag, lambda, key) tuple, the IncStat and
+#: the w/ls/ss floats it owns
+_STREAM_BYTES = (
+    sys.getsizeof(("src", 1.0, 0)) + sys.getsizeof(IncStat(1.0))
+    + 3 * sys.getsizeof(0.0)
+)
+#: what a state that is not an overlay reads through to
+_EMPTY: dict = {}
+
+
 class KitsuneStreamState:
     """Carried Kitsune accumulators for chunked execution.
 
@@ -173,6 +193,13 @@ class KitsuneStreamState:
     python-float update sequence and reproduces the batch matrix byte
     for byte, for any chunking.
 
+    One chunk's update is a transaction: :meth:`begin` returns an
+    overlay that reads this state and copies an accumulator into
+    itself on first touch, so :meth:`features` on the overlay never
+    writes here; :meth:`commit` folds the touched accumulators in.
+    Both cost O(streams touched), and dropping an uncommitted overlay
+    is the rollback.
+
     :meth:`evict_idle` bounds the carried state for long-running live
     streams; the op-level stream body never evicts, keeping the
     ``run_stream``-vs-batch equality exact.
@@ -182,12 +209,58 @@ class KitsuneStreamState:
         self.lambdas = tuple(lambdas)
         self._streams: dict[tuple, IncStat] = {}
         self._last_seen: dict[int, float] = {}
+        #: the committed state an overlay reads through, else None
+        self._base: KitsuneStreamState | None = None
+        #: ``sys.getsizeof`` bytes of the stream entries created here
+        self._entry_bytes = 0
 
     def __len__(self) -> int:
         return len(self._streams)
 
+    @property
+    def state_bytes(self) -> int:
+        """In-memory size of the carried state, kept up to date in O(1).
+
+        For an overlay: the committed size plus the streams it created.
+        """
+        if self._base is not None:
+            return self._base.state_bytes + self._entry_bytes
+        return (
+            sys.getsizeof(self)
+            + sys.getsizeof(self._streams)
+            + sys.getsizeof(self._last_seen)
+            + self._entry_bytes
+        )
+
+    def _stream_bytes(self, tag: str, lam: float, key) -> int:
+        """Bytes one stream entry holds; every decay rate and the ``iat``
+        stream share the group key and its last arrival time, so those
+        count once, with the first rate's ``src``/``chan``/``sock`` entry."""
+        size = _STREAM_BYTES
+        if tag != "iat" and lam == self.lambdas[0]:
+            size += sys.getsizeof(key) + sys.getsizeof(0.0)
+            if isinstance(key, tuple):
+                size += sum(map(sys.getsizeof, key))
+        return size
+
+    def begin(self) -> "KitsuneStreamState":
+        """A chunk overlay over this (committed) state."""
+        overlay = KitsuneStreamState(self.lambdas)
+        overlay._base = self
+        return overlay
+
+    def commit(self, overlay: "KitsuneStreamState") -> None:
+        """Fold an overlay from :meth:`begin` in; the overlay is spent."""
+        if overlay._base is not self:
+            raise ValueError("overlay was not begun on this state")
+        self._streams.update(overlay._streams)
+        self._last_seen.update(overlay._last_seen)
+        self._entry_bytes += overlay._entry_bytes
+        overlay._base = None
+
     def features(self, table) -> np.ndarray:
-        """Per-packet feature rows for one chunk, updating carried state.
+        """Per-packet feature rows for one chunk, updating this state
+        (on an overlay: its own copies, never the committed state).
 
         Column layout matches the batch ``np.hstack``: for each decay
         rate, (w, mean, std) over source, channel, socket size streams
@@ -212,13 +285,21 @@ class KitsuneStreamState:
         out = np.empty((n, 12 * len(lambdas)), dtype=np.float64)
         streams = self._streams
         last_seen = self._last_seen
+        if self._base is None:
+            committed_streams = committed_seen = _EMPTY
+        else:
+            committed_streams = self._base._streams
+            committed_seen = self._base._last_seen
         for i in range(n):
             t = ts[i]
             size = sizes[i]
             src_key = src[i]
             chan_key = (src[i], dst[i])
             sock_key = (src[i], dst[i], sport[i], dport[i], proto[i])
-            gap = t - last_seen.get(src_key, t)
+            previous = last_seen.get(src_key)
+            if previous is None:
+                previous = committed_seen.get(src_key, t)
+            gap = t - previous
             last_seen[src_key] = t
             col = 0
             for lam in lambdas:
@@ -230,7 +311,14 @@ class KitsuneStreamState:
                 ):
                     stream = streams.get((tag, lam, key))
                     if stream is None:
-                        stream = IncStat(lam)
+                        stream = committed_streams.get((tag, lam, key))
+                        if stream is None:
+                            stream = IncStat(lam)
+                            self._entry_bytes += self._stream_bytes(
+                                tag, lam, key
+                            )
+                        else:
+                            stream = stream.copy()
                         streams[(tag, lam, key)] = stream
                     stream.update(t, value)
                     out[i, col] = stream.w
@@ -258,6 +346,7 @@ class KitsuneStreamState:
         ]
         for key in stale:
             del self._streams[key]
+            self._entry_bytes -= self._stream_bytes(*key)
         stale_seen = [
             key for key, t in self._last_seen.items() if now - t > max_idle
         ]

@@ -6,7 +6,7 @@ machinery a long-running process actually needs.  A single-threaded,
 clock-driven control loop replays a trace at a controlled rate,
 assembles time-window chunks through a bounded backpressure queue, and
 scores them online via the engine's proven-streamable
-:class:`~repro.core.engine.StreamSession` -- with snapshot/rollback
+:class:`~repro.core.engine.StreamSession` -- with stage-then-commit
 atomic scoring, seeded retries, quarantine-and-continue degradation,
 a stall watchdog, SIGHUP graceful reload with analyzer-gated state
 handoff, and checkpoint-based crash recovery.

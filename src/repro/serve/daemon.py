@@ -10,40 +10,46 @@ scores must be byte-equal to the offline run over the same rows.
 
 The robustness contract, end to end:
 
-* **Atomic scoring.**  Every chunk attempt starts from the last good
-  state :meth:`~repro.core.engine.StreamSession.snapshot` (one is taken
-  per scored chunk), and a failed attempt rewinds to it with
-  :meth:`~repro.core.engine.StreamSession.restore`, so retries,
-  deadline kills and quarantine never leave half-updated accumulators
-  behind.  Retries use the benchmark runner's seeded exponential
-  backoff, slept on the *injected clock* -- virtual-time soaks replay
-  the exact schedule.
+* **Atomic scoring.**  Every chunk attempt is a transaction: it
+  stages the chunk against overlays of the committed state
+  (:meth:`~repro.core.engine.StreamSession.stage`, on the deadline
+  worker when a deadline is set), and the control thread commits it
+  (:meth:`~repro.core.engine.StreamSession.commit`) only after the
+  model has scored it.  A failed, timed-out or abandoned attempt just
+  drops its overlay, so retries, deadline kills and quarantine never
+  leave half-updated accumulators behind.  Retries use the benchmark
+  runner's seeded exponential backoff, slept on the *injected clock*
+  -- virtual-time soaks replay the exact schedule.
 * **Graceful degradation.**  A chunk that exhausts its retries is
   quarantined -- journaled with its exact row range, counted, skipped
-  -- and the daemon keeps serving.  Because its state update is rolled
-  back, the continuation equals an offline run over the surviving rows.
+  -- and the daemon keeps serving.  Because it never committed, the
+  continuation equals an offline run over the surviving rows.
 * **Backpressure by policy.**  The bounded queue either blocks ingest
   (packets delivered late, never lost) or drops the oldest chunk,
   journaled and counted: loss is allowed only where it is visible.
 * **Watchdog.**  Progress heartbeats on the clock; a stall window with
-  no progress trips a restart that rewinds to the last good snapshot.
-  An optional per-attempt deadline bounds a single hung scoring call.
+  no progress trips a restart; the session holds only committed
+  state, so there is nothing to rewind.  An optional per-attempt
+  deadline bounds a single hung scoring call.
 * **Graceful reload** (SIGHUP in the CLI): at the next chunk boundary
   the template is re-read and a fresh session built; carried state is
   handed over step by step under
   :meth:`~repro.core.engine.StreamSession.adopt_state` rules (same
   step, same params, analyzer-proven finite bound), so a same-template
   reload changes no scores and drops no packets.
-* **Crash recovery.**  A periodic checkpoint journals the replay
-  offset, window origin, loss ledger and the pickled last good state
-  snapshot (torn-tail-tolerant JSONL, same mechanics as the benchmark
+* **Crash recovery.**  Every ``checkpoint_every`` scored chunks (and
+  at shutdown) a checkpoint journals the replay offset, window origin,
+  loss ledger and a pickled snapshot of the committed state
+  (torn-tail-tolerant JSONL, same mechanics as the benchmark
   checkpoint); ``resume=True`` continues exactly where the last
   checkpoint left off.
 
 The control loop is deliberately single-threaded -- ingest, score,
 poll, checkpoint, in that order, every tick -- so that with a
 :class:`~repro.serve.clock.ReplayClock` the whole daemon is a
-deterministic function of (trace, template, config, fault plan).
+deterministic function of (trace, template, config, fault plan).  Only
+staging may leave that thread, and it writes nothing the loop reads
+until the loop commits it.
 """
 
 from __future__ import annotations
@@ -189,7 +195,6 @@ class ServeDaemon:
         )
         self.watchdog = Watchdog(self.clock, self.config.stall_seconds)
         self._pending: list[Chunk] = []
-        self._last_good = None
         self._checkpoint_journal = (
             JsonlJournal(self.config.checkpoint_path)
             if self.config.checkpoint_path
@@ -340,7 +345,6 @@ class ServeDaemon:
             row_counter=start_row,
         )
         self._model = self._prepare_model()
-        self._last_good = self.session.snapshot()
         self._collected = {name: [] for name in self.session.outputs}
         self.watchdog.beat()
         self._started_ok = True
@@ -449,7 +453,6 @@ class ServeDaemon:
                 self._last_error = self._fatal
                 return
             self.watchdog.trip(idle=round(self.watchdog.stall_seconds, 3))
-            self.session.restore(self._last_good)
         # 5. let time pass when there is nothing to do right now
         if not progressed:
             self._idle_sleep()
@@ -530,7 +533,7 @@ class ServeDaemon:
         return self.config.backoff_base * (2 ** (attempt - 1)) * jitter
 
     def _score_attempt(self, chunk: Chunk, parent, attempt: int):
-        """One scoring attempt; returns ``(outputs, anomalies)``."""
+        """One scoring attempt; returns ``(staged chunk, anomalies)``."""
         with get_tracer().span(
             "score_chunk",
             parent=parent,
@@ -540,30 +543,26 @@ class ServeDaemon:
             attempt=attempt,
         ) as span:
             maybe_inject("score_chunk", window=chunk.window, attempt=attempt)
-            out = call_with_deadline(
-                lambda: self.session.process_chunk(chunk.table, parent=span),
+            staged = call_with_deadline(
+                lambda: self.session.stage(chunk.table, parent=span),
                 self.config.chunk_deadline,
                 f"score_chunk[{chunk.window}]",
             )
-            return out, self._apply_model(out, span)
+            return staged, self._apply_model(staged.outputs, span)
 
     def _score_chunk(self, chunk: Chunk, parent) -> bool:
-        # the session enters every chunk at self._last_good: it is set
-        # at startup, after each scored chunk and after a reload, and
-        # restored on quarantine and on a watchdog trip
         tracer = get_tracer()
         attempts = self.config.retries + 1
         for attempt in range(1, attempts + 1):
             try:
-                out, anomalies = self._score_attempt(chunk, parent, attempt)
-                self._finish_chunk(chunk, out, anomalies)
-                return True
+                staged, anomalies = self._score_attempt(
+                    chunk, parent, attempt
+                )
             except (KeyboardInterrupt, SystemExit):
                 raise
             except Exception as exc:
-                # roll the carried state back before anything else: no
-                # retry or quarantine may see a half-updated stream
-                self.session.restore(self._last_good)
+                # the attempt's overlay is dropped with it: no retry or
+                # quarantine sees a half-updated stream
                 self._last_error = f"{type(exc).__name__}: {exc}"
                 if isinstance(exc, StallError):
                     self.watchdog.trip(chunk=chunk.window)
@@ -585,6 +584,10 @@ class ServeDaemon:
                     )
                 else:
                     self._quarantine(chunk, exc, attempts)
+            else:
+                self.session.commit(staged)
+                self._finish_chunk(chunk, staged.outputs, anomalies)
+                return True
         return False
 
     def _apply_model(self, out: dict, span) -> int:
@@ -616,7 +619,6 @@ class ServeDaemon:
                 "anomalies": anomalies,
                 "digest": _digest_outputs(out),
             })
-        self._last_good = self.session.snapshot()
         if (
             self._checkpoint_journal is not None
             and self.config.checkpoint_every > 0
@@ -672,10 +674,9 @@ class ServeDaemon:
     # ------------------------------------------------------------------
 
     def _write_checkpoint(self) -> None:
-        # the last good state, never a fresh snapshot: an interrupt
-        # inside process_chunk leaves the session half-advanced while
-        # consumed_rows still excludes that chunk
-        snapshot = self._last_good
+        # the session holds committed state only: an interrupted
+        # chunk's overlay was never folded in, matching consumed_rows
+        snapshot = self.session.snapshot()
         payload = {
             "kind": "serve_checkpoint",
             "chunk": snapshot.chunk_index,
@@ -737,7 +738,6 @@ class ServeDaemon:
         old.close()  # free the retired session's stream accumulators
         for name in self.session.outputs:
             self._collected.setdefault(name, [])
-        self._last_good = self.session.snapshot()
         self._reloads += 1
         METRICS.counter(
             metric_names.SERVE_RELOADS,
@@ -860,8 +860,8 @@ class ServeDaemon:
     def verify_against_offline(self) -> dict:
         """Prove zero silent loss: daemon outputs == offline run_stream.
 
-        Because failed chunks roll their state back before quarantine,
-        the daemon's carried state evolves exactly as an offline stream
+        Because failed chunks never commit their state before
+        quarantine, the daemon's carried state evolves exactly as an offline stream
         over the *surviving* rows -- so the concatenated daemon outputs
         must be byte-equal to ``run_stream`` on the surviving table.
         Returns ``{output name: bool}``; every value must be True.

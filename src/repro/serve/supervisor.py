@@ -40,7 +40,13 @@ class StallError(RuntimeError):
 
 
 def call_with_deadline(fn, seconds: float | None, what: str):
-    """Run ``fn`` with a wall-clock bound (no bound when ``seconds`` is falsy)."""
+    """Run ``fn`` with a wall-clock bound (no bound when ``seconds`` is falsy).
+
+    An overrun worker is abandoned, not stopped: it runs on to the end
+    of ``fn``.  The daemon only ever passes a stage of the chunk, so an
+    abandoned worker writes only into that attempt's overlay, which
+    nothing commits once :class:`StallError` is raised.
+    """
     if not seconds:
         return fn()
     outcome: dict = {}
@@ -67,7 +73,7 @@ class Watchdog:
     """Detects a control loop that has stopped making progress.
 
     The watchdog never restarts anything itself -- it *reports*, and
-    the daemon owns the recovery (restore the last good snapshot and
+    the daemon owns the recovery (drop the uncommitted attempt and
     continue).  :meth:`trip` records that a restart happened so the
     count is visible on ``serve_watchdog_restarts_total`` and in the
     status report.

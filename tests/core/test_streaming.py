@@ -1,9 +1,14 @@
 """Tests for chunked delivery and online (streaming) detection."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import ExecutionEngine, Pipeline
+from repro.core.engine import _begin, _carried_state_bytes, _commit
 from repro.core.incstats import (
     KitsuneStreamState,
     kitsune_packet_features,
@@ -135,6 +140,104 @@ class TestKitsuneOpenStream:
         assert np.array_equal(session.process_chunk(tail)["X"], expected)
 
 
+    def test_stage_commits_nothing_until_commit(
+        self, engine, pipeline, attack_trace
+    ):
+        ordered = attack_trace.sort_by_time()
+        head = ordered.select(np.arange(200))
+        tail = ordered.select(np.arange(200, 400))
+        reference = engine.open_stream(pipeline, outputs=["X", "y"])
+        reference.process_chunk(head)
+        expected = reference.process_chunk(tail)["X"]
+
+        session = engine.open_stream(pipeline, outputs=["X", "y"])
+        session.process_chunk(head)
+        committed = pickle.dumps(session._states)
+        dropped = session.stage(tail)  # an attempt that never commits
+        staged = session.stage(tail)
+        assert session.chunks == 1
+        assert pickle.dumps(session._states) == committed
+        assert dropped.outputs["X"].tobytes() == expected.tobytes()
+        session.commit(staged)
+        assert session.chunks == 2
+        assert staged.outputs["X"].tobytes() == expected.tobytes()
+        assert pickle.dumps(session._states) == pickle.dumps(
+            reference._states
+        )
+        # a stale attempt can never be applied
+        with pytest.raises(RuntimeError, match="stale"):
+            session.commit(dropped)
+
+
+    def test_stale_stages_on_other_threads_never_touch_committed_state(
+        self, engine, pipeline, attack_trace
+    ):
+        chunks = list(chunked(attack_trace.sort_by_time(), 10.0))
+        reference = engine.open_stream(pipeline, outputs=["X"])
+        expected = [reference.process_chunk(c)["X"] for c in chunks]
+        session = engine.open_stream(pipeline, outputs=["X"])
+        stop = threading.Event()
+
+        def stale_stages():
+            # an abandoned attempt: staged and never committed; racing a
+            # commit may make it raise, and it is dropped either way
+            while not stop.is_set():
+                try:
+                    session.stage(chunks[-1])
+                except Exception:
+                    pass
+
+        workers = [
+            threading.Thread(target=stale_stages, daemon=True)
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            served = [session.process_chunk(c)["X"] for c in chunks]
+        finally:
+            stop.set()
+            for worker in workers:
+                worker.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert session.chunks == len(chunks)
+        for mine, theirs in zip(served, expected):
+            assert mine.tobytes() == theirs.tobytes()
+        assert pickle.dumps(session._states) == pickle.dumps(
+            reference._states
+        )
+
+
+class TestStateOverlays:
+    """``_begin``/``_commit``: the protocol where a state value has it,
+    a deep copy where it does not."""
+
+    def test_value_without_protocol_is_deep_copied(self):
+        state = {"counts": {"a": [1]}, "gone": 0}
+        overlay, begun = _begin(state)
+        assert begun == {}
+        overlay["counts"]["a"].append(2)
+        del overlay["gone"]
+        overlay["new"] = 3
+        assert state == {"counts": {"a": [1]}, "gone": 0}
+        _commit(state, overlay, begun)
+        assert state == {"counts": {"a": [1, 2]}, "new": 3}
+
+    def test_value_with_protocol_is_begun_and_committed(self, benign_trace):
+        table = benign_trace.sort_by_time()
+        ks = KitsuneStreamState((1.0,))
+        state = {"kitsune": ks}
+        overlay, begun = _begin(state)
+        assert begun["kitsune"] is overlay["kitsune"] is not ks
+        overlay["kitsune"].features(table)
+        assert len(ks) == 0
+        _commit(state, overlay, begun)
+        assert state["kitsune"] is ks and len(ks) > 0
+
+
 class TestKitsuneStreamState:
     """Chunk-boundary invariance of the carried Kitsune statistics."""
 
@@ -150,6 +253,11 @@ class TestKitsuneStreamState:
             for chunk in chunks
         ]
         return np.concatenate(parts, axis=0)
+
+    def direct(self, table):
+        state = KitsuneStreamState(self.LAMBDAS)
+        state.features(table)
+        return state
 
     def test_single_packet_chunks_match_batch(self, benign_trace):
         table = benign_trace.sort_by_time().select(np.arange(120))
@@ -174,6 +282,55 @@ class TestKitsuneStreamState:
             kitsune_packet_features_stream(
                 benign_trace, self.LAMBDAS, state
             )
+
+    def test_overlay_chunks_match_batch(self, benign_trace):
+        table = benign_trace.sort_by_time()
+        state = KitsuneStreamState(self.LAMBDAS)
+        parts = []
+        for chunk in chunked(table, 1.0):
+            overlay = state.begin()
+            parts.append(overlay.features(chunk))
+            state.commit(overlay)
+        streamed = np.concatenate(parts, axis=0)
+        assert np.array_equal(self.batch(table), streamed)
+        assert pickle.dumps(state) == pickle.dumps(self.direct(table))
+
+    def test_dropped_overlay_leaves_state_unchanged(self, benign_trace):
+        table = benign_trace.sort_by_time()
+        head = table.select(np.arange(len(table) // 2))
+        tail = table.select(np.arange(len(table) // 2, len(table)))
+        state = KitsuneStreamState(self.LAMBDAS)
+        state.features(head)
+        committed = pickle.dumps(state)
+        state.begin().features(tail)
+        assert pickle.dumps(state) == committed
+        assert np.array_equal(self.batch(table)[len(head):],
+                              state.features(tail))
+
+    def test_commit_refuses_foreign_or_spent_overlay(self, benign_trace):
+        state = KitsuneStreamState(self.LAMBDAS)
+        other = KitsuneStreamState(self.LAMBDAS)
+        with pytest.raises(ValueError, match="not begun"):
+            state.commit(other.begin())
+        overlay = state.begin()
+        overlay.features(benign_trace.sort_by_time())
+        state.commit(overlay)
+        with pytest.raises(ValueError, match="not begun"):
+            state.commit(overlay)
+
+    def test_state_bytes_follow_the_walk(self, benign_trace):
+        table = benign_trace.sort_by_time()
+        state = KitsuneStreamState(self.LAMBDAS)
+        for chunk in chunked(table, 10.0):
+            overlay = state.begin()
+            overlay.features(chunk)
+            state.commit(overlay)
+        walked = _carried_state_bytes(state)
+        assert abs(state.state_bytes - walked) <= 0.1 * walked
+        # eviction gives the bytes back
+        state.evict_idle(float(table.ts.max()) + 1e6, 3600.0)
+        walked = _carried_state_bytes(state)
+        assert abs(state.state_bytes - walked) <= 0.1 * walked
 
     def test_evict_idle_bounds_state(self, benign_trace):
         table = benign_trace.sort_by_time()

@@ -9,13 +9,21 @@ assertions are byte-equality ones: whatever the daemon survives
 """
 
 import json
+import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.core.engine import ExecutionEngine, StreamSession
+from repro.core.engine import (
+    ExecutionEngine,
+    StreamSession,
+    _carried_state_bytes,
+)
+from repro.core.incstats import KitsuneStreamState
 from repro.faults import FaultPlan, FaultRule, active
-from repro.obs import METRICS
+from repro.obs import METRICS, RingBufferSink, get_tracer
 from repro.obs import metrics as metric_names
 from repro.serve import ReplayClock, ServeConfig, ServeDaemon
 
@@ -97,27 +105,40 @@ class TestCleanRun:
         assert status["packets_ingested"] == len(serve_trace)
         assert status["chunks_scored"] == daemon._scored
 
-    def test_one_snapshot_per_scored_chunk(
+    def test_snapshots_only_per_checkpoint(
         self, serve_trace, tmp_path, monkeypatch
     ):
-        calls = []
+        snapshots = []
+        copies = []
         snapshot = StreamSession.snapshot
 
-        def counted(session):
-            calls.append(session.chunks)
+        def counted_snapshot(session):
+            snapshots.append(session.chunks)
             return snapshot(session)
 
-        monkeypatch.setattr(StreamSession, "snapshot", counted)
+        def counted_getstate(state):
+            # deepcopy and pickle both read the carried state through here
+            copies.append(len(state))
+            return state.__dict__
+
+        monkeypatch.setattr(StreamSession, "snapshot", counted_snapshot)
+        monkeypatch.setattr(
+            KitsuneStreamState, "__getstate__", counted_getstate,
+            raising=False,
+        )
         daemon = make_daemon(
             serve_trace,
             checkpoint_path=str(tmp_path / "checkpoint.jsonl"),
-            checkpoint_every=1,
+            checkpoint_every=3,
         )
         report = daemon.run()
-        assert report.ok and report.checkpoints_written > 1
-        # one at startup, one after each scored chunk: scoring rolls
-        # back to that snapshot and checkpoints pickle it
-        assert len(calls) == report.chunks_scored + 1
+        assert report.ok and report.chunks_scored > 6
+        # every third scored chunk, plus the one written at shutdown
+        assert report.checkpoints_written == report.chunks_scored // 3 + 1
+        assert len(snapshots) == report.checkpoints_written
+        # one deep copy into the snapshot and one pickle of it, per
+        # checkpoint; scoring a chunk copies no carried state at all
+        assert len(copies) == 2 * report.checkpoints_written
 
     def test_stop_request_drains_gracefully(self, serve_trace):
         class StopEarly(ServeDaemon):
@@ -224,6 +245,149 @@ class TestChaos:
         assert report.packets_lost == 0
         assert METRICS.counter(metric_names.SERVE_QUEUE_BLOCKED).value > 0
         assert all(daemon.verify_against_offline().values())
+
+
+class TestTransactions:
+    """A chunk's state update commits on the control thread, after the
+    model scored it; every failed attempt commits nothing."""
+
+    @pytest.mark.parametrize("stale_finishes", ["before_retry", "after_retry"])
+    def test_abandoned_worker_never_commits(
+        self, serve_trace, monkeypatch, stale_finishes
+    ):
+        features = KitsuneStreamState.features
+        stalled: list[threading.Thread] = []
+
+        def slow_once(state, table):
+            # the first attempt at the third chunk overruns its deadline
+            if not stalled and daemon.session.chunks == 2:
+                stalled.append(threading.current_thread())
+                time.sleep(0.5)
+            return features(state, table)
+
+        def join_stale_worker():
+            if stalled:
+                stalled[0].join(timeout=10.0)
+                assert not stalled[0].is_alive()
+
+        class JoiningClock(ReplayClock):
+            def sleep(self, seconds):
+                if stale_finishes == "before_retry":
+                    join_stale_worker()  # inside the retry's backoff
+                super().sleep(seconds)
+
+        class JoinAfterRetry(ServeDaemon):
+            def _finish_chunk(self, chunk, out, anomalies):
+                super()._finish_chunk(chunk, out, anomalies)
+                if self._scored == 3:
+                    join_stale_worker()
+
+        monkeypatch.setattr(KitsuneStreamState, "features", slow_once)
+        daemon = JoinAfterRetry(
+            serve_trace,
+            config=ServeConfig(
+                chunk_seconds=CHUNK_SECONDS, outputs=["X", "y"],
+                chunk_deadline=0.1,
+            ),
+            clock=JoiningClock(),
+        )
+        sink = RingBufferSink(capacity=None)
+        tracer = get_tracer()
+        tracer.add_sink(sink)
+        try:
+            report = daemon.run()
+            join_stale_worker()
+        finally:
+            tracer.remove_sink(sink)
+        monkeypatch.undo()
+
+        assert stalled, "no attempt overran its deadline -- test is vacuous"
+        assert report.ok and report.packets_lost == 0
+        assert METRICS.counter(metric_names.SERVE_CHUNK_RETRIES).value >= 1
+        assert daemon.session.chunks == report.chunks_scored
+        spans = [e for e in sink.events() if e.get("kind") == "span"]
+        scored = {
+            s["span_id"]: s for s in spans
+            if s["name"] == "score_chunk" and s["status"] == "ok"
+        }
+        committed = sorted(
+            (scored[s["parent_id"]]["attrs"]["row_start"], s["attrs"]["chunk"])
+            for s in spans
+            if s["name"] == "stream_chunk" and s["parent_id"] in scored
+        )
+        assert [chunk for _, chunk in committed] == list(
+            range(report.chunks_scored)
+        )
+        retry = next(
+            s for s in scored.values() if s["attrs"]["attempt"] == 2
+        )
+        retry_chunk = next(
+            s["attrs"]["chunk"] for s in spans
+            if s["name"] == "stream_chunk"
+            and s["parent_id"] == retry["span_id"]
+        )
+        assert retry_chunk == 2
+        assert all(daemon.verify_against_offline().values())
+
+    def test_model_failure_after_staging_commits_nothing(self, serve_trace):
+        seen = []
+
+        class FlakyModel:
+            def score_samples(self, features):
+                seen.append((
+                    daemon.session.chunks,
+                    pickle.dumps(daemon.session._states),
+                ))
+                if len(seen) == 3:  # chunk 2's features are staged
+                    raise RuntimeError("model fault")
+                return np.zeros(len(features))
+
+        class FlakyModelDaemon(ServeDaemon):
+            def _prepare_model(self):
+                return FlakyModel(), 0.5
+
+        daemon = FlakyModelDaemon(
+            serve_trace,
+            config=ServeConfig(chunk_seconds=CHUNK_SECONDS,
+                               outputs=["X", "y"]),
+            clock=ReplayClock(),
+        )
+        report = daemon.run()
+        n_chunks = make_daemon(serve_trace).run().chunks_scored
+
+        assert report.ok and report.packets_lost == 0
+        assert METRICS.counter(metric_names.SERVE_CHUNK_RETRIES).value == 1
+        # the model scores every attempt before its commit; the failed
+        # attempt at chunk 2 committed nothing for its retry to see
+        assert [chunks for chunks, _ in seen] == (
+            [0, 1, 2, 2] + list(range(3, n_chunks))
+        )
+        assert seen[2][1] == seen[3][1]
+        assert daemon._scored == report.chunks_scored == n_chunks
+        assert all(daemon.verify_against_offline().values())
+        mine = daemon.collected()
+        for name, value in baseline_outputs(serve_trace).items():
+            assert np.asarray(mine[name]).tobytes() == (
+                np.asarray(value).tobytes()
+            ), name
+
+    def test_state_bytes_tracks_the_walk(self, serve_trace):
+        daemon = make_daemon(serve_trace)
+        sink = RingBufferSink(capacity=None)
+        tracer = get_tracer()
+        tracer.add_sink(sink)
+        try:
+            assert daemon.run().ok
+        finally:
+            tracer.remove_sink(sink)
+        walked = _carried_state_bytes(daemon.session._states)
+        counted = daemon.session.state_bytes()
+        assert abs(counted - walked) <= 0.1 * walked
+        last = [
+            e for e in sink.events()
+            if e.get("kind") == "span" and e["name"] == "stream_chunk"
+        ][-1]
+        assert abs(last["attrs"]["state_bytes"] - walked) <= 0.1 * walked
 
 
 class TestWatchdog:
