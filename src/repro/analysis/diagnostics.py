@@ -63,11 +63,11 @@ CODES: dict[str, str] = {
     "L038": "row-order-sensitive operation without a declared sort key",
     "L039": "unvectorizable prefix blocking a shareable plan stage",
     "L040": "vectorization verdict/declaration drift",
-    "L041": "unbounded carried container in a streaming-declared operation",
-    "L042": "whole-trace reduction in a streaming-declared operation",
+    "L041": "unbounded carried container in an operation with a stream body",
+    "L042": "whole-trace reduction in an operation with a stream body",
     "L043": "window bound not derivable from params",
     "L044": "chunk-boundary order sensitivity without a declared sort key",
-    "L045": "streaming verdict/declaration drift",
+    "L045": "stream body on an operation not proven streamable",
     "L046": "batch-only operation pinning an otherwise streamable template",
     "L047": "eviction-free flow buffer",
     "L048": "inferred state bound exceeds the declared budget",

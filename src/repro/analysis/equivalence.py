@@ -13,21 +13,21 @@ into one interned super-DAG and materialize each shared prefix once.
 
 A fingerprint is valid for deduplication only when the effect analyzer
 (:mod:`repro.analysis.safety`) proves the node's whole upstream closure
-pure or seeded-stochastic; seed parameters are folded into the hash
-(mirroring the engine's cache-key material) so a seeded step memoized
-under one seed never answers for another.  Steps whose closure contains
-a stateful or I/O operation keep their fingerprint -- it still names
-the *structure* -- but are marked unshareable.
+pure or seeded-stochastic.  A step's fingerprint is its
+:func:`~repro.core.pipeline.step_key` chained from
+``SOURCE_FINGERPRINT`` -- the same function the engine keys its cache
+with, seed values included, so a seeded step memoized under one seed
+never answers for another.  Steps whose closure contains a stateful or
+I/O operation keep their fingerprint -- it still names the *structure*
+-- but are marked unshareable.
 
-All hashes go through :func:`_digest` (sha256) so they are stable
-across processes; never use the builtin ``hash()`` for persisted
-fingerprints (astlint AL008 enforces this repo-wide).
+All hashes go through :func:`~repro.core.pipeline.digest` (sha256) so
+they are stable across processes; never use the builtin ``hash()`` for
+persisted fingerprints (astlint AL008 enforces this repo-wide).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 from repro.analysis.diagnostics import Severity
@@ -35,32 +35,16 @@ from repro.analysis.graph import StepNode, TemplateGraph, build_graph
 from repro.analysis.passes import pass_dataflow, pass_parameters
 from repro.analysis.safety import PURE, SEEDED, operation_report
 from repro.core.errors import TemplateDiagnosticError
-from repro.core.pipeline import SOURCE_NAME
+from repro.core.pipeline import SOURCE_NAME, digest, params_token, step_key
 
 __all__ = [
     "CanonicalGraph",
     "CanonicalStep",
     "canonicalize",
-    "params_token",
 ]
 
 #: the symbolic fingerprint of the (dataset-independent) source trace
 SOURCE_FINGERPRINT = SOURCE_NAME
-
-
-def _digest(material: str) -> str:
-    """The one fingerprint hash (sha256: stable across processes)."""
-    return hashlib.sha256(material.encode()).hexdigest()
-
-
-def params_token(params: dict) -> str:
-    """Canonical textual form of a params dict: sorted keys, JSON.
-
-    Matches the engine's cache-key token (tuples serialize as lists,
-    unknown objects via ``repr``) so a canonical stage and the step the
-    runner executes agree on parameter identity.
-    """
-    return json.dumps(params, sort_keys=True, default=repr)
 
 
 @dataclass(frozen=True)
@@ -116,7 +100,7 @@ class CanonicalGraph:
                 f"{name}={fp}" for name, fp in sorted(self.outputs.items())
             )
             material += "||" + "|".join(s.fingerprint for s in self.steps)
-            self.fingerprint = _digest(material)
+            self.fingerprint = digest(material)
 
     def step_for(self, fingerprint: str) -> CanonicalStep:
         for step in self.steps:
@@ -241,16 +225,9 @@ def canonicalize(
                 input_fps.append(fingerprints[producer])
                 input_ok.append(shareable[producer])
         purity, ok, seeds = _closure_shareable(node, input_ok)
-        material = (
-            f"{node.func}({params_token(node.params)})"
-            f"<-[{','.join(input_fps)}]"
+        fingerprints[node.index] = step_key(
+            node.func, node.params, input_fps, seeds
         )
-        if seeds:
-            folded = ",".join(
-                f"{name}={node.params.get(name)!r}" for name in seeds
-            )
-            material += f"|seeds[{folded}]"
-        fingerprints[node.index] = _digest(material)
         shareable[node.index] = ok
         details[node.index] = (purity, ok, seeds, tuple(input_fps))
 

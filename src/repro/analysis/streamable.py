@@ -224,7 +224,6 @@ class StreamReport:
     operation: str
     verdict: str
     state_bound: str
-    declared: str | None
     declared_bound: str | None
     has_stream_fn: bool
     sort_key: str | None
@@ -247,7 +246,6 @@ class StreamReport:
             "operation": self.operation,
             "verdict": self.verdict,
             "state_bound": self.state_bound,
-            "declared": self.declared,
             "declared_bound": self.declared_bound,
             "stream_fn": self.has_stream_fn,
             "streamable": self.streamable,
@@ -262,7 +260,6 @@ class StreamReport:
 
 def _report(operation) -> StreamReport:
     stream_fn = getattr(operation, "stream_fn", None)
-    declared = getattr(operation, "stream", None)
     declared_bound = getattr(operation, "state_bound", None)
     input_kinds = tuple(t.value for t in operation.input_types)
     output_kind = operation.output_type.value
@@ -282,32 +279,34 @@ def _report(operation) -> StreamReport:
     params |= set(getattr(operation, "optional_params", {}) or {})
     window_derivable = bool(params & _WINDOW_PARAMS)
 
-
+    # a stream body is the streaming declaration, as a batch body is
+    # for the vectorization analyzer: the body-gated codes check it
+    has_body = stream_fn is not None
     diagnostics = []
     whole_trace = (
         _marker_names(findings) | _marker_names(stream_findings)
     ) & _BATCH_CALLS
-    if declared in STREAMABLE_VERDICTS and whole_trace:
+    if has_body and whole_trace:
         diagnostics.append(
             Diagnostic(
                 "L042", Severity.ERROR,
-                f"operation {operation.name!r} is declared "
-                f"stream={declared!r} but performs a whole-trace "
-                f"reduction ({', '.join(sorted(whole_trace))})",
+                f"operation {operation.name!r} has a stream body but "
+                f"performs a whole-trace reduction "
+                f"({', '.join(sorted(whole_trace))})",
                 operation=operation.name,
-                hint="remove the global reduction or withdraw stream=",
+                hint="remove the global reduction or withdraw the stream "
+                "body",
             )
         )
-    if declared is not None and declared != verdict:
+    if has_body and verdict not in STREAMABLE_VERDICTS:
         diagnostics.append(
             Diagnostic(
                 "L045", Severity.ERROR,
-                f"operation {operation.name!r} declares "
-                f"stream={declared!r} but the analyzer infers "
-                f"{verdict!r}: declaration and verdict have drifted",
+                f"operation {operation.name!r} has a stream body but "
+                f"the analyzer infers {verdict!r}: the body and the "
+                "verdict have drifted",
                 operation=operation.name,
-                hint="fix the implementation or correct the stream= "
-                "declaration",
+                hint="fix the implementation or withdraw the stream body",
             )
         )
     tight_budget = declared_bound in (None, "O(1)")
@@ -317,11 +316,7 @@ def _report(operation) -> StreamReport:
         and "accumulates across rows" in finding.detail
         for finding in findings
     )
-    if (
-        declared in STREAMABLE_VERDICTS
-        and tight_budget
-        and (grows_unbounded or carried_rows)
-    ):
+    if has_body and tight_budget and (grows_unbounded or carried_rows):
         where = (
             f"line {growth[0][0]}: {growth[0][1]}"
             if growth
@@ -339,7 +334,8 @@ def _report(operation) -> StreamReport:
             )
         )
     if (
-        declared == WINDOW_BOUNDED
+        has_body
+        and verdict == WINDOW_BOUNDED
         and grows_unbounded
         and not tight_budget
     ):
@@ -371,9 +367,7 @@ def _report(operation) -> StreamReport:
                 "state",
             )
         )
-    if declared in STREAMABLE_VERDICTS and (
-        verdict == WINDOW_BOUNDED and not window_derivable
-    ):
+    if has_body and verdict == WINDOW_BOUNDED and not window_derivable:
         diagnostics.append(
             Diagnostic(
                 "L043", Severity.WARNING,
@@ -403,16 +397,15 @@ def _report(operation) -> StreamReport:
         refusal = f"verdict:{verdict}"
     elif errors:
         refusal = f"diagnostics:{errors[0].code}"
-    elif verdict != STATELESS and stream_fn is None:
+    elif verdict != STATELESS and not has_body:
         refusal = "no-stream-implementation"
 
     return StreamReport(
         operation=operation.name,
         verdict=verdict,
         state_bound=bound,
-        declared=declared,
         declared_bound=declared_bound,
-        has_stream_fn=stream_fn is not None,
+        has_stream_fn=has_body,
         sort_key=sort_key,
         order_sensitive=ordered,
         window_derivable=window_derivable,
@@ -429,7 +422,6 @@ def operation_stream_report(operation) -> StreamReport:
             "streamable", operation.name, operation.fn,
             getattr(operation, "batch", None),
             getattr(operation, "stream_fn", None),
-            getattr(operation, "stream", None),
             getattr(operation, "state_bound", None),
         ),
         lambda: _report(operation),
@@ -458,7 +450,6 @@ def audit_streamable(operations=None) -> dict:
         "batch_only": sum(1 for r in reports if r.verdict == BATCH_ONLY),
         "opaque": sum(1 for r in reports if r.verdict == OPAQUE),
         "streamable": sum(1 for r in reports if r.streamable),
-        "declared": sum(1 for r in reports if r.declared is not None),
         "errors": sum(
             1
             for r in reports

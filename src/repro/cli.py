@@ -466,7 +466,7 @@ def _print_vectorize(section: dict, verbose: bool) -> None:
 def _print_streamable(section: dict, verbose: bool) -> None:
     header = (
         f"{'operation':<22} {'verdict':<18} {'bound':<10} "
-        f"{'declared':<18} {'stream':<7} codes"
+        f"{'stream':<7} codes"
     )
     print(header)
     print("-" * len(header))
@@ -476,8 +476,7 @@ def _print_streamable(section: dict, verbose: bool) -> None:
             stream = "yes" if op["streamable"] else "DRIFT"
         print(
             f"{op['operation']:<22} {op['verdict']:<18} "
-            f"{op['state_bound']:<10} {op['declared'] or '-':<18} "
-            f"{stream:<7} {_codes(op)}"
+            f"{op['state_bound']:<10} {stream:<7} {_codes(op)}"
         )
         if verbose:
             _finding_lines(op)

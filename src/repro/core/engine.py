@@ -9,8 +9,9 @@ adding the three services the paper describes:
 * **Memory optimisation** -- dead-value elimination: a value is dropped
   from the environment right after its last consumer runs.
 * **Intermediate-result sharing** -- deterministic operations are cached
-  across runs keyed by the chain of (operation, parameters) hashes
-  rooted at the source trace's fingerprint, so e.g. the nPrint variants
+  across runs keyed by the chain of step keys
+  (:func:`~repro.core.pipeline.step_key`) rooted at the source trace's
+  fingerprint, so e.g. the nPrint variants
   A01-A04 pay for header-bit extraction once, and every
   connection-level algorithm shares one Groupby per dataset.
 
@@ -32,15 +33,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.errors import PipelineError, TemplateError
-from repro.core.pipeline import Pipeline, SOURCE_NAME
+from repro.core.pipeline import Pipeline, SOURCE_NAME, step_key, step_token
 from repro.core.profiling import OperationProfile, ProfileReport
 from repro.core.types import ValueType, check_type, infer_type_info
 from repro.net.table import PacketTable
@@ -77,10 +77,6 @@ def fingerprint_table(table: PacketTable) -> str:
     return digest.hexdigest()
 
 
-def _params_token(params: dict) -> str:
-    return json.dumps(params, sort_keys=True, default=repr)
-
-
 def _operation_report(operation):
     """Effect/purity report for an operation (lazy import: the analysis
     package imports this module's sibling, pipeline)."""
@@ -113,9 +109,10 @@ def _stream_refusal(operation):
     """Why ``run_stream`` must not chunk this step, or ``None``.
 
     The streaming analyzer's verdict gates exactly like the purity and
-    vectorization verdicts do: batch-only/opaque ops, declaration
-    drift, and unbounded carried state all refuse (L041-L048); proven
-    stateful verdicts additionally need a registered ``stream_fn``.
+    vectorization verdicts do: batch-only/opaque ops, stream bodies
+    the verdict does not support, and unbounded carried state all
+    refuse (L041-L048); proven stateful verdicts additionally need a
+    registered ``stream_fn``.
     """
     from repro.analysis.streamable import operation_stream_report
 
@@ -415,14 +412,16 @@ class StreamSnapshot:
     Snapshots are deep copies: restoring one rewinds the session to the
     exact chunk boundary it was taken at, and the same snapshot can be
     restored more than once (a checkpoint pickles one; resume restores
-    it).  The ``fingerprints`` map records which (operation,
-    params) pair produced each step's state so a restore into a
-    *different* pipeline is refused instead of silently corrupting.
+    it).  The ``fingerprints`` map records the
+    :func:`~repro.core.pipeline.step_token` of the step behind each
+    state, so a restore into a *different* pipeline -- or of a snapshot
+    that does not say which pipeline it came from -- is refused instead
+    of silently corrupting.
     """
 
     chunk_index: int
     states: dict[int, dict]
-    fingerprints: dict[int, str] = field(default_factory=dict)
+    fingerprints: dict[int, str]
 
 
 @dataclass
@@ -521,9 +520,11 @@ class StreamSession:
         ).inc(len(self.refusals))
         raise TemplateError(f"pipeline is not proven streamable: {reason}")
 
-    def _step_fingerprint(self, index: int) -> str:
-        call = self.pipeline.calls[index]
-        return f"{call.name}({_params_token(call.params)})"
+    def _step_tokens(self) -> dict[int, str]:
+        return {
+            index: step_token(call.name, call.params)
+            for index, call in enumerate(self.pipeline.calls)
+        }
 
     # ------------------------------------------------------------------
 
@@ -603,18 +604,12 @@ class StreamSession:
         return StreamSnapshot(
             chunk_index=self.chunks,
             states=copy.deepcopy(self._states),
-            fingerprints={
-                index: self._step_fingerprint(index)
-                for index in self._states
-            },
+            fingerprints=self._step_tokens(),
         )
 
     def restore(self, snapshot: StreamSnapshot) -> None:
         """Rewind to ``snapshot``; the snapshot stays reusable."""
-        expected = {
-            index: self._step_fingerprint(index) for index in self._states
-        }
-        if snapshot.fingerprints and snapshot.fingerprints != expected:
+        if snapshot.fingerprints != self._step_tokens():
             raise TemplateError(
                 "stream snapshot does not match this pipeline "
                 "(operation/params drift); rebuild the session instead "
@@ -632,8 +627,10 @@ class StreamSession:
         handed over only when every rule holds:
 
         * the step exists at the same position with the same operation
-          and params (the state ABI is the (op, params) pair);
-        * the operation is stateless (nothing to carry), or the
+          and params (the state ABI is the
+          :func:`~repro.core.pipeline.step_token`);
+        * the operation has a stream body (without one there is no
+          state to carry: ``stateless``), and the
           streaming analyzer proves a finite state bound
           (``O(1)``/``O(window)``/``O(flows)`` -- never ``O(n)``), so a
           reload can never adopt state the analyzer could not bound.
@@ -650,15 +647,12 @@ class StreamSession:
         )
 
         report: dict[str, str] = {}
-        old_prints = {
-            index: old._step_fingerprint(index) for index in old._states
-        }
+        old_tokens = old._step_tokens()
         for index, call in enumerate(self.pipeline.calls):
             if call.operation.stream_fn is None:
                 report[call.name] = "stateless"
                 continue
-            mine = self._step_fingerprint(index)
-            if old_prints.get(index) != mine:
+            if old_tokens.get(index) != step_token(call.name, call.params):
                 report[call.name] = "fresh:step-changed"
                 continue
             stream_report = operation_stream_report(call.operation)
@@ -785,8 +779,8 @@ class ExecutionEngine:
         the time-sorted trace.
 
         Nothing unproven streams: any step the streaming analyzer
-        refuses (batch-only verdict, declaration drift, unbounded
-        state, missing stream body) aborts before the first chunk, with
+        refuses (batch-only verdict, a stream body it does not prove,
+        unbounded state, missing stream body) aborts before the first chunk, with
         the reasons recorded on the ``run_stream`` span
         (``stream_refused``) and the refusal counter.
         """
@@ -842,24 +836,6 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
 
-    def _key_material(self, call, keys: dict[str, str]) -> str:
-        inputs = ",".join(keys[name] for name in call.inputs)
-        raw = f"{call.name}({_params_token(call.params)})<-[{inputs}]"
-        seed_params = _operation_report(call.operation).seed_params
-        if seed_params:
-            # make the stochastic identity of the step explicit in the
-            # key material: a seeded op memoized under one seed must
-            # never answer for another, even for hand-built calls whose
-            # params dict omits the seed default
-            seeds = ",".join(
-                f"{name}={call.params.get(name)!r}" for name in seed_params
-            )
-            raw += f"|seeds[{seeds}]"
-        return raw
-
-    def _step_key(self, call, keys: dict[str, str]) -> str:
-        return hashlib.sha1(self._key_material(call, keys).encode()).hexdigest()
-
     def _body(self, operation, inputs, state, span):
         """The implementation one step runs, as ``body(inputs, params)``.
 
@@ -914,7 +890,10 @@ class ExecutionEngine:
         }
         cache_typed = False
         if keys is not None:
-            key = keys[call.output] = self._step_key(call, keys)
+            key = keys[call.output] = step_key(
+                call.name, call.params,
+                (keys[name] for name in call.inputs), safety.seed_params,
+            )
             attrs["cache_key"] = key
             cache_typed = (
                 self.use_cache and operation.output_type in _CACHEABLE

@@ -68,11 +68,6 @@ OpFn = Callable[[list, dict], object]
 #: is a per-step dict the engine persists across chunks of one stream
 StreamFn = Callable[[list, dict, dict], object]
 
-#: incrementality classes accepted by ``register_operation(stream=...)``
-#: (kept literal so the streamable analyzer stays standalone-loadable)
-STREAM_CLASSES = ("stateless", "prefix-mergeable", "window-bounded",
-                  "batch-only")
-
 #: symbolic carried-state budgets accepted by ``state_bound=``
 STATE_BOUNDS = ("O(1)", "O(window)", "O(flows)", "O(n)")
 
@@ -95,11 +90,9 @@ class Operation:
     #: the column whose ordering the op's output depends on, when the
     #: implementation is row-order sensitive (L038 gate)
     sort_key: str | None = None
-    #: declared incrementality class (one of :data:`STREAM_CLASSES`);
-    #: the streaming analyzer checks it against its inferred verdict
-    #: (L045 drift) before ``Engine.run_stream`` may chunk the op
-    stream: str | None = None
-    #: optional chunked implementation carrying state across chunks
+    #: optional chunked implementation carrying state across chunks;
+    #: its presence is the streaming declaration the analyzer checks
+    #: (L041-L047) before ``Engine.run_stream`` may chunk the op
     stream_fn: StreamFn | None = None
     #: declared carried-state budget (one of :data:`STATE_BOUNDS`);
     #: exceeding it is an L048 error
@@ -142,7 +135,6 @@ def register_operation(
     optional_params: dict[str, Any] | None = None,
     description: str = "",
     sort_key: str | None = None,
-    stream: str | None = None,
     state_bound: str | None = None,
 ) -> Callable[[OpFn], OpFn]:
     """Decorator registering a function as a framework operation."""
@@ -150,11 +142,6 @@ def register_operation(
     def wrap(fn: OpFn) -> OpFn:
         if name in OPERATIONS:
             raise ValueError(f"operation {name!r} registered twice")
-        if stream is not None and stream not in STREAM_CLASSES:
-            raise ValueError(
-                f"operation {name!r}: stream={stream!r} is not one of "
-                f"{STREAM_CLASSES}"
-            )
         if state_bound is not None and state_bound not in STATE_BOUNDS:
             raise ValueError(
                 f"operation {name!r}: state_bound={state_bound!r} is "
@@ -169,7 +156,6 @@ def register_operation(
             optional_params=dict(optional_params or {}),
             description=description or (fn.__doc__ or "").strip(),
             sort_key=sort_key,
-            stream=stream,
             state_bound=state_bound,
         )
         return fn
@@ -210,10 +196,12 @@ def register_stream(name: str) -> Callable[[StreamFn], StreamFn]:
     is a dict the engine persists across the chunks of one stream.
     Processing a time-ordered trace chunk by chunk must reproduce the
     batch result byte for byte (any documented float tolerance lives
-    with the op).  The engine only selects the body when the streaming
-    analyzer's verdict matches the declared ``stream=`` class (anything
-    else is an L045 drift error), so the operation must declare
-    ``stream=`` first.
+    with the op).  Attach one only to an operation that carries state
+    across chunks: a stateless verdict already streams through ``fn``
+    (or its verdict-gated ``batch`` body) per chunk.  The body is the
+    streaming declaration, as a ``batch`` body is for vectorization:
+    the analyzer checks it (L041/L042/L043/L047) and refuses it on an
+    operation it does not prove streamable (L045).
     """
 
     def wrap(fn: StreamFn) -> StreamFn:
@@ -222,11 +210,6 @@ def register_stream(name: str) -> Callable[[StreamFn], StreamFn]:
             raise ValueError(
                 f"cannot attach stream implementation: operation "
                 f"{name!r} is not registered"
-            )
-        if operation.stream is None:
-            raise ValueError(
-                f"operation {name!r} must declare stream= before a "
-                f"stream implementation is attached"
             )
         if operation.stream_fn is not None:
             raise ValueError(
@@ -453,8 +436,6 @@ def _time_slice(inputs: list, params: dict) -> FlowTable:
     ValueType.FEATURES,
     required_params=("fields",),
     description="Per-packet numeric feature matrix from raw fields.",
-    stream="stateless",
-    state_bound="O(1)",
 )
 def _packet_fields(inputs: list, params: dict) -> np.ndarray:
     table: PacketTable = inputs[0]
@@ -470,8 +451,6 @@ def _packet_fields(inputs: list, params: dict) -> np.ndarray:
     (ValueType.PACKETS,),
     ValueType.FEATURES,
     description="One-hot encoding of the transport protocol per packet.",
-    stream="stateless",
-    state_bound="O(1)",
 )
 def _protocol_one_hot(inputs: list, params: dict) -> np.ndarray:
     table: PacketTable = inputs[0]
@@ -494,23 +473,6 @@ def _protocol_one_hot_batch(inputs: list, params: dict) -> np.ndarray:
     np.equal(table.proto, 1, out=out[:, 2], casting="unsafe")
     np.equal(table.l3, 0, out=out[:, 3], casting="unsafe")
     return out
-
-
-@register_stream("ProtocolOneHot")
-def _protocol_one_hot_stream(
-    inputs: list, params: dict, state: dict
-) -> np.ndarray:
-    # elementwise: per-chunk rows equal the batch rows, so chunked
-    # outputs concatenate to the batch matrix byte for byte
-    return _protocol_one_hot(inputs, params)
-
-
-@register_stream("PacketFields")
-def _packet_fields_stream(
-    inputs: list, params: dict, state: dict
-) -> np.ndarray:
-    # elementwise: no carried state, chunk concat == batch
-    return _packet_fields(inputs, params)
 
 
 @register_operation(
@@ -614,8 +576,6 @@ def _nprint_header_blocks(table: PacketTable, layers: list) -> list:
     description="nPrint-style aligned header-bit representation: one "
     "column per header bit of the selected layers; -1 where the layer "
     "is absent (here encoded as 0/1 with a presence column per layer).",
-    stream="stateless",
-    state_bound="O(1)",
 )
 def _nprint_encode(inputs: list, params: dict) -> np.ndarray:
     table: PacketTable = inputs[0]
@@ -667,14 +627,6 @@ def _nprint_encode_batch(inputs: list, params: dict) -> np.ndarray:
     return np.hstack(blocks) if blocks else np.empty((n, 0))
 
 
-@register_stream("NprintEncode")
-def _nprint_encode_stream(
-    inputs: list, params: dict, state: dict
-) -> np.ndarray:
-    # per-packet header bits carry no cross-packet state
-    return _nprint_encode(inputs, params)
-
-
 @register_operation(
     "KitsuneFeatures",
     (ValueType.PACKETS,),
@@ -684,7 +636,6 @@ def _nprint_encode_stream(
     "(source/channel/socket groupings "
     "x decay rates).",
     sort_key="ts",
-    stream="prefix-mergeable",
     state_bound="O(flows)",
 )
 def _kitsune_features(inputs: list, params: dict) -> np.ndarray:
@@ -1055,8 +1006,6 @@ def _select_columns(inputs: list, params: dict) -> np.ndarray:
     (ValueType.ANY,),
     ValueType.LABELS,
     description="Ground-truth labels of the input packets or flows.",
-    stream="stateless",
-    state_bound="O(1)",
 )
 def _labels(inputs: list, params: dict) -> np.ndarray:
     source = inputs[0]
@@ -1065,12 +1014,6 @@ def _labels(inputs: list, params: dict) -> np.ndarray:
     if isinstance(source, FlowTable):
         return source.labels.astype(np.int64)
     raise TemplateError("Labels expects packets or flows")
-
-
-@register_stream("Labels")
-def _labels_stream(inputs: list, params: dict, state: dict) -> np.ndarray:
-    # per-row lookup: chunked label vectors concatenate to the batch one
-    return _labels(inputs, params)
 
 
 # ----------------------------------------------------------------------

@@ -25,10 +25,18 @@ matching the paper's template style).
 :meth:`Pipeline.validate` performs the engine's static checks before
 execution: operations exist, parameters are complete, every input name
 is defined by an earlier step, and the declared value types line up.
+
+Step identity lives here too: :func:`step_key` is the one answer to
+"are two steps the same step?" that the engine's result cache, the
+stream checkpoints (through :func:`step_token`) and the equivalence
+analyzer's semantic fingerprints all share.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.errors import TemplateError
@@ -48,6 +56,49 @@ class OperationCall:
     @property
     def name(self) -> str:
         return self.operation.name
+
+
+def params_token(params: dict) -> str:
+    """Canonical text of a params dict: sorted keys, JSON.
+
+    Tuples serialize as lists and unknown objects via ``repr``.
+    """
+    return json.dumps(params, sort_keys=True, default=repr)
+
+
+def step_token(func: str, params: dict) -> str:
+    """A step's (operation, params) identity: ``Name({"k": v})``.
+
+    Stream snapshots record it per step and checkpoints pickle them, so
+    this spelling is part of the checkpoint format.
+    """
+    return f"{func}({params_token(params)})"
+
+
+def digest(material: str) -> str:
+    """The one identity hash (sha256: stable across processes)."""
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
+def step_key(
+    func: str,
+    params: dict,
+    input_ids: Iterable[str],
+    seed_params: Iterable[str] = (),
+) -> str:
+    """A step's identity: equal keys compute the same value.
+
+    Hashes the step token, the identities of its inputs (the upstream
+    steps' keys, or a source identity) and the values of its seed
+    params.  The seeds are named explicitly so a seeded op keyed under
+    one seed never answers for another, even for a hand-built call
+    whose params omit the seed default.
+    """
+    material = f"{step_token(func, params)}<-[{','.join(input_ids)}]"
+    seeds = ",".join(f"{name}={params.get(name)!r}" for name in seed_params)
+    if seeds:
+        material += f"|seeds[{seeds}]"
+    return digest(material)
 
 
 #: the reserved name for the trace a pipeline is run against

@@ -488,7 +488,7 @@ class TestOperationReports:
             return table.length, state
 
         operation = scratch_ops(
-            "LeakyStream", fn, stream_fn=leaky_stream, stream="stateless"
+            "LeakyStream", fn, stream_fn=leaky_stream
         )
         report = operation_concurrency_report(operation)
         assert report.verdict == RACY

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import ExecutionEngine, Pipeline
 from repro.core.operations import OPERATIONS, register_operation
+from repro.core.pipeline import step_key
 from repro.core.types import ValueType
 from repro.obs import RingBufferSink, get_tracer
 
@@ -132,17 +133,15 @@ class TestCacheRefusal:
 
 
 class TestSeededCacheKeys:
-    def test_key_material_names_the_seed(self, small_trace):
-        template = [
-            {"func": "Downsample", "input": None, "output": "pkts",
-             "max_packets": 10, "seed": 7},
-        ]
-        pipeline = Pipeline.from_template(template)
-        engine = ExecutionEngine()
-        material = engine._key_material(
-            pipeline.calls[0], {"__source__": "src:tok"}
-        )
-        assert "seeds[seed=7]" in material
+    def test_step_key_names_the_seed(self):
+        def key(seed):
+            return step_key(
+                "Downsample", {"max_packets": 10, "seed": seed},
+                ["src:tok"], ("seed",),
+            )
+
+        assert key(7) == key(7)
+        assert key(7) != key(8)
 
     def test_same_seed_hits_different_seed_misses(self, small_trace):
         def run(seed):

@@ -8,12 +8,9 @@ pruned, duplicate steps interned.
 
 import pytest
 
-from repro.analysis.equivalence import (
-    SOURCE_FINGERPRINT,
-    canonicalize,
-    params_token,
-)
+from repro.analysis.equivalence import SOURCE_FINGERPRINT, canonicalize
 from repro.core.errors import TemplateDiagnosticError
+from repro.core.pipeline import params_token
 
 
 BASE = [

@@ -44,12 +44,21 @@ def counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("name", ["NprintEncode", "ProtocolOneHot"])
+def bodies_of(operation):
+    bodies = [operation.fn, operation.batch, operation.stream_fn]
+    return [body for body in bodies if body is not None]
+
+
+# every body kind: fn + batch (NprintEncode, ProtocolOneHot) and
+# fn + stream_fn (KitsuneFeatures)
+@pytest.mark.parametrize(
+    "name", ["KitsuneFeatures", "NprintEncode", "ProtocolOneHot"]
+)
 class TestComputedOnce:
     def test_each_body_is_loaded_once(self, name, fresh_cache, monkeypatch):
         operation = OPERATIONS[name]
-        bodies = [operation.fn, operation.batch, operation.stream_fn]
-        assert None not in bodies
+        bodies = bodies_of(operation)
+        assert len(bodies) == 2
         loads = counting(monkeypatch, "load_source")
         for report in ALL_REPORTS:
             report(operation)
@@ -72,7 +81,7 @@ class TestComputedOnce:
         assert walks == []
         assert facts.body_facts(operation.fn).access is None
         operation_concurrency_report(operation)
-        assert len(walks) == 3
+        assert len(walks) == len(bodies_of(operation))
         assert facts.body_facts(operation.fn).access is not None
 
 

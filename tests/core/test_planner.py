@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import equivalence
+from repro.core import pipeline
 from repro.analysis.diagnostics import Severity
 from repro.analysis.planner import (
     build_matrix_plan,
@@ -145,7 +145,7 @@ class TestDiagnostics:
 
     def test_l032_collision_detected(self, monkeypatch):
         monkeypatch.setattr(
-            equivalence, "_digest", lambda material: "deadbeef"
+            pipeline, "digest", lambda material: "deadbeef"
         )
         plan = build_plan(
             {"a": T_COUNT}, datasets=("F0",), outputs=("X", "y")

@@ -288,7 +288,7 @@ class TestOperationReports:
             return (inputs[0].length - mu).reshape(-1, 1)
 
         operation = scratch_ops(
-            "StreamMeanFixture", scalar, stream="stateless"
+            "StreamMeanFixture", scalar, stream_fn=_clean_stream
         )
         report = operation_stream_report(operation)
         assert "L042" in report.codes()
@@ -302,7 +302,7 @@ class TestOperationReports:
             ).reshape(-1, 1)
 
         operation = scratch_ops(
-            "StreamDriftFixture", scalar, stream="stateless"
+            "StreamDriftFixture", scalar, stream_fn=_clean_stream
         )
         report = operation_stream_report(operation)
         assert report.verdict == BATCH_ONLY
@@ -314,7 +314,7 @@ class TestOperationReports:
             return inputs[0].length.astype(np.float64).reshape(-1, 1)
 
         operation = scratch_ops(
-            "StreamLeakFixture", scalar, stream="stateless",
+            "StreamLeakFixture", scalar,
             state_bound="O(1)", stream_fn=_leaky_stream,
         )
         report = operation_stream_report(operation)
@@ -326,7 +326,7 @@ class TestOperationReports:
             return inputs[0].length.astype(np.float64).reshape(-1, 1)
 
         operation = scratch_ops(
-            "StreamCleanFixture", scalar, stream="stateless",
+            "StreamCleanFixture", scalar,
             state_bound="O(1)", stream_fn=_clean_stream,
         )
         report = operation_stream_report(operation)
@@ -341,8 +341,7 @@ class TestOperationReports:
             "StreamBufferFixture", scalar,
             inputs=(ValueType.FLOWS,), output=ValueType.FLOWS,
             optional_params={"timeout": 60.0},
-            stream="window-bounded", state_bound="O(window)",
-            stream_fn=_leaky_stream,
+            state_bound="O(window)", stream_fn=_leaky_stream,
         )
         report = operation_stream_report(operation)
         assert "L047" in report.codes()
@@ -355,8 +354,7 @@ class TestOperationReports:
             )
 
         operation = scratch_ops(
-            "StreamBudgetFixture", scalar,
-            stream="prefix-mergeable", state_bound="O(1)",
+            "StreamBudgetFixture", scalar, state_bound="O(1)",
         )
         report = operation_stream_report(operation)
         assert report.verdict == PREFIX_MERGEABLE
@@ -371,13 +369,13 @@ class TestOperationReports:
         operation = scratch_ops(
             "StreamNoWindowFixture", scalar,
             inputs=(ValueType.FLOWS,), output=ValueType.FLOWS,
-            stream="window-bounded", state_bound="O(window)",
+            state_bound="O(window)", stream_fn=_clean_stream,
         )
         report = operation_stream_report(operation)
         assert "L043" in report.codes()
         assert report.window_derivable is False
-        # a warning, not an error: the refusal is the missing body
-        assert report.refusal == "no-stream-implementation"
+        # a warning, not an error: nothing refuses the body
+        assert report.refusal is None
 
     def test_l043_silenced_by_timeout_param(self, scratch_ops):
         def scalar(inputs, params):
@@ -387,7 +385,7 @@ class TestOperationReports:
             "StreamWindowedFixture", scalar,
             inputs=(ValueType.FLOWS,), output=ValueType.FLOWS,
             optional_params={"timeout": 60.0},
-            stream="window-bounded", state_bound="O(window)",
+            state_bound="O(window)", stream_fn=_clean_stream,
         )
         report = operation_stream_report(operation)
         assert "L043" not in report.codes()
@@ -485,19 +483,20 @@ class TestRegistryAudit:
             assert by_name[name]["verdict"] == BATCH_ONLY, name
             assert by_name[name]["refusal"] == f"verdict:{BATCH_ONLY}"
 
-    def test_at_least_three_ops_are_converted(self):
-        converted = {
-            entry["operation"]
-            for entry in audit_streamable()["operations"]
-            if entry["stream_fn"]
+    def test_stream_body_exactly_on_stateful_ops(self):
+        # a stream body is the streaming declaration: it exists exactly
+        # where an op carries state across chunks
+        entries = audit_streamable()["operations"]
+        assert {e["operation"] for e in entries if e["stream_fn"]} >= {
+            "KitsuneFeatures"
         }
-        assert converted >= {
-            "KitsuneFeatures", "NprintEncode", "PacketFields",
-            "ProtocolOneHot",
-        }
-        for entry in audit_streamable()["operations"]:
+        for entry in entries:
             if entry["stream_fn"]:
                 assert entry["streamable"], entry["operation"]
+                assert entry["verdict"] != STATELESS, entry["operation"]
+            if entry["verdict"] == STATELESS:
+                assert entry["streamable"], entry["operation"]
+                assert not entry["stream_fn"], entry["operation"]
 
     def test_audit_is_byte_deterministic(self):
         first = json.dumps(audit_streamable(), sort_keys=True)

@@ -14,8 +14,14 @@ from repro.core.incstats import (
     kitsune_packet_features,
     kitsune_packet_features_stream,
 )
-from repro.core.operations import OPERATIONS
+from repro.core.errors import TemplateError
+from repro.core.operations import (
+    OPERATIONS,
+    register_operation,
+    register_stream,
+)
 from repro.core.streaming import chunked
+from repro.core.types import ValueType
 from repro.ml import KitNET
 from repro.net.table import PacketTable
 from repro.serve.daemon import DEFAULT_TEMPLATE
@@ -357,7 +363,9 @@ class TestKitsuneStreamState:
 
 
 class TestConvertedOpStreams:
-    """Every op with a registered stream body is chunk-size invariant."""
+    """Every streamable featurizer is chunk-size invariant through a
+    stream session: stateless ops run ``fn`` (or their batch body) per
+    chunk, stateful ones their stream body."""
 
     CONVERTED = {
         "ProtocolOneHot": {},
@@ -370,18 +378,130 @@ class TestConvertedOpStreams:
     @pytest.mark.parametrize("name", sorted(CONVERTED))
     def test_chunked_stream_matches_batch(self, benign_trace, name):
         operation = OPERATIONS[name]
-        assert operation.stream_fn is not None
         table = benign_trace.sort_by_time().select(np.arange(200))
         params = operation.validate_params(dict(self.CONVERTED[name]))
         expected = operation.fn([table], params)
+        pipeline = Pipeline.from_template(
+            [{"func": name, "input": None, "output": "X", **params}]
+        )
+        engine = ExecutionEngine(use_cache=False, track_memory=False)
         for splits in ([len(table)], [77, 123], [1] * len(table)):
-            state: dict = {}
+            session = engine.open_stream(pipeline)
             parts, start = [], 0
             for size in splits:
                 chunk = table.select(np.arange(start, start + size))
-                parts.append(
-                    operation.stream_fn([chunk], params, state)
-                )
+                parts.append(session.process_chunk(chunk)["X"])
                 start += size
             streamed = np.concatenate(parts, axis=0)
             assert np.array_equal(expected, streamed), (name, splits)
+
+
+def _kitsune_session(engine, lambdas):
+    pipeline = Pipeline.from_template([
+        {"func": "KitsuneFeatures", "input": None, "output": "X",
+         "lambdas": lambdas},
+        {"func": "Labels", "input": None, "output": "y"},
+    ])
+    return engine.open_stream(pipeline, outputs=["X", "y"])
+
+
+class TestSnapshotIdentity:
+    """A snapshot restores only into the pipeline whose step tokens it
+    carries."""
+
+    @pytest.fixture
+    def engine(self):
+        return ExecutionEngine(use_cache=False, track_memory=False)
+
+    @pytest.fixture
+    def head(self, benign_trace):
+        return benign_trace.sort_by_time().select(np.arange(100))
+
+    def test_snapshot_records_step_tokens(self, engine):
+        session = _kitsune_session(engine, [1.0, 0.1])
+        assert session.snapshot().fingerprints == {
+            0: 'KitsuneFeatures({"lambdas": [1.0, 0.1]})',
+            1: "Labels({})",
+        }
+
+    def test_snapshot_without_fingerprints_is_refused(self, engine, head):
+        source = _kitsune_session(engine, [1.0])
+        source.process_chunk(head)
+        snapshot = source.snapshot()
+        snapshot.chunk_index = 7
+        snapshot.fingerprints = {}
+        for lambdas in ([0.5], [1.0]):
+            target = _kitsune_session(engine, lambdas)
+            with pytest.raises(TemplateError, match="does not match"):
+                target.restore(snapshot)
+            assert target.chunks == 0
+            assert target._states == {0: {}, 1: {}}
+
+
+class TestAdoptState:
+    """Every disposition :meth:`StreamSession.adopt_state` reports."""
+
+    @pytest.fixture
+    def engine(self):
+        return ExecutionEngine(use_cache=False, track_memory=False)
+
+    @pytest.fixture
+    def chunks(self, benign_trace):
+        ordered = benign_trace.sort_by_time()
+        return [
+            ordered.select(np.arange(lo, lo + 100)) for lo in (0, 100, 200)
+        ]
+
+    def test_same_params_carry_kitsune_state(self, engine, chunks):
+        old = _kitsune_session(engine, [1.0, 0.1])
+        for chunk in chunks[:2]:
+            old.process_chunk(chunk)
+        fresh = _kitsune_session(engine, [1.0, 0.1])
+        assert fresh.adopt_state(old) == {
+            "KitsuneFeatures": "carried",
+            "Labels": "stateless",
+        }
+        assert fresh.chunks == 2
+        expected = old.process_chunk(chunks[2])["X"]
+        assert fresh.process_chunk(chunks[2])["X"].tobytes() == (
+            expected.tobytes()
+        )
+
+    def test_changed_params_restart_fresh(self, engine, chunks):
+        old = _kitsune_session(engine, [1.0, 0.1])
+        old.process_chunk(chunks[0])
+        fresh = _kitsune_session(engine, [1.0])
+        assert fresh.adopt_state(old) == {
+            "KitsuneFeatures": "fresh:step-changed",
+            "Labels": "stateless",
+        }
+        assert fresh.chunks == 1
+        assert fresh._states[0] == {}
+
+    def test_unbounded_state_restarts_fresh(self, engine, chunks):
+        # an opaque scalar body: the analyzer cannot bound the state, so
+        # the session opens (refusal waits for stage) but never adopts
+        opaque = eval("lambda inputs, params: inputs[0].length * 1.0")
+
+        def stream(inputs, params, state):
+            state["rows"] = state.get("rows", 0) + len(inputs[0])
+            return inputs[0].length * 1.0
+
+        register_operation(
+            "AdoptOpaqueFixture", (ValueType.PACKETS,), ValueType.FEATURES
+        )(opaque)
+        register_stream("AdoptOpaqueFixture")(stream)
+        try:
+            pipeline = Pipeline.from_template(
+                [{"func": "AdoptOpaqueFixture", "input": None,
+                  "output": "X"}]
+            )
+            old = engine.open_stream(pipeline)
+            old._states[0]["rows"] = 100
+            fresh = engine.open_stream(pipeline)
+            assert fresh.adopt_state(old) == {
+                "AdoptOpaqueFixture": "fresh:unbounded-state[O(n)]",
+            }
+            assert fresh._states[0] == {}
+        finally:
+            OPERATIONS.pop("AdoptOpaqueFixture", None)

@@ -362,6 +362,7 @@ class TestStreamableCommand:
         from repro.core.operations import (
             OPERATIONS,
             register_operation,
+            register_stream,
         )
         from repro.core.types import ValueType
 
@@ -371,10 +372,14 @@ class TestStreamableCommand:
                 np.float64
             ).reshape(-1, 1)
 
+        def _drifted_stream(inputs, params, state):
+            return _drifted(inputs, params)
+
         register_operation(
             "StreamableFixture", (ValueType.PACKETS,),
-            ValueType.FEATURES, stream="stateless",
+            ValueType.FEATURES,
         )(_drifted)
+        register_stream("StreamableFixture")(_drifted_stream)
         try:
             assert main(["audit", "--strict"]) == 1
             captured = capsys.readouterr()
@@ -592,6 +597,17 @@ class TestPlanCommand:
         ]
         assert payload["algorithms"] == ["A13", "A14"]
         assert payload["stages"]
+
+    def test_full_plan_json_is_pinned(self, capsys):
+        # the whole catalog plan names every stage by its step identity,
+        # so any drift in step_key or canonical ordering changes it
+        import hashlib
+
+        assert main(["plan", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7a7886a06d58f464c2e7344257d9bbe82fe926ddc5c077dc44fb773092913d30"
+        )
 
     def test_plan_dot(self, capsys):
         assert main(["plan", "--algorithms", "A13",
