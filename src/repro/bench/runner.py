@@ -21,14 +21,15 @@ Long campaigns additionally get a fault-tolerance layer (see
   ``run_matrix(..., resume=path)`` skips journaled cells and merges
   their records, composing with the engine's featurization cache.
 
-The default path (no retries, no timeout, no checkpoint) is byte-for-
-byte the classic all-or-nothing runner.
+Every matrix cell runs through ``evaluate_guarded``; with the defaults
+(no retries, no timeout) that is one attempt on this thread, and
+without ``keep_going`` the first failed cell is recorded, journaled and
+then re-raised.  Deadline and backoff are the guards in
+:mod:`repro.faults.guard` that ``repro serve`` shares.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import time
 from contextlib import contextmanager
 
@@ -40,6 +41,7 @@ from repro.bench.results import EvaluationResult, FailureRecord, ResultStore
 from repro.core import ExecutionEngine, Pipeline
 from repro.core.errors import EvaluationTimeout
 from repro.datasets import DATASETS, load_dataset
+from repro.faults.guard import backoff_seconds, call_with_deadline
 from repro.faults.injector import maybe_inject
 from repro.flows import Granularity, can_evaluate
 from repro.ml import classification_summary
@@ -168,41 +170,6 @@ def _per_attack_metrics(
     return out
 
 
-def _call_with_deadline(fn, seconds: float | None, cell: str):
-    """Run ``fn`` under a wall-clock watchdog.
-
-    With no deadline this is a plain call (no extra thread).  With one,
-    the work runs on a daemon thread while this thread waits; if the
-    deadline passes, :class:`EvaluationTimeout` is raised here and the
-    abandoned worker is left to finish into the void -- Python offers
-    no safe preemption, so the watchdog bounds *waiting*, not CPU.
-    """
-    if not seconds:
-        return fn()
-    outcome: dict = {}
-
-    def _target() -> None:
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    worker = threading.Thread(
-        target=_target, daemon=True, name=f"cell-{cell}"
-    )
-    worker.start()
-    worker.join(seconds)
-    if worker.is_alive():
-        METRICS.counter(
-            metric_names.EVALUATION_TIMEOUTS,
-            "evaluation cells abandoned at their wall-clock deadline",
-        ).inc()
-        raise EvaluationTimeout(seconds, cell)
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 class BenchmarkRunner:
     """Runs evaluations and accumulates a :class:`ResultStore`.
 
@@ -210,9 +177,9 @@ class BenchmarkRunner:
     each (algorithm, dataset) featurization happens exactly once per
     process no matter how many train/test combinations reuse it.
 
-    ``retries``/``cell_timeout``/``backoff_base`` configure the guarded
-    evaluation path (:meth:`evaluate_guarded`); ``sleep`` is the
-    injectable backoff sleep (defaults to :func:`time.sleep`).
+    ``retries``/``cell_timeout``/``backoff_base`` configure the guard
+    every matrix cell runs under (:meth:`evaluate_guarded`); ``sleep``
+    is the injectable backoff sleep (defaults to :func:`time.sleep`).
     """
 
     def __init__(
@@ -289,17 +256,22 @@ class BenchmarkRunner:
                     work = lambda: self._evaluate_cross(  # noqa: E731
                         spec, train_id, test_id, phases=phases, parent=span
                     )
-                result = _call_with_deadline(work, self.cell_timeout, cell)
+                result = call_with_deadline(
+                    work, self.cell_timeout, cell, EvaluationTimeout
+                )
             except BaseException as exc:
                 # a watchdog timeout fires on this thread, not inside a
                 # phase block: attribute it to the phase then running
                 _tag_phase(exc, phases.current)
                 span.set("phase", phases.current)
-                span.set(
-                    "outcome",
-                    "timeout" if isinstance(exc, EvaluationTimeout)
-                    else "error",
-                )
+                timed_out = isinstance(exc, EvaluationTimeout)
+                if timed_out:
+                    METRICS.counter(
+                        metric_names.EVALUATION_TIMEOUTS,
+                        "evaluation cells abandoned at their wall-clock"
+                        " deadline",
+                    ).inc()
+                span.set("outcome", "timeout" if timed_out else "error")
                 probe.finish(span)
                 raise
             span.set("outcome", "ok")
@@ -322,20 +294,6 @@ class BenchmarkRunner:
     # ------------------------------------------------------------------
     # guarded (fault-tolerant) evaluation
     # ------------------------------------------------------------------
-
-    def _backoff_seconds(
-        self, cell: tuple[str, str, str], attempt: int
-    ) -> float:
-        """Seeded exponential backoff with deterministic jitter.
-
-        The jitter draw is a pure function of (runner seed, cell,
-        attempt) so a re-run waits exactly the same schedule.
-        """
-        digest = hashlib.sha256(
-            f"{self.seed}|{'/'.join(cell)}|{attempt}".encode()
-        ).digest()
-        jitter = 0.5 + 0.5 * (int.from_bytes(digest[:8], "big") / 2**64)
-        return self.backoff_base * (2 ** (attempt - 1)) * jitter
 
     def evaluate_guarded(
         self, algorithm_id: str, train_id: str, test_id: str
@@ -374,7 +332,9 @@ class BenchmarkRunner:
                         cell="/".join(cell), attempt=attempt,
                         error=type(exc).__name__,
                     )
-                    self._sleep(self._backoff_seconds(cell, attempt))
+                    self._sleep(backoff_seconds(
+                        self.backoff_base, self.seed, "/".join(cell), attempt
+                    ))
         failure = FailureRecord(
             algorithm=algorithm_id,
             train_dataset=train_id,
@@ -569,7 +529,6 @@ class BenchmarkRunner:
                     self.store.add_failure(record)
             skip = state.succeeded if retry_failed else state.completed
             checkpoint = checkpoint or resume
-        guarded = keep_going or self.retries > 0 or bool(self.cell_timeout)
         journal = CheckpointJournal(checkpoint) if checkpoint else None
         try:
             for cell in cells:
@@ -585,10 +544,7 @@ class BenchmarkRunner:
                     if progress is not None:
                         progress.record(cell, "resumed")
                     continue
-                if guarded:
-                    outcome = self.evaluate_guarded(*cell)
-                else:
-                    outcome = self.evaluate(*cell)
+                outcome = self.evaluate_guarded(*cell)
                 if journal is not None:
                     journal.append_outcome(outcome)
                 if progress is not None:

@@ -5,8 +5,8 @@ The operator-facing surface of the benchmarking suite:
 * ``datasets`` / ``algorithms`` / ``operations`` -- inventories;
 * ``evaluate`` -- one (algorithm, train, test) evaluation;
 * ``matrix`` (alias ``run-matrix``) -- the full faithful matrix, saved
-  as JSON/CSV; ``--keep-going``/``--retries``/``--cell-timeout`` turn
-  on fault-tolerant execution, ``--checkpoint``/``--resume`` journal
+  as JSON/CSV; ``--keep-going``/``--retries``/``--cell-timeout`` tune
+  the guard every cell runs under, ``--checkpoint``/``--resume`` journal
   and restart interrupted campaigns, and ``--faults`` injects
   deterministic chaos (see ``docs/ROBUSTNESS.md``);
 * ``figure`` -- render any Section 5 figure from saved results;
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -95,6 +96,33 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _fault_plan(args: argparse.Namespace):
+    """Install the ``--faults``/``--fault-seed`` plan around a command.
+
+    Yields ``False`` after printing the parse error when the spec is
+    bad, so the command can exit 2; otherwise yields ``True`` and
+    uninstalls the injector on the way out, however the body exits.
+    """
+    if not args.faults:
+        yield True
+        return
+    from repro.faults import FaultInjector, FaultPlan, install, uninstall
+
+    try:
+        plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        yield False
+        return
+    install(FaultInjector(plan))
+    print(f"fault injection active: {plan.describe()}")
+    try:
+        yield True
+    finally:
+        uninstall()
+
+
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from repro.bench import (
         BenchmarkRunner,
@@ -111,32 +139,23 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    progress = None
-    if args.progress or args.progress_file:
-        progress = MatrixProgress()
-        if args.progress:
-            progress.add_sink(TtyProgressRenderer(sys.stderr))
-        if args.progress_file:
-            from repro.obs import JsonlFileSink
-
-            progress.add_sink(JsonlFileSink(args.progress_file))
-    injector = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultPlan, install
-
-        try:
-            plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        injector = install(FaultInjector(plan))
-        print(f"fault injection active: {plan.describe()}")
     runner = BenchmarkRunner(
         seed=args.seed,
         retries=args.retries,
         cell_timeout=args.cell_timeout,
     )
-    try:
+    with _fault_plan(args) as planned:
+        if not planned:
+            return 2
+        progress = None
+        if args.progress or args.progress_file:
+            progress = MatrixProgress()
+            if args.progress:
+                progress.add_sink(TtyProgressRenderer(sys.stderr))
+            if args.progress_file:
+                from repro.obs import JsonlFileSink
+
+                progress.add_sink(JsonlFileSink(args.progress_file))
         try:
             runner.run_matrix(
                 algorithms,
@@ -150,13 +169,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         except TemplateDiagnosticError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    finally:
-        if progress is not None:
-            progress.close()
-        if injector is not None:
-            from repro.faults import uninstall
-
-            uninstall()
+        finally:
+            if progress is not None:
+                progress.close()
     runner.store.save_json(args.out)
     if args.csv:
         runner.store.save_csv(args.csv)
@@ -725,75 +740,63 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: a dataset id is required (or use --status PATH)",
               file=sys.stderr)
         return 2
-    injector = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultPlan, install
-
-        try:
-            plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+    with _fault_plan(args) as planned:
+        if not planned:
             return 2
-        injector = install(FaultInjector(plan))
-        print(f"fault injection active: {plan.describe()}")
-    try:
-        table = load_dataset(args.dataset)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    config = ServeConfig(
-        chunk_seconds=args.chunk_seconds,
-        pps=args.pps,
-        queue_capacity=args.queue_capacity,
-        policy=args.policy,
-        retries=args.retries,
-        backoff_base=args.backoff_base,
-        stall_seconds=args.stall_seconds,
-        max_watchdog_restarts=args.max_watchdog_restarts,
-        chunk_deadline=args.chunk_deadline,
-        outputs=args.outputs.split(",") if args.outputs else None,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        quarantine_path=args.quarantine,
-        status_path=args.status_file,
-        results_path=args.out,
-        seed=args.seed,
-        max_chunks=args.max_chunks,
-        collect=args.verify_offline,
-        model=args.model,
-        model_cache=args.model_cache,
-        train_fraction=args.train_fraction,
-        epochs=args.epochs,
-    )
-    clock = ReplayClock() if args.virtual_time else MonotonicClock()
-    daemon = ServeDaemon(
-        table,
-        config=config,
-        template_path=args.template,
-        clock=clock,
-        dataset_id=args.dataset,
-    )
-
-    import signal
-
-    previous: dict = {}
-    if not args.virtual_time and hasattr(signal, "SIGHUP"):
-        previous[signal.SIGHUP] = signal.signal(
-            signal.SIGHUP, lambda *_: daemon.request_reload()
+        try:
+            table = load_dataset(args.dataset)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
+        config = ServeConfig(
+            chunk_seconds=args.chunk_seconds,
+            pps=args.pps,
+            queue_capacity=args.queue_capacity,
+            policy=args.policy,
+            retries=args.retries,
+            backoff_base=args.backoff_base,
+            stall_seconds=args.stall_seconds,
+            max_watchdog_restarts=args.max_watchdog_restarts,
+            chunk_deadline=args.chunk_deadline,
+            outputs=args.outputs.split(",") if args.outputs else None,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            quarantine_path=args.quarantine,
+            status_path=args.status_file,
+            results_path=args.out,
+            seed=args.seed,
+            max_chunks=args.max_chunks,
+            collect=args.verify_offline,
+            model=args.model,
+            model_cache=args.model_cache,
+            train_fraction=args.train_fraction,
+            epochs=args.epochs,
         )
-        previous[signal.SIGTERM] = signal.signal(
-            signal.SIGTERM, lambda *_: daemon.request_stop()
+        clock = ReplayClock() if args.virtual_time else MonotonicClock()
+        daemon = ServeDaemon(
+            table,
+            config=config,
+            template_path=args.template,
+            clock=clock,
+            dataset_id=args.dataset,
         )
-    try:
-        report = daemon.run()
-    finally:
-        for number, handler in previous.items():
-            signal.signal(number, handler)
-        if injector is not None:
-            from repro.faults import uninstall
 
-            uninstall()
+        import signal
+
+        previous: dict = {}
+        if not args.virtual_time and hasattr(signal, "SIGHUP"):
+            previous[signal.SIGHUP] = signal.signal(
+                signal.SIGHUP, lambda *_: daemon.request_reload()
+            )
+            previous[signal.SIGTERM] = signal.signal(
+                signal.SIGTERM, lambda *_: daemon.request_stop()
+            )
+        try:
+            report = daemon.run()
+        finally:
+            for number, handler in previous.items():
+                signal.signal(number, handler)
     summary = (
         f"served {report.chunks_scored} chunk(s) over "
         f"{report.packets_ingested}/{report.packets_total} packets "

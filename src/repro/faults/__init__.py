@@ -1,4 +1,4 @@
-"""Deterministic fault injection: the chaos harness for the runner.
+"""Deterministic fault injection and the guards that tolerate it.
 
 Long evaluation campaigns fail in boring ways -- a truncated cache
 file, a model that blows up on one dataset, a disk that briefly
@@ -11,12 +11,16 @@ graceful degradation) can be exercised on demand:
   pure function of ``(seed, site, i)``.
 * :mod:`repro.faults.injector` -- :class:`FaultInjector` plus the
   process-wide :func:`install`/:func:`uninstall`/:func:`maybe_inject`
-  hooks the engine and runner call.
+  hooks the engine, runner and serve daemon call.
+* :mod:`repro.faults.guard` -- the wall-clock
+  :func:`call_with_deadline` and the seeded :func:`backoff_seconds`
+  that ``repro matrix`` and ``repro serve`` share.
 
 See ``docs/ROBUSTNESS.md`` for the fault-plan spec and the failure
 model it tests.
 """
 
+from repro.faults.guard import backoff_seconds, call_with_deadline
 from repro.faults.injector import (
     EXCEPTIONS,
     FaultInjected,
@@ -39,6 +43,8 @@ __all__ = [
     "FaultRule",
     "SITES",
     "active",
+    "backoff_seconds",
+    "call_with_deadline",
     "get_injector",
     "install",
     "maybe_inject",

@@ -20,7 +20,7 @@ handoff, and checkpoint-based crash recovery.
 * :mod:`repro.serve.queue` -- :class:`BoundedChunkQueue` with explicit
   ``block`` / ``drop-oldest`` backpressure policies.
 * :mod:`repro.serve.supervisor` -- the heartbeat :class:`Watchdog` and
-  the per-attempt deadline guard.
+  :class:`StallError`, which the shared per-attempt deadline raises.
 * :mod:`repro.serve.health` -- the atomic :class:`ServeStatus` file
   behind ``repro serve --status``.
 * :mod:`repro.serve.daemon` -- :class:`ServeDaemon`, the loop itself.
@@ -38,7 +38,7 @@ from repro.serve.daemon import (
 from repro.serve.health import ServeStatus
 from repro.serve.queue import POLICIES, BoundedChunkQueue
 from repro.serve.source import Chunk, ChunkAssembler, ReplaySource
-from repro.serve.supervisor import StallError, Watchdog, call_with_deadline
+from repro.serve.supervisor import StallError, Watchdog
 
 __all__ = [
     "Clock",
@@ -56,5 +56,4 @@ __all__ = [
     "ReplaySource",
     "StallError",
     "Watchdog",
-    "call_with_deadline",
 ]

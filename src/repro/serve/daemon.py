@@ -17,9 +17,10 @@ The robustness contract, end to end:
   (:meth:`~repro.core.engine.StreamSession.commit`) only after the
   model has scored it.  A failed, timed-out or abandoned attempt just
   drops its overlay, so retries, deadline kills and quarantine never
-  leave half-updated accumulators behind.  Retries use the benchmark
-  runner's seeded exponential backoff, slept on the *injected clock*
-  -- virtual-time soaks replay the exact schedule.
+  leave half-updated accumulators behind.  Deadline and retry backoff
+  are the guards in :mod:`repro.faults.guard` that ``repro matrix``
+  shares; the backoff is slept on the *injected clock*, so
+  virtual-time soaks replay the exact schedule.
 * **Graceful degradation.**  A chunk that exhausts its retries is
   quarantined -- journaled with its exact row range, counted, skipped
   -- and the daemon keeps serving.  Because it never committed, the
@@ -69,7 +70,7 @@ from repro.core.engine import (
     _concat_stream_parts,
 )
 from repro.core.pipeline import Pipeline
-from repro.faults import maybe_inject
+from repro.faults import backoff_seconds, call_with_deadline, maybe_inject
 from repro.net.table import PacketTable
 from repro.obs import METRICS, get_tracer, observe_uptime
 from repro.obs import metrics as metric_names
@@ -77,7 +78,7 @@ from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.health import ServeStatus
 from repro.serve.queue import BoundedChunkQueue
 from repro.serve.source import Chunk, ChunkAssembler, ReplaySource
-from repro.serve.supervisor import StallError, Watchdog, call_with_deadline
+from repro.serve.supervisor import StallError, Watchdog
 
 #: the template a bare ``repro serve DATASET`` scores with: packet-level
 #: Kitsune features (proven O(flows) carried state) plus labels
@@ -86,6 +87,15 @@ DEFAULT_TEMPLATE: list[dict] = [
      "lambdas": [1.0, 0.1]},
     {"func": "Labels", "input": None, "output": "y"},
 ]
+
+#: the output the detector trains on and scores
+SCORE_OUTPUT = "X"
+#: training-score quantile that sets the anomaly threshold
+THRESHOLD_QUANTILE = 0.98
+#: the shortest idle wait between ticks, in clock seconds
+IDLE_SLEEP = 0.01
+#: a loop still running after this many ticks is wedged
+MAX_TICKS = 1_000_000
 
 
 @dataclass
@@ -114,12 +124,8 @@ class ServeConfig:
     collect: bool = True
     model: str = "none"  # "none" | "kitnet"
     model_cache: str | None = None
-    score_output: str = "X"
     train_fraction: float = 0.3
-    quantile: float = 0.98
     epochs: int = 5
-    idle_sleep: float = 0.01
-    max_ticks: int = 1_000_000
 
 
 @dataclass
@@ -238,19 +244,14 @@ class ServeDaemon:
         pipeline = Pipeline.from_template(self._read_template())
         outputs = self.config.outputs
         if outputs is None and self.config.model != "none":
-            # the model scores score_output: collect it beside the
+            # the model scores SCORE_OUTPUT: collect it beside the
             # template's final output unless outputs were chosen
-            outputs = list(
-                dict.fromkeys([pipeline.output_name, self.config.score_output])
-            )
+            outputs = list(dict.fromkeys([pipeline.output_name, SCORE_OUTPUT]))
         session = self.engine.open_stream(pipeline, outputs=outputs)
         session.raise_if_refused()
-        if (
-            self.config.model != "none"
-            and self.config.score_output not in session.outputs
-        ):
+        if self.config.model != "none" and SCORE_OUTPUT not in session.outputs:
             raise ValueError(
-                f"model scoring needs output {self.config.score_output!r}; "
+                f"model scoring needs output {SCORE_OUTPUT!r}; "
                 f"session outputs are {session.outputs}"
             )
         return session
@@ -279,13 +280,13 @@ class ServeDaemon:
         features = self.engine.run(
             self.session.pipeline,
             prefix,
-            outputs=[self.config.score_output],
+            outputs=[SCORE_OUTPUT],
             source_token=f"serve-train:{self.dataset_id}:{n_train}",
-        )[self.config.score_output]
+        )[SCORE_OUTPUT]
         model = KitNET(n_epochs=self.config.epochs, seed=self.config.seed)
         model.fit(features)
         scores = model.score_samples(features)
-        threshold = float(np.quantile(scores, self.config.quantile))
+        threshold = float(np.quantile(scores, THRESHOLD_QUANTILE))
         get_tracer().event(
             "serve.model_trained", rows=n_train, threshold=threshold
         )
@@ -394,7 +395,7 @@ class ServeDaemon:
                         aborted = "max_chunks reached"
                         break
                     ticks += 1
-                    if ticks > self.config.max_ticks:
+                    if ticks > MAX_TICKS:
                         aborted = "tick budget exhausted (wedged?)"
                         self._last_error = aborted
                         break
@@ -473,10 +474,10 @@ class ServeDaemon:
         return handled >= self.config.max_chunks
 
     def _idle_sleep(self) -> None:
-        wait = self.config.idle_sleep
+        wait = IDLE_SLEEP
         due = self.source.next_due() if self.source is not None else None
         if due is not None:
-            wait = max(due - self.clock.now(), self.config.idle_sleep)
+            wait = max(due - self.clock.now(), IDLE_SLEEP)
         self.clock.sleep(wait)
 
     # ------------------------------------------------------------------
@@ -510,7 +511,9 @@ class ServeDaemon:
                 failures=failures,
                 error=type(exc).__name__,
             )
-            self.clock.sleep(self._backoff_seconds("ingest", failures))
+            self.clock.sleep(backoff_seconds(
+                self.config.backoff_base, self.config.seed, "ingest", failures
+            ))
             return None
 
     def _admit(self, chunk: Chunk) -> None:
@@ -524,14 +527,6 @@ class ServeDaemon:
     # scoring
     # ------------------------------------------------------------------
 
-    def _backoff_seconds(self, key: str, attempt: int) -> float:
-        """The runner's seeded exponential backoff, on the serve clock."""
-        digest = hashlib.sha256(
-            f"{self.config.seed}|{key}|{attempt}".encode()
-        ).digest()
-        jitter = 0.5 + 0.5 * (int.from_bytes(digest[:8], "big") / 2**64)
-        return self.config.backoff_base * (2 ** (attempt - 1)) * jitter
-
     def _score_attempt(self, chunk: Chunk, parent, attempt: int):
         """One scoring attempt; returns ``(staged chunk, anomalies)``."""
         with get_tracer().span(
@@ -543,10 +538,13 @@ class ServeDaemon:
             attempt=attempt,
         ) as span:
             maybe_inject("score_chunk", window=chunk.window, attempt=attempt)
+            # only staging leaves this thread: an abandoned worker writes
+            # into this attempt's overlay alone, which nothing commits
             staged = call_with_deadline(
                 lambda: self.session.stage(chunk.table, parent=span),
                 self.config.chunk_deadline,
                 f"score_chunk[{chunk.window}]",
+                StallError,
             )
             return staged, self._apply_model(staged.outputs, span)
 
@@ -577,11 +575,10 @@ class ServeDaemon:
                         attempt=attempt,
                         error=type(exc).__name__,
                     )
-                    self.clock.sleep(
-                        self._backoff_seconds(
-                            f"chunk{chunk.window}", attempt
-                        )
-                    )
+                    self.clock.sleep(backoff_seconds(
+                        self.config.backoff_base, self.config.seed,
+                        f"chunk{chunk.window}", attempt,
+                    ))
                 else:
                     self._quarantine(chunk, exc, attempts)
             else:
@@ -594,7 +591,7 @@ class ServeDaemon:
         if self._model is None:
             return 0
         model, threshold = self._model
-        scores = model.score_samples(out[self.config.score_output])
+        scores = model.score_samples(out[SCORE_OUTPUT])
         anomalies = int((np.asarray(scores) > threshold).sum())
         span.set("anomalies", anomalies)
         return anomalies

@@ -6,10 +6,11 @@ trace at a controlled packets-per-second rate against the injected
 clock -- the serve-path equivalent of a capture loop handing the
 daemon batches of packets.  :class:`ReplaySource` owns the pacing and
 the replay cursor; :class:`ChunkAssembler` folds delivered batches
-into the same floor-division time windows
-:func:`repro.core.streaming.chunked` produces, tagging each emitted
-:class:`Chunk` with the global row range it covers so quarantine and
-crash recovery can account for every packet by position.
+into the time windows of :func:`repro.core.streaming.window_ids` (the
+rule :func:`repro.core.streaming.chunked` cuts by), tagging each
+emitted :class:`Chunk` with the global row range it covers so
+quarantine and crash recovery can account for every packet by
+position.
 
 Delivery is where the ``ingest`` fault site lives: the injector hook
 runs *before* the cursor advances, so a failed delivery leaves the
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.streaming import window_ids
 from repro.faults import maybe_inject
 from repro.net.table import PacketTable
 from repro.obs import METRICS
@@ -148,11 +150,11 @@ class Chunk:
 class ChunkAssembler:
     """Folds ordered packet batches into fixed time windows.
 
-    Windows are ``floor((ts - origin) / chunk_seconds)`` with the
-    origin pinned to the first packet ever pushed -- exactly the
-    partition :func:`repro.core.streaming.chunked` yields for the same
-    trace, so a daemon chunk stream and an offline ``run_stream`` see
-    the same boundaries.  A window is emitted when the first packet of
+    Windows are :func:`~repro.core.streaming.window_ids` with the
+    origin pinned to the first packet ever pushed -- the rule
+    :func:`repro.core.streaming.chunked` applies from the same first
+    timestamp, so a daemon chunk stream and an offline ``run_stream``
+    see the same boundaries.  A window is emitted when the first packet of
     a *later* window arrives (input is time-ordered, so the window is
     then complete); :meth:`flush` force-emits the final partial window
     at end of replay.  Buffered state is bounded by one window's worth
@@ -188,9 +190,7 @@ class ChunkAssembler:
             return out
         if self.origin is None:
             self.origin = float(piece.ts[0])
-        windows = np.floor(
-            (piece.ts - self.origin) / self.chunk_seconds
-        ).astype(np.int64)
+        windows = window_ids(piece.ts, self.origin, self.chunk_seconds)
         # contiguous runs of one window id (time-ordered input)
         boundaries = np.flatnonzero(np.diff(windows)) + 1
         starts = [0, *boundaries.tolist()]

@@ -4,19 +4,16 @@ Two complementary guards keep a wedged daemon from wedging silently:
 
 * :class:`Watchdog` -- a heartbeat ledger on the injected clock.  The
   control loop calls :meth:`Watchdog.beat` whenever it makes real
-  progress (a batch ingested, a chunk scored or quarantined); anyone
-  -- the loop itself each tick, or an optional background thread in
-  live mode -- calls :meth:`Watchdog.poll`, which reports a stall once
+  progress (a batch ingested, a chunk scored or quarantined) and
+  :meth:`Watchdog.poll` on every idle tick, which reports a stall once
   ``stall_seconds`` pass with no beat.  Because it reads the injected
   clock, a virtual-time soak can step straight over the stall window
   and test the restart path deterministically.
-* :func:`call_with_deadline` -- bounds one *hung call* (a scoring
-  attempt stuck inside numpy) the way the benchmark runner bounds an
-  evaluation cell: run it on a daemon thread, wait ``seconds``, and
-  abandon it with :class:`StallError` if it overruns.  Python offers
-  no safe preemption, so the deadline bounds waiting, not CPU.  This
-  guard needs real threads and real time; the virtual-time path relies
-  on the watchdog instead.
+* :class:`StallError` -- what the shared
+  :func:`~repro.faults.guard.call_with_deadline` raises when one *hung
+  call* (a scoring attempt stuck inside numpy) overruns
+  ``chunk_deadline``.  The deadline needs real threads and real time;
+  the virtual-time path relies on the watchdog instead.
 """
 
 from __future__ import annotations
@@ -37,36 +34,6 @@ class StallError(RuntimeError):
         )
         self.seconds = seconds
         self.what = what
-
-
-def call_with_deadline(fn, seconds: float | None, what: str):
-    """Run ``fn`` with a wall-clock bound (no bound when ``seconds`` is falsy).
-
-    An overrun worker is abandoned, not stopped: it runs on to the end
-    of ``fn``.  The daemon only ever passes a stage of the chunk, so an
-    abandoned worker writes only into that attempt's overlay, which
-    nothing commits once :class:`StallError` is raised.
-    """
-    if not seconds:
-        return fn()
-    outcome: dict = {}
-
-    def _target() -> None:
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    worker = threading.Thread(
-        target=_target, daemon=True, name=f"serve-{what}"
-    )
-    worker.start()
-    worker.join(seconds)
-    if worker.is_alive():
-        raise StallError(seconds, what)
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
 
 
 class Watchdog:
@@ -115,36 +82,3 @@ class Watchdog:
             "serve.watchdog_restart", restarts=count, **detail
         )
         return count
-
-    # ------------------------------------------------------------------
-    # optional live-mode polling thread
-    # ------------------------------------------------------------------
-
-    def start_thread(self, on_stall, *, interval: float = 1.0):
-        """Poll from a background thread (live mode only).
-
-        ``on_stall()`` runs on the watchdog thread whenever a stall is
-        observed; the returned object has a ``stop()`` method.  The
-        deterministic single-threaded loop polls inline instead -- this
-        exists for real deployments where the loop itself might be the
-        thing that is stuck.
-        """
-        stop_event = threading.Event()
-
-        def _run() -> None:
-            while not stop_event.wait(interval):
-                if self.poll():
-                    on_stall()
-
-        worker = threading.Thread(
-            target=_run, daemon=True, name="serve-watchdog"
-        )
-        worker.start()
-
-        class _Handle:
-            @staticmethod
-            def stop() -> None:
-                stop_event.set()
-                worker.join(timeout=interval * 2)
-
-        return _Handle()

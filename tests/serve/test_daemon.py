@@ -329,6 +329,38 @@ class TestTransactions:
         assert retry_chunk == 2
         assert all(daemon.verify_against_offline().values())
 
+    def test_overrun_chunk_is_quarantined_as_stall_error(
+        self, serve_trace, tmp_path, monkeypatch
+    ):
+        features = KitsuneStreamState.features
+        release = threading.Event()
+        calls: list[int] = []
+
+        def hang_first(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                release.wait()
+            return features(self, *args, **kwargs)
+
+        monkeypatch.setattr(KitsuneStreamState, "features", hang_first)
+        daemon = make_daemon(
+            serve_trace, tmp_path, retries=0, chunk_deadline=0.05
+        )
+        try:
+            report = daemon.run()
+        finally:
+            release.set()
+        # the journaled error name is part of the quarantine format
+        (record,) = [
+            json.loads(line)
+            for line in (tmp_path / "quarantine.jsonl").read_text().splitlines()
+            if line.strip()
+        ]
+        assert record["error"] == "StallError"
+        assert record["window"] == 0
+        assert report.chunks_quarantined == 1
+        assert report.watchdog_restarts == 1
+
     def test_model_failure_after_staging_commits_nothing(self, serve_trace):
         seen = []
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.streaming import chunked
 from repro.faults import FaultPlan, FaultRule, active
+from repro.net.table import PacketTable
 from repro.obs import METRICS
 from repro.obs import metrics as metric_names
 from repro.serve import ChunkAssembler, ReplayClock, ReplaySource
@@ -131,12 +132,19 @@ class TestChunkAssembler:
 
     def test_matches_offline_chunked_partition(self, serve_trace):
         trace = serve_trace.sort_by_time()
-        assembler = ChunkAssembler(5.0)
-        ours = self.push_all(assembler, trace)
-        reference = list(chunked(trace, 5.0))
-        assert len(ours) == len(reference)
-        for chunk, ref in zip(ours, reference):
-            assert np.array_equal(chunk.table.ts, ref.ts)
+        # one packet on every window boundary: accumulating the window
+        # start instead of dividing once per row cuts these differently
+        rows = trace.select(np.arange(400))
+        aligned = PacketTable(
+            columns={**rows.columns, "ts": np.arange(400) * 0.1},
+            attacks=rows.attacks,
+        )
+        for table, seconds in ((trace, 5.0), (aligned, 0.1)):
+            ours = self.push_all(ChunkAssembler(seconds), table)
+            reference = list(chunked(table, seconds))
+            assert len(ours) == len(reference)
+            for chunk, ref in zip(ours, reference):
+                assert np.array_equal(chunk.table.ts, ref.ts)
 
     def test_row_ranges_are_contiguous_and_complete(self, serve_trace):
         trace = serve_trace.sort_by_time()
