@@ -44,7 +44,7 @@ def main() -> None:
     broken = list(MY_FEATURES)
     broken[2] = dict(broken[2], list=["entropy:warp_core"])
     try:
-        Pipeline.from_template(broken).validate()
+        Pipeline.from_template(broken)
     except TemplateError as error:
         print(f"validator caught the typo up front: {error}")
     engine = ExecutionEngine(track_memory=False)

@@ -16,8 +16,10 @@ over it -- *without executing anything*:
 Every finding is a :class:`~repro.analysis.diagnostics.Diagnostic`
 with a stable ``L0xx`` code; :class:`AnalysisResult.raise_if_errors`
 turns errors into :class:`~repro.core.errors.TemplateDiagnosticError`.
-Both :meth:`Pipeline.from_template` and the execution engine run the
-analyzer, so every entry point fails fast on a bad template.
+The analyzer is the only template parser: :meth:`Pipeline.from_template`
+builds its calls from the graph :func:`checked_graph` returns, and the
+execution engine analyzes hand-built pipelines too, so every entry
+point fails fast on a bad template.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ __all__ = [
     "build_matrix_plan",
     "build_plan",
     "canonicalize",
+    "checked_graph",
     "collect_targets",
     "graph_from_pipeline",
     "module_concurrency_report",
@@ -151,6 +154,23 @@ def analyze_template(
     return _run_passes(
         graph, diagnostics, dataset_id=dataset_id, outputs=outputs
     )
+
+
+def checked_graph(template: object) -> TemplateGraph:
+    """The analyzed graph of a template, if it has no errors.
+
+    Runs the passes :func:`analyze_template` runs and raises
+    :class:`~repro.core.errors.TemplateDiagnosticError` on any error
+    diagnostic.  Every node of the returned graph then has an
+    operation, normalised inputs, a name-string output and
+    schema-validated params: :meth:`Pipeline.from_template` builds its
+    calls from them.
+    """
+    graph, diagnostics = build_graph(template)
+    _run_passes(
+        graph, diagnostics, dataset_id=None, outputs=None
+    ).raise_if_errors()
+    return graph
 
 
 def analyze_pipeline(

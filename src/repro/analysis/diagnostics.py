@@ -28,7 +28,7 @@ CODES: dict[str, str] = {
     "L002": "step is not a mapping",
     "L003": "step has no 'func'",
     "L004": "unknown operation",
-    "L005": "step has no 'output'",
+    "L005": "step output missing or not a name string",
     "L006": "bad input specification",
     "L007": "parameter schema violation",
     "L008": "wrong number of inputs",

@@ -1,11 +1,13 @@
 """Dataflow-graph construction for the static template analyzer.
 
-Unlike :meth:`repro.core.pipeline.Pipeline.from_template`, which stops
-at the first problem, this parser is *tolerant*: it records every
-parse-level defect as a :class:`~repro.analysis.diagnostics.Diagnostic`
-and keeps going, so one analyzer run reports everything wrong with a
-template.  The result is a list of :class:`StepNode` -- the analyzer's
-IR -- plus the explicit producer/consumer edges the passes walk.
+This is the repo's only template parser, and it is *tolerant*: it
+records every parse-level defect as a
+:class:`~repro.analysis.diagnostics.Diagnostic` and keeps going, so one
+analyzer run reports everything wrong with a template.  The result is a
+list of :class:`StepNode` -- the analyzer's IR -- plus the explicit
+producer/consumer edges the passes walk;
+:meth:`repro.core.pipeline.Pipeline.from_template` builds its calls
+from the nodes of a graph with no error diagnostics.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def _normalise_inputs(
     func: str | None,
     diagnostics: list[Diagnostic],
 ) -> tuple[str, ...]:
-    """Tolerant version of the pipeline's input normalisation."""
+    """A step's input names; ``None`` reads the implicit trace when the
+    operation takes packets (or anything)."""
     if raw is None:
         if (
             operation is not None
@@ -135,12 +138,22 @@ def build_graph(template: object) -> tuple[TemplateGraph, list[Diagnostic]]:
         step = dict(step)
         func = step.pop("func", None)
         operation = None
-        if not func:
+        if func is None or func == "":
             diagnostics.append(
                 Diagnostic(
                     "L003", Severity.ERROR,
                     f"step {index} has no 'func'",
                     step=index,
+                )
+            )
+            func = None
+        elif not isinstance(func, str):
+            diagnostics.append(
+                Diagnostic(
+                    "L004", Severity.ERROR,
+                    f"operation name must be a string, got {func!r}",
+                    step=index,
+                    hint="check docs/OPERATIONS.md for the catalog",
                 )
             )
             func = None
@@ -159,11 +172,20 @@ def build_graph(template: object) -> tuple[TemplateGraph, list[Diagnostic]]:
                 )
         raw_input = step.pop("input", None)
         output = step.pop("output", None)
-        if not output:
+        if output is None or output == "":
             diagnostics.append(
                 Diagnostic(
                     "L005", Severity.ERROR,
                     f"step {index} ({func}) has no 'output'",
+                    step=index, operation=func,
+                )
+            )
+            output = None
+        elif not isinstance(output, str):
+            diagnostics.append(
+                Diagnostic(
+                    "L005", Severity.ERROR,
+                    f"output must be a name string, got {output!r}",
                     step=index, operation=func,
                 )
             )
@@ -178,7 +200,7 @@ def build_graph(template: object) -> tuple[TemplateGraph, list[Diagnostic]]:
                 func=func,
                 operation=operation,
                 inputs=inputs,
-                output=str(output) if output is not None else None,
+                output=output,
                 raw_params=step,
                 params=dict(step),
             )

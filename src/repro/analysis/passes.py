@@ -21,7 +21,7 @@ from repro.core.operations import (
     resolve_field,
 )
 from repro.core.pipeline import SOURCE_NAME
-from repro.core.types import ValueType
+from repro.core.types import ValueType, compatible
 
 # ----------------------------------------------------------------------
 # Parameter pass: schemas plus per-operation value checks
@@ -248,14 +248,7 @@ def pass_dataflow(
                 continue
             consumed.add(name)
             have = defined[name]
-            compatible = (
-                want is ValueType.ANY
-                or have is ValueType.ANY
-                or have is want
-                or {have, want}
-                <= {ValueType.LABELS, ValueType.PREDICTIONS}
-            )
-            if not compatible:
+            if not compatible(have, want):
                 diagnostics.append(
                     Diagnostic(
                         "L010", Severity.ERROR,

@@ -248,16 +248,11 @@ class BenchmarkRunner:
             probe = ResourceProbe(cpu="process").start()
             span.set("attempts", attempt)
             try:
-                if mode == "same":
-                    work = lambda: self._evaluate_same(  # noqa: E731
-                        spec, train_id, phases=phases, parent=span
-                    )
-                else:
-                    work = lambda: self._evaluate_cross(  # noqa: E731
-                        spec, train_id, test_id, phases=phases, parent=span
-                    )
                 result = call_with_deadline(
-                    work, self.cell_timeout, cell, EvaluationTimeout
+                    lambda: self._evaluate_cell(
+                        spec, train_id, test_id, phases=phases, parent=span
+                    ),
+                    self.cell_timeout, cell, EvaluationTimeout,
                 )
             except BaseException as exc:
                 # a watchdog timeout fires on this thread, not inside a
@@ -361,66 +356,32 @@ class BenchmarkRunner:
 
     # ------------------------------------------------------------------
 
-    def _evaluate_same(
-        self,
-        spec: AlgorithmSpec,
-        dataset_id: str,
-        phases: _PhaseTracker | None = None,
-        parent=None,
-    ) -> dict:
-        phases = phases or _PhaseTracker()
-        X, y, attack_ids, attack_names = _featurize_with_attacks(
-            spec, dataset_id, self.engine, phases=phases, parent=parent
-        )
-        idx_train, idx_test = stratified_split_indices(
-            y, test_size=self.test_size, seed=self.seed
-        )
-        X_train, X_test = X[idx_train], X[idx_test]
-        y_train, y_test = y[idx_train], y[idx_test]
-        tracer = get_tracer()
-        model = spec.build_model()
-        with phases.phase("train"), tracer.span(
-            "train", parent=parent, samples=len(y_train)
-        ):
-            maybe_inject("train", algorithm=spec.algorithm_id,
-                         dataset=dataset_id)
-            model.fit(X_train, y_train)
-        with phases.phase("test"), tracer.span(
-            "test", parent=parent, samples=len(y_test)
-        ):
-            maybe_inject("predict", algorithm=spec.algorithm_id,
-                         dataset=dataset_id)
-            predictions = np.asarray(model.predict(X_test))
-            metrics = classification_summary(y_test, predictions)
-        return {
-            "algorithm": spec.algorithm_id,
-            "train_dataset": dataset_id,
-            "test_dataset": dataset_id,
-            "mode": "same",
-            "granularity": spec.granularity.name,
-            "n_train": len(y_train),
-            "n_test": len(y_test),
-            "per_attack": _per_attack_metrics(
-                y_test, predictions, attack_ids[idx_test], attack_names
-            ),
-            **{k: float(v) for k, v in metrics.items()},
-        }
-
-    def _evaluate_cross(
+    def _evaluate_cell(
         self,
         spec: AlgorithmSpec,
         train_id: str,
         test_id: str,
-        phases: _PhaseTracker | None = None,
-        parent=None,
+        *,
+        phases: _PhaseTracker,
+        parent,
     ) -> dict:
-        phases = phases or _PhaseTracker()
-        X_train, y_train, _, _ = _featurize_with_attacks(
+        """Train and test one cell: a stratified split of one dataset,
+        or train on one dataset and test on another."""
+        X, y, attack_ids, attack_names = _featurize_with_attacks(
             spec, train_id, self.engine, phases=phases, parent=parent
         )
-        X_test, y_test, attack_ids, attack_names = _featurize_with_attacks(
-            spec, test_id, self.engine, phases=phases, parent=parent
-        )
+        if train_id == test_id:
+            idx_train, idx_test = stratified_split_indices(
+                y, test_size=self.test_size, seed=self.seed
+            )
+            X_train, X_test = X[idx_train], X[idx_test]
+            y_train, y_test = y[idx_train], y[idx_test]
+            attack_ids = attack_ids[idx_test]
+        else:
+            X_train, y_train = X, y
+            X_test, y_test, attack_ids, attack_names = _featurize_with_attacks(
+                spec, test_id, self.engine, phases=phases, parent=parent
+            )
         tracer = get_tracer()
         model = spec.build_model()
         with phases.phase("train"), tracer.span(
@@ -440,7 +401,7 @@ class BenchmarkRunner:
             "algorithm": spec.algorithm_id,
             "train_dataset": train_id,
             "test_dataset": test_id,
-            "mode": "cross",
+            "mode": "same" if train_id == test_id else "cross",
             "granularity": spec.granularity.name,
             "n_train": len(y_train),
             "n_test": len(y_test),

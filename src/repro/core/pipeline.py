@@ -22,7 +22,8 @@ than ``func``/``input``/``output`` is an operation parameter (``param``
 is accepted as an alias for the operation's first required parameter,
 matching the paper's template style).
 
-:meth:`Pipeline.validate` performs the engine's static checks before
+:meth:`Pipeline.from_template` parses through the static analyzer
+(:mod:`repro.analysis`), so the engine's checks all run before
 execution: operations exist, parameters are complete, every input name
 is defined by an earlier step, and the declared value types line up.
 
@@ -39,9 +40,7 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.core.errors import TemplateError
-from repro.core.operations import OPERATIONS, Operation
-from repro.core.types import ValueType
+from repro.core.operations import Operation
 
 
 @dataclass(frozen=True)
@@ -105,24 +104,6 @@ def step_key(
 SOURCE_NAME = "__source__"
 
 
-def _normalise_inputs(raw: object, operation: Operation) -> tuple[str, ...]:
-    if raw is None:
-        # Operations that take packets may consume the implicit source.
-        if operation.input_types and operation.input_types[0] in (
-            ValueType.PACKETS,
-            ValueType.ANY,
-        ):
-            return (SOURCE_NAME,)
-        return ()
-    if isinstance(raw, str):
-        return (raw,)
-    if isinstance(raw, (list, tuple)):
-        if not all(isinstance(item, str) for item in raw):
-            raise TemplateError("input names must be strings")
-        return tuple(raw)
-    raise TemplateError(f"bad input specification: {raw!r}")
-
-
 @dataclass
 class Pipeline:
     """A validated sequence of operation calls."""
@@ -133,82 +114,19 @@ class Pipeline:
     def from_template(cls, template: list[dict]) -> "Pipeline":
         """Parse + validate a template (the Figure 4 format).
 
-        The static analyzer runs first, so a bad template fails here --
-        with structured ``L0xx`` diagnostics on the raised
+        The static analyzer is the one parser: a bad template fails
+        here -- with structured ``L0xx`` diagnostics on the raised
         :class:`~repro.core.errors.TemplateDiagnosticError` -- before
-        any parsing, trace generation or execution.
+        any trace generation or execution, and each checked step of a
+        good one becomes an :class:`OperationCall`.
         """
         # lazy import: repro.analysis imports this module
-        from repro.analysis import analyze_template
+        from repro.analysis import checked_graph
 
-        analyze_template(template).raise_if_errors()
-        if not template:
-            raise TemplateError("empty template")
-        calls: list[OperationCall] = []
-        for index, step in enumerate(template):
-            if not isinstance(step, dict):
-                raise TemplateError(f"step {index} is not a mapping")
-            step = dict(step)
-            func = step.pop("func", None)
-            if not func:
-                raise TemplateError(f"step {index} has no 'func'")
-            operation = OPERATIONS.get(func)
-            if operation is None:
-                known = ", ".join(sorted(OPERATIONS))
-                raise TemplateError(
-                    f"step {index}: unknown operation {func!r} "
-                    f"(known operations: {known})"
-                )
-            raw_input = step.pop("input", None)
-            output = step.pop("output", None)
-            if not output:
-                raise TemplateError(f"step {index} ({func}) has no 'output'")
-            # "param" is the paper's alias for the first required param
-            if "param" in step and operation.required_params:
-                step[operation.required_params[0]] = step.pop("param")
-            params = operation.validate_params(step)
-            calls.append(
-                OperationCall(
-                    operation=operation,
-                    inputs=_normalise_inputs(raw_input, operation),
-                    output=str(output),
-                    params=params,
-                )
-            )
-        pipeline = cls(calls)
-        pipeline.validate()
-        return pipeline
-
-    def validate(self) -> None:
-        """Static checks: dataflow and type compatibility."""
-        defined: dict[str, ValueType] = {SOURCE_NAME: ValueType.PACKETS}
-        for index, call in enumerate(self.calls):
-            expected = call.operation.input_types
-            if len(call.inputs) != len(expected):
-                raise TemplateError(
-                    f"step {index} ({call.name}): takes {len(expected)} "
-                    f"input(s), got {len(call.inputs)}"
-                )
-            for name, want in zip(call.inputs, expected):
-                if name not in defined:
-                    raise TemplateError(
-                        f"step {index} ({call.name}): input {name!r} is "
-                        f"not defined by any earlier step"
-                    )
-                have = defined[name]
-                compatible = (
-                    want is ValueType.ANY
-                    or have is ValueType.ANY
-                    or have is want
-                    or {have, want}
-                    <= {ValueType.LABELS, ValueType.PREDICTIONS}
-                )
-                if not compatible:
-                    raise TemplateError(
-                        f"step {index} ({call.name}): input {name!r} has "
-                        f"type {have.value}, expected {want.value}"
-                    )
-            defined[call.output] = call.operation.output_type
+        return cls([
+            OperationCall(node.operation, node.inputs, node.output, node.params)
+            for node in checked_graph(template).nodes
+        ])
 
     # ------------------------------------------------------------------
 

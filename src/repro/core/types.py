@@ -91,16 +91,27 @@ def infer_type(value: object) -> ValueType:
     return infer_type_info(value).kind
 
 
+def compatible(have: ValueType, want: ValueType) -> bool:
+    """Whether a ``have`` value may feed an input declared ``want``.
+
+    The one type rule: the same type, ``ANY`` on either side, or labels
+    and predictions, which share a runtime representation.
+    """
+    return (
+        want is ValueType.ANY
+        or have is ValueType.ANY
+        or have is want
+        or {have, want} <= {ValueType.LABELS, ValueType.PREDICTIONS}
+    )
+
+
 def check_type(value: object, expected: ValueType, where: str) -> None:
     """Raise ``TypeError`` if ``value`` does not match ``expected``."""
     if expected is ValueType.ANY:
         return
     actual = infer_type(value)
-    if actual is expected:
-        return
-    # predictions and labels share a runtime representation
-    interchangeable = {ValueType.LABELS, ValueType.PREDICTIONS}
-    if expected in interchangeable and actual in interchangeable:
+    # at run time ANY means "no pipeline type", not "not known yet"
+    if actual is not ValueType.ANY and compatible(actual, expected):
         return
     raise TypeError(
         f"{where}: expected a {expected.value} value, got {actual.value}"

@@ -90,8 +90,6 @@ DEFAULT_TEMPLATE: list[dict] = [
 
 #: the output the detector trains on and scores
 SCORE_OUTPUT = "X"
-#: training-score quantile that sets the anomaly threshold
-THRESHOLD_QUANTILE = 0.98
 #: the shortest idle wait between ticks, in clock seconds
 IDLE_SLEEP = 0.01
 #: a loop still running after this many ticks is wedged
@@ -284,9 +282,8 @@ class ServeDaemon:
             source_token=f"serve-train:{self.dataset_id}:{n_train}",
         )[SCORE_OUTPUT]
         model = KitNET(n_epochs=self.config.epochs, seed=self.config.seed)
-        model.fit(features)
-        scores = model.score_samples(features)
-        threshold = float(np.quantile(scores, THRESHOLD_QUANTILE))
+        # the anomaly threshold is the fit's training-score quantile
+        threshold = model.fit(features).threshold_
         get_tracer().event(
             "serve.model_trained", rows=n_train, threshold=threshold
         )

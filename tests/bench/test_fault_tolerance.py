@@ -227,7 +227,7 @@ class TestDeadline:
         def slow(*args, **kwargs):
             time.sleep(5)
 
-        monkeypatch.setattr(runner, "_evaluate_same", slow)
+        monkeypatch.setattr(runner, "_evaluate_cell", slow)
         outcome = runner.evaluate_guarded("A14", "F0", "F0")
         assert isinstance(outcome, FailureRecord)
         assert outcome.error_type == "EvaluationTimeout"

@@ -69,6 +69,22 @@ class TestParseLints:
             [{"func": "Groupby", "input": None, "flowid": ["connection"]}]
         )
 
+    @pytest.mark.parametrize("func", [["Labels"], {"a": 1}, 7])
+    def test_non_string_func_is_unknown_operation(self, func):
+        result = analyze_template(
+            [{"func": func, "input": None, "output": "y"}]
+        )
+        (diagnostic,) = result.errors
+        assert diagnostic.code == "L004"
+        assert repr(func) in diagnostic.message
+
+    @pytest.mark.parametrize("output", [["y"], {"a": 1}, 7])
+    def test_non_string_output_rejected(self, output):
+        template = [{"func": "Labels", "input": None, "output": output}]
+        assert "L005" in codes_of(template)
+        with pytest.raises(TemplateDiagnosticError):
+            Pipeline.from_template(template)
+
     def test_bad_input_spec(self):
         template = [dict(GOOD[0], input=42)]
         assert "L006" in codes_of(template)

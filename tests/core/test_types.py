@@ -8,6 +8,7 @@ from repro.core.types import (
     TypeInfo,
     ValueType,
     check_type,
+    compatible,
     infer_type,
     infer_type_info,
 )
@@ -102,6 +103,23 @@ class TestCheckType:
     def test_rejects_mismatch(self):
         with pytest.raises(TypeError, match="expected a flows"):
             check_type(np.zeros((2, 2)), ValueType.FLOWS, "op")
+
+    def test_untyped_value_rejected_for_typed_input(self):
+        # statically ANY matches anything; at run time it means the
+        # value has no pipeline type
+        with pytest.raises(TypeError, match="got any"):
+            check_type(np.zeros(3), ValueType.FEATURES, "op")
+
+
+class TestCompatible:
+    def test_the_type_rule(self):
+        assert compatible(ValueType.FLOWS, ValueType.FLOWS)
+        assert compatible(ValueType.ANY, ValueType.MODEL)
+        assert compatible(ValueType.MODEL, ValueType.ANY)
+        assert compatible(ValueType.LABELS, ValueType.PREDICTIONS)
+        assert compatible(ValueType.PREDICTIONS, ValueType.LABELS)
+        assert not compatible(ValueType.FEATURES, ValueType.PACKETS)
+        assert not compatible(ValueType.LABELS, ValueType.FEATURES)
 
 
 class TestProfileReport:

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -58,6 +60,20 @@ class TestLintCommand:
         assert main(["lint", str(path)]) == 1
         out = capsys.readouterr().out
         assert "L004" in out
+
+    def test_lint_non_string_func_and_output(self, tmp_path, capsys):
+        # diagnostics, not a traceback, for malformed names
+        func = tmp_path / "func.json"
+        func.write_text(json.dumps(
+            [{"func": ["Labels"], "input": None, "output": "y"}]
+        ))
+        output = tmp_path / "output.json"
+        output.write_text(json.dumps(
+            [{"func": "Labels", "input": None, "output": ["y"]}]
+        ))
+        assert main(["lint", str(func), str(output)]) == 1
+        out = capsys.readouterr().out
+        assert "L004" in out and "L005" in out
 
     def test_lint_catalog_is_clean(self, capsys):
         assert main(["lint", "--catalog"]) == 0
@@ -810,17 +826,36 @@ class TestServeCommand:
         assert status["state"] == "stopped"
         assert status["chunks_scored"] == 3
 
-    def test_kitnet_model_without_outputs(self, tmp_path, capsys):
+    def test_kitnet_model_without_outputs(self, tmp_path, capsys,
+                                          monkeypatch):
+        from repro.ml import KitNET
+
+        trained_on = []
+        fit = KitNET.fit
+
+        def recording_fit(model, X, y=None):
+            trained_on.append(X)
+            return fit(model, X, y)
+
+        monkeypatch.setattr(KitNET, "fit", recording_fit)
+        cache = tmp_path / "kitnet.pkl"
         # the session collects the scored output beside the template's
         # final one, so --model needs no --outputs
         assert main([
             "serve", "F0", "--virtual-time", "--model", "kitnet",
             "--epochs", "1", "--chunk-seconds", "10", "--max-chunks", "3",
-            "--model-cache", str(tmp_path / "kitnet.pkl"),
+            "--model-cache", str(cache),
         ]) == 0
         out = capsys.readouterr().out
         assert "served 3 chunk(s)" in out
         assert "anomalies" in out
+        # the cached threshold is the 0.98 quantile of the training
+        # prefix's scores, exactly as a second scoring pass would give
+        model, threshold = pickle.loads(cache.read_bytes())
+        (features,) = trained_on
+        assert threshold == float(
+            np.quantile(model.score_samples(features), 0.98)
+        )
 
     def test_chaos_run_verifies_against_offline(self, tmp_path, capsys):
         quarantine = tmp_path / "quarantine.jsonl"
