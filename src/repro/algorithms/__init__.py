@@ -13,7 +13,7 @@ from repro.algorithms.catalog import ALGORITHMS, algorithm_ids, build_algorithm
 from repro.algorithms.synthesis import (
     GreedySynthesizer,
     SynthesisResult,
-    merged_training_table,
+    merged_train_test,
     synthesized_algorithms,
 )
 
@@ -24,6 +24,6 @@ __all__ = [
     "build_algorithm",
     "GreedySynthesizer",
     "SynthesisResult",
-    "merged_training_table",
+    "merged_train_test",
     "synthesized_algorithms",
 ]

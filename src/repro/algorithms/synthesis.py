@@ -165,10 +165,6 @@ def merged_train_test(
     )
 
 
-# Backwards-compatible alias used in examples/docs.
-merged_training_table = merged_train_test
-
-
 @dataclass
 class SynthesisResult:
     """One candidate evaluated by the greedy search."""

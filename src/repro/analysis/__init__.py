@@ -32,6 +32,7 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
 )
+from repro.analysis.audit import audit_payload, strict_problems
 from repro.analysis.equivalence import (
     CanonicalGraph,
     CanonicalStep,
@@ -39,7 +40,6 @@ from repro.analysis.equivalence import (
 )
 from repro.analysis.concurrency import (
     ConcurrencyReport,
-    audit_concurrency,
     module_concurrency_report,
     operation_concurrency_report,
 )
@@ -59,20 +59,17 @@ from repro.analysis.planner import (
 )
 from repro.analysis.safety import (
     EffectReport,
-    audit_registry,
     operation_report,
     pass_effects,
 )
 from repro.analysis.sources import LintTarget, collect_targets
 from repro.analysis.streamable import (
     StreamReport,
-    audit_streamable,
     operation_stream_report,
     pass_streamable,
 )
 from repro.analysis.vectorize import (
     VectorReport,
-    audit_vectorization,
     operation_vector_report,
     pass_vectorize,
     verdict_fingerprints,
@@ -97,10 +94,7 @@ __all__ = [
     "VectorReport",
     "analyze_pipeline",
     "analyze_template",
-    "audit_concurrency",
-    "audit_registry",
-    "audit_streamable",
-    "audit_vectorization",
+    "audit_payload",
     "build_graph",
     "build_matrix_plan",
     "build_plan",
@@ -116,6 +110,7 @@ __all__ = [
     "pass_effects",
     "pass_streamable",
     "pass_vectorize",
+    "strict_problems",
     "verdict_fingerprints",
 ]
 

@@ -69,7 +69,6 @@ __all__ = [
     "ConcurrencyReport",
     "operation_concurrency_report",
     "module_concurrency_report",
-    "audit_concurrency",
     "CORE_MODULES",
 ]
 
@@ -162,6 +161,65 @@ class ConcurrencyReport:
         }
 
 
+def _lock_diagnostics(owner: str, shared: dict, cycles, bare) -> list:
+    """L049/L050/L051/L053 for one operation or core module.
+
+    ``shared`` is the :func:`classify_shared` result, ``cycles`` the
+    lock-order cycles and ``bare`` the ``(line, receiver, method)``
+    sites of bare acquire/release calls.
+    """
+    diagnostics: list = []
+    for name, info in shared.items():
+        if info["verdict"] != RACY:
+            continue
+        if info["mixed"]:
+            diagnostics.append(
+                Diagnostic(
+                    "L050",
+                    Severity.ERROR,
+                    f"{name!r} mutated both under and outside its lock"
+                    f" (line {info['mixed'][0][0]})",
+                    operation=owner,
+                    hint="move every mutation of the field inside the"
+                    " same with-lock block",
+                )
+            )
+        else:
+            line, detail = info["unguarded"][0]
+            diagnostics.append(
+                Diagnostic(
+                    "L049",
+                    Severity.ERROR,
+                    f"unguarded mutation of shared state {name!r}"
+                    f" (line {line}: {detail})",
+                    operation=owner,
+                    hint="guard the state with a threading.Lock or keep"
+                    " it session-confined",
+                )
+            )
+    for cycle in cycles:
+        diagnostics.append(
+            Diagnostic(
+                "L051",
+                Severity.ERROR,
+                "lock-acquisition cycle: " + " -> ".join(cycle),
+                operation=owner,
+                hint="acquire locks in one global order",
+            )
+        )
+    for line, recv, method in bare:
+        diagnostics.append(
+            Diagnostic(
+                "L053",
+                Severity.WARNING,
+                f"bare {recv}.{method}() (line {line})",
+                operation=owner,
+                hint="use `with lock:` so exceptions cannot leak the lock",
+            )
+        )
+    return diagnostics
+
+
 def _report(operation) -> ConcurrencyReport:
     opaque = False
     reads: set = set()
@@ -193,50 +251,15 @@ def _report(operation) -> ConcurrencyReport:
         bare.extend(access.bare_locks)
 
     shared = classify_shared(write_sites)
-    diagnostics: list = []
-    guards: list = []
-    racy = bool(escapes or hostile or cycles)
-    for name, info in shared.items():
-        if info["verdict"] == LOCK_GUARDED:
-            guards.append(info["guard"])
-        elif info["verdict"] == RACY:
-            racy = True
-            if info["mixed"]:
-                line = info["mixed"][0][0]
-                diagnostics.append(
-                    Diagnostic(
-                        "L050",
-                        Severity.ERROR,
-                        f"{name!r} mutated both under and outside its lock"
-                        f" (line {line})",
-                        operation=operation.name,
-                        hint="move every mutation of the field inside the"
-                        " same with-lock block",
-                    )
-                )
-            else:
-                line = info["unguarded"][0][0]
-                diagnostics.append(
-                    Diagnostic(
-                        "L049",
-                        Severity.ERROR,
-                        f"unguarded mutation of shared state {name!r}"
-                        f" (line {line}: {info['unguarded'][0][1]})",
-                        operation=operation.name,
-                        hint="guard the state with a threading.Lock or keep"
-                        " it session-confined",
-                    )
-                )
-    for cycle in cycles:
-        diagnostics.append(
-            Diagnostic(
-                "L051",
-                Severity.ERROR,
-                "lock-acquisition cycle: " + " -> ".join(cycle),
-                operation=operation.name,
-                hint="acquire locks in one global order",
-            )
-        )
+    verdicts = {info["verdict"] for info in shared.values()}
+    guards = {
+        info["guard"]
+        for info in shared.values()
+        if info["verdict"] == LOCK_GUARDED
+    }
+    racy = bool(escapes or hostile or cycles) or RACY in verdicts
+    bare_locks = tuple(sorted(set(bare)))
+    diagnostics = _lock_diagnostics(operation.name, shared, cycles, bare_locks)
     for line, detail in sorted(set(escapes)):
         diagnostics.append(
             Diagnostic(
@@ -247,16 +270,6 @@ def _report(operation) -> ConcurrencyReport:
                 operation=operation.name,
                 hint="keep carried state reachable only through the state"
                 " argument",
-            )
-        )
-    for line, recv, method in sorted(set(bare)):
-        diagnostics.append(
-            Diagnostic(
-                "L053",
-                Severity.WARNING,
-                f"bare {recv}.{method}() (line {line})",
-                operation=operation.name,
-                hint="use `with lock:` so exceptions cannot leak the lock",
             )
         )
     for line, callee in sorted(set(hostile)):
@@ -289,11 +302,11 @@ def _report(operation) -> ConcurrencyReport:
         shared_writes=tuple(
             (s.name, s.line, ";".join(s.guards)) for s in write_sites
         ),
-        guards=tuple(sorted(set(guards))),
+        guards=tuple(sorted(guards)),
         escapes=tuple(sorted(set(escapes))),
         hostile=tuple(sorted(set(hostile))),
         cycles=tuple(tuple(c) for c in cycles),
-        bare_locks=tuple(sorted(set(bare))),
+        bare_locks=bare_locks,
         diagnostics=tuple(diagnostics),
     )
 
@@ -345,49 +358,7 @@ def module_concurrency_report(module_name: str) -> dict:
     cycles = lock_cycles(edges)
     bare = bare_lock_ops(facts.tree, frozenset(locks))
 
-    diagnostics: list = []
-    for name, info in verdicts.items():
-        if info["verdict"] != RACY:
-            continue
-        if info["mixed"]:
-            diagnostics.append(
-                Diagnostic(
-                    "L050",
-                    Severity.ERROR,
-                    f"{module_name}: {name!r} mutated both under and outside"
-                    f" its lock (line {info['mixed'][0][0]})",
-                    operation=module_name,
-                )
-            )
-        else:
-            line, detail = info["unguarded"][0]
-            diagnostics.append(
-                Diagnostic(
-                    "L049",
-                    Severity.ERROR,
-                    f"{module_name}: unguarded mutation of {name!r}"
-                    f" (line {line}: {detail})",
-                    operation=module_name,
-                )
-            )
-    for cycle in cycles:
-        diagnostics.append(
-            Diagnostic(
-                "L051",
-                Severity.ERROR,
-                f"{module_name}: lock-acquisition cycle: " + " -> ".join(cycle),
-                operation=module_name,
-            )
-        )
-    for line, recv, method in bare:
-        diagnostics.append(
-            Diagnostic(
-                "L053",
-                Severity.WARNING,
-                f"{module_name}: bare {recv}.{method}() (line {line})",
-                operation=module_name,
-            )
-        )
+    diagnostics = _lock_diagnostics(module_name, verdicts, cycles, bare)
 
     worst = SESSION_CONFINED
     order = {SESSION_CONFINED: 0, READ_ONLY_SHARED: 1, LOCK_GUARDED: 2, RACY: 3}
@@ -418,44 +389,5 @@ def module_concurrency_report(module_name: str) -> dict:
         "warnings": sum(
             1 for d in diagnostics if d.severity.value == "warning"
         ),
-    }
-
-
-def audit_concurrency(operations=None, modules=CORE_MODULES) -> dict:
-    """Concurrency-classify the whole registry plus the core modules."""
-    if operations is None:
-        from repro.core.operations import OPERATIONS
-
-        operations = OPERATIONS
-    op_reports = [
-        operation_concurrency_report(operations[name])
-        for name in sorted(operations)
-    ]
-    module_reports = [module_concurrency_report(name) for name in modules]
-    summary = {
-        "total": len(op_reports),
-        "errors": sum(
-            sum(1 for d in r.diagnostics if d.severity.value == "error")
-            for r in op_reports
-        )
-        + sum(m["errors"] for m in module_reports),
-        "warnings": sum(
-            sum(1 for d in r.diagnostics if d.severity.value == "warning")
-            for r in op_reports
-        )
-        + sum(m["warnings"] for m in module_reports),
-        "module_cycles": sum(len(m["cycles"]) for m in module_reports),
-        "racy_modules": sum(
-            1 for m in module_reports if m["verdict"] == RACY
-        ),
-    }
-    for verdict in (SESSION_CONFINED, LOCK_GUARDED, READ_ONLY_SHARED, RACY, OPAQUE):
-        summary[verdict.replace("-", "_")] = sum(
-            1 for r in op_reports if r.verdict == verdict
-        )
-    return {
-        "operations": [r.to_dict() for r in op_reports],
-        "modules": module_reports,
-        "summary": summary,
     }
 

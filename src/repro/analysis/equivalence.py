@@ -102,12 +102,6 @@ class CanonicalGraph:
             material += "||" + "|".join(s.fingerprint for s in self.steps)
             self.fingerprint = digest(material)
 
-    def step_for(self, fingerprint: str) -> CanonicalStep:
-        for step in self.steps:
-            if step.fingerprint == fingerprint:
-                return step
-        raise KeyError(fingerprint)
-
     def to_template(self) -> list[dict]:
         """Render the normal form back into the template language.
 

@@ -372,12 +372,7 @@ def _matrix_templates(algorithm_ids=None):
     }
 
 
-def build_matrix_plan(
-    algorithm_ids=None,
-    dataset_ids=None,
-    *,
-    strict: bool = True,
-) -> ExecutionPlan:
+def build_matrix_plan(algorithm_ids=None, dataset_ids=None) -> ExecutionPlan:
     """The plan for the full (faithful) catalog x dataset matrix.
 
     Mirrors :meth:`repro.bench.runner.BenchmarkRunner.matrix_cells`:
@@ -387,7 +382,7 @@ def build_matrix_plan(
     """
     from repro.bench.runner import faithful_pairs
 
-    pairs = faithful_pairs(algorithm_ids, dataset_ids, strict=strict)
+    pairs = faithful_pairs(algorithm_ids, dataset_ids)
     algorithms = sorted({algorithm for algorithm, _ in pairs})
     datasets = sorted(
         dataset_ids if dataset_ids is not None

@@ -33,7 +33,6 @@ from repro.analysis.facts import (
 __all__ = [
     "EffectReport",
     "operation_report",
-    "audit_registry",
     "pass_effects",
     "PURE",
     "SEEDED",
@@ -144,17 +143,6 @@ def operation_report(operation) -> EffectReport:
         ("effects", operation.name, operation.fn, batch),
         lambda: _report(operation),
     )
-
-
-def audit_registry(operations=None) -> dict:
-    """``{name: EffectReport}`` for every registered operation."""
-    if operations is None:
-        from repro.core.operations import OPERATIONS
-
-        operations = OPERATIONS
-    return {
-        name: operation_report(op) for name, op in sorted(operations.items())
-    }
 
 
 def pass_effects(graph, diagnostics) -> None:

@@ -58,7 +58,6 @@ __all__ = [
     "infer_state_bound",
     "StreamReport",
     "operation_stream_report",
-    "audit_streamable",
     "pass_streamable",
 ]
 
@@ -426,41 +425,6 @@ def operation_stream_report(operation) -> StreamReport:
         ),
         lambda: _report(operation),
     )
-
-
-def audit_streamable(operations=None) -> dict:
-    """Deterministic streaming audit of the operation registry."""
-    if operations is None:
-        from repro.core.operations import OPERATIONS
-
-        operations = OPERATIONS
-    reports = [
-        operation_stream_report(operations[name])
-        for name in sorted(operations)
-    ]
-    summary = {
-        "total": len(reports),
-        "stateless": sum(1 for r in reports if r.verdict == STATELESS),
-        "prefix_mergeable": sum(
-            1 for r in reports if r.verdict == PREFIX_MERGEABLE
-        ),
-        "window_bounded": sum(
-            1 for r in reports if r.verdict == WINDOW_BOUNDED
-        ),
-        "batch_only": sum(1 for r in reports if r.verdict == BATCH_ONLY),
-        "opaque": sum(1 for r in reports if r.verdict == OPAQUE),
-        "streamable": sum(1 for r in reports if r.streamable),
-        "errors": sum(
-            1
-            for r in reports
-            for d in r.diagnostics
-            if d.severity.value == "error"
-        ),
-    }
-    return {
-        "operations": [report.to_dict() for report in reports],
-        "summary": summary,
-    }
 
 
 # ---------------------------------------------------------------------------

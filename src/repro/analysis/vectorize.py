@@ -57,7 +57,6 @@ __all__ = [
     "row_domain",
     "VectorReport",
     "operation_vector_report",
-    "audit_vectorization",
     "verdict_fingerprints",
     "pass_vectorize",
     "ShapeFact",
@@ -242,36 +241,6 @@ def operation_vector_report(operation) -> VectorReport:
         ("vectorize", operation.name, operation.fn, batch),
         lambda: _report(operation),
     )
-
-
-def audit_vectorization(operations=None) -> dict:
-    """Deterministic vectorization audit of the operation registry."""
-    if operations is None:
-        from repro.core.operations import OPERATIONS
-
-        operations = OPERATIONS
-    reports = [
-        operation_vector_report(operations[name])
-        for name in sorted(operations)
-    ]
-    summary = {
-        "total": len(reports),
-        "elementwise": sum(1 for r in reports if r.verdict == ELEMENTWISE),
-        "row_parallel": sum(1 for r in reports if r.verdict == ROW_PARALLEL),
-        "sequential": sum(1 for r in reports if r.verdict == SEQUENTIAL),
-        "opaque": sum(1 for r in reports if r.verdict == OPAQUE),
-        "batchable": sum(1 for r in reports if r.batchable),
-        "errors": sum(
-            1
-            for r in reports
-            for d in r.diagnostics
-            if d.severity.value == "error"
-        ),
-    }
-    return {
-        "operations": [report.to_dict() for report in reports],
-        "summary": summary,
-    }
 
 
 def verdict_fingerprints(template, *, outputs=None) -> dict:

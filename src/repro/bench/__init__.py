@@ -11,12 +11,7 @@ every figure of the paper's evaluation:
 * :mod:`repro.bench.validation` -- the Section 5.2 validation checks.
 """
 
-from repro.bench.checkpoint import (
-    CheckpointJournal,
-    CheckpointState,
-    JsonlJournal,
-    read_journal,
-)
+from repro.bench.checkpoint import CheckpointJournal, CheckpointState
 from repro.bench.results import EvaluationResult, FailureRecord, ResultStore
 from repro.bench.runner import (
     BenchmarkRunner,
@@ -41,8 +36,6 @@ from repro.bench.ablation import measure_rewrite_damage
 
 __all__ = [
     "CheckpointJournal",
-    "JsonlJournal",
-    "read_journal",
     "CheckpointState",
     "EvaluationResult",
     "EvaluationTimeout",

@@ -11,85 +11,17 @@ campaign costs seconds, not hours.
 
 A torn final line (the signature of a hard kill mid-write) is detected
 and ignored -- its cell simply re-runs.  The append/flush/torn-tail
-mechanics live in the generic :class:`JsonlJournal` so other durable
-logs (the serve daemon's checkpoint and quarantine journals) inherit
-the same crash semantics instead of reinventing them.
+mechanics live in :class:`repro.obs.sinks.JsonlJournal`, which the
+serve daemon's journals share.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.results import EvaluationResult, FailureRecord
-from repro.obs import get_tracer
-
-
-class JsonlJournal:
-    """Append-only JSONL file with flush-per-line crash semantics.
-
-    Every record is one JSON object on one line, written and flushed
-    atomically with respect to this process; a hard kill can tear at
-    most the final line, which :func:`read_journal` detects and skips.
-    Records conventionally carry a ``"kind"`` field so mixed-record
-    journals stay self-describing.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._handle = None
-
-    def append(self, payload: dict) -> None:
-        line = json.dumps(payload, sort_keys=True)
-        with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = self.path.open("a", encoding="utf-8")
-            self._handle.write(line + "\n")
-            self._handle.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> "JsonlJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_journal(path: str | Path) -> tuple[list[dict], int]:
-    """Parse a JSONL journal, tolerating a torn (killed-mid-write) tail.
-
-    Returns ``(records, torn_lines)``.  Unparseable lines are counted
-    and traced (``checkpoint.torn_line``) rather than raised: the only
-    expected corruption is the final line of a hard-killed process, and
-    the record it would have held is re-derivable by re-running the
-    work it described.
-    """
-    records: list[dict] = []
-    torn = 0
-    text = Path(path).read_text(encoding="utf-8")
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            torn += 1
-            get_tracer().event(
-                "checkpoint.torn_line", path=str(path), line=number
-            )
-            continue
-        records.append(payload)
-    return records, torn
+from repro.obs import JsonlJournal, get_tracer, read_journal
 
 
 @dataclass

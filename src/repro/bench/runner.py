@@ -54,8 +54,6 @@ from repro.obs import metrics as metric_names
 def faithful_pairs(
     algorithm_ids: list[str] | None = None,
     dataset_ids: list[str] | None = None,
-    *,
-    strict: bool = True,
 ) -> list[tuple[str, str]]:
     """All (algorithm, dataset) combinations the rule allows.
 
@@ -76,7 +74,7 @@ def faithful_pairs(
         spec = ALGORITHMS[algorithm_id]
         for dataset_id in datasets:
             dataset = DATASETS[dataset_id]
-            if can_evaluate(spec.granularity, dataset.granularity, strict=strict):
+            if can_evaluate(spec.granularity, dataset.granularity):
                 pairs.append((algorithm_id, dataset_id))
     return pairs
 
@@ -188,7 +186,6 @@ class BenchmarkRunner:
         engine: ExecutionEngine | None = None,
         test_size: float = 0.3,
         seed: int = 0,
-        strict: bool = True,
         retries: int = 0,
         cell_timeout: float | None = None,
         backoff_base: float = 0.05,
@@ -197,7 +194,6 @@ class BenchmarkRunner:
         self.engine = engine or ExecutionEngine(track_memory=False)
         self.test_size = test_size
         self.seed = seed
-        self.strict = strict
         self.retries = retries
         self.cell_timeout = cell_timeout
         self.backoff_base = backoff_base
@@ -211,9 +207,7 @@ class BenchmarkRunner:
     ) -> None:
         for dataset_id in {train_id, test_id}:
             dataset = DATASETS[dataset_id]
-            if not can_evaluate(
-                spec.granularity, dataset.granularity, strict=self.strict
-            ):
+            if not can_evaluate(spec.granularity, dataset.granularity):
                 raise ValueError(
                     f"unfaithful evaluation: {spec.algorithm_id} "
                     f"({spec.granularity.name}) on {dataset_id} "
@@ -422,7 +416,7 @@ class BenchmarkRunner:
         return [
             (algorithm_id, dataset_id, dataset_id)
             for algorithm_id, dataset_id in faithful_pairs(
-                algorithm_ids, dataset_ids, strict=self.strict
+                algorithm_ids, dataset_ids
             )
         ]
 
@@ -433,7 +427,7 @@ class BenchmarkRunner:
     ) -> list[tuple[str, str, str]]:
         """Cross-dataset cells: each algorithm on every ordered pair of
         distinct datasets it can faithfully consume, in run order."""
-        pairs = faithful_pairs(algorithm_ids, dataset_ids, strict=self.strict)
+        pairs = faithful_pairs(algorithm_ids, dataset_ids)
         by_algorithm: dict[str, list[str]] = {}
         for algorithm_id, dataset_id in pairs:
             by_algorithm.setdefault(algorithm_id, []).append(dataset_id)

@@ -347,73 +347,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if total_errors else 0
 
 
-def _audit_payload(catalog: bool) -> dict:
-    """The four operation audits, keyed by section."""
-    from repro.analysis import (
-        audit_concurrency,
-        audit_registry,
-        audit_streamable,
-        audit_vectorization,
-        operation_stream_report,
-        verdict_fingerprints,
-    )
-
-    reports = audit_registry()
-    purities = [report.purity for report in reports.values()]
-    effects = {
-        "operations": [
-            reports[name].to_dict() for name in sorted(reports)
-        ],
-        "summary": {
-            "total": len(reports),
-            "pure": purities.count("pure"),
-            "seeded": purities.count("seeded-stochastic"),
-            "io": purities.count("io"),
-            "stateful": purities.count("stateful"),
-        },
-    }
-    payload = {
-        "effects": effects,
-        "vectorize": audit_vectorization(),
-        "streamable": audit_streamable(),
-        "races": audit_concurrency(),
-    }
-    if catalog:
-        from repro.algorithms import ALGORITHMS, build_algorithm
-        from repro.core.operations import OPERATIONS
-
-        vector_catalog = {}
-        stream_catalog = {}
-        for algorithm_id in sorted(ALGORITHMS):
-            template = build_algorithm(algorithm_id).full_template()
-            vector_catalog[algorithm_id] = verdict_fingerprints(
-                template, outputs=["metrics"]
-            )
-            steps = []
-            for step in template:
-                operation = OPERATIONS.get(step.get("func"))
-                if operation is None:
-                    continue
-                report = operation_stream_report(operation)
-                steps.append(
-                    {
-                        "func": operation.name,
-                        "verdict": report.verdict,
-                        "state_bound": report.state_bound,
-                        "refusal": report.refusal,
-                    }
-                )
-            stream_catalog[algorithm_id] = {
-                "steps": steps,
-                "streamable": all(
-                    step["refusal"] is None for step in steps
-                ),
-            }
-        payload["vectorize"]["catalog"] = vector_catalog
-        payload["streamable"]["catalog"] = stream_catalog
-    return payload
-
-
 def _finding_lines(op: dict) -> None:
     for finding in op["findings"]:
         print(
@@ -552,39 +485,10 @@ def _print_races(section: dict, verbose: bool) -> None:
     )
 
 
-def _strict_problems(payload: dict) -> list:
-    """Every ``--strict`` failure reason across the four sections."""
-    problems = []
-    unsafe = sorted(
-        op["operation"]
-        for op in payload["effects"]["operations"]
-        if op["purity"] in ("stateful", "io")
-    )
-    if unsafe:
-        problems.append(
-            f"effects: {len(unsafe)} operation(s) not proven safe: "
-            f"{', '.join(unsafe)}"
-        )
-    checks = (
-        ("vectorize", "errors", "verdict-drift error(s)"),
-        ("vectorize", "opaque", "opaque verdict(s)"),
-        ("streamable", "errors",
-         "drift/state-bound error(s) (L041/L042/L045/L047/L048)"),
-        ("streamable", "opaque", "opaque verdict(s)"),
-        ("races", "errors", "concurrency error(s) (L049-L052/L056)"),
-        ("races", "racy", "racy operation(s)"),
-        ("races", "racy_modules", "racy module(s)"),
-        ("races", "module_cycles", "lock cycle(s)"),
-    )
-    for section, key, what in checks:
-        count = payload[section]["summary"][key]
-        if count:
-            problems.append(f"{section}: {count} {what}")
-    return problems
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
-    payload = _audit_payload(args.catalog)
+    from repro.analysis.audit import audit_payload, strict_problems
+
+    payload = audit_payload(catalog=args.catalog)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as handle:
@@ -604,7 +508,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
                 print()
             print(f"== {key}: {title} ==")
             render(payload[key], args.verbose)
-    problems = _strict_problems(payload) if args.strict else []
+    problems = strict_problems(payload) if args.strict else []
     for problem in problems:
         print(f"strict: {problem}", file=sys.stderr)
     return 1 if problems else 0

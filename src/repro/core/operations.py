@@ -163,6 +163,26 @@ def register_operation(
     return wrap
 
 
+def _with_body(name: str, slot: str, fn: Callable) -> Operation:
+    """The registered operation ``name`` with ``fn`` in its empty ``slot``.
+
+    The caller stores it: registry writes stay in ``register*``
+    functions, which the race audit exempts as import-time code.
+    """
+    kind = slot.removesuffix("_fn")
+    operation = OPERATIONS.get(name)
+    if operation is None:
+        raise ValueError(
+            f"cannot attach {kind} implementation: operation "
+            f"{name!r} is not registered"
+        )
+    if getattr(operation, slot) is not None:
+        raise ValueError(
+            f"operation {name!r} already has a {kind} implementation"
+        )
+    return dataclasses.replace(operation, **{slot: fn})
+
+
 def register_batch(name: str) -> Callable[[OpFn], OpFn]:
     """Decorator attaching a ``batch=`` implementation to an operation.
 
@@ -173,17 +193,7 @@ def register_batch(name: str) -> Callable[[OpFn], OpFn]:
     """
 
     def wrap(fn: OpFn) -> OpFn:
-        operation = OPERATIONS.get(name)
-        if operation is None:
-            raise ValueError(
-                f"cannot attach batch implementation: operation "
-                f"{name!r} is not registered"
-            )
-        if operation.batch is not None:
-            raise ValueError(
-                f"operation {name!r} already has a batch implementation"
-            )
-        OPERATIONS[name] = dataclasses.replace(operation, batch=fn)
+        OPERATIONS[name] = _with_body(name, "batch", fn)
         return fn
 
     return wrap
@@ -205,17 +215,7 @@ def register_stream(name: str) -> Callable[[StreamFn], StreamFn]:
     """
 
     def wrap(fn: StreamFn) -> StreamFn:
-        operation = OPERATIONS.get(name)
-        if operation is None:
-            raise ValueError(
-                f"cannot attach stream implementation: operation "
-                f"{name!r} is not registered"
-            )
-        if operation.stream_fn is not None:
-            raise ValueError(
-                f"operation {name!r} already has a stream implementation"
-            )
-        OPERATIONS[name] = dataclasses.replace(operation, stream_fn=fn)
+        OPERATIONS[name] = _with_body(name, "stream_fn", fn)
         return fn
 
     return wrap

@@ -257,19 +257,6 @@ def dataset_ids(granularity: Granularity | None = None) -> list[str]:
     ]
 
 
-def dataset_granularity(dataset_id: str) -> Granularity:
-    """Declared label granularity of a dataset.
-
-    Reads only the registry entry -- never generates a trace -- so the
-    static analyzer's faithfulness pass can use it at lint time.
-    """
-    if dataset_id not in DATASETS:
-        raise KeyError(
-            f"unknown dataset {dataset_id!r}; known: {sorted(DATASETS)}"
-        )
-    return DATASETS[dataset_id].granularity
-
-
 @functools.lru_cache(maxsize=None)
 def load_dataset(dataset_id: str) -> PacketTable:
     """Generate (or return the cached) trace for a dataset id."""

@@ -121,8 +121,6 @@ class PcapReader:
 
     def records(self, raw: bool = False) -> Iterator[Packet | tuple[float, bytes]]:
         """Yield packets (or raw records) from the file."""
-        order = ">" if self._swapped else "<"
-        divisor = 1e9 if self._nano else 1e6
         with open(self._path, "rb") as handle:
             self._read_global_header(handle)
             order = ">" if self._swapped else "<"

@@ -11,7 +11,8 @@ Zero-dependency instrumentation for the whole framework:
 * :mod:`repro.obs.resources` -- the :class:`ResourceProbe` attaching
   CPU time, peak RSS, GC and allocation deltas to spans;
 * :mod:`repro.obs.sinks` -- where events go: an in-memory ring buffer,
-  or a JSONL file (``REPRO_TRACE_FILE`` / ``--trace``);
+  or a JSONL file (``REPRO_TRACE_FILE`` / ``--trace``); the same
+  append writer backs the durable :class:`JsonlJournal` logs;
 * :mod:`repro.obs.render` -- the human tree view and the shared
   KiB/MiB/GiB byte formatter.
 
@@ -30,7 +31,13 @@ from repro.obs.metrics import (
 )
 from repro.obs.render import TreeRenderer, build_tree, format_bytes
 from repro.obs.resources import ResourceProbe, gc_collections, rss_peak_bytes
-from repro.obs.sinks import JsonlFileSink, RingBufferSink, read_trace
+from repro.obs.sinks import (
+    JsonlFileSink,
+    JsonlJournal,
+    RingBufferSink,
+    read_journal,
+    read_trace,
+)
 from repro.obs.spans import Span, Tracer, get_ring, get_tracer
 
 __all__ = [
@@ -46,7 +53,9 @@ __all__ = [
     "build_tree",
     "format_bytes",
     "JsonlFileSink",
+    "JsonlJournal",
     "RingBufferSink",
+    "read_journal",
     "read_trace",
     "ResourceProbe",
     "gc_collections",

@@ -10,6 +10,11 @@ traced code path.
 * :class:`JsonlFileSink` -- one JSON object per line, appended and
   flushed per event so a crashed run still leaves a usable trace.
   Activated by ``REPRO_TRACE_FILE`` or a ``--trace`` flag.
+
+:class:`JsonlJournal` is the same append writer for durable logs (the
+matrix checkpoint, the serve daemon's checkpoint, quarantine and
+results journals) that differs only in serializing strictly;
+:func:`read_journal` reads one back past a torn final line.
 """
 
 from __future__ import annotations
@@ -59,8 +64,12 @@ class JsonlFileSink:
         self._lock = threading.Lock()
         self._handle = None
 
+    def _encode(self, event: dict) -> str:
+        # a sink must never raise into traced code
+        return json.dumps(event, sort_keys=True, default=repr)
+
     def emit(self, event: dict) -> None:
-        line = json.dumps(event, sort_keys=True, default=repr)
+        line = self._encode(event)
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -79,6 +88,54 @@ class JsonlFileSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class JsonlJournal(JsonlFileSink):
+    """Append-only JSONL journal with flush-per-line crash semantics.
+
+    Every record is one JSON object on one line, written and flushed
+    atomically with respect to this process; a hard kill can tear at
+    most the final line, which :func:`read_journal` detects and skips.
+    Unlike a trace sink the journal serializes strictly: a value JSON
+    cannot encode fails the write instead of a later resume.  Records
+    conventionally carry a ``"kind"`` field so mixed-record journals
+    stay self-describing.
+    """
+
+    def _encode(self, record: dict) -> str:
+        return json.dumps(record, sort_keys=True)
+
+    append = JsonlFileSink.emit
+
+
+def read_journal(path: str | Path) -> tuple[list[dict], int]:
+    """Parse a JSONL journal, tolerating a torn (killed-mid-write) tail.
+
+    Returns ``(records, torn_lines)``.  Unparseable lines are counted
+    and traced (``checkpoint.torn_line``) rather than raised: the only
+    expected corruption is the final line of a hard-killed process, and
+    the record it would have held is re-derivable by re-running the
+    work it described.
+    """
+    from repro.obs.spans import get_tracer  # spans imports this module
+
+    records: list[dict] = []
+    torn = 0
+    text = Path(path).read_text(encoding="utf-8")
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError:
+            torn += 1
+            get_tracer().event(
+                "checkpoint.torn_line", path=str(path), line=number
+            )
+            continue
+        records.append(payload)
+    return records, torn
 
 
 def read_trace(path: str | Path) -> list[dict]:

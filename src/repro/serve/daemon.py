@@ -63,7 +63,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench.checkpoint import JsonlJournal, read_journal
 from repro.core.engine import (
     ExecutionEngine,
     StreamSession,
@@ -72,7 +71,13 @@ from repro.core.engine import (
 from repro.core.pipeline import Pipeline
 from repro.faults import backoff_seconds, call_with_deadline, maybe_inject
 from repro.net.table import PacketTable
-from repro.obs import METRICS, get_tracer, observe_uptime
+from repro.obs import (
+    METRICS,
+    JsonlJournal,
+    get_tracer,
+    observe_uptime,
+    read_journal,
+)
 from repro.obs import metrics as metric_names
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.health import ServeStatus

@@ -5,7 +5,8 @@ classification into the four verdicts, the lock-acquisition graph with
 cycle detection, bare acquire/release detection, thread-hostile
 callees, escape analysis on carried stream state, the registry-facing
 reports with the L049-L053/L056 diagnostics (positive and negative
-fixture operations), and the full-registry audit regression.
+fixture operations), the module-level diagnostics of a planted module,
+and the full-registry audit regression.
 """
 
 import ast
@@ -14,12 +15,12 @@ import threading
 
 import pytest
 
+from repro.analysis import audit_payload
 from repro.analysis.concurrency import (
     LOCK_GUARDED,
     RACY,
     READ_ONLY_SHARED,
     SESSION_CONFINED,
-    audit_concurrency,
     classify_shared,
     module_concurrency_report,
     operation_concurrency_report,
@@ -504,7 +505,7 @@ class TestOperationReports:
 
 class TestRegistryAudit:
     def test_stock_registry_is_fully_classified(self):
-        payload = audit_concurrency()
+        payload = audit_payload()["races"]
         summary = payload["summary"]
         assert summary["total"] == len(OPERATIONS)
         assert summary["racy"] == 0
@@ -522,6 +523,59 @@ class TestRegistryAudit:
             assert report["verdict"] == LOCK_GUARDED, module
             assert report["cycles"] == []
             assert report["errors"] == 0, report["diagnostics"]
+
+    def test_module_report_diagnoses_a_planted_module(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "planted_lock_module.py").write_text(
+            textwrap.dedent(
+                """
+                import threading
+
+                _A = threading.Lock()
+                _B = threading.Lock()
+                _counts = {}
+                _items = []
+
+
+                def unguarded(key):
+                    _counts[key] = 1
+
+
+                def guarded(item):
+                    with _A:
+                        _items.append(item)
+
+
+                def mixed(item):
+                    _items.append(item)
+
+
+                def forward():
+                    with _A:
+                        with _B:
+                            pass
+
+
+                def backward():
+                    with _B:
+                        with _A:
+                            pass
+
+
+                def manual():
+                    _A.acquire()
+                    _A.release()
+                """
+            )
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        report = module_concurrency_report("planted_lock_module")
+        codes = {line.split()[0] for line in report["diagnostics"]}
+        assert codes == {"L049", "L050", "L051", "L053"}
+        assert report["errors"] == 3
+        assert report["warnings"] == 2
+        assert report["verdict"] == RACY
 
     def test_module_report_finds_planted_race(self, tmp_path):
         # module_concurrency_report only loads importable modules;

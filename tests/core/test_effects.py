@@ -10,7 +10,9 @@ regression guarantee that every stock operation audits pure/seeded.
 import ast
 import textwrap
 
-from repro.analysis import facts
+import pytest
+
+from repro.analysis import audit_payload, facts
 from repro.analysis.facts import (
     IO,
     PURE,
@@ -20,7 +22,7 @@ from repro.analysis.facts import (
     analyze_function,
     collect_module_context,
 )
-from repro.analysis.safety import audit_registry, operation_report
+from repro.analysis.safety import operation_report
 from repro.core.operations import OPERATIONS
 
 
@@ -482,17 +484,22 @@ class TestSafetyLayer:
 
 
 class TestStockRegistry:
-    def test_every_stock_operation_audits_clean(self):
-        reports = audit_registry()
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {
+            report["operation"]: report
+            for report in audit_payload()["effects"]["operations"]
+        }
+
+    def test_every_stock_operation_audits_clean(self, reports):
         assert set(reports) == set(OPERATIONS)
         unsafe = {
-            name: [f.kind.value for f in report.findings]
+            name: [f["kind"] for f in report["findings"]]
             for name, report in reports.items()
-            if not report.cacheable
+            if not report["cacheable"]
         }
         assert unsafe == {}
 
-    def test_downsample_is_the_only_stochastic_op(self):
-        reports = audit_registry()
-        seeded = [n for n, r in reports.items() if r.purity == SEEDED]
+    def test_downsample_is_the_only_stochastic_op(self, reports):
+        seeded = [n for n, r in reports.items() if r["purity"] == SEEDED]
         assert seeded == ["Downsample"]

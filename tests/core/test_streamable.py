@@ -16,7 +16,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_template
+from repro.analysis import analyze_template, audit_payload
 from repro.analysis.streamable import (
     BATCH_ONLY,
     BOUND_ORDER,
@@ -24,7 +24,6 @@ from repro.analysis.streamable import (
     STATELESS,
     STREAMABLE_VERDICTS,
     WINDOW_BOUNDED,
-    audit_streamable,
     classify_stream,
     infer_state_bound,
     operation_stream_report,
@@ -450,29 +449,30 @@ class TestOperationReports:
 
 
 class TestRegistryAudit:
-    def test_audit_covers_every_operation(self):
-        audit = audit_streamable()
+    @pytest.fixture(scope="class")
+    def audit(self):
+        return audit_payload()["streamable"]
+
+    def test_audit_covers_every_operation(self, audit):
         names = [entry["operation"] for entry in audit["operations"]]
         assert names == sorted(OPERATIONS)
         assert audit["summary"]["total"] == len(OPERATIONS)
 
-    def test_no_stock_operation_errors_or_is_opaque(self):
-        audit = audit_streamable()
+    def test_no_stock_operation_errors_or_is_opaque(self, audit):
         assert audit["summary"]["errors"] == 0
         assert audit["summary"]["opaque"] == 0
 
-    def test_summary_counts_are_consistent(self):
-        summary = audit_streamable()["summary"]
+    def test_summary_counts_are_consistent(self, audit):
+        summary = audit["summary"]
         assert (
             summary["stateless"] + summary["prefix_mergeable"]
             + summary["window_bounded"] + summary["batch_only"]
             + summary["opaque"]
         ) == summary["total"]
 
-    def test_known_verdicts(self):
+    def test_known_verdicts(self, audit):
         by_name = {
-            entry["operation"]: entry
-            for entry in audit_streamable()["operations"]
+            entry["operation"]: entry for entry in audit["operations"]
         }
         assert by_name["KitsuneFeatures"]["verdict"] == PREFIX_MERGEABLE
         assert by_name["KitsuneFeatures"]["state_bound"] == "O(flows)"
@@ -483,10 +483,10 @@ class TestRegistryAudit:
             assert by_name[name]["verdict"] == BATCH_ONLY, name
             assert by_name[name]["refusal"] == f"verdict:{BATCH_ONLY}"
 
-    def test_stream_body_exactly_on_stateful_ops(self):
+    def test_stream_body_exactly_on_stateful_ops(self, audit):
         # a stream body is the streaming declaration: it exists exactly
         # where an op carries state across chunks
-        entries = audit_streamable()["operations"]
+        entries = audit["operations"]
         assert {e["operation"] for e in entries if e["stream_fn"]} >= {
             "KitsuneFeatures"
         }
@@ -499,8 +499,8 @@ class TestRegistryAudit:
                 assert not entry["stream_fn"], entry["operation"]
 
     def test_audit_is_byte_deterministic(self):
-        first = json.dumps(audit_streamable(), sort_keys=True)
-        second = json.dumps(audit_streamable(), sort_keys=True)
+        first = json.dumps(audit_payload()["streamable"], sort_keys=True)
+        second = json.dumps(audit_payload()["streamable"], sort_keys=True)
         assert first == second
 
 

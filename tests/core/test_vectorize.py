@@ -14,7 +14,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_template
+from repro.analysis import analyze_template, audit_payload
 from repro.analysis.vectorize import (
     BATCHABLE_VERDICTS,
     ELEMENTWISE,
@@ -22,7 +22,6 @@ from repro.analysis.vectorize import (
     ROW_PARALLEL,
     SEQUENTIAL,
     RowKind,
-    audit_vectorization,
     classify,
     operation_vector_report,
     verdict_fingerprints,
@@ -498,30 +497,29 @@ class TestOperationReports:
 
 
 class TestRegistryAudit:
-    def test_audit_covers_every_operation(self):
-        audit = audit_vectorization()
+    @pytest.fixture(scope="class")
+    def audit(self):
+        return audit_payload()["vectorize"]
+
+    def test_audit_covers_every_operation(self, audit):
         names = [entry["operation"] for entry in audit["operations"]]
         assert names == sorted(OPERATIONS)
         assert audit["summary"]["total"] == len(OPERATIONS)
 
-    def test_no_stock_operation_is_opaque(self):
-        audit = audit_vectorization()
+    def test_no_stock_operation_is_opaque(self, audit):
         assert audit["summary"]["opaque"] == 0
 
-    def test_no_stock_operation_errors(self):
-        audit = audit_vectorization()
+    def test_no_stock_operation_errors(self, audit):
         assert audit["summary"]["errors"] == 0
 
-    def test_summary_counts_are_consistent(self):
-        audit = audit_vectorization()
+    def test_summary_counts_are_consistent(self, audit):
         summary = audit["summary"]
         assert (
             summary["elementwise"] + summary["row_parallel"]
             + summary["sequential"] + summary["opaque"]
         ) == summary["total"]
 
-    def test_known_verdicts(self):
-        audit = audit_vectorization()
+    def test_known_verdicts(self, audit):
         by_name = {
             entry["operation"]: entry for entry in audit["operations"]
         }
@@ -533,8 +531,7 @@ class TestRegistryAudit:
         assert by_name["train"]["verdict"] == SEQUENTIAL
         assert by_name["Normalize"]["verdict"] == SEQUENTIAL
 
-    def test_converted_ops_are_batchable(self):
-        audit = audit_vectorization()
+    def test_converted_ops_are_batchable(self, audit):
         batchable = {
             entry["operation"]
             for entry in audit["operations"]
@@ -545,8 +542,7 @@ class TestRegistryAudit:
             "ProtocolOneHot", "WlanFeatures",
         }
 
-    def test_every_order_sensitive_op_declares_a_sort_key(self):
-        audit = audit_vectorization()
+    def test_every_order_sensitive_op_declares_a_sort_key(self, audit):
         missing = [
             entry["operation"]
             for entry in audit["operations"]
@@ -555,8 +551,8 @@ class TestRegistryAudit:
         assert missing == []
 
     def test_audit_is_byte_deterministic(self):
-        first = json.dumps(audit_vectorization(), sort_keys=True)
-        second = json.dumps(audit_vectorization(), sort_keys=True)
+        first = json.dumps(audit_payload()["vectorize"], sort_keys=True)
+        second = json.dumps(audit_payload()["vectorize"], sort_keys=True)
         assert first == second
 
 
