@@ -38,6 +38,7 @@ from __future__ import annotations
 import ast
 import builtins
 import enum
+import functools
 import inspect
 import textwrap
 import threading
@@ -48,6 +49,7 @@ __all__ = [
     "AccessFacts",
     "AccessSite",
     "BodyFacts",
+    "CALLEE_KINDS",
     "EffectFinding",
     "EffectKind",
     "FunctionEffects",
@@ -59,6 +61,7 @@ __all__ = [
     "analyze_rows",
     "bare_lock_ops",
     "body_facts",
+    "callees",
     "classify",
     "collect_module_context",
     "load_source",
@@ -1070,76 +1073,77 @@ class RowFinding:
         }
 
 
-# Callees that force a cross-row (sequential) verdict when applied to
-# input-derived data: incremental statistics, fits, sorts, prefix scans.
-_SEQ_CALLS = frozenset(
-    {
-        "assemble_flows",
-        "kitsune_packet_features",
-        "damped_group_stats",
-        "damped_interarrival_stats",
-        "fit",
-        "fit_transform",
-        "fit_predict",
-        "partial_fit",
-        "sort",
-        "argsort",
-        "lexsort",
-        "sort_by_time",
-        "cumsum",
-        "cumprod",
-        "accumulate",
-        "mean",
-        "std",
-        "var",
-        "median",
-        "average",
-        "nanmean",
-        "nanstd",
-        "percentile",
-        "quantile",
-    }
-)
+#: What a callee name means to the row, batch and stream analyzers.  A
+#: call matches on its final name component (``np.cumsum`` -> ``cumsum``)
+#: and a name may carry several kinds:
+#:
+#: * ``sequential`` -- on input-derived data it forces a cross-row
+#:   verdict: incremental statistics, fits, sorts, prefix scans, moments;
+#: * ``order`` -- row-order sensitive, so the op must declare a sort key
+#:   (L038/L044); when not also ``sequential`` it is cross-row only where
+#:   the rows themselves are the unit it runs over;
+#: * ``grouped`` -- a segmented per-group reduction: independent output
+#:   rows, any order;
+#: * ``select`` -- a row subset: each output row is one input row;
+#: * ``object`` -- a Python-level fallback numpy cannot fuse;
+#: * ``incremental`` -- no batching strategy can absorb it (L039);
+#: * ``whole-trace`` -- depends on the whole trace: fits, global sorts,
+#:   full-column moments (batch-only, L042);
+#: * ``window`` -- bounds the needed history to a window/timeout;
+#: * ``prefix`` -- its carried state folds across chunks;
+#: * ``group-state`` -- that carried state is keyed per group/flow.
+CALLEE_KINDS: dict[str, frozenset] = {
+    name: frozenset(kinds.split())
+    for name, kinds in {
+        "kitsune_packet_features":
+            "sequential order incremental prefix group-state",
+        **dict.fromkeys(
+            ("cumsum", "cumprod", "accumulate"), "sequential order prefix"
+        ),
+        **dict.fromkeys(("diff", "ediff1d"), "order"),
+        "assemble_flows": "sequential window",
+        **dict.fromkeys(
+            ("fit", "fit_transform", "partial_fit"),
+            "sequential incremental whole-trace",
+        ),
+        **dict.fromkeys(
+            (
+                "fit_predict", "sort", "argsort", "lexsort", "sort_by_time",
+                "mean", "std", "var", "median", "average", "nanmean",
+                "nanstd", "percentile", "quantile",
+            ),
+            "sequential whole-trace",
+        ),
+        **dict.fromkeys(
+            (
+                "reduce", "reduceat", "segment", "segmented_median",
+                "segmented_nunique", "segmented_entropy", "flow_membership",
+                "propagate_labels",
+            ),
+            "grouped",
+        ),
+        **dict.fromkeys(("select", "compress"), "select"),
+        **dict.fromkeys(
+            ("vectorize", "frompyfunc", "apply_along_axis"), "object"
+        ),
+    }.items()
+}
 
-# Callees that are order-sensitive *within* a row's segment: demote to
-# sequential only when the rows themselves are the unit they run over.
-_ORDER_CALLS = frozenset({"diff", "ediff1d"})
 
-# Segmented per-group reductions: independent output rows, any order.
-_GROUP_CALLS = frozenset(
-    {
-        "reduce",
-        "reduceat",
-        "segment",
-        "segmented_median",
-        "segmented_nunique",
-        "segmented_entropy",
-        "flow_membership",
-        "propagate_labels",
-    }
-)
+@functools.cache
+def callees(kind: str) -> frozenset:
+    """The callee names that carry ``kind`` in :data:`CALLEE_KINDS`."""
+    return frozenset(
+        name for name, kinds in CALLEE_KINDS.items() if kind in kinds
+    )
 
-# Row-subset operations: each output row is one input row.
-_SELECT_CALLS = frozenset({"select", "compress"})
 
-# Python-level fallbacks numpy cannot fuse (object arrays, ufunc shims).
-_OBJECT_CALLS = frozenset(
-    {"vectorize", "frompyfunc", "apply_along_axis"}
-)
-
-# Callee names whose presence makes an operation row-order sensitive
-# (it must declare a sort key, or emit L038/L044).
-_ORDER_SENSITIVE_NAMES = frozenset(
-    {
-        "diff",
-        "ediff1d",
-        "cumsum",
-        "cumprod",
-        "accumulate",
-        "kitsune_packet_features",
-        "damped_group_stats",
-        "damped_interarrival_stats",
-    }
+#: the row finding a call leaves, by the first kind its callee carries
+_CALL_MARKERS = (
+    ("sequential", RowKind.SEQUENTIAL_CALL),
+    ("order", RowKind.ORDER_SENSITIVE),
+    ("grouped", RowKind.GROUPED_REDUCTION),
+    ("select", RowKind.ROW_SELECTION),
 )
 
 
@@ -1310,18 +1314,13 @@ class _RowVisitor(ast.NodeVisitor):
         final = _final_name(node.func)
         if final is not None:
             tainted = self._call_role(node) == "inputs"
-            marker = None
-            if final in _SEQ_CALLS:
-                marker = RowKind.SEQUENTIAL_CALL
-            elif final in _ORDER_CALLS:
-                marker = RowKind.ORDER_SENSITIVE
-            elif final in _GROUP_CALLS:
-                marker = RowKind.GROUPED_REDUCTION
-            elif final in _SELECT_CALLS:
-                marker = RowKind.ROW_SELECTION
+            kinds = CALLEE_KINDS.get(final, frozenset())
+            marker = next(
+                (mark for kind, mark in _CALL_MARKERS if kind in kinds), None
+            )
             if tainted and marker is not None:
                 self.findings.append(RowFinding(marker, node.lineno, final))
-            if final in _OBJECT_CALLS:
+            if "object" in kinds:
                 self.findings.append(
                     RowFinding(RowKind.OBJECT_DTYPE, node.lineno, final)
                 )
@@ -1400,7 +1399,7 @@ def classify(findings, input_kinds, output_kind) -> str:
 def order_sensitive(findings) -> bool:
     """Whether any finding names an order-sensitive callee."""
     return any(
-        finding.detail.rsplit(".", 1)[-1] in _ORDER_SENSITIVE_NAMES
+        finding.detail.rsplit(".", 1)[-1] in callees("order")
         for finding in findings
     )
 

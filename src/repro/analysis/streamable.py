@@ -14,8 +14,8 @@ operation's incrementality:
 ``prefix-mergeable``
     carried accumulator state folds across chunks -- processing the
     chunks in order with persistent state reproduces the single-pass
-    result exactly (damped :class:`~repro.core.incstats.IncStat`
-    statistics, prefix scans);
+    result exactly (Kitsune's damped statistics in
+    :class:`~repro.core.incstats.KitsuneStreamState`, prefix scans);
 ``window-bounded``
     only the last W seconds/rows matter, with W derivable from params
     like ``window``/``timeout`` (flow assembly, per-flow featurizers);
@@ -40,6 +40,7 @@ from repro.analysis.facts import (
     ROW_VALUE_KINDS,
     RowKind,
     body_facts,
+    callees,
     memo,
     operation_rows,
     order_sensitive,
@@ -78,60 +79,6 @@ STREAMABLE_VERDICTS = frozenset(
 
 #: symbolic state-size bounds, least to most memory (L048 compares ranks)
 BOUND_ORDER = {"O(1)": 0, "O(window)": 1, "O(flows)": 2, "O(n)": 3}
-
-# Callees that make an operation depend on the *whole* trace: fits,
-# global sorts, whole-input sampling, full-column moments.
-_BATCH_CALLS = frozenset(
-    {
-        "fit",
-        "fit_transform",
-        "fit_predict",
-        "partial_fit",
-        "sort",
-        "argsort",
-        "lexsort",
-        "sort_by_time",
-        "choice",
-        "permutation",
-        "shuffle",
-        "mean",
-        "std",
-        "var",
-        "median",
-        "average",
-        "nanmean",
-        "nanstd",
-        "percentile",
-        "quantile",
-        "unique",
-    }
-)
-
-# Callees whose carried state folds across chunks (prefix-mergeable).
-_PREFIX_CALLS = frozenset(
-    {
-        "kitsune_packet_features",
-        "kitsune_packet_features_stream",
-        "damped_group_stats",
-        "damped_interarrival_stats",
-        "cumsum",
-        "cumprod",
-        "accumulate",
-    }
-)
-
-# Prefix-mergeable callees whose state is keyed per group/flow.
-_GROUP_STATE_CALLS = frozenset(
-    {
-        "kitsune_packet_features",
-        "kitsune_packet_features_stream",
-        "damped_group_stats",
-        "damped_interarrival_stats",
-    }
-)
-
-# Callees that bound the needed history to a window/timeout.
-_WINDOW_CALLS = frozenset({"assemble_flows"})
 
 #: params that make a window bound derivable at the operation level
 _WINDOW_PARAMS = frozenset({"window", "timeout"})
@@ -182,11 +129,11 @@ def classify_stream(findings, input_kinds, output_kind) -> str:
         # whole-input reduction: the single output fact needs all rows
         return BATCH_ONLY
     names = _marker_names(findings)
-    if names & _BATCH_CALLS:
+    if names & callees("whole-trace"):
         return BATCH_ONLY
-    if "flows" in input_kinds or names & _WINDOW_CALLS:
+    if "flows" in input_kinds or names & callees("window"):
         return WINDOW_BOUNDED
-    if names & _PREFIX_CALLS or RowKind.LOOP_CARRIED in kinds:
+    if names & callees("prefix") or RowKind.LOOP_CARRIED in kinds:
         return PREFIX_MERGEABLE
     return STATELESS
 
@@ -198,7 +145,7 @@ def infer_state_bound(verdict: str, findings) -> str:
     if verdict == WINDOW_BOUNDED:
         return "O(window)"
     if verdict == PREFIX_MERGEABLE:
-        if _marker_names(findings) & _GROUP_STATE_CALLS:
+        if _marker_names(findings) & callees("group-state"):
             return "O(flows)"
         if any(
             finding.kind is RowKind.LOOP_CARRIED
@@ -284,7 +231,7 @@ def _report(operation) -> StreamReport:
     diagnostics = []
     whole_trace = (
         _marker_names(findings) | _marker_names(stream_findings)
-    ) & _BATCH_CALLS
+    ) & callees("whole-trace")
     if has_body and whole_trace:
         diagnostics.append(
             Diagnostic(

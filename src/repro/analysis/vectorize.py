@@ -38,6 +38,7 @@ from repro.analysis.facts import (
     SEQUENTIAL,
     RowKind,
     body_facts,
+    callees,
     classify,
     memo,
     operation_rows,
@@ -62,19 +63,6 @@ __all__ = [
     "ShapeFact",
 ]
 
-# Hard-sequential markers for L039: a producer with one of these (or a
-# Python row loop) cannot join a batched/shared stage at all.
-_INCREMENTAL_NAMES = frozenset(
-    {
-        "kitsune_packet_features",
-        "damped_group_stats",
-        "damped_interarrival_stats",
-        "fit",
-        "fit_transform",
-        "partial_fit",
-    }
-)
-
 
 def hard_sequential(findings) -> bool:
     """Whether findings mark an op no batching strategy can absorb."""
@@ -83,7 +71,7 @@ def hard_sequential(findings) -> bool:
         return True
     return any(
         finding.kind is RowKind.SEQUENTIAL_CALL
-        and finding.detail in _INCREMENTAL_NAMES
+        and finding.detail in callees("incremental")
         for finding in findings
     )
 

@@ -531,18 +531,6 @@ class BenchmarkRunner:
             self.same_dataset_cells(algorithm_ids, dataset_ids), **options
         )
 
-    def run_cross_dataset(
-        self,
-        algorithm_ids: list[str] | None = None,
-        dataset_ids: list[str] | None = None,
-        **options,
-    ) -> ResultStore:
-        """Cross-dataset evaluations: each algorithm on every ordered
-        pair of distinct datasets it can faithfully consume."""
-        return self._run_cells(
-            self.cross_dataset_cells(algorithm_ids, dataset_ids), **options
-        )
-
     def run_matrix(
         self,
         algorithm_ids: list[str] | None = None,

@@ -58,3 +58,8 @@ class PipelineError(RuntimeError):
         self.operation = operation
         self.step = step
         self.cause = cause
+
+
+class StateLayoutError(ValueError):
+    """Pickled carried state uses a layout this version cannot load,
+    e.g. a serve checkpoint written before the state layout changed."""

@@ -3,202 +3,58 @@
 Kitsune computes, for every packet, online statistics of the traffic
 seen so far from the same source / channel / socket, where older
 observations decay exponentially with age: an observation ``dt`` seconds
-old contributes weight ``2^(-lam * dt)``.  For each (group, decay rate)
-the maintained state is the damped weight ``w``, linear sum ``ls`` and
-squared sum ``ss``, from which weight/mean/std features are read off at
-every packet arrival.
+old contributes weight ``2^(-lam * dt)``.  For each (grouping, key,
+decay rate) the maintained state is the damped weight ``w``, linear sum
+``ls`` and squared sum ``ss``, from which weight/mean/std features are
+read off at every packet arrival.
 
-The update is inherently sequential per group, so this module keeps the
-per-packet loop tight and lets callers batch over (key, lambda)
-combinations; results are computed once per dataset and cached by the
-engine.
+:class:`KitsuneStreamState` is the one implementation of the
+recurrence: the whole-trace :func:`kitsune_packet_features` runs it on
+a fresh state, the chunked op carries it across chunks.  The update is
+sequential per key, so it stays a python-float loop -- one pass per
+grouping that updates every decay rate of the touched key.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
+from repro.core.errors import StateLayoutError
+
 #: Kitsune's default decay rates (per second, in powers of two).
 DEFAULT_LAMBDAS = (1.0, 0.1, 0.01)
 
+#: the key groupings, in feature-column order; the source grouping also
+#: carries the inter-arrival streams (column block 3)
+_GROUPINGS = ("src", "chan", "sock")
 
-class IncStat:
-    """One damped statistic stream (single group, single decay rate)."""
+#: rows per update pass: bounds the python floats one pass holds
+_BLOCK_ROWS = 4096
 
-    __slots__ = ("lam", "w", "ls", "ss", "last_t")
-
-    def __init__(self, lam: float) -> None:
-        self.lam = lam
-        self.w = 0.0
-        self.ls = 0.0
-        self.ss = 0.0
-        self.last_t = None
-
-    def update(self, t: float, value: float) -> None:
-        if self.last_t is not None:
-            decay = 2.0 ** (-self.lam * max(t - self.last_t, 0.0))
-            self.w *= decay
-            self.ls *= decay
-            self.ss *= decay
-        self.last_t = t
-        self.w += 1.0
-        self.ls += value
-        self.ss += value * value
-
-    def copy(self) -> "IncStat":
-        twin = IncStat(self.lam)
-        twin.w = self.w
-        twin.ls = self.ls
-        twin.ss = self.ss
-        twin.last_t = self.last_t
-        return twin
-
-    @property
-    def mean(self) -> float:
-        return self.ls / self.w if self.w > 0 else 0.0
-
-    @property
-    def std(self) -> float:
-        if self.w <= 0:
-            return 0.0
-        variance = self.ss / self.w - self.mean**2
-        return float(np.sqrt(max(variance, 0.0)))
-
-
-def damped_group_stats(
-    group_ids: np.ndarray,
-    timestamps: np.ndarray,
-    values: np.ndarray,
-    lam: float,
-) -> np.ndarray:
-    """Per-packet damped (weight, mean, std) of ``values`` within groups.
-
-    ``group_ids`` assigns each packet to a group (any integer ids);
-    packets must be in time order.  Returns an ``(n, 3)`` array whose row
-    ``i`` reflects the group's statistics *after* observing packet ``i``
-    -- this is the feature Kitsune attaches to the packet.
-    """
-    n = len(group_ids)
-    if not (len(timestamps) == len(values) == n):
-        raise ValueError("group_ids, timestamps and values must align")
-    out = np.empty((n, 3), dtype=np.float64)
-    streams: dict[int, IncStat] = {}
-    ids = group_ids.tolist()
-    ts = timestamps.tolist()
-    vals = values.tolist()
-    for i in range(n):
-        stream = streams.get(ids[i])
-        if stream is None:
-            stream = IncStat(lam)
-            streams[ids[i]] = stream
-        stream.update(ts[i], vals[i])
-        out[i, 0] = stream.w
-        out[i, 1] = stream.mean
-        out[i, 2] = stream.std
-    return out
-
-
-def damped_interarrival_stats(
-    group_ids: np.ndarray, timestamps: np.ndarray, lam: float
-) -> np.ndarray:
-    """Per-packet damped (weight, mean, std) of inter-arrival times.
-
-    The first packet of each group contributes an inter-arrival of 0.
-    """
-    n = len(group_ids)
-    out = np.empty((n, 3), dtype=np.float64)
-    streams: dict[int, IncStat] = {}
-    last_seen: dict[int, float] = {}
-    ids = group_ids.tolist()
-    ts = timestamps.tolist()
-    for i in range(n):
-        key = ids[i]
-        stream = streams.get(key)
-        if stream is None:
-            stream = IncStat(lam)
-            streams[key] = stream
-        gap = ts[i] - last_seen.get(key, ts[i])
-        last_seen[key] = ts[i]
-        stream.update(ts[i], gap)
-        out[i, 0] = stream.w
-        out[i, 1] = stream.mean
-        out[i, 2] = stream.std
-    return out
-
-
-def group_ids_from_columns(columns: list[np.ndarray]) -> np.ndarray:
-    """Dense integer group ids for the combination of key columns."""
-    if not columns:
-        raise ValueError("need at least one key column")
-    n = len(columns[0])
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    stacked = np.stack([np.asarray(c) for c in columns], axis=1)
-    _, ids = np.unique(stacked, axis=0, return_inverse=True)
-    return ids.astype(np.int64)
-
-
-def kitsune_packet_features(
-    table,
-    lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
-) -> np.ndarray:
-    """The full Kitsune-style per-packet feature matrix.
-
-    For each decay rate, damped size statistics over three groupings
-    (source host, channel = src->dst, socket = 5-tuple) plus damped
-    inter-arrival statistics per source host: 4 streams x 3 statistics
-    x len(lambdas) features per packet.  Non-IP packets group by MAC,
-    handled by the same key columns the flow assembler uses.
-    """
-    non_ip = table.l3 == 0
-    src_host = np.where(non_ip, table.src_mac.astype(np.uint64), table.src_ip.astype(np.uint64))
-    dst_host = np.where(non_ip, table.dst_mac.astype(np.uint64), table.dst_ip.astype(np.uint64))
-    source = group_ids_from_columns([src_host])
-    channel = group_ids_from_columns([src_host, dst_host])
-    socket = group_ids_from_columns(
-        [src_host, dst_host, table.src_port, table.dst_port, table.proto]
-    )
-    sizes = table.length.astype(np.float64)
-    ts = table.ts
-    blocks = []
-    for lam in lambdas:
-        blocks.append(damped_group_stats(source, ts, sizes, lam))
-        blocks.append(damped_group_stats(channel, ts, sizes, lam))
-        blocks.append(damped_group_stats(socket, ts, sizes, lam))
-        blocks.append(damped_interarrival_stats(source, ts, lam))
-    return np.hstack(blocks)
-
-
-#: one carried stream: its (tag, lambda, key) tuple, the IncStat and
-#: the w/ls/ss floats it owns
-_STREAM_BYTES = (
-    sys.getsizeof(("src", 1.0, 0)) + sys.getsizeof(IncStat(1.0))
-    + 3 * sys.getsizeof(0.0)
-)
 #: what a state that is not an overlay reads through to
 _EMPTY: dict = {}
 
 
 class KitsuneStreamState:
-    """Carried Kitsune accumulators for chunked execution.
+    """Carried Kitsune accumulators, for one chunk or a whole trace.
 
-    The batch path (:func:`kitsune_packet_features`) partitions packets
-    by dense ``np.unique`` group ids and replays every group's damped
-    update sequence in row order.  This state keys the same
-    :class:`IncStat` accumulators by the group *value tuples* instead,
-    which partition identically -- so feeding a time-ordered trace
-    through :meth:`features` chunk by chunk applies the exact same
-    python-float update sequence and reproduces the batch matrix byte
-    for byte, for any chunking.
+    State is keyed by (grouping, key value).  Each entry is one flat
+    list ``[last_t, (w, ls, ss) x lambdas]``; a source entry appends the
+    inter-arrival triples, since the source size streams and the
+    inter-arrival streams of a host share every arrival time.  Feeding
+    a time-ordered trace through :meth:`features` chunk by chunk applies
+    the same python-float update sequence as one whole-trace call, so
+    the rows concatenate to the batch matrix byte for byte, for any
+    chunking.
 
     One chunk's update is a transaction: :meth:`begin` returns an
-    overlay that reads this state and copies an accumulator into
-    itself on first touch, so :meth:`features` on the overlay never
-    writes here; :meth:`commit` folds the touched accumulators in.
-    Both cost O(streams touched), and dropping an uncommitted overlay
-    is the rollback.
+    overlay that reads this state and copies an entry into itself on
+    first touch, so :meth:`features` on the overlay never writes here;
+    :meth:`commit` folds the touched entries in.  Both cost O(entries
+    touched), and dropping an uncommitted overlay is the rollback.
 
     :meth:`evict_idle` bounds the carried state for long-running live
     streams; the op-level stream body never evicts, keeping the
@@ -207,40 +63,48 @@ class KitsuneStreamState:
 
     def __init__(self, lambdas: tuple[float, ...] = DEFAULT_LAMBDAS) -> None:
         self.lambdas = tuple(lambdas)
-        self._streams: dict[tuple, IncStat] = {}
-        self._last_seen: dict[int, float] = {}
+        self._entries: dict[str, dict] = {name: {} for name in _GROUPINGS}
         #: the committed state an overlay reads through, else None
         self._base: KitsuneStreamState | None = None
-        #: ``sys.getsizeof`` bytes of the stream entries created here
+        #: ``sys.getsizeof`` bytes of the entries created here
         self._entry_bytes = 0
 
+    def __setstate__(self, state: dict) -> None:
+        if "_entries" not in state:
+            raise StateLayoutError(
+                "Kitsune state was pickled with an older state layout"
+            )
+        self.__dict__.update(state)
+
     def __len__(self) -> int:
-        return len(self._streams)
+        return sum(map(len, self._entries.values()))
 
     @property
     def state_bytes(self) -> int:
         """In-memory size of the carried state, kept up to date in O(1).
 
-        For an overlay: the committed size plus the streams it created.
+        For an overlay: the committed size plus the entries it created.
         """
         if self._base is not None:
             return self._base.state_bytes + self._entry_bytes
+        attrs = vars(self)
         return (
             sys.getsizeof(self)
-            + sys.getsizeof(self._streams)
-            + sys.getsizeof(self._last_seen)
+            + sum(map(sys.getsizeof, (attrs, *attrs, *attrs.values())))
+            + len(self.lambdas) * sys.getsizeof(0.0)
+            + sum(map(sys.getsizeof, (*self._entries, *self._entries.values())))
             + self._entry_bytes
         )
 
-    def _stream_bytes(self, tag: str, lam: float, key) -> int:
-        """Bytes one stream entry holds; every decay rate and the ``iat``
-        stream share the group key and its last arrival time, so those
-        count once, with the first rate's ``src``/``chan``/``sock`` entry."""
-        size = _STREAM_BYTES
-        if tag != "iat" and lam == self.lambdas[0]:
-            size += sys.getsizeof(key) + sys.getsizeof(0.0)
-            if isinstance(key, tuple):
-                size += sum(map(sys.getsizeof, key))
+    def _bytes_of(self, grouping: str, key) -> int:
+        """Bytes one entry holds: its key, its list and its floats."""
+        slots = 1 + 3 * len(self.lambdas) * (2 if grouping == "src" else 1)
+        size = sys.getsizeof(key) + sys.getsizeof([0.0] * slots)
+        size += slots * sys.getsizeof(0.0)
+        if isinstance(key, tuple):
+            # ints up to 256 (ports, protocol numbers) are interpreter
+            # singletons, held once however many keys name them
+            size += sum(sys.getsizeof(item) for item in key if item > 256)
         return size
 
     def begin(self) -> "KitsuneStreamState":
@@ -253,8 +117,8 @@ class KitsuneStreamState:
         """Fold an overlay from :meth:`begin` in; the overlay is spent."""
         if overlay._base is not self:
             raise ValueError("overlay was not begun on this state")
-        self._streams.update(overlay._streams)
-        self._last_seen.update(overlay._last_seen)
+        for name, entries in overlay._entries.items():
+            self._entries[name].update(entries)
         self._entry_bytes += overlay._entry_bytes
         overlay._base = None
 
@@ -262,97 +126,128 @@ class KitsuneStreamState:
         """Per-packet feature rows for one chunk, updating this state
         (on an overlay: its own copies, never the committed state).
 
-        Column layout matches the batch ``np.hstack``: for each decay
-        rate, (w, mean, std) over source, channel, socket size streams
-        and the source inter-arrival stream.
+        Column layout: for each decay rate, (w, mean, std) over the
+        source, channel and socket size streams and the source
+        inter-arrival stream.
         """
         non_ip = table.l3 == 0
-        src_host = np.where(
-            non_ip, table.src_mac.astype(np.uint64), table.src_ip.astype(np.uint64)
+        fields = (
+            np.where(non_ip, table.src_mac.astype(np.uint64),
+                     table.src_ip.astype(np.uint64)),
+            np.where(non_ip, table.dst_mac.astype(np.uint64),
+                     table.dst_ip.astype(np.uint64)),
+            table.src_port, table.dst_port, table.proto,
+            table.length.astype(np.float64), table.ts,
         )
-        dst_host = np.where(
-            non_ip, table.dst_mac.astype(np.uint64), table.dst_ip.astype(np.uint64)
-        )
-        src = src_host.tolist()
-        dst = dst_host.tolist()
-        sport = table.src_port.tolist()
-        dport = table.dst_port.tolist()
-        proto = table.proto.tolist()
-        sizes = table.length.astype(np.float64).tolist()
-        ts = table.ts.tolist()
-        n = len(src)
-        lambdas = self.lambdas
-        out = np.empty((n, 12 * len(lambdas)), dtype=np.float64)
-        streams = self._streams
-        last_seen = self._last_seen
-        if self._base is None:
-            committed_streams = committed_seen = _EMPTY
-        else:
-            committed_streams = self._base._streams
-            committed_seen = self._base._last_seen
-        for i in range(n):
-            t = ts[i]
-            size = sizes[i]
-            src_key = src[i]
-            chan_key = (src[i], dst[i])
-            sock_key = (src[i], dst[i], sport[i], dport[i], proto[i])
-            previous = last_seen.get(src_key)
-            if previous is None:
-                previous = committed_seen.get(src_key, t)
-            gap = t - previous
-            last_seen[src_key] = t
-            col = 0
-            for lam in lambdas:
-                for tag, key, value in (
-                    ("src", src_key, size),
-                    ("chan", chan_key, size),
-                    ("sock", sock_key, size),
-                    ("iat", src_key, gap),
-                ):
-                    stream = streams.get((tag, lam, key))
-                    if stream is None:
-                        stream = committed_streams.get((tag, lam, key))
-                        if stream is None:
-                            stream = IncStat(lam)
-                            self._entry_bytes += self._stream_bytes(
-                                tag, lam, key
-                            )
-                        else:
-                            stream = stream.copy()
-                        streams[(tag, lam, key)] = stream
-                    stream.update(t, value)
-                    out[i, col] = stream.w
-                    out[i, col + 1] = stream.mean
-                    out[i, col + 2] = stream.std
-                    col += 3
-        return out
+        n, width = len(table.ts), len(self.lambdas)
+        # (row, rate, stream, statistic) view of the output columns
+        out = np.empty((n, width, 4, 3), dtype=np.float64)
+        # python-object copies of the rows exist one block at a time
+        for lo in range(0, n, _BLOCK_ROWS):
+            src, dst, sport, dport, proto, sizes, ts = (
+                field[lo:lo + _BLOCK_ROWS].tolist() for field in fields
+            )
+            keys = {
+                "src": src,
+                "chan": list(zip(src, dst)),
+                "sock": list(zip(src, dst, sport, dport, proto)),
+            }
+            rows = out[lo:lo + _BLOCK_ROWS]
+            for column, name in enumerate(_GROUPINGS):
+                block = np.array(
+                    self._update(name, keys[name], ts, sizes), dtype=np.float64
+                ).reshape(len(ts), -1, width, 3)
+                rows[:, :, column] = block[:, 0]
+                if name == "src":
+                    rows[:, :, 3] = block[:, 1]
+        return out.reshape(n, 12 * width)
+
+    def _update(self, grouping: str, keys: list, ts: list, sizes: list) -> list:
+        """One pass of the damped update over one grouping's keys.
+
+        Returns the flat per-row (w, mean, std) values: every decay rate
+        of the size streams, then (source grouping only) of the
+        inter-arrival streams, whose first gap per key is 0.
+        """
+        entries = self._entries[grouping]
+        base = _EMPTY if self._base is None else self._base._entries[grouping]
+        with_gap = grouping == "src"
+        rates = [-lam for lam in self.lambdas]
+        fresh = [0.0] * (3 * len(rates) * (2 if with_gap else 1))
+        values: list = []
+        emit = values.extend
+        sqrt = math.sqrt
+        for t, key, size in zip(ts, keys, sizes):
+            entry = entries.get(key)
+            if entry is None:
+                entry = base.get(key)
+                if entry is None:
+                    # an empty entry last seen now: its first update
+                    # adds the observation undamped
+                    entry = [t] + fresh
+                    self._entry_bytes += self._bytes_of(grouping, key)
+                else:
+                    entry = entry.copy()
+                entries[key] = entry
+            gap = t - entry[0]
+            entry[0] = t
+            dt = max(gap, 0.0)
+            decays = [2.0 ** (rate * dt) for rate in rates]
+            j = 1
+            for value in (size, gap) if with_gap else (size,):
+                square = value * value
+                for decay in decays:
+                    w = entry[j] * decay + 1.0
+                    ls = entry[j + 1] * decay + value
+                    ss = entry[j + 2] * decay + square
+                    entry[j] = w
+                    entry[j + 1] = ls
+                    entry[j + 2] = ss
+                    mean = ls / w
+                    emit((w, mean, sqrt(max(ss / w - mean**2, 0.0))))
+                    j += 3
+        return values
 
     def evict_idle(self, now: float, max_idle: float = 3600.0) -> int:
-        """Drop accumulators idle for more than ``max_idle`` seconds.
+        """Drop entries idle for more than ``max_idle`` seconds.
 
         Documented float tolerance of the *live* (evicting) path: at
-        the smallest stock decay rate (lam=0.01) a stream idle 3600 s
+        the smallest stock decay rate (lam=0.01) an entry idle 3600 s
         re-enters with damped weight <= 2**-36 (~1.5e-11), so dropping
         its size statistics perturbs later features by at most that
-        relative weight.  Dropping the inter-arrival baseline treats a
-        returning host as new (gap 0 instead of ~max_idle), which is
-        the conventional choice for live detectors.  Returns the number
-        of evicted streams.
+        relative weight.  Dropping a source entry's inter-arrival
+        baseline treats a returning host as new (gap 0 instead of
+        ~max_idle), which is the conventional choice for live
+        detectors.  Returns the number of evicted entries, the unit of
+        ``len()``.
         """
-        stale = [
-            key
-            for key, stream in self._streams.items()
-            if stream.last_t is not None and now - stream.last_t > max_idle
-        ]
-        for key in stale:
-            del self._streams[key]
-            self._entry_bytes -= self._stream_bytes(*key)
-        stale_seen = [
-            key for key, t in self._last_seen.items() if now - t > max_idle
-        ]
-        for key in stale_seen:
-            del self._last_seen[key]
-        return len(stale)
+        evicted = 0
+        for name, entries in self._entries.items():
+            stale = [
+                key for key, entry in entries.items()
+                if now - entry[0] > max_idle
+            ]
+            for key in stale:
+                del entries[key]
+                self._entry_bytes -= self._bytes_of(name, key)
+            evicted += len(stale)
+        return evicted
+
+
+def kitsune_packet_features(
+    table,
+    lambdas: tuple[float, ...] = DEFAULT_LAMBDAS,
+) -> np.ndarray:
+    """The full Kitsune-style per-packet feature matrix.
+
+    For each decay rate, damped size statistics over three groupings
+    (source host, channel = src->dst, socket = 5-tuple) plus damped
+    inter-arrival statistics per source host: 4 streams x 3 statistics
+    x len(lambdas) features per packet.  Non-IP packets group by MAC,
+    handled by the same key columns the flow assembler uses.  This is
+    one :meth:`KitsuneStreamState.features` call on a fresh state.
+    """
+    return KitsuneStreamState(lambdas).features(table)
 
 
 def kitsune_packet_features_stream(

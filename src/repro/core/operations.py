@@ -648,10 +648,10 @@ def _kitsune_features(inputs: list, params: dict) -> np.ndarray:
 def _kitsune_features_stream(
     inputs: list, params: dict, state: dict
 ) -> np.ndarray:
-    # Damped IncStat accumulators fold across chunks: replaying a
-    # time-ordered trace chunk by chunk reproduces the batch matrix
-    # byte for byte (the stream state applies the identical python-float
-    # update sequence the batch path uses).
+    # The damped accumulators fold across chunks: the batch body runs
+    # the same KitsuneStreamState on a fresh state, so replaying a
+    # time-ordered trace chunk by chunk reproduces its matrix byte for
+    # byte.
     from repro.core.incstats import (
         KitsuneStreamState,
         kitsune_packet_features_stream,

@@ -68,6 +68,7 @@ from repro.core.engine import (
     StreamSession,
     _concat_stream_parts,
 )
+from repro.core.errors import StateLayoutError
 from repro.core.pipeline import Pipeline
 from repro.faults import backoff_seconds, call_with_deadline, maybe_inject
 from repro.net.table import PacketTable
@@ -317,7 +318,16 @@ class ServeDaemon:
         if self.config.resume and self.config.checkpoint_path:
             record = self.load_checkpoint(self.config.checkpoint_path)
         if record is not None:
-            snapshot = pickle.loads(base64.b64decode(record["snapshot"]))
+            try:
+                snapshot = pickle.loads(base64.b64decode(record["snapshot"]))
+            except (AttributeError, StateLayoutError) as exc:
+                # a class the pickle names is gone, or a state refused
+                # its pickled layout: an older version wrote it
+                raise StateLayoutError(
+                    f"checkpoint {self.config.checkpoint_path}: state "
+                    "layout is from an older version; restart without "
+                    "--resume"
+                ) from exc
             # restore refuses on template drift -- a resume into an
             # edited template must re-serve from scratch instead
             self.session.restore(snapshot)

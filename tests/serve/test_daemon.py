@@ -8,6 +8,7 @@ assertions are byte-equality ones: whatever the daemon survives
 ``run_stream`` over the rows it actually served.
 """
 
+import base64
 import json
 import pickle
 import threading
@@ -21,6 +22,7 @@ from repro.core.engine import (
     StreamSession,
     _carried_state_bytes,
 )
+from repro.core import incstats
 from repro.core.incstats import KitsuneStreamState
 from repro.faults import FaultPlan, FaultRule, active
 from repro.obs import METRICS, RingBufferSink, get_tracer
@@ -654,3 +656,56 @@ class TestCrashRecovery:
         assert not report.ok
         assert "startup failed" in report.reason
         assert "snapshot" in report.reason
+
+    @pytest.mark.parametrize("streams", [1, 0])
+    def test_older_state_layout_is_refused_in_one_line(
+        self, serve_trace, tmp_path, monkeypatch, streams
+    ):
+        checkpoint = tmp_path / "checkpoint.jsonl"
+        assert make_daemon(
+            serve_trace,
+            checkpoint_path=str(checkpoint),
+            checkpoint_every=1,
+            max_chunks=2,
+        ).run().ok
+        record = ServeDaemon.load_checkpoint(checkpoint)
+        snapshot = pickle.loads(base64.b64decode(record["snapshot"]))
+
+        # the older layout: one IncStat per (tag, rate, key) and the
+        # last arrival per source host
+        class IncStat:
+            __slots__ = ("lam", "w", "ls", "ss", "last_t")
+
+        IncStat.__module__ = incstats.__name__
+        IncStat.__qualname__ = "IncStat"
+        monkeypatch.setattr(incstats, "IncStat", IncStat, raising=False)
+        older = {}
+        for index in range(streams):
+            older[("src", 1.0, index)] = stream = IncStat()
+            stream.lam, stream.w, stream.ls, stream.ss = 1.0, 1.0, 60.0, 3600.0
+            stream.last_t = 0.0
+        for state in snapshot.states.values():
+            for name, value in state.items():
+                if isinstance(value, KitsuneStreamState):
+                    state[name] = old = object.__new__(KitsuneStreamState)
+                    vars(old).update(
+                        lambdas=value.lambdas, _streams=older,
+                        _last_seen=dict.fromkeys(range(streams), 0.0),
+                        _base=None, _entry_bytes=0,
+                    )
+        record["snapshot"] = base64.b64encode(
+            pickle.dumps(snapshot)
+        ).decode("ascii")
+        with checkpoint.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        monkeypatch.delattr(incstats, "IncStat")
+
+        report = make_daemon(
+            serve_trace, checkpoint_path=str(checkpoint), resume=True
+        ).run()
+        assert not report.ok
+        assert report.reason.startswith("startup failed: StateLayoutError: ")
+        assert "older version" in report.reason
+        assert "restart without --resume" in report.reason
+        assert "\n" not in report.reason
+        assert "Traceback" not in report.reason
