@@ -15,6 +15,7 @@ hyperparameters were not specified, we use default parameters").
 from __future__ import annotations
 
 from repro.algorithms.base import AlgorithmSpec
+from repro.core.errors import UnknownIdError
 from repro.flows import Granularity
 
 #: deterministic cap applied to packet-granularity algorithms
@@ -306,7 +307,7 @@ def build_algorithm(algorithm_id: str) -> AlgorithmSpec:
     """Look up a catalog algorithm by id (including AM* after synthesis
     registration)."""
     if algorithm_id not in ALGORITHMS:
-        raise KeyError(
+        raise UnknownIdError(
             f"unknown algorithm {algorithm_id!r}; known: {sorted(ALGORITHMS)}"
         )
     return ALGORITHMS[algorithm_id]

@@ -447,14 +447,18 @@ _NP_ARG_MUTATORS = frozenset(
     {"fill_diagonal", "copyto", "put", "place", "putmask", "shuffle"}
 )
 
-#: legacy module-level numpy RNG entry points (always unseeded)
-_LEGACY_NP_RANDOM = frozenset(
+#: legacy module-level numpy RNG entry points (always unseeded); also
+#: the AL001 table of ``tools/astlint.py``
+LEGACY_NP_RANDOM = frozenset(
     {
         "rand",
         "randn",
         "randint",
         "random",
         "random_sample",
+        "ranf",
+        "sample",
+        "bytes",
         "choice",
         "shuffle",
         "permutation",
@@ -470,8 +474,9 @@ _LEGACY_NP_RANDOM = frozenset(
     }
 )
 
-#: stdlib ``random`` module-level functions (shared unseeded generator)
-_STDLIB_RANDOM = frozenset(
+#: stdlib ``random`` module-level functions (shared unseeded generator);
+#: also the AL001 table of ``tools/astlint.py``
+STDLIB_RANDOM = frozenset(
     {
         "random",
         "randint",
@@ -485,8 +490,11 @@ _STDLIB_RANDOM = frozenset(
         "normalvariate",
         "betavariate",
         "expovariate",
+        "gammavariate",
+        "triangular",
         "seed",
         "getrandbits",
+        "randbytes",
     }
 )
 
@@ -801,7 +809,7 @@ class _EffectVisitor(ast.NodeVisitor):
                 len(parts) == 3
                 and parts[0] in ("np", "numpy")
                 and parts[1] == "random"
-                and parts[2] in _LEGACY_NP_RANDOM
+                and parts[2] in LEGACY_NP_RANDOM
             ):
                 self._add(
                     EffectKind.UNSEEDED_RNG,
@@ -813,7 +821,7 @@ class _EffectVisitor(ast.NodeVisitor):
                 len(parts) == 2
                 and parts[0] == "random"
                 and "random" not in self.locals
-                and parts[1] in _STDLIB_RANDOM
+                and parts[1] in STDLIB_RANDOM
             ):
                 self._add(
                     EffectKind.UNSEEDED_RNG,

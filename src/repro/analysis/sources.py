@@ -10,11 +10,10 @@ to run over arbitrary example scripts.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.errors import TemplateError
+from repro.core.template_io import load_template
 
 
 @dataclass(frozen=True)
@@ -69,31 +68,24 @@ def templates_in_python_file(path: Path) -> list[LintTarget]:
     return targets
 
 
-def _template_from_json(path: Path) -> list[LintTarget]:
-    try:
-        with open(path) as handle:
-            template = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise TemplateError(f"{path}: {exc}") from exc
-    return [LintTarget(str(path), template)]
-
-
 def collect_targets(paths: list[str]) -> list[LintTarget]:
     """Resolve CLI path arguments into lintable templates.
 
     Accepts ``.json`` template files, ``.py`` modules (scanned for
     literal templates) and directories (searched recursively for both).
+    A JSON file is read by :func:`~repro.core.template_io.load_template`,
+    so an unreadable one raises :class:`~repro.core.errors.TemplateError`.
     """
     targets: list[LintTarget] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             for child in sorted(path.rglob("*.json")):
-                targets.extend(_template_from_json(child))
+                targets.append(LintTarget(str(child), load_template(child)))
             for child in sorted(path.rglob("*.py")):
                 targets.extend(templates_in_python_file(child))
         elif path.suffix == ".py":
             targets.extend(templates_in_python_file(path))
         else:
-            targets.extend(_template_from_json(path))
+            targets.append(LintTarget(str(path), load_template(path)))
     return targets

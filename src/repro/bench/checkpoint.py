@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.results import EvaluationResult, FailureRecord
+from repro.core.errors import dataclass_from_json
 from repro.obs import JsonlJournal, get_tracer, read_journal
 
 
@@ -72,16 +73,26 @@ class CheckpointJournal(JsonlJournal):
 
     @staticmethod
     def load(path: str | Path) -> CheckpointState:
-        """Parse a journal, tolerating a torn (killed-mid-write) tail."""
+        """Parse a journal, tolerating a torn (killed-mid-write) tail.
+
+        A record of a known kind that :func:`dataclass_from_json`
+        refuses raises :class:`InputError` naming the path and line:
+        that is a foreign file, not a torn one.
+        """
         records, torn = read_journal(path)
         state = CheckpointState(torn_lines=torn)
-        for payload in records:
+        for number, payload in records:
             payload = dict(payload)
             kind = payload.pop("kind", None)
+            where = f"{path}:{number}"
             if kind == "result":
-                state.results.append(EvaluationResult(**payload))
+                state.results.append(
+                    dataclass_from_json(EvaluationResult, payload, where)
+                )
             elif kind == "failure":
-                state.failures.append(FailureRecord.from_dict(payload))
+                state.failures.append(
+                    dataclass_from_json(FailureRecord, payload, where)
+                )
             else:
                 state.torn_lines += 1
                 get_tracer().event(

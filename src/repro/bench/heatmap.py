@@ -73,7 +73,7 @@ class Heatmap:
             [decimals + 3]
             + [len(label) for label in self.col_labels]
         ) + 1
-        row_width = max(len(label) for label in self.row_labels) + 1
+        row_width = max(map(len, self.row_labels), default=0) + 1
         out = [" " * row_width + "".join(
             f"{label:>{width}}" for label in self.col_labels
         )]

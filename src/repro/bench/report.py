@@ -20,6 +20,7 @@ from repro.bench.analysis import (
     train_test_median_matrix,
 )
 from repro.bench.results import ResultStore
+from repro.core.errors import InputError
 
 
 def _code_block(text: str) -> str:
@@ -70,7 +71,7 @@ def generate_report(store: ResultStore, title: str = "Lumen benchmark report") -
     table), so a fully-faulted campaign produces a readable post-mortem
     rather than a crash."""
     if len(store) == 0 and not store.failures:
-        raise ValueError("cannot report on an empty result store")
+        raise InputError("cannot report on an empty result store")
     parts: list[str] = [f"# {title}", ""]
     parts.append(
         f"{len(store)} evaluations over {len(store.algorithms())} "

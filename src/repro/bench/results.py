@@ -15,6 +15,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.core.errors import InputError, dataclass_from_json, read_json
+
 
 @dataclass(frozen=True)
 class EvaluationResult:
@@ -84,10 +86,6 @@ class FailureRecord:
             "attempts": self.attempts,
             "seconds": self.seconds,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FailureRecord":
-        return cls(**{k: v for k, v in payload.items() if k != "cause"})
 
 
 class ResultStore:
@@ -197,14 +195,40 @@ class ResultStore:
 
     @classmethod
     def load_json(cls, path: str | Path) -> "ResultStore":
-        payload = json.loads(Path(path).read_text())
-        if isinstance(payload, dict):
-            return cls(
-                [EvaluationResult(**record) for record in payload["results"]],
-                [FailureRecord.from_dict(record)
-                 for record in payload.get("failures", [])],
+        """Read a store written by :meth:`save_json`.
+
+        Raises :class:`InputError` naming the path and the reason for
+        a file that is missing or not JSON, a top level that is neither
+        a list of results nor a ``{"results": [...], "failures":
+        [...]}`` object, and a record
+        :func:`~repro.core.errors.dataclass_from_json` refuses.
+        """
+        payload = read_json(path, "result store")
+        if isinstance(payload, list):
+            payload = {"results": payload}
+        if not (
+            isinstance(payload, dict)
+            and set(payload) <= {"results", "failures"}
+            and isinstance(payload.get("results"), list)
+            and isinstance(payload.get("failures", []), list)
+        ):
+            raise InputError(
+                f"{path}: a result store is a JSON array of results or an "
+                f"object with a 'results' array and a 'failures' array"
             )
-        return cls([EvaluationResult(**record) for record in payload])
+
+        def records(key: str, record_cls: type) -> list:
+            return [
+                dataclass_from_json(
+                    record_cls, record, f"{path}: {key}[{index}]"
+                )
+                for index, record in enumerate(payload.get(key, []))
+            ]
+
+        return cls(
+            records("results", EvaluationResult),
+            records("failures", FailureRecord),
+        )
 
     def save_csv(self, path: str | Path) -> None:
         columns = [

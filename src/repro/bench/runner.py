@@ -39,7 +39,7 @@ from repro.algorithms import ALGORITHMS, AlgorithmSpec, build_algorithm
 from repro.bench.checkpoint import CheckpointJournal
 from repro.bench.results import EvaluationResult, FailureRecord, ResultStore
 from repro.core import ExecutionEngine, Pipeline
-from repro.core.errors import EvaluationTimeout
+from repro.core.errors import EvaluationTimeout, InputError, UnknownIdError
 from repro.datasets import DATASETS, load_dataset
 from repro.faults.guard import backoff_seconds, call_with_deadline
 from repro.faults.injector import maybe_inject
@@ -57,8 +57,8 @@ def faithful_pairs(
 ) -> list[tuple[str, str]]:
     """All (algorithm, dataset) combinations the rule allows.
 
-    Raises :class:`KeyError` naming the kind and the id of the first
-    requested id that is not registered.
+    Raises :class:`UnknownIdError` naming the kind and the id of the
+    first requested id that is not registered.
     """
     algorithms = algorithm_ids or sorted(ALGORITHMS)
     datasets = dataset_ids or sorted(DATASETS)
@@ -68,7 +68,7 @@ def faithful_pairs(
     ):
         for item in ids:
             if item not in registry:
-                raise KeyError(f"unknown {kind} id: {item!r}")
+                raise UnknownIdError(f"unknown {kind} id: {item!r}")
     pairs = []
     for algorithm_id in algorithms:
         spec = ALGORITHMS[algorithm_id]
@@ -205,10 +205,12 @@ class BenchmarkRunner:
     def _check_faithful(
         self, spec: AlgorithmSpec, train_id: str, test_id: str
     ) -> None:
-        for dataset_id in {train_id, test_id}:
+        for dataset_id in dict.fromkeys((train_id, test_id)):
+            if dataset_id not in DATASETS:
+                raise UnknownIdError(f"unknown dataset id: {dataset_id!r}")
             dataset = DATASETS[dataset_id]
             if not can_evaluate(spec.granularity, dataset.granularity):
-                raise ValueError(
+                raise InputError(
                     f"unfaithful evaluation: {spec.algorithm_id} "
                     f"({spec.granularity.name}) on {dataset_id} "
                     f"({dataset.granularity.name})"

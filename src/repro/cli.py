@@ -98,55 +98,34 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 @contextmanager
 def _fault_plan(args: argparse.Namespace):
-    """Install the ``--faults``/``--fault-seed`` plan around a command.
-
-    Yields ``False`` after printing the parse error when the spec is
-    bad, so the command can exit 2; otherwise yields ``True`` and
-    uninstalls the injector on the way out, however the body exits.
-    """
+    """Install the ``--faults``/``--fault-seed`` plan around a command,
+    uninstalling it on the way out however the body exits.  A bad spec
+    raises :class:`InputError` before anything is installed."""
     if not args.faults:
-        yield True
+        yield
         return
     from repro.faults import FaultInjector, FaultPlan, install, uninstall
 
-    try:
-        plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        yield False
-        return
+    plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
     install(FaultInjector(plan))
     print(f"fault injection active: {plan.describe()}")
     try:
-        yield True
+        yield
     finally:
         uninstall()
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        BenchmarkRunner,
-        MatrixProgress,
-        TtyProgressRenderer,
-        faithful_pairs,
-    )
-    from repro.core.errors import TemplateDiagnosticError
+    from repro.bench import BenchmarkRunner, MatrixProgress, TtyProgressRenderer
 
     algorithms = args.algorithms.split(",") if args.algorithms else None
     datasets = args.datasets.split(",") if args.datasets else None
-    try:
-        faithful_pairs(algorithms, datasets)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     runner = BenchmarkRunner(
         seed=args.seed,
         retries=args.retries,
         cell_timeout=args.cell_timeout,
     )
-    with _fault_plan(args) as planned:
-        if not planned:
-            return 2
+    with _fault_plan(args):
         progress = None
         if args.progress or args.progress_file:
             progress = MatrixProgress()
@@ -166,9 +145,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                 retry_failed=args.retry_failed,
                 progress=progress,
             )
-        except TemplateDiagnosticError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         finally:
             if progress is not None:
                 progress.close()
@@ -310,11 +286,12 @@ def _cmd_template(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import LintTarget, analyze_template, collect_targets
-    from repro.core import TemplateError
+    from repro.core import InputError
 
+    # an unreadable file is a lint failure (exit 1), not a usage error
     try:
         targets = list(collect_targets(args.paths))
-    except TemplateError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.catalog:
@@ -524,11 +501,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     algorithms = args.algorithms.split(",") if args.algorithms else None
     datasets = args.datasets.split(",") if args.datasets else None
-    try:
-        plan = build_matrix_plan(algorithms, datasets)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    plan = build_matrix_plan(algorithms, datasets)
     diagnostics = plan.diagnostics
 
     if args.json:
@@ -619,16 +592,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeStatus
 
     # query mode: render another daemon's status file as a readiness
-    # probe (0 alive, 3 stopped, 2 missing)
+    # probe (0 alive, 3 stopped, 2 missing or unreadable)
     if args.status:
-        try:
-            status = ServeStatus.load(args.status)
-        except FileNotFoundError:
-            print(f"no status file at {args.status}", file=sys.stderr)
-            return 2
-        except (OSError, ValueError, TypeError) as exc:
-            print(f"error: unreadable status file: {exc}", file=sys.stderr)
-            return 2
+        status = ServeStatus.load(args.status)
         print(status.render())
         return 0 if status.ready else 3
 
@@ -644,14 +610,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: a dataset id is required (or use --status PATH)",
               file=sys.stderr)
         return 2
-    with _fault_plan(args) as planned:
-        if not planned:
-            return 2
-        try:
-            table = load_dataset(args.dataset)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+    with _fault_plan(args):
+        table = load_dataset(args.dataset)
         config = ServeConfig(
             chunk_seconds=args.chunk_seconds,
             pps=args.pps,
@@ -1010,6 +970,14 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its exit code (see docs/OPERATIONS.md).
+
+    :class:`InputError` -- input the program cannot use -- is reported
+    here, for every command, as one ``error:`` line with exit 2.  Any
+    other exception is a program fault and keeps its traceback.
+    """
+    from repro.core.errors import InputError
+
     args = build_parser().parse_args(argv)
     sink = None
     if getattr(args, "trace", None):
@@ -1019,6 +987,9 @@ def main(argv: list[str] | None = None) -> int:
         get_tracer().add_sink(sink)
     try:
         return args.fn(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if sink is not None:
             from repro.obs import get_tracer

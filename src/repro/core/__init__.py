@@ -20,6 +20,7 @@ memory optimisation (dead-value elimination).
 
 from repro.core.types import TypeInfo, ValueType, infer_type_info
 from repro.core.errors import (
+    InputError,
     PipelineError,
     TemplateDiagnosticError,
     TemplateError,
@@ -45,6 +46,7 @@ __all__ = [
     "TypeInfo",
     "ValueType",
     "infer_type_info",
+    "InputError",
     "PipelineError",
     "TemplateDiagnosticError",
     "TemplateError",

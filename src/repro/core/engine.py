@@ -687,14 +687,9 @@ class ExecutionEngine:
         *,
         use_cache: bool = True,
         track_memory: bool = True,
-        vectorize: bool = True,
     ) -> None:
         self.use_cache = use_cache
         self.track_memory = track_memory
-        # batched execution stays verdict-gated even when enabled: the
-        # engine only swaps in an op's batch= body when the analyzer
-        # proves it elementwise/row-parallel (see _vector_refusal)
-        self.vectorize = vectorize
         self.last_report: ProfileReport | None = None
 
     # ------------------------------------------------------------------
@@ -840,14 +835,15 @@ class ExecutionEngine:
         """The implementation one step runs, as ``body(inputs, params)``.
 
         A stream step with a registered ``stream_fn`` threads its
-        carried ``state`` through it; otherwise the analyzer-approved
-        ``batch`` body replaces ``fn`` when vectorization is on.
+        carried ``state`` through it; otherwise an op's ``batch`` body
+        replaces ``fn`` whenever the analyzer approves it (see
+        :func:`_vector_refusal`).
         """
         if state is not None and operation.stream_fn is not None:
             return lambda inputs, params: operation.stream_fn(
                 inputs, params, state
             )
-        if not self.vectorize or operation.batch is None:
+        if operation.batch is None:
             return operation.fn
         refusal = _vector_refusal(operation, inputs)
         if refusal is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.errors import TemplateError
+from repro.core.errors import TemplateError, read_json
 from repro.core.pipeline import Pipeline
 
 #: starter templates for `repro template --starter <name>`
@@ -74,13 +74,18 @@ def save_template(template: list[dict], path: str | Path) -> None:
 
 
 def load_template(path: str | Path) -> list[dict]:
-    """Read a template file; raises TemplateError on malformed JSON."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise TemplateError(f"template file is not valid JSON: {exc}") from exc
+    """Read a template file.
+
+    The one reader of the format: raises :class:`TemplateError` naming
+    the path and the reason for a missing, unreadable or non-JSON file
+    and for a top level that is not an array.  The steps themselves are
+    checked by the analyzer (:meth:`Pipeline.from_template`).
+    """
+    payload = read_json(path, "template file", TemplateError)
     if not isinstance(payload, list):
-        raise TemplateError("a template file must contain a JSON array")
+        raise TemplateError(
+            f"{path}: a template file must contain a JSON array"
+        )
     return payload
 
 

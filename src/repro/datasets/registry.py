@@ -261,7 +261,11 @@ def dataset_ids(granularity: Granularity | None = None) -> list[str]:
 def load_dataset(dataset_id: str) -> PacketTable:
     """Generate (or return the cached) trace for a dataset id."""
     if dataset_id not in DATASETS:
-        raise KeyError(
+        # lazy: importing repro.core loads the engine and the models,
+        # which reading and generating traces never needs
+        from repro.core.errors import UnknownIdError
+
+        raise UnknownIdError(
             f"unknown dataset {dataset_id!r}; known: {sorted(DATASETS)}"
         )
     return DATASETS[dataset_id].scenario.generate()

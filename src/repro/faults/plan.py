@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.core.errors import InputError
+
 #: the call sites the engine, runner and serve daemon expose to the
 #: injector
 SITES = (
@@ -61,16 +63,16 @@ class FaultRule:
 
     def __post_init__(self) -> None:
         if self.site not in SITES:
-            raise ValueError(
+            raise InputError(
                 f"unknown fault site {self.site!r}; choose from "
                 f"{', '.join(SITES)}"
             )
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"fault rate must be in [0, 1], got {self.rate}")
+            raise InputError(f"fault rate must be in [0, 1], got {self.rate}")
         if self.fail_first < 0:
-            raise ValueError("fail_first must be >= 0")
+            raise InputError("fail_first must be >= 0")
         if self.exception not in EXCEPTION_NAMES:
-            raise ValueError(
+            raise InputError(
                 f"unknown exception name {self.exception!r}; choose from "
                 f"{', '.join(EXCEPTION_NAMES)}"
             )
@@ -87,7 +89,7 @@ class FaultPlan:
         seen = set()
         for rule in self.rules:
             if rule.site in seen:
-                raise ValueError(f"duplicate rule for site {rule.site!r}")
+                raise InputError(f"duplicate rule for site {rule.site!r}")
             seen.add(rule.site)
 
     def rule_for(self, site: str) -> FaultRule | None:
@@ -124,7 +126,7 @@ class FaultPlan:
                 continue
             parts = clause.split(":")
             if len(parts) not in (2, 3):
-                raise ValueError(
+                raise InputError(
                     f"bad fault clause {clause!r}; expected "
                     f"site:rate[:exception] or site:#N[:exception]"
                 )
@@ -137,19 +139,25 @@ class FaultPlan:
 
                 close = difflib.get_close_matches(site, SITES, n=1)
                 hint = f"; did you mean {close[0]!r}?" if close else ""
-                raise ValueError(
+                raise InputError(
                     f"unknown fault site {site!r} in clause "
                     f"{clause!r}{hint} valid sites: {', '.join(SITES)}"
                 )
             exception = parts[2] if len(parts) == 3 else "fault"
             rate, fail_first = 0.0, 0
-            if amount.startswith("#"):
-                fail_first = int(amount[1:])
-            else:
-                rate = float(amount)
+            try:
+                if amount.startswith("#"):
+                    fail_first = int(amount[1:])
+                else:
+                    rate = float(amount)
+            except ValueError:
+                raise InputError(
+                    f"bad fault amount {amount!r} in clause {clause!r}; "
+                    f"expected a rate or #N"
+                ) from None
             rules.append(FaultRule(site, rate, fail_first, exception))
         if not rules:
-            raise ValueError(f"empty fault spec {spec!r}")
+            raise InputError(f"empty fault spec {spec!r}")
         return cls(seed=seed, rules=tuple(rules))
 
     def describe(self) -> str:

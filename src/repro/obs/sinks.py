@@ -108,20 +108,29 @@ class JsonlJournal(JsonlFileSink):
     append = JsonlFileSink.emit
 
 
-def read_journal(path: str | Path) -> tuple[list[dict], int]:
+def read_journal(path: str | Path) -> tuple[list[tuple[int, dict]], int]:
     """Parse a JSONL journal, tolerating a torn (killed-mid-write) tail.
 
-    Returns ``(records, torn_lines)``.  Unparseable lines are counted
-    and traced (``checkpoint.torn_line``) rather than raised: the only
-    expected corruption is the final line of a hard-killed process, and
-    the record it would have held is re-derivable by re-running the
-    work it described.
+    Returns ``(records, torn_lines)``, each record as ``(line number,
+    object)``.  Unparseable lines are counted and traced
+    (``checkpoint.torn_line``) rather than raised: the only expected
+    corruption is the final line of a hard-killed process, and the
+    record it would have held is re-derivable by re-running the work
+    it described.  A line that parses but is not an object cannot be a
+    torn journal line (each starts with ``{``), so it raises
+    :class:`~repro.core.errors.InputError` naming the path and line,
+    as does a missing or unreadable file.
     """
-    from repro.obs.spans import get_tracer  # spans imports this module
+    # lazy: spans imports this module, and repro.core imports repro.obs
+    from repro.core.errors import InputError
+    from repro.obs.spans import get_tracer
 
-    records: list[dict] = []
+    records: list[tuple[int, dict]] = []
     torn = 0
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: unreadable journal: {exc}") from exc
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -134,7 +143,11 @@ def read_journal(path: str | Path) -> tuple[list[dict], int]:
                 "checkpoint.torn_line", path=str(path), line=number
             )
             continue
-        records.append(payload)
+        if not isinstance(payload, dict):
+            raise InputError(
+                f"{path}:{number}: journal record is not a JSON object"
+            )
+        records.append((number, payload))
     return records, torn
 
 

@@ -81,7 +81,7 @@ from repro.obs import (
 )
 from repro.obs import metrics as metric_names
 from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.health import ServeStatus
+from repro.serve.health import ServeStatus, write_atomically
 from repro.serve.queue import BoundedChunkQueue
 from repro.serve.source import Chunk, ChunkAssembler, ReplaySource
 from repro.serve.supervisor import StallError, Watchdog
@@ -294,9 +294,11 @@ class ServeDaemon:
             "serve.model_trained", rows=n_train, threshold=threshold
         )
         if cache:
-            Path(cache).parent.mkdir(parents=True, exist_ok=True)
-            with open(cache, "wb") as handle:
-                pickle.dump((model, threshold), handle)
+            # a torn cache would stop the next startup with an
+            # UnpicklingError, so it is replaced atomically
+            write_atomically(
+                cache, lambda handle: pickle.dump((model, threshold), handle)
+            )
         return model, threshold
 
     @staticmethod
@@ -306,7 +308,7 @@ class ServeDaemon:
             return None
         records, _ = read_journal(path)
         checkpoints = [
-            r for r in records if r.get("kind") == "serve_checkpoint"
+            r for _, r in records if r.get("kind") == "serve_checkpoint"
         ]
         return checkpoints[-1] if checkpoints else None
 

@@ -18,9 +18,33 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import BinaryIO, Callable
+
+from repro.core.errors import dataclass_from_json, read_json
 
 #: lifecycle states a daemon reports
 STATES = ("starting", "serving", "reloading", "draining", "stopped")
+
+
+def write_atomically(
+    path: str | Path, write: Callable[[BinaryIO], object]
+) -> None:
+    """Replace ``path`` with what ``write`` puts into a binary handle.
+
+    The bytes go to a temp file beside ``path`` that is then renamed
+    over it, so a reader -- and a ``write`` that raises halfway --
+    leaves the previous file or the new one, never a torn one.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "wb") as handle:
+            write(handle)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    os.replace(temp, path)
 
 
 @dataclass
@@ -55,17 +79,17 @@ class ServeStatus:
 
     def write(self, path: str | Path) -> None:
         """Atomically replace ``path`` with this status."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(asdict(self), sort_keys=True, indent=2)
-        temp = path.with_name(path.name + ".tmp")
-        temp.write_text(payload + "\n", encoding="utf-8")
-        os.replace(temp, path)
+        payload = json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        write_atomically(
+            path, lambda handle: handle.write(payload.encode("utf-8"))
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "ServeStatus":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**payload)
+        """Read a status file; :class:`InputError` names the path and
+        the reason when it is missing, not JSON, or not a status."""
+        payload = read_json(path, "status file")
+        return dataclass_from_json(cls, payload, str(path))
 
     # ------------------------------------------------------------------
 

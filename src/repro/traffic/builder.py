@@ -11,18 +11,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.net.headers import TCPFlags, IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
+from repro.net.headers import (
+    IPPROTO_ICMP,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    ARPHeader,
+    Dot11Header,
+    EthernetHeader,
+    ICMPHeader,
+    IPv4Header,
+    TCPFlags,
+    TCPHeader,
+    UDPHeader,
+)
 from repro.net.packet import LinkType
 from repro.net.table import PACKET_COLUMNS, PacketTable
 from repro.obs import METRICS, get_tracer
 from repro.obs import metrics as metric_names
-
-ETHERNET_OVERHEAD = 14
-IPV4_OVERHEAD = 20
-TCP_OVERHEAD = 20
-UDP_OVERHEAD = 8
-ICMP_OVERHEAD = 8
-DOT11_OVERHEAD = 24
 
 
 class TraceBuilder:
@@ -96,7 +101,8 @@ class TraceBuilder:
             src_port=src_port,
             dst_port=dst_port,
             proto=IPPROTO_TCP,
-            length=ETHERNET_OVERHEAD + IPV4_OVERHEAD + TCP_OVERHEAD + payload_len,
+            length=(EthernetHeader.WIRE_LEN + IPv4Header.WIRE_LEN
+                    + TCPHeader.WIRE_LEN + payload_len),
             payload_len=payload_len,
             tcp_flags=flags,
             ttl=ttl,
@@ -127,7 +133,8 @@ class TraceBuilder:
             src_port=src_port,
             dst_port=dst_port,
             proto=IPPROTO_UDP,
-            length=ETHERNET_OVERHEAD + IPV4_OVERHEAD + UDP_OVERHEAD + payload_len,
+            length=(EthernetHeader.WIRE_LEN + IPv4Header.WIRE_LEN
+                    + UDPHeader.WIRE_LEN + payload_len),
             payload_len=payload_len,
             ttl=ttl,
             src_mac=src_mac,
@@ -150,7 +157,8 @@ class TraceBuilder:
             src_ip=src_ip,
             dst_ip=dst_ip,
             proto=IPPROTO_ICMP,
-            length=ETHERNET_OVERHEAD + IPV4_OVERHEAD + ICMP_OVERHEAD + payload_len,
+            length=(EthernetHeader.WIRE_LEN + IPv4Header.WIRE_LEN
+                    + ICMPHeader.WIRE_LEN + payload_len),
             payload_len=payload_len,
             ttl=ttl,
             label=1 if attack else 0,
@@ -171,7 +179,7 @@ class TraceBuilder:
             src_ip=sender_ip,
             dst_ip=target_ip,
             l3=0,
-            length=ETHERNET_OVERHEAD + 28,  # the 28-byte ARP body
+            length=EthernetHeader.WIRE_LEN + ARPHeader.WIRE_LEN,
             payload_len=0,
             src_mac=src_mac,
             dst_mac=dst_mac,
@@ -195,7 +203,7 @@ class TraceBuilder:
             l3=0,
             wlan_type=frame_type,
             wlan_subtype=subtype,
-            length=DOT11_OVERHEAD + payload_len,
+            length=Dot11Header.WIRE_LEN + payload_len,
             payload_len=payload_len,
             src_mac=src_mac,
             dst_mac=dst_mac,

@@ -25,6 +25,7 @@ from repro.bench import (
     generate_report,
     train_test_median_matrix,
 )
+from repro.core.errors import InputError
 from repro.faults import FaultPlan, active
 from repro.faults.guard import backoff_seconds, call_with_deadline
 from repro.obs import METRICS
@@ -356,6 +357,15 @@ class TestCheckpointJournal:
         state = CheckpointJournal.load(path)
         assert state.torn_lines == 1
         assert state.results == [] and state.failures == []
+
+    def test_record_with_unknown_field_names_path_and_line(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        CheckpointJournal(path).append_result(sample_result())
+        with path.open("a") as handle:
+            handle.write(json.dumps({"kind": "failure", "bogus": 1}) + "\n")
+        with pytest.raises(InputError) as info:
+            CheckpointJournal.load(path)
+        assert str(info.value) == f"{path}:2: unknown field(s) bogus"
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "journal.jsonl"

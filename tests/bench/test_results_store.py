@@ -1,10 +1,14 @@
 """Tests for the result store and heatmap renderers."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.bench.heatmap import BoxData, Heatmap
 from repro.bench.results import EvaluationResult, ResultStore
+from repro.core.errors import InputError
 
 
 def make_result(algorithm="A10", train="F0", test="F0", precision=0.9,
@@ -80,6 +84,83 @@ class TestResultStore:
         store.save_json(path)
         loaded = ResultStore.load_json(path)
         assert loaded.results[0].per_attack["port_scan"]["precision"] == 0.7
+
+
+class TestLoadJsonRefusesBadFiles:
+    """Every way a store file can be unusable is one InputError naming
+    the path and, for a record, its place in the file."""
+
+    def _load(self, tmp_path, text):
+        path = tmp_path / "results.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InputError) as info:
+            ResultStore.load_json(path)
+        assert str(path) in str(info.value)
+        return str(info.value)
+
+    def test_missing_file(self, tmp_path):
+        assert "no result store at" in self._load(tmp_path, None)
+
+    def test_invalid_json_names_the_line(self, tmp_path):
+        message = self._load(tmp_path, "[\n{not json")
+        assert "results.json:2: result store is not valid JSON" in message
+
+    @pytest.mark.parametrize("payload", [
+        {"results": "nope"}, {"failures": []}, {"results": [], "extra": 1},
+        {"results": [], "failures": {}}, 3, "text",
+    ])
+    def test_wrong_top_level_shape(self, tmp_path, payload):
+        assert "a result store is" in self._load(
+            tmp_path, json.dumps(payload)
+        )
+
+    def test_non_object_record(self, tmp_path):
+        message = self._load(tmp_path, "[1, 2]")
+        assert message.endswith("results[0]: not a JSON object")
+
+    def test_unknown_field(self, tmp_path):
+        record = asdict(make_result())
+        record["bogus"] = 1
+        message = self._load(tmp_path, json.dumps([record]))
+        assert message.endswith("results[0]: unknown field(s) bogus")
+
+    def test_missing_field(self, tmp_path):
+        record = asdict(make_result())
+        del record["precision"], record["recall"]
+        message = self._load(tmp_path, json.dumps([record]))
+        assert message.endswith(
+            "results[0]: missing field(s) precision, recall"
+        )
+
+    def test_bad_failure_record(self, tmp_path):
+        payload = {"results": [asdict(make_result())], "failures": [[]]}
+        message = self._load(tmp_path, json.dumps(payload))
+        assert message.endswith("failures[0]: not a JSON object")
+
+    @pytest.mark.parametrize("name, value, kind", [
+        ("precision", "high", "str"), ("n_train", 1.5, "float"),
+        ("per_attack", [], "list"), ("algorithm", None, "NoneType"),
+    ])
+    def test_wrong_json_type(self, tmp_path, name, value, kind):
+        record = asdict(make_result())
+        record[name] = value
+        message = self._load(tmp_path, json.dumps([record]))
+        assert message.endswith(f"results[0]: field {name!r} holds a {kind}")
+
+    def test_an_integer_is_a_json_number(self, tmp_path):
+        record = asdict(make_result())
+        record["precision"] = 1
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([record]))
+        assert ResultStore.load_json(path).results[0].precision == 1
+
+    def test_fields_with_defaults_may_be_absent(self, tmp_path):
+        record = asdict(make_result())
+        del record["seconds"], record["per_attack"]
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([record]))
+        assert ResultStore.load_json(path).results == [make_result()]
 
 
 class TestHeatmap:

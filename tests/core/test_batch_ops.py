@@ -175,16 +175,16 @@ def _engine(**kwargs):
 
 class TestEngineGating:
     def test_vectorized_matches_scalar(self, small_trace):
-        pipeline = Pipeline.from_template(TEMPLATE)
-        outputs = ["X", "W", "y"]
-        scalar = _engine(vectorize=False).run(
-            pipeline, small_trace, outputs=outputs
+        batched = _engine().run(
+            Pipeline.from_template(TEMPLATE), small_trace,
+            outputs=[step["output"] for step in TEMPLATE],
         )
-        batched = _engine(vectorize=True).run(
-            pipeline, small_trace, outputs=outputs
-        )
-        for name in outputs:
-            assert scalar[name].tobytes() == batched[name].tobytes()
+        for step in TEMPLATE:
+            operation = OPERATIONS[step["func"]]
+            scalar = operation.fn(
+                [small_trace], operation.validate_params({})
+            )
+            assert scalar.tobytes() == batched[step["output"]].tobytes()
 
     def test_approved_steps_carry_vectorized_attr(self, small_trace):
         events = _capture(
@@ -200,16 +200,6 @@ class TestEngineGating:
         (labels,) = _step_spans(events, "Labels")
         assert "vectorized" not in labels["attrs"]
         assert "vector_refused" not in labels["attrs"]
-
-    def test_vectorize_off_disables_the_batch_path(self, small_trace):
-        events = _capture(
-            lambda: _engine(vectorize=False).run(
-                Pipeline.from_template(TEMPLATE), small_trace,
-                outputs=["X", "W", "y"],
-            )
-        )
-        for span in _step_spans(events):
-            assert "vectorized" not in span["attrs"]
 
     def test_verdict_refusal_is_visible(self, scratch_ops, small_trace):
         def scalar(inputs, params):

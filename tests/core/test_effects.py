@@ -333,6 +333,23 @@ class TestRandomness:
         )
         assert EffectKind.UNSEEDED_RNG in fx.kinds()
 
+    @pytest.mark.parametrize("call", [
+        "np.random.ranf(3)", "np.random.sample(3)", "np.random.bytes(4)",
+        "random.triangular()", "random.gammavariate(1.0, 1.0)",
+        "random.randbytes(4)",
+    ])
+    def test_every_global_rng_astlint_flags(self, call):
+        fx = effects_of(
+            f"""
+            import random
+            import numpy as np
+
+            def op(inputs, params):
+                return {call}
+            """
+        )
+        assert EffectKind.UNSEEDED_RNG in fx.kinds()
+
     def test_constant_seed_is_seeded_stochastic(self):
         fx = effects_of(
             """

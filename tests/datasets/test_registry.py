@@ -1,5 +1,10 @@
 """Tests for the dataset registry and literature metadata."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datasets import (
@@ -13,6 +18,8 @@ from repro.datasets import (
 )
 from repro.datasets.literature import LITERATURE
 from repro.flows import Granularity
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestRegistryStructure:
@@ -37,6 +44,25 @@ class TestRegistryStructure:
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):
             load_dataset("F99")
+
+    def test_unknown_dataset_is_an_input_error(self):
+        from repro.core.errors import InputError
+
+        with pytest.raises(InputError) as info:
+            load_dataset("F99")
+        assert str(info.value).startswith("unknown dataset 'F99'")
+
+    def test_reading_traces_does_not_load_the_engine(self):
+        # repro.core pulls in the engine and every model (~30 MB RSS);
+        # the bytes-in path (generate, export, import, assemble) must
+        # not pay for it
+        code = (
+            "import sys\n"
+            "import repro.datasets, repro.datasets.export, repro.flows\n"
+            "assert 'repro.core' not in sys.modules, 'repro.core loaded'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_attack_inventory_covers_all_attacks(self):
         inventory = attack_inventory()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.errors import InputError
 from repro.obs import (
     JsonlFileSink,
     RingBufferSink,
@@ -14,6 +15,7 @@ from repro.obs import (
     TreeRenderer,
     build_tree,
     format_bytes,
+    read_journal,
     read_trace,
 )
 
@@ -183,6 +185,33 @@ class TestJsonlRoundTrip:
         )
         assert proc.returncode == 1
         assert "empty" in proc.stdout
+
+
+class TestReadJournal:
+    def test_records_carry_their_line_numbers(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"a": 1}\n\n{"b": 2}\n')
+        assert read_journal(path) == ([(1, {"a": 1}), (3, {"b": 2})], 0)
+
+    def test_torn_tail_is_counted_not_raised(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"a": 1}\n{"b": ')
+        assert read_journal(path) == ([(1, {"a": 1})], 1)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '"text"', "null"])
+    def test_non_object_line_is_a_foreign_record(self, tmp_path, line):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n")
+        with pytest.raises(InputError) as info:
+            read_journal(path)
+        assert str(info.value) == (
+            f"{path}:2: journal record is not a JSON object"
+        )
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(InputError, match="unreadable journal"):
+            read_journal(path)
 
 
 class TestFormatBytes:

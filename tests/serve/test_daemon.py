@@ -527,6 +527,35 @@ class TestReload:
         assert all(daemon.verify_against_offline().values())
 
 
+class TestModelCache:
+    def test_failed_dump_leaves_no_torn_cache(
+        self, serve_trace, tmp_path, monkeypatch
+    ):
+        """A cache write that raises halfway leaves the path as it was
+        (here: absent), so the next startup trains instead of failing
+        on a torn pickle."""
+        cache = tmp_path / "kitnet.pkl"
+        options = dict(
+            model="kitnet", epochs=1, outputs=None, max_chunks=2,
+            model_cache=str(cache),
+        )
+
+        def torn_dump(obj, handle):
+            handle.write(pickle.dumps(obj)[:64])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pickle, "dump", torn_dump)
+        report = make_daemon(serve_trace, **options).run()
+        assert not report.ok and "disk full" in report.reason
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+
+        report = make_daemon(serve_trace, **options).run()
+        assert report.ok
+        _, threshold = pickle.loads(cache.read_bytes())
+        assert threshold > 0
+
+
 class TestCrashRecovery:
     def test_resume_continues_byte_equal(self, serve_trace, tmp_path):
         reference = baseline_outputs(serve_trace)

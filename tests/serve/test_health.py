@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.core.errors import InputError
 from repro.serve import ServeStatus
+from repro.serve.health import write_atomically
 
 
 class TestServeStatus:
@@ -35,6 +37,39 @@ class TestServeStatus:
         ServeStatus(state="stopped").write(path)
         assert not path.with_name(path.name + ".tmp").exists()
         assert json.loads(path.read_text())["state"] == "stopped"
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        write_atomically(path, lambda handle: handle.write(b"previous"))
+
+        def torn(handle):
+            handle.write(b"half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_atomically(path, torn)
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
+
+    @pytest.mark.parametrize("path_text, message", [
+        (None, "no status file at"),
+        ("{not json", "status file is not valid JSON"),
+        ("[1, 2]", "status.json: not a JSON object"),
+        ('{"bogus": 1}', "unknown field(s) bogus"),
+        ('{"state": "zombie"}', "unknown serve state"),
+        ('{"uptime_seconds": "x"}', "field 'uptime_seconds' holds a str"),
+        ('{"checkpoint_chunk": 1.5}',
+         "field 'checkpoint_chunk' holds a float"),
+    ], ids=["missing", "invalid-json", "wrong-shape", "unknown-field",
+            "bad-state", "wrong-type", "float-for-int"])
+    def test_load_refuses_bad_files(self, tmp_path, path_text, message):
+        path = tmp_path / "status.json"
+        if path_text is not None:
+            path.write_text(path_text)
+        with pytest.raises(InputError) as info:
+            ServeStatus.load(path)
+        assert message in str(info.value)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("state,ready", [
         ("starting", True),

@@ -44,6 +44,17 @@ class TestUnseededRandomness:
         )
         assert [v.code for v in found] == ["AL001"]
 
+    def test_global_reseed_flagged(self, tmp_path):
+        # the seed entries come from the facts layer's RNG tables
+        found = violations_for(
+            tmp_path,
+            "import random\nimport numpy as np\n"
+            "np.random.seed(0)\nrandom.seed(0)\n",
+        )
+        assert [(v.line, v.code) for v in found] == [
+            (3, "AL001"), (4, "AL001"),
+        ]
+
     def test_seeded_random_instance_ok(self, tmp_path):
         found = violations_for(
             tmp_path,

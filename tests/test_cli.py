@@ -898,3 +898,97 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "serve_chunks_scored_total 2" in out
         assert "engine_uptime_seconds" in out
+
+
+#: bad files per format: what each kind of bad input looks like on disk
+BAD_FILES = {
+    "template": {
+        "invalid JSON": "{not json",
+        "wrong shape": '{"func": "Groupby"}',
+    },
+    "store": {
+        "invalid JSON": "{not json",
+        "wrong shape": "[1, 2]",
+        "unknown field": '[{"algorithm": "A14", "bogus": 1}]',
+    },
+    "journal": {
+        "wrong shape": "[1, 2]\n",
+        "unknown field": '{"kind": "result", "bogus": 1}\n',
+    },
+    "status": {
+        "invalid JSON": "{not json",
+        "wrong shape": "[1, 2]",
+        "unknown field": '{"bogus": 1}',
+        "wrong type": '{"state": "serving", "uptime_seconds": "x"}',
+    },
+}
+
+#: file-reading verbs: (argv with {path} for the bad file, its format)
+FILE_VERBS = {
+    "run-template": (["run-template", "{path}", "F0"], "template"),
+    "diff": (["diff", "{path}", "{path}"], "store"),
+    "report": (["report", "--results", "{path}"], "store"),
+    "figure": (["figure", "fig5", "--results", "{path}"], "store"),
+    "matrix --resume": (["matrix", "--algorithms", "A14", "--datasets",
+                         "F0", "--resume", "{path}", "--out",
+                         "{out}"], "journal"),
+    "serve --status": (["serve", "--status", "{path}"], "status"),
+}
+
+
+def _bad_input_cases():
+    cases = [
+        pytest.param(argv, None, id="-".join(argv))
+        for argv in (
+            ["evaluate", "A99", "F0"], ["evaluate", "A13", "F99"],
+            ["profile", "A14", "F99"], ["inspect", "F99"],
+            ["export", "F99"],
+        )
+    ]
+    for verb, (argv, fmt) in FILE_VERBS.items():
+        kinds = {"missing file": None, **BAD_FILES[fmt]}
+        name = verb.replace(" --", "-")
+        cases += [
+            pytest.param(argv, text, id=f"{name}-{kind}".replace(" ", "-"))
+            for kind, text in kinds.items()
+        ]
+    return cases
+
+
+class TestBadInput:
+    """Input the program cannot use is one ``error:`` line and exit 2,
+    reported by ``main`` for every verb -- never a traceback."""
+
+    @pytest.mark.parametrize("argv, text", _bad_input_cases())
+    def test_one_line_and_exit_2(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out.json"
+        argv = [
+            arg.format(path=path, out=out) if "{" in arg else arg
+            for arg in argv
+        ]
+        if argv[0] == "export":
+            argv += ["--directory", str(tmp_path / "exported")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_report_on_an_empty_store(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert main(["report", "--results", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot report on an empty result store\n"
+        )
+
+    @pytest.mark.parametrize("name", ["fig5", "fig10"])
+    def test_figure_of_an_empty_store_renders(self, tmp_path, name):
+        # an empty store is valid input: the grid is empty, not a crash
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert main(["figure", name, "--results", str(path)]) == 0

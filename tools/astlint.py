@@ -96,10 +96,11 @@ _FACTS_PATH = (
 
 #: every name this gate uses from the facts layer
 _FACTS_API = (
-    "BATCHABLE_VERDICTS", "EffectKind", "RowKind", "analyze_function",
-    "analyze_rows", "bare_lock_ops", "classify", "collect_module_context",
-    "dotted", "is_constant_style", "module_locks", "state_arg_name",
-    "stream_state_audit", "unguarded_module_state",
+    "BATCHABLE_VERDICTS", "EffectKind", "LEGACY_NP_RANDOM", "RowKind",
+    "STDLIB_RANDOM", "analyze_function", "analyze_rows", "bare_lock_ops",
+    "classify", "collect_module_context", "dotted", "is_constant_style",
+    "module_locks", "state_arg_name", "stream_state_audit",
+    "unguarded_module_state",
 )
 
 
@@ -128,22 +129,6 @@ def _load_facts():
 
 
 _facts = _load_facts()
-
-#: np.random attributes that use the unseeded process-global RNG
-_LEGACY_NP_RANDOM = {
-    "rand", "randn", "randint", "random", "random_sample", "ranf",
-    "sample", "choice", "shuffle", "permutation", "uniform", "normal",
-    "standard_normal", "poisson", "exponential", "binomial", "beta",
-    "gamma", "bytes",
-}
-
-#: stdlib random module functions drawing from its global instance
-_STDLIB_RANDOM = {
-    "random", "randint", "randrange", "uniform", "choice", "choices",
-    "shuffle", "sample", "gauss", "normalvariate", "expovariate",
-    "betavariate", "gammavariate", "triangular", "getrandbits",
-    "randbytes",
-}
 
 #: declared ValueType -> acceptable return-annotation spellings.
 #: ``None`` means any annotation (or none) is fine.
@@ -183,7 +168,7 @@ def _check_randomness(tree: ast.AST, path: Path, out: list[Violation]) -> None:
             len(parts) == 3
             and parts[0] in ("np", "numpy")
             and parts[1] == "random"
-            and parts[2] in _LEGACY_NP_RANDOM
+            and parts[2] in _facts.LEGACY_NP_RANDOM
         ):
             out.append(Violation(
                 path, node.lineno, "AL001",
@@ -208,7 +193,7 @@ def _check_randomness(tree: ast.AST, path: Path, out: list[Violation]) -> None:
         elif (
             len(parts) == 2
             and parts[0] == "random"
-            and parts[1] in _STDLIB_RANDOM
+            and parts[1] in _facts.STDLIB_RANDOM
         ):
             out.append(Violation(
                 path, node.lineno, "AL001",
