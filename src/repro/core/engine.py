@@ -39,7 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.errors import PipelineError, TemplateError
+from repro.core.errors import PipelineError, TemplateError, UnknownIdError
 from repro.core.pipeline import Pipeline, SOURCE_NAME, step_key, step_token
 from repro.core.profiling import OperationProfile, ProfileReport
 from repro.core.types import ValueType, check_type, infer_type_info
@@ -489,6 +489,13 @@ class StreamSession:
         self.outputs = (
             list(outputs) if outputs is not None else [pipeline.output_name]
         )
+        produced = [call.output for call in pipeline.calls]
+        unknown = [name for name in self.outputs if name not in produced]
+        if unknown:
+            raise UnknownIdError(
+                f"unknown output(s) {unknown}; the pipeline produces "
+                f"{produced}"
+            )
         self.source_token = source_token
         self.refusals = [
             f"{call.name}:{refusal}"
@@ -554,9 +561,6 @@ class StreamSession:
                     index, call, env, parent=chunk_span,
                     state=overlays[index][0],
                 )
-            missing = [name for name in self.outputs if name not in env]
-            if missing:
-                raise KeyError(f"pipeline never produced outputs: {missing}")
             chunk_span.set(
                 "state_bytes",
                 _state_bytes(overlay for overlay, _ in overlays.values()),

@@ -9,7 +9,10 @@ This implementation keeps the three-stage structure -- feature mapping
 via hierarchical clustering on correlation distance, an ensemble layer,
 an output layer -- trained in batch (the incremental statistics live in
 the feature pipeline, :mod:`repro.core.incstats`, as in the original
-two-part design).
+two-part design).  Ensemble members of the same width train in lock
+step as one stack (:func:`repro.ml.neural.fit_autoencoders`); each is
+byte-equal to training it alone, and after the fit each is an ordinary
+:class:`~repro.ml.neural.Autoencoder`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 
 from repro.ml.base import BaseEstimator, check_array, check_random_state
-from repro.ml.neural import Autoencoder
+from repro.ml.neural import Autoencoder, fit_autoencoders
 
 
 def correlation_feature_groups(
@@ -87,26 +90,29 @@ class KitNET(BaseEstimator):
             # matching the previous hard-coded generator bit-for-bit)
             seed=0 if self.seed is None else int(self.seed),
         )
-        self._ensemble: list[Autoencoder] = []
-        member_scores = np.empty((len(array), len(self.groups_)))
+        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in self.groups_]
+        self._ensemble = [self._autoencoder(seed) for seed in seeds]
+        # members of one width train as one lock-step stack
+        widths: dict[int, list[int]] = {}
         for i, group in enumerate(self.groups_):
-            member = Autoencoder(
-                hidden_ratio=self.hidden_ratio,
-                n_epochs=self.n_epochs,
-                seed=int(rng.integers(0, 2**31 - 1)),
+            widths.setdefault(len(group), []).append(i)
+        member_scores = np.empty((len(array), len(self.groups_)))
+        for indices in widths.values():
+            scores = fit_autoencoders(
+                [self._ensemble[i] for i in indices],
+                [array[:, self.groups_[i]] for i in indices],
             )
-            member.fit(array[:, group])
-            self._ensemble.append(member)
-            member_scores[:, i] = member.score_samples(array[:, group])
-        self._output = Autoencoder(
-            hidden_ratio=self.hidden_ratio,
-            n_epochs=self.n_epochs,
-            seed=int(rng.integers(0, 2**31 - 1)),
-        )
-        self._output.fit(member_scores)
-        train_scores = self._output.score_samples(member_scores)
+            for i, score in zip(indices, scores):
+                member_scores[:, i] = score
+        self._output = self._autoencoder(int(rng.integers(0, 2**31 - 1)))
+        (train_scores,) = fit_autoencoders([self._output], [member_scores])
         self.threshold_ = float(np.quantile(train_scores, self.quantile))
         return self
+
+    def _autoencoder(self, seed: int) -> Autoencoder:
+        return Autoencoder(
+            hidden_ratio=self.hidden_ratio, n_epochs=self.n_epochs, seed=seed
+        )
 
     def _member_scores(self, array: np.ndarray) -> np.ndarray:
         scores = np.empty((len(array), len(self.groups_)))

@@ -68,7 +68,7 @@ from repro.core.engine import (
     StreamSession,
     _concat_stream_parts,
 )
-from repro.core.errors import StateLayoutError
+from repro.core.errors import StateLayoutError, UnknownIdError
 from repro.core.pipeline import Pipeline
 from repro.faults import backoff_seconds, call_with_deadline, maybe_inject
 from repro.net.table import PacketTable
@@ -270,13 +270,23 @@ class ServeDaemon:
                 f"choose from none, kitnet"
             )
         cache = self.config.model_cache
+        stale = ""
         if cache and Path(cache).exists():
-            with open(cache, "rb") as handle:
-                model, threshold = pickle.load(handle)
-            get_tracer().event(
-                "serve.model_loaded", cache=str(cache), threshold=threshold
-            )
-            return model, threshold
+            try:
+                with open(cache, "rb") as handle:
+                    model, threshold = pickle.load(handle)
+            except (
+                pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, StateLayoutError,
+            ) as exc:
+                # a torn cache, or one an older model layout wrote:
+                # retrain and replace it rather than fail every chunk
+                stale = f"{type(exc).__name__}: {exc}"
+            else:
+                get_tracer().event(
+                    "serve.model_loaded", cache=str(cache), threshold=threshold
+                )
+                return model, threshold
         from repro.ml import KitNET
 
         n_train = max(1, int(len(self.table) * self.config.train_fraction))
@@ -290,9 +300,15 @@ class ServeDaemon:
         model = KitNET(n_epochs=self.config.epochs, seed=self.config.seed)
         # the anomaly threshold is the fit's training-score quantile
         threshold = model.fit(features).threshold_
-        get_tracer().event(
-            "serve.model_trained", rows=n_train, threshold=threshold
-        )
+        if stale:
+            get_tracer().event(
+                "serve.model_retrained", rows=n_train, threshold=threshold,
+                cache=str(cache), reason=stale,
+            )
+        else:
+            get_tracer().event(
+                "serve.model_trained", rows=n_train, threshold=threshold
+            )
         if cache:
             # a torn cache would stop the next startup with an
             # UnpicklingError, so it is replaced atomically
@@ -370,7 +386,11 @@ class ServeDaemon:
     # ------------------------------------------------------------------
 
     def run(self) -> ServeReport:
-        """Serve the whole replay; returns when it is fully accounted for."""
+        """Serve the whole replay; returns when it is fully accounted for.
+
+        A startup failure is a report, except an output name the
+        template never produces, which raises ``UnknownIdError``.
+        """
         tracer = get_tracer()
         self._started_at = self.clock.now()
         aborted = ""
@@ -386,7 +406,9 @@ class ServeDaemon:
                 self._write_status("starting")
                 try:
                     self._startup()
-                except (KeyboardInterrupt, SystemExit):
+                except (KeyboardInterrupt, SystemExit, UnknownIdError):
+                    # an output name the template never produces is
+                    # the caller's input, reported by the CLI
                     raise
                 except Exception as exc:
                     # refuse to serve rather than serve wrongly: a bad

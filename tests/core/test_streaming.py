@@ -14,7 +14,7 @@ from repro.core.incstats import (
     kitsune_packet_features,
     kitsune_packet_features_stream,
 )
-from repro.core.errors import TemplateError
+from repro.core.errors import TemplateError, UnknownIdError
 from repro.core.operations import (
     OPERATIONS,
     register_operation,
@@ -93,6 +93,10 @@ class TestKitsuneOpenStream:
             for chunk in chunks
         ]
         return np.concatenate(parts)
+
+    def test_unknown_output_is_refused_at_open(self, engine, pipeline):
+        with pytest.raises(UnknownIdError, match=r"\['nope'\].*\['X', 'y'\]"):
+            engine.open_stream(pipeline, outputs=["X", "nope"])
 
     def test_score_per_packet(self, engine, pipeline, detector, attack_trace):
         chunk = attack_trace.select(np.arange(200))

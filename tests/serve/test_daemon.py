@@ -9,6 +9,8 @@ assertions are byte-equality ones: whatever the daemon survives
 """
 
 import base64
+import copyreg
+import io
 import json
 import pickle
 import threading
@@ -25,6 +27,7 @@ from repro.core.engine import (
 from repro.core import incstats
 from repro.core.incstats import KitsuneStreamState
 from repro.faults import FaultPlan, FaultRule, active
+from repro.ml.neural import _Network
 from repro.obs import METRICS, RingBufferSink, get_tracer
 from repro.obs import metrics as metric_names
 from repro.serve import ReplayClock, ServeConfig, ServeDaemon
@@ -527,6 +530,16 @@ class TestReload:
         assert all(daemon.verify_against_offline().values())
 
 
+class OlderLayoutPickler(pickle.Pickler):
+    """Writes every neural network in the older layout: one object per
+    layer and no flat parameter buffer."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, _Network):
+            return copyreg.__newobj__, (type(obj),), {"layers": []}
+        return NotImplemented
+
+
 class TestModelCache:
     def test_failed_dump_leaves_no_torn_cache(
         self, serve_trace, tmp_path, monkeypatch
@@ -554,6 +567,44 @@ class TestModelCache:
         assert report.ok
         _, threshold = pickle.loads(cache.read_bytes())
         assert threshold > 0
+
+    @pytest.mark.parametrize("damage", ["truncated", "older layout"])
+    def test_unusable_cache_is_retrained(self, serve_trace, tmp_path, damage):
+        """A torn cache, or one an older model layout wrote, is retrained
+        and rewritten; the served run equals one that never had it."""
+        cache = tmp_path / "kitnet.pkl"
+        options = dict(model="kitnet", epochs=1)
+        expected = make_daemon(serve_trace, **options).run()
+        assert expected.ok
+        assert make_daemon(serve_trace, model_cache=str(cache),
+                           **options).run().ok
+        good = cache.read_bytes()
+        if damage == "truncated":
+            cache.write_bytes(good[: len(good) // 2])
+        else:
+            buffer = io.BytesIO()
+            OlderLayoutPickler(buffer).dump(pickle.loads(good))
+            cache.write_bytes(buffer.getvalue())
+
+        daemon = make_daemon(serve_trace, model_cache=str(cache), **options)
+        sink = RingBufferSink(capacity=None)
+        tracer = get_tracer()
+        tracer.add_sink(sink)
+        try:
+            report = daemon.run()
+        finally:
+            tracer.remove_sink(sink)
+        assert report.ok and report.chunks_quarantined == 0
+        assert report.anomalies == expected.anomalies
+        assert all(daemon.verify_against_offline().values())
+        (retrained,) = [
+            e for e in sink.events() if e["name"] == "serve.model_retrained"
+        ]
+        expected_reason = (
+            "UnpicklingError" if damage == "truncated" else "StateLayoutError"
+        )
+        assert retrained["attrs"]["reason"].startswith(expected_reason)
+        assert cache.read_bytes() == good
 
 
 class TestCrashRecovery:

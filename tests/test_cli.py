@@ -943,6 +943,8 @@ def _bad_input_cases():
             ["evaluate", "A99", "F0"], ["evaluate", "A13", "F99"],
             ["profile", "A14", "F99"], ["inspect", "F99"],
             ["export", "F99"],
+            ["serve", "F0", "--virtual-time", "--max-chunks", "3",
+             "--outputs", "nope"],
         )
     ]
     for verb, (argv, fmt) in FILE_VERBS.items():
