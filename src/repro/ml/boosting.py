@@ -3,7 +3,10 @@
 Classic Friedman gradient boosting with logistic loss: each round fits
 a shallow regression tree to the negative gradient (residual) of the
 log-loss and updates the additive model with a shrunk step.  Regression
-trees reuse the CART split machinery via a variance-reduction criterion.
+trees score splits CART's way, with a variance-reduction criterion, but
+keep their own depth-limited per-node search: they are shallow, fitted
+one at a time, and no matrix cell uses them, so they do not share the
+lock-step classification grower of :mod:`repro.ml.tree`.
 
 Several NIDS papers use boosted trees interchangeably with random
 forests; this model joins the AutoML portfolio and the AM-synthesis

@@ -68,9 +68,12 @@ class VotingClassifier(BaseEstimator):
         array = check_array(X, allow_empty=True)
         if self.voting == "soft":
             return self.classes_[np.argmax(self.predict_proba(array), axis=1)]
+        if not len(array):
+            return np.empty(0, dtype=self.classes_.dtype)
         votes = np.stack([member.predict(array) for _, member in self.fitted_])
-        out = np.empty(len(array), dtype=self.classes_.dtype)
-        for i in range(len(array)):
-            values, counts = np.unique(votes[:, i], return_counts=True)
-            out[i] = values[np.argmax(counts)]
-        return out
+        # The most frequent vote wins; a tie goes to the smallest value.
+        values, inverse = np.unique(votes, return_inverse=True)
+        cells = np.arange(len(array)) * len(values) + inverse.reshape(votes.shape)
+        tallies = np.bincount(cells.ravel(), minlength=len(array) * len(values))
+        winners = values[np.argmax(tallies.reshape(len(array), len(values)), axis=1)]
+        return winners.astype(self.classes_.dtype)

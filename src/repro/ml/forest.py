@@ -2,7 +2,10 @@
 
 Random forests are the single most common model in the surveyed
 literature (SmartHome, SmartDetect, IIoT, Zeek-logs all use one), so this
-is the workhorse classifier of the reproduction.
+is the workhorse classifier of the reproduction.  All trees of a forest
+grow in lock-step through :func:`repro.ml.tree.grow_trees`, one split
+search per step for the whole forest; each tree is the one it would be
+if it were fitted alone on its bootstrap sample with its own seed.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_array, check_random_state, check_X_y
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, grow_trees
 
 
 class RandomForestClassifier(BaseEstimator):
@@ -46,6 +49,7 @@ class RandomForestClassifier(BaseEstimator):
         self.classes_ = np.unique(labels)
         self.n_features_ = array.shape[1]
         self.trees_: list[DecisionTreeClassifier] = []
+        samples: list[np.ndarray] = []
         n = len(labels)
         for i in range(self.n_estimators):
             if self.bootstrap:
@@ -59,8 +63,9 @@ class RandomForestClassifier(BaseEstimator):
                 criterion=self.criterion,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
-            tree.fit(array[indices], labels[indices])
+            samples.append(indices)
             self.trees_.append(tree)
+        grow_trees(self.trees_, array, labels, samples)
         return self
 
     def predict_proba(self, X) -> np.ndarray:

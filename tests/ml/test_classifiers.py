@@ -15,7 +15,7 @@ from repro.ml import (
     VotingClassifier,
     accuracy_score,
 )
-from repro.ml.base import NotFittedError, clone
+from repro.ml.base import BaseEstimator, NotFittedError, clone
 
 
 ALL_CLASSIFIERS = [
@@ -119,6 +119,26 @@ class TestDecisionTree:
         X, y = blobs
         importances = DecisionTreeClassifier().fit(X, y).feature_importances()
         assert importances.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(1e308, 1.7e308), (1.0000000000000002, 1.0000000000000004)],
+        ids=["overflows", "rounds_up"],
+    )
+    def test_a_midpoint_outside_its_interval_still_splits(self, values):
+        X = np.array(values)[:, None]
+        y = np.array([0, 1])
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert tree.n_leaves_ == 2
+        assert np.array_equal(tree.predict(X), y)
+
+    def test_a_tree_deeper_than_the_recursion_limit(self):
+        X = np.arange(1200.0)[:, None]
+        y = np.arange(1200) % 2
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert tree.depth_ == 1199
+        assert tree.n_leaves_ == 1200
+        assert np.array_equal(tree.predict(X), y)
 
 
 class TestRandomForest:
@@ -232,6 +252,19 @@ class TestMLP:
         assert np.allclose(proba.sum(axis=1), 1.0)
 
 
+class _FixedVotes(BaseEstimator):
+    """A member that predicts the given votes, whatever it is shown."""
+
+    def __init__(self, votes):
+        self.votes = votes
+
+    def fit(self, X, y):
+        return self
+
+    def predict(self, X):
+        return self.votes[: len(X)]
+
+
 class TestEnsembles:
     def test_hard_voting_majority(self, blobs):
         X, y = blobs
@@ -256,6 +289,33 @@ class TestEnsembles:
         proba = ensemble.predict_proba(X)
         assert np.allclose(proba.sum(axis=1), 1.0)
         assert accuracy_score(y, ensemble.predict(X)) > 0.95
+
+    @pytest.mark.parametrize(
+        "classes, ballot",
+        [
+            (np.array([0, 1, 2]), np.array([0, 1, 2])),
+            (np.array(["benign", "ddos", "scan"]), np.array(["benign", "ddos", "scan"])),
+            (np.array([0, 1]), np.array([-1, 0, 1, 2, 7])),
+            (np.array(["a", "b"]), np.array(["a", "b", "zzz"])),
+        ],
+        ids=["ints", "strings", "ints_outside_classes", "strings_outside_classes"],
+    )
+    def test_hard_voting_matches_the_per_row_loop(self, classes, ballot):
+        rng = np.random.default_rng(3)
+        votes = rng.choice(ballot, size=(4, 300))  # four members: many ties
+        X = np.zeros((300, 1))
+        y = np.resize(classes, 300)
+        ensemble = VotingClassifier(
+            [(str(i), _FixedVotes(member)) for i, member in enumerate(votes)]
+        ).fit(X, y)
+        expected = np.empty(300, dtype=ensemble.classes_.dtype)
+        for i in range(300):
+            values, counts = np.unique(votes[:, i], return_counts=True)
+            expected[i] = values[np.argmax(counts)]
+        predicted = ensemble.predict(X)
+        assert predicted.dtype == expected.dtype
+        assert np.array_equal(predicted, expected)
+        assert ensemble.predict(X[:0]).shape == (0,)
 
     def test_empty_ensemble_rejected(self, blobs):
         X, y = blobs
