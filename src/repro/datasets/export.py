@@ -11,11 +11,12 @@ microsecond timestamps).
 from __future__ import annotations
 
 import csv
+import itertools
 from pathlib import Path
 
 import numpy as np
 
-from repro.net.pcap import PcapReader, write_pcap
+from repro.net.pcap import read_pcap_table, write_pcap
 from repro.net.table import PacketTable
 
 
@@ -50,19 +51,90 @@ def export_dataset(
 
 
 def import_dataset(pcap_path: str | Path, labels_path: str | Path) -> PacketTable:
-    """Re-import an exported dataset (pcap + aligned label CSV)."""
-    packets = list(PcapReader(pcap_path))
+    """Re-import an exported dataset (pcap + aligned label CSV).
+
+    A label file the program cannot use raises
+    :class:`repro.core.InputError` naming the path and the line.
+    """
+    table = read_pcap_table(pcap_path)
+    _join_labels(table, labels_path)
+    return table
+
+
+def _join_labels(table: PacketTable, labels_path: str | Path) -> None:
+    """Fill ``label`` and ``attack_id`` from the label CSV, row for row.
+
+    Attack ids follow first appearance among the rows with a non-zero
+    label and a non-empty attack, as in ``PacketTable.from_packets``.
+    """
     with open(labels_path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    if len(rows) != len(packets):
-        raise ValueError(
-            f"label file has {len(rows)} rows but the capture has "
-            f"{len(packets)} packets"
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        rows = [row for row in reader if row]  # blank lines are no rows
+    fields = {name: i for i, name in enumerate(header or ())}
+    for name in ("label", "attack"):
+        if header is not None and name not in fields:
+            raise _label_error(f"{labels_path}:1: no {name!r} column")
+    if len(rows) != len(table):
+        raise _label_error(
+            f"{labels_path}: {len(rows)} label rows but the capture has "
+            f"{len(table)} packets"
         )
-    for packet, row in zip(packets, rows):
-        packet.label = int(row["label"])
-        packet.attack = row["attack"]
-    return PacketTable.from_packets(packets)
+    if not rows:
+        return
+    width = max(fields["label"], fields["attack"]) + 1
+    try:
+        texts = [row[fields["label"]] for row in rows]
+        attacks = [row[fields["attack"]] for row in rows]
+    except IndexError:
+        short = next(i for i, row in enumerate(rows) if len(row) < width)
+        raise _label_error(
+            f"{labels_path}:{_line_of(labels_path, short)}: "
+            f"{len(rows[short])} fields, expected at least {width}"
+        ) from None
+    values = {text: _label_value(text) for text in set(texts)}
+    if None in values.values():
+        bad = next(i for i, text in enumerate(texts) if values[text] is None)
+        raise _label_error(
+            f"{labels_path}:{_line_of(labels_path, bad)}: "
+            f"label {texts[bad]!r} is not an integer in 0..255"
+        )
+    label = np.array([values[text] for text in texts], dtype=np.uint8)
+    malicious = np.flatnonzero(label)
+    index: dict[str, int] = {}
+    ids = [
+        index.setdefault(name, len(index)) if name else -1
+        for name in (attacks[i] for i in malicious)
+    ]
+    table.columns["label"][:] = label
+    table.columns["attack_id"][malicious] = ids
+    table.attacks = list(index)
+
+
+def _label_value(text: str) -> int | None:
+    """The label ``text`` names, or ``None`` when it is not one."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if 0 <= value <= 255 else None
+
+
+def _line_of(labels_path: str | Path, row: int) -> int:
+    """The file line on which data row ``row`` of the label CSV ends."""
+    with open(labels_path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        ends = (reader.line_num for record in reader if record)
+        return next(itertools.islice(ends, row, None))
+
+
+def _label_error(message: str) -> Exception:
+    # lazy: importing repro.core loads the engine and the models, which
+    # reading traces never needs
+    from repro.core.errors import InputError
+
+    return InputError(message)
 
 
 def export_flows_csv(flows, path: str | Path) -> Path:

@@ -115,7 +115,13 @@ class _RegressionTree:
             if gains[best_idx] > best_gain:
                 best_gain = float(gains[best_idx])
                 boundary = boundaries[best_idx]
-                threshold = (sorted_values[boundary] + sorted_values[boundary + 1]) / 2.0
+                low, high = sorted_values[boundary], sorted_values[boundary + 1]
+                with np.errstate(over="ignore"):
+                    threshold = (low + high) / 2.0
+                if not low <= threshold < high:
+                    # The midpoint overflowed or rounded up to ``high``;
+                    # routing by ``<= low`` keeps the scored split.
+                    threshold = low
                 best = (feature, float(threshold))
         return best
 

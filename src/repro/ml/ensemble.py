@@ -76,4 +76,5 @@ class VotingClassifier(BaseEstimator):
         cells = np.arange(len(array)) * len(values) + inverse.reshape(votes.shape)
         tallies = np.bincount(cells.ravel(), minlength=len(array) * len(values))
         winners = values[np.argmax(tallies.reshape(len(array), len(values)), axis=1)]
-        return winners.astype(self.classes_.dtype)
+        # widen, never narrow: a vote outside ``classes_`` comes back whole
+        return winners.astype(np.promote_types(self.classes_.dtype, winners.dtype))

@@ -70,7 +70,7 @@ class EthernetHeader:
 
 @dataclass(frozen=True)
 class IPv4Header:
-    """An IPv4 header without options (IHL is fixed at 5)."""
+    """An IPv4 header; option bytes are kept raw, and IHL follows them."""
 
     src_ip: int
     dst_ip: int
@@ -82,11 +82,12 @@ class IPv4Header:
     flags: int = 2  # don't-fragment, the overwhelmingly common case
     fragment_offset: int = 0
     checksum: int = 0
+    options: bytes = b""
 
     WIRE_LEN = 20
 
     def encode(self, *, fill_checksum: bool = True) -> bytes:
-        version_ihl = (4 << 4) | 5
+        version_ihl = (4 << 4) | (5 + len(self.options) // 4)
         flags_frag = (self.flags << 13) | self.fragment_offset
         header = struct.pack(
             "!BBHHHBBHII",
@@ -100,7 +101,7 @@ class IPv4Header:
             0,
             self.src_ip,
             self.dst_ip,
-        )
+        ) + self.options
         if not fill_checksum:
             return header
         checksum = internet_checksum(header)
@@ -142,6 +143,7 @@ class IPv4Header:
             flags=flags_frag >> 13,
             fragment_offset=flags_frag & 0x1FFF,
             checksum=checksum,
+            options=bytes(data[20:header_len]),
         )
         return header, header_len
 
@@ -203,7 +205,8 @@ class IPv6Header:
 
 @dataclass(frozen=True)
 class TCPHeader:
-    """A TCP header without options (data offset fixed at 5)."""
+    """A TCP header; option bytes are kept raw, and the data offset
+    follows them."""
 
     src_port: int
     dst_port: int
@@ -213,11 +216,12 @@ class TCPHeader:
     window: int = 65535
     urgent: int = 0
     checksum: int = 0
+    options: bytes = b""
 
     WIRE_LEN = 20
 
     def encode(self) -> bytes:
-        offset_flags = (5 << 12) | (self.flags & 0x1FF)
+        offset_flags = ((5 + len(self.options) // 4) << 12) | (self.flags & 0x1FF)
         return struct.pack(
             "!HHIIHHHH",
             self.src_port,
@@ -228,7 +232,7 @@ class TCPHeader:
             self.window,
             self.checksum,
             self.urgent,
-        )
+        ) + self.options
 
     def encode_with_checksum(
         self, src_ip: int, dst_ip: int, payload: bytes = b""
@@ -269,6 +273,7 @@ class TCPHeader:
                 window=window,
                 checksum=checksum,
                 urgent=urgent,
+                options=bytes(data[20:header_len]),
             ),
             header_len,
         )

@@ -6,8 +6,12 @@ or by parsing raw frames from a pcap file; they can always be re-encoded
 to wire bytes, so traces round-trip through real ``.pcap`` files.
 
 Bulk feature extraction does not iterate over ``Packet`` objects -- it
-uses the columnar :class:`repro.net.table.PacketTable` -- but the object
-model is the ground truth the table is derived from.
+uses the columnar :class:`repro.net.table.PacketTable` -- and neither does
+bulk import: :func:`repro.net.pcap.read_pcap_table` decodes regular frames
+with numpy gathers.  :meth:`Packet.parse` decodes the irregular records
+that reader hands back (IPv6, IPv4 or TCP options, frames too short for
+their layout), and it is the oracle the columnar reader must match byte
+for byte.
 """
 
 from __future__ import annotations
@@ -97,14 +101,16 @@ class Packet:
     def wire_length(self) -> int:
         """Total on-the-wire length in bytes.
 
-        A truncated capture reports the record's original length; the
-        captured layers and payload would under-count it.
+        Each layer counts its fixed part plus any option bytes, so a
+        parsed frame reports its captured length.  A truncated capture
+        reports the record's original length; the captured layers and
+        payload would under-count it.
         """
         if self.orig_len:
             return self.orig_len
         total = len(self.payload)
         for item in self.layers:
-            total += item.WIRE_LEN
+            total += item.WIRE_LEN + len(getattr(item, "options", b""))
         return total
 
     @classmethod

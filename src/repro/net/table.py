@@ -8,9 +8,14 @@ bulk data; our equivalent is :class:`PacketTable`, a struct-of-arrays
 (:mod:`repro.core.operations`) consumes and produces tables or arrays, so
 feature extraction over a full dataset is vectorised end to end.
 
-A table can be built from and converted back to :class:`repro.net.packet.
-Packet` objects, and persisted to ``.npz`` for the benchmarking suite's
-intermediate-result cache.
+A capture file becomes a table in bulk through
+:func:`repro.net.pcap.read_pcap_table`, which decodes regular frames
+with numpy gathers and fills only irregular rows through
+:meth:`PacketTable._fill_row`.  A table can also be built from and
+converted back to :class:`repro.net.packet.Packet` objects
+(:meth:`PacketTable.from_packets` is the oracle the bulk reader must
+match byte for byte), and persisted to ``.npz`` for the benchmarking
+suite's intermediate-result cache.
 """
 
 from __future__ import annotations
@@ -112,6 +117,8 @@ class PacketTable:
 
     @staticmethod
     def _fill_row(columns: dict[str, np.ndarray], i: int, packet: Packet) -> None:
+        """Write one packet's fields into row ``i``; columns the packet
+        has no field for keep their defaults."""
         columns["ts"][i] = packet.timestamp
         columns["length"][i] = packet.wire_length
         columns["payload_len"][i] = len(packet.payload)

@@ -1,10 +1,12 @@
 """Tests for dataset export/import (pcap + label CSV)."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
+from repro.core import InputError
 from repro.datasets.export import export_dataset, export_flows_csv, import_dataset
 from repro.flows import assemble_connections
 from repro.traffic import AttackSpec, NetworkScenario
@@ -48,8 +50,44 @@ class TestExportImport:
         pcap_path, labels_path = export_dataset(small_dataset, tmp_path, "D")
         lines = labels_path.read_text().splitlines()
         labels_path.write_text("\n".join(lines[:-5]))
-        with pytest.raises(ValueError, match="rows"):
+        with pytest.raises(InputError, match=re.escape(f"{labels_path}: ") + ".* rows"):
             import_dataset(pcap_path, labels_path)
+
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (1, "index,timestamp,verdict,attack", r":1: no 'label' column"),
+            (1, "index,timestamp,label", r":1: no 'attack' column"),
+            (4, "2,0.5,300,", r":4: label '300' is not an integer in 0\.\.255"),
+            (4, "2,0.5,x,", r":4: label 'x' is not an integer in 0\.\.255"),
+            (4, "2,0.5", r":4: 2 fields"),
+            # blank lines are no rows, but they count as lines
+            (4, "\n\n2,0.5,-1,", r":6: label '-1'"),
+        ],
+        ids=["no_label", "no_attack", "label_300", "label_x", "short_row", "blank_lines"],
+    )
+    def test_bad_label_file_names_path_and_line(
+        self, small_dataset, tmp_path, line, text, message
+    ):
+        pcap_path, labels_path = export_dataset(small_dataset, tmp_path, "D")
+        lines = labels_path.read_text().splitlines()
+        lines[line - 1] = text
+        labels_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=re.escape(str(labels_path)) + message):
+            import_dataset(pcap_path, labels_path)
+
+    def test_attack_ids_follow_first_appearance(self, small_dataset, tmp_path):
+        pcap_path, labels_path = export_dataset(small_dataset, tmp_path, "D")
+        lines = labels_path.read_text().splitlines()
+        # a benign row that names an attack gets no id; a new name on a
+        # malicious row gets the next one
+        lines[1] = lines[1].rsplit(",", 2)[0] + ",0,decoy"
+        lines[2] = lines[2].rsplit(",", 2)[0] + ",1,first"
+        labels_path.write_text("\n".join(lines) + "\n")
+        table = import_dataset(pcap_path, labels_path)
+        assert table.attacks == ["first", "port_scan"]
+        assert table.attack_id[0] == -1 and table.attack_id[1] == 0
+        assert set(table.attack_id[2:].tolist()) <= {-1, 1}
 
     def test_flows_csv(self, small_dataset, tmp_path):
         flows = assemble_connections(small_dataset)

@@ -45,6 +45,15 @@ class TestGradientBoosting:
         order = np.argsort(raw)
         assert np.all(np.diff(proba[order]) >= -1e-12)
 
+    def test_threshold_near_the_float_maximum(self):
+        # the midpoint of 1e308 and 1.7e308 overflows; the split must
+        # still route each training row the way it was scored
+        X = np.array([[1e308], [1.7e308], [1e308], [1.7e308]])
+        y = np.array([0, 1, 0, 1])
+        with np.errstate(over="raise"):
+            model = GradientBoostingClassifier(n_estimators=5).fit(X, y)
+        assert np.array_equal(model.predict(X), y)
+
     def test_single_class(self):
         X = np.random.default_rng(0).normal(size=(20, 2))
         y = np.ones(20, dtype=int)

@@ -308,7 +308,10 @@ class TestEnsembles:
         ensemble = VotingClassifier(
             [(str(i), _FixedVotes(member)) for i, member in enumerate(votes)]
         ).fit(X, y)
-        expected = np.empty(300, dtype=ensemble.classes_.dtype)
+        # a vote outside ``classes_`` comes back whole, never truncated
+        expected = np.empty(
+            300, dtype=np.promote_types(ensemble.classes_.dtype, votes.dtype)
+        )
         for i in range(300):
             values, counts = np.unique(votes[:, i], return_counts=True)
             expected[i] = values[np.argmax(counts)]
@@ -316,6 +319,8 @@ class TestEnsembles:
         assert predicted.dtype == expected.dtype
         assert np.array_equal(predicted, expected)
         assert ensemble.predict(X[:0]).shape == (0,)
+        if "zzz" in ballot:
+            assert "zzz" in predicted
 
     def test_empty_ensemble_rejected(self, blobs):
         X, y = blobs

@@ -22,6 +22,7 @@ from repro.net.pcap import (
     PcapReader,
     PcapWriter,
     read_pcap,
+    read_pcap_table,
     write_pcap,
 )
 from repro.net.table import PacketTable
@@ -63,6 +64,24 @@ class TestPacketModel:
         cut = Packet.parse(data[:40], orig_len=len(data))
         assert cut.orig_len == len(data)
         assert cut.wire_length == len(data)
+
+    @pytest.mark.parametrize("ip_options", [b"", b"\x94\x04\x00\x00"])
+    def test_options_count_toward_wire_length(self, ip_options):
+        # TCP with one 4-byte option (MSS) and a 4-byte payload
+        tcp = TCPHeader(src_port=1, dst_port=2, options=b"\x02\x04\x05\xb4")
+        ip = IPv4Header(
+            src_ip=1, dst_ip=2, protocol=IPPROTO_TCP,
+            total_length=48 + len(ip_options), options=ip_options,
+        )
+        frame = (
+            EthernetHeader(src_mac=1, dst_mac=2).encode()
+            + ip.encode() + tcp.encode() + b"data"
+        )
+        assert len(frame) == 62 + len(ip_options)
+        parsed = Packet.parse(frame)
+        assert parsed.wire_length == len(frame)
+        assert parsed.payload == b"data"
+        assert parsed.encode() == frame
 
     def test_link_type_detection(self):
         assert make_tcp_packet().link_type == LinkType.ETHERNET
@@ -246,6 +265,14 @@ class TestSnaplen:
     def test_truncated_capture_keeps_wire_length(self, table, tmp_path):
         back = self.round_trip(table, tmp_path / "cut.pcap", snaplen=60)
         assert (table.length > 60).any()  # the snaplen really truncates
+        assert back.length.tobytes() == table.length.tobytes()
+
+    def test_rewrite_keeps_original_length(self, table, tmp_path):
+        cut, again = tmp_path / "cut.pcap", tmp_path / "again.pcap"
+        self.round_trip(table, cut, snaplen=60)
+        write_pcap(again, read_pcap(cut))
+        assert read_pcap_table(again).length.tobytes() == table.length.tobytes()
+        back = PacketTable.from_packets(read_pcap(again))
         assert back.length.tobytes() == table.length.tobytes()
 
     def test_untruncated_capture_is_unchanged(self, table, tmp_path):
