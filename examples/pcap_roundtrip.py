@@ -3,8 +3,8 @@
 
 Demonstrates that the synthetic traces are real packets: a generated
 scenario is written to a classic ``.pcap`` file (readable by Wireshark/
-tcpdump), read back through the pcap parser, and assembled into
-connections that match the original trace.
+tcpdump) with ``write_pcap_table``, read back with ``read_pcap_table``,
+and assembled into connections that match the original trace.
 
 Run with:  python examples/pcap_roundtrip.py
 """
@@ -12,9 +12,10 @@ Run with:  python examples/pcap_roundtrip.py
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro.flows import assemble_connections
-from repro.net import PcapReader, write_pcap
-from repro.net.table import PacketTable
+from repro.net.pcap import read_pcap_table, write_pcap_table
 from repro.traffic import AttackSpec, NetworkScenario
 
 
@@ -32,32 +33,27 @@ def main() -> None:
     # ---- write real pcap bytes -----------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "demo.pcap"
-        packets = table.to_packets()
-        write_pcap(path, packets)
+        table = table.sort_by_time()
+        write_pcap_table(path, table)
         size_kib = path.stat().st_size / 1024
         print(f"wrote           : {path.name} ({size_kib:.0f} KiB, "
-              f"{len(packets)} packets)")
+              f"{len(table)} packets)")
 
-        # ---- read it back through the parser ----------------------------
-        reader = PcapReader(path)
-        loaded = list(reader)
-        print(f"read back       : {len(loaded)} packets, "
-              f"link type {reader.link_type.name}")
+        # ---- read it back -------------------------------------------------
+        rebuilt = read_pcap_table(path)
+        print(f"read back       : {len(rebuilt)} packets")
 
-        # labels don't survive the wire (pcap has no label field), so
-        # re-attach them from the original trace for the comparison
-        for original, parsed in zip(packets, loaded):
-            parsed.label = original.label
-            parsed.attack = original.attack
-        rebuilt = PacketTable.from_packets(loaded)
-        # pcap stores microsecond timestamps, so compare time with that
-        # tolerance and everything else exactly
-        import numpy as np
-
-        ts_close = np.allclose(table.ts, rebuilt.ts, atol=1e-6)
-        rebuilt.columns["ts"] = table.ts
-        print(f"tables equal    : {table.equals(rebuilt)} "
-              f"(timestamps within 1us: {ts_close})")
+    # labels don't survive the wire (pcap has no label field), so
+    # re-attach them from the original trace for the comparison
+    rebuilt.columns["label"] = table.label
+    rebuilt.columns["attack_id"] = table.attack_id
+    rebuilt.attacks = table.attacks
+    # pcap stores microsecond timestamps, so compare time with that
+    # tolerance and everything else exactly
+    ts_close = np.allclose(table.ts, rebuilt.ts, atol=1e-6)
+    rebuilt.columns["ts"] = table.ts
+    print(f"tables equal    : {table.equals(rebuilt)} "
+          f"(timestamps within 1us: {ts_close})")
 
     # ---- flow assembly --------------------------------------------------
     connections = assemble_connections(table)

@@ -536,8 +536,23 @@ def _nprint_bits(values: np.ndarray, width: int) -> np.ndarray:
     return ((integers >> shifts) & np.uint64(1)).astype(np.float64)
 
 
-def _nprint_header_blocks(table: PacketTable, layers: list) -> list:
-    """The header-layer bit blocks shared by both NprintEncode paths."""
+@register_operation(
+    "NprintEncode",
+    (ValueType.PACKETS,),
+    ValueType.FEATURES,
+    optional_params={"layers": list(_NPRINT_LAYERS),
+                     "payload_bytes": 8},
+    description="nPrint-style aligned header-bit representation: one "
+    "column per header bit of the selected layers; -1 where the layer "
+    "is absent (here encoded as 0/1 with a presence column per layer).",
+)
+def _nprint_encode(inputs: list, params: dict) -> np.ndarray:
+    table: PacketTable = inputs[0]
+    layers = params["layers"]
+    unknown = set(layers) - set(_NPRINT_LAYERS)
+    if unknown:
+        raise TemplateError(f"unknown nprint layers: {sorted(unknown)}")
+    n = len(table)
     blocks: list[np.ndarray] = []
     if "ipv4" in layers:
         present = (table.l3 == 4).astype(np.float64)[:, None]
@@ -564,66 +579,11 @@ def _nprint_header_blocks(table: PacketTable, layers: list) -> list:
         present = (table.proto == 1).astype(np.float64)[:, None]
         blocks.append(present)
         blocks.append(_nprint_bits(table.payload_len, 16) * present)
-    return blocks
-
-
-@register_operation(
-    "NprintEncode",
-    (ValueType.PACKETS,),
-    ValueType.FEATURES,
-    optional_params={"layers": list(_NPRINT_LAYERS),
-                     "payload_bytes": 8},
-    description="nPrint-style aligned header-bit representation: one "
-    "column per header bit of the selected layers; -1 where the layer "
-    "is absent (here encoded as 0/1 with a presence column per layer).",
-)
-def _nprint_encode(inputs: list, params: dict) -> np.ndarray:
-    table: PacketTable = inputs[0]
-    layers = params["layers"]
-    unknown = set(layers) - set(_NPRINT_LAYERS)
-    if unknown:
-        raise TemplateError(f"unknown nprint layers: {sorted(unknown)}")
-    n = len(table)
-    blocks = _nprint_header_blocks(table, layers)
     if "payload" in layers:
         width = int(params["payload_bytes"]) * 8
         blocks.append(_nprint_bits(np.minimum(table.payload_len, 2**16 - 1), 16))
-        # Without retained payload bytes the table exposes length-derived
-        # pseudo-content; with payloads kept, hash the first bytes in.
-        if table.payloads is not None:
-            content = np.zeros((n, width))
-            for i, payload in enumerate(table.payloads):
-                raw = payload[: width // 8]
-                for j, byte in enumerate(raw):
-                    for b in range(8):
-                        content[i, j * 8 + b] = (byte >> (7 - b)) & 1
-            blocks.append(content)
-        else:
-            blocks.append(_nprint_bits(table.payload_len % 251, width))
-    return np.hstack(blocks) if blocks else np.empty((n, 0))
-
-
-@register_batch("NprintEncode")
-def _nprint_encode_batch(inputs: list, params: dict) -> np.ndarray:
-    # the scalar path unpacks retained payload bytes bit by bit in
-    # Python; here one unpackbits call emits the same MSB-first matrix
-    table: PacketTable = inputs[0]
-    layers = params["layers"]
-    if table.payloads is None or "payload" not in layers:
-        return _nprint_encode(inputs, params)
-    unknown = set(layers) - set(_NPRINT_LAYERS)
-    if unknown:
-        raise TemplateError(f"unknown nprint layers: {sorted(unknown)}")
-    n = len(table)
-    blocks = _nprint_header_blocks(table, layers)
-    width = int(params["payload_bytes"]) * 8
-    blocks.append(_nprint_bits(np.minimum(table.payload_len, 2**16 - 1), 16))
-    w = width // 8
-    raw = b"".join(
-        bytes(payload[:w]).ljust(w, b"\x00") for payload in table.payloads
-    )
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, w)
-    blocks.append(np.unpackbits(packed, axis=1).astype(np.float64))
+        # tables keep no payload bytes: length-derived pseudo-content
+        blocks.append(_nprint_bits(table.payload_len % 251, width))
     return np.hstack(blocks) if blocks else np.empty((n, 0))
 
 

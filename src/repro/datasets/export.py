@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.net.pcap import read_pcap_table, write_pcap
+from repro.net.pcap import read_pcap_table, write_pcap_table
 from repro.net.table import PacketTable
 
 
@@ -33,7 +33,7 @@ def export_dataset(
     sorted_table = table.sort_by_time()
     pcap_path = directory / f"{name}.pcap"
     labels_path = directory / f"{name}.labels.csv"
-    write_pcap(pcap_path, sorted_table.to_packets())
+    write_pcap_table(pcap_path, sorted_table)
     with open(labels_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["index", "timestamp", "label", "attack"])

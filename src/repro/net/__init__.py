@@ -1,18 +1,19 @@
-"""Network substrate: packet model, header codecs, pcap I/O.
+"""Network substrate: columnar traces, pcap I/O, header decoders.
 
 This package replaces the pcap tooling (pypacker, Zeek's packet layer) the
 paper builds on.  It provides:
 
 * :mod:`repro.net.addresses` -- IPv4/MAC address conversion helpers.
-* :mod:`repro.net.headers` -- binary encode/decode for Ethernet, IPv4,
-  IPv6, TCP, UDP, ICMP, ARP and 802.11 headers.
-* :mod:`repro.net.packet` -- the :class:`Packet` object model and layer
-  stacking/parsing.
 * :mod:`repro.net.table` -- :class:`PacketTable`, a columnar (numpy)
   representation of a trace that all Lumen operations consume.
-* :mod:`repro.net.pcap` -- classic libpcap file reader/writer.
-* :mod:`repro.net.payloads` -- small application-layer payload builders
-  (DNS, HTTP, MQTT, Telnet) used by the traffic generators.
+* :mod:`repro.net.pcap` -- classic libpcap files: the columnar writer
+  :func:`write_pcap_table`, the columnar reader :func:`read_pcap_table`
+  and the per-record reader :func:`read_pcap`.
+* :mod:`repro.net.headers` -- binary decoders for Ethernet, IPv4, IPv6,
+  TCP, UDP, ICMP, ARP and 802.11 headers.
+* :mod:`repro.net.packet` -- the :class:`Packet` object model that
+  :func:`read_pcap` and the columnar reader's irregular records decode
+  into.
 """
 
 from repro.net.addresses import (
@@ -23,7 +24,6 @@ from repro.net.addresses import (
     in_prefix,
     random_ip_in_prefix,
 )
-from repro.net.checksum import internet_checksum
 from repro.net.headers import (
     EthernetHeader,
     IPv4Header,
@@ -37,7 +37,7 @@ from repro.net.headers import (
 )
 from repro.net.packet import Packet, LinkType
 from repro.net.table import PacketTable, PACKET_COLUMNS
-from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
+from repro.net.pcap import PcapReader, read_pcap, write_pcap_table
 from repro.net.inspect import describe_trace, render_description
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "int_to_mac",
     "in_prefix",
     "random_ip_in_prefix",
-    "internet_checksum",
     "EthernetHeader",
     "IPv4Header",
     "IPv6Header",
@@ -62,9 +61,8 @@ __all__ = [
     "PacketTable",
     "PACKET_COLUMNS",
     "PcapReader",
-    "PcapWriter",
     "read_pcap",
-    "write_pcap",
+    "write_pcap_table",
     "describe_trace",
     "render_description",
 ]

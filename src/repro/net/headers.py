@@ -1,19 +1,19 @@
-"""Binary header codecs for the protocols the datasets contain.
+"""Binary header decoders for the protocols the datasets contain.
 
-Every header type is a frozen dataclass with ``encode()`` producing wire
-bytes and a ``decode(data)`` classmethod returning ``(header, consumed)``.
-The codecs are deliberately strict: malformed input raises
-:class:`HeaderError` rather than producing a half-parsed header, because
-downstream feature extraction must never operate on garbage silently.
+Every header type is a frozen dataclass with a ``decode(data)``
+classmethod returning ``(header, consumed)``.  The decoders are
+deliberately strict: malformed input raises :class:`HeaderError` rather
+than producing a half-parsed header, because downstream feature
+extraction must never operate on garbage silently.  Captures are
+written from tables, not from headers: see
+:func:`repro.net.pcap.write_pcap_table`.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, replace
-
-from repro.net.checksum import internet_checksum, tcp_udp_pseudo_header
+from dataclasses import dataclass
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -51,13 +51,6 @@ class EthernetHeader:
 
     WIRE_LEN = 14
 
-    def encode(self) -> bytes:
-        return (
-            self.dst_mac.to_bytes(6, "big")
-            + self.src_mac.to_bytes(6, "big")
-            + struct.pack("!H", self.ethertype)
-        )
-
     @classmethod
     def decode(cls, data: bytes) -> tuple["EthernetHeader", int]:
         if len(data) < cls.WIRE_LEN:
@@ -85,27 +78,6 @@ class IPv4Header:
     options: bytes = b""
 
     WIRE_LEN = 20
-
-    def encode(self, *, fill_checksum: bool = True) -> bytes:
-        version_ihl = (4 << 4) | (5 + len(self.options) // 4)
-        flags_frag = (self.flags << 13) | self.fragment_offset
-        header = struct.pack(
-            "!BBHHHBBHII",
-            version_ihl,
-            self.dscp << 2,
-            self.total_length,
-            self.identification,
-            flags_frag,
-            self.ttl,
-            self.protocol,
-            0,
-            self.src_ip,
-            self.dst_ip,
-        ) + self.options
-        if not fill_checksum:
-            return header
-        checksum = internet_checksum(header)
-        return header[:10] + struct.pack("!H", checksum) + header[12:]
 
     @classmethod
     def decode(cls, data: bytes) -> tuple["IPv4Header", int]:
@@ -166,20 +138,6 @@ class IPv6Header:
         if len(self.src_ip) != 16 or len(self.dst_ip) != 16:
             raise HeaderError("IPv6 addresses must be 16 bytes")
 
-    def encode(self) -> bytes:
-        first_word = (6 << 28) | (self.traffic_class << 20) | self.flow_label
-        return (
-            struct.pack(
-                "!IHBB",
-                first_word,
-                self.payload_length,
-                self.next_header,
-                self.hop_limit,
-            )
-            + self.src_ip
-            + self.dst_ip
-        )
-
     @classmethod
     def decode(cls, data: bytes) -> tuple["IPv6Header", int]:
         if len(data) < cls.WIRE_LEN:
@@ -219,29 +177,6 @@ class TCPHeader:
     options: bytes = b""
 
     WIRE_LEN = 20
-
-    def encode(self) -> bytes:
-        offset_flags = ((5 + len(self.options) // 4) << 12) | (self.flags & 0x1FF)
-        return struct.pack(
-            "!HHIIHHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            offset_flags,
-            self.window,
-            self.checksum,
-            self.urgent,
-        ) + self.options
-
-    def encode_with_checksum(
-        self, src_ip: int, dst_ip: int, payload: bytes = b""
-    ) -> bytes:
-        """Encode with a valid checksum over the IPv4 pseudo-header."""
-        raw = replace(self, checksum=0).encode() + payload
-        pseudo = tcp_udp_pseudo_header(src_ip, dst_ip, IPPROTO_TCP, len(raw))
-        checksum = internet_checksum(pseudo + raw)
-        return replace(self, checksum=checksum).encode()
 
     @classmethod
     def decode(cls, data: bytes) -> tuple["TCPHeader", int]:
@@ -290,11 +225,6 @@ class UDPHeader:
 
     WIRE_LEN = 8
 
-    def encode(self) -> bytes:
-        return struct.pack(
-            "!HHHH", self.src_port, self.dst_port, self.length, self.checksum
-        )
-
     @classmethod
     def decode(cls, data: bytes) -> tuple["UDPHeader", int]:
         if len(data) < cls.WIRE_LEN:
@@ -326,13 +256,6 @@ class ICMPHeader:
     DEST_UNREACHABLE = 3
     ECHO_REQUEST = 8
 
-    def encode(self, payload: bytes = b"", *, fill_checksum: bool = True) -> bytes:
-        header = struct.pack("!BBHI", self.icmp_type, self.code, 0, self.rest)
-        if fill_checksum:
-            checksum = internet_checksum(header + payload)
-            header = header[:2] + struct.pack("!H", checksum) + header[4:]
-        return header
-
     @classmethod
     def decode(cls, data: bytes) -> tuple["ICMPHeader", int]:
         if len(data) < cls.WIRE_LEN:
@@ -357,15 +280,6 @@ class ARPHeader:
     WIRE_LEN = 28
     REQUEST = 1
     REPLY = 2
-
-    def encode(self) -> bytes:
-        return (
-            struct.pack("!HHBBH", 1, ETHERTYPE_IPV4, 6, 4, self.operation)
-            + self.sender_mac.to_bytes(6, "big")
-            + struct.pack("!I", self.sender_ip)
-            + self.target_mac.to_bytes(6, "big")
-            + struct.pack("!I", self.target_ip)
-        )
 
     @classmethod
     def decode(cls, data: bytes) -> tuple["ARPHeader", int]:
@@ -419,16 +333,6 @@ class Dot11Header:
     SUBTYPE_DEAUTH = 12
     SUBTYPE_DISASSOC = 10
     SUBTYPE_QOS_DATA = 8
-
-    def encode(self) -> bytes:
-        frame_control = (self.frame_type << 2) | (self.subtype << 4)
-        return (
-            struct.pack("<HH", frame_control, self.duration)
-            + self.addr1.to_bytes(6, "big")
-            + self.addr2.to_bytes(6, "big")
-            + self.addr3.to_bytes(6, "big")
-            + struct.pack("<H", self.seq_ctrl)
-        )
 
     @classmethod
     def decode(cls, data: bytes) -> tuple["Dot11Header", int]:

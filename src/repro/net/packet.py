@@ -1,14 +1,14 @@
 """The :class:`Packet` object model.
 
 A :class:`Packet` is a timestamp plus a stack of decoded header layers and
-an opaque payload.  Packets are produced either by the traffic generators
-or by parsing raw frames from a pcap file; they can always be re-encoded
-to wire bytes, so traces round-trip through real ``.pcap`` files.
+an opaque payload, parsed from a raw frame of a pcap file.
 
 Bulk feature extraction does not iterate over ``Packet`` objects -- it
-uses the columnar :class:`repro.net.table.PacketTable` -- and neither does
-bulk import: :func:`repro.net.pcap.read_pcap_table` decodes regular frames
-with numpy gathers.  :meth:`Packet.parse` decodes the irregular records
+uses the columnar :class:`repro.net.table.PacketTable` -- and neither do
+bulk import and export: :func:`repro.net.pcap.read_pcap_table` decodes
+regular frames with numpy gathers, and
+:func:`repro.net.pcap.write_pcap_table` lays frames out with numpy
+scatters.  :meth:`Packet.parse` decodes the irregular records
 that reader hands back (IPv6, IPv4 or TCP options, frames too short for
 their layout), and it is the oracle the columnar reader must match byte
 for byte.
@@ -85,17 +85,6 @@ class Packet:
         if self.layers and isinstance(self.layers[0], Dot11Header):
             return LinkType.IEEE802_11
         return LinkType.ETHERNET
-
-    def encode(self) -> bytes:
-        """Re-encode the packet to wire bytes (outermost layer first)."""
-        parts: list[bytes] = []
-        for item in self.layers:
-            if isinstance(item, ICMPHeader):
-                parts.append(item.encode(self.payload))
-            else:
-                parts.append(item.encode())
-        parts.append(self.payload)
-        return b"".join(parts)
 
     @property
     def wire_length(self) -> int:

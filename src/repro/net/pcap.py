@@ -1,4 +1,4 @@
-"""Classic libpcap file format reader and writer.
+"""Classic libpcap file format: one writer, two readers.
 
 Implements the original (non-ng) pcap container: a 24-byte global header
 followed by per-packet records.  Both byte orders and both timestamp
@@ -10,15 +10,16 @@ synthetic traces produced by :mod:`repro.traffic` can be written to real
 ``.pcap`` files and read back, and third-party pcaps of the supported
 link types can be ingested directly.
 
-There are two readers.  :class:`PcapReader` (and :func:`read_pcap`)
-yields one :class:`~repro.net.packet.Packet` per record.
-:func:`read_pcap_table` decodes a whole capture into a
-:class:`~repro.net.table.PacketTable` with numpy gathers and hands only
-irregular records to :meth:`Packet.parse`; it equals
-``PacketTable.from_packets(read_pcap(path))`` column for column and
-fails on the same record with the same error.  A malformed file raises
-:class:`PcapFormatError`; a record whose link-layer header does not
-decode raises :class:`~repro.net.headers.HeaderError`.
+:func:`write_pcap_table` lays a whole :class:`~repro.net.table.PacketTable`
+out with numpy scatters.  There are two readers.  :class:`PcapReader`
+(and :func:`read_pcap`) yields one :class:`~repro.net.packet.Packet` per
+record.  :func:`read_pcap_table` decodes a whole capture into a table
+with numpy gathers and hands only irregular records to
+:meth:`Packet.parse`; it equals ``PacketTable.from_packets(read_pcap(path))``
+column for column and fails on the same record with the same error.  A
+malformed file raises :class:`PcapFormatError`; a record whose
+link-layer header does not decode raises
+:class:`~repro.net.headers.HeaderError`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +50,9 @@ _RECORD_HEADER = struct.Struct("<IIII")
 #: zero bytes after a capture in memory; more than the deepest field
 #: offset the columnar reader gathers (the TCP window, at frame byte 49)
 _PADDING = 64
+#: the IEEE 802 local-experimental ethertype, written for Ethernet rows
+#: that are neither IPv4, IPv6 nor ARP
+ETHERTYPE_EXPERIMENTAL = 0x88B5
 
 
 class PcapFormatError(ValueError):
@@ -75,64 +79,6 @@ def _global_header(raw: bytes) -> tuple[str, float, int, LinkType]:
     except ValueError as exc:
         raise PcapFormatError(f"unsupported link type: {link}") from exc
     return order, divisor, snaplen, link_type
-
-
-class PcapWriter:
-    """Streams packets into a classic pcap file.
-
-    Use as a context manager::
-
-        with PcapWriter("trace.pcap", link_type=LinkType.ETHERNET) as writer:
-            for packet in packets:
-                writer.write(packet)
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        link_type: LinkType = LinkType.ETHERNET,
-        snaplen: int = 65535,
-    ) -> None:
-        self._path = Path(path)
-        self._link_type = link_type
-        self._snaplen = snaplen
-        self._file: BinaryIO | None = None
-
-    def __enter__(self) -> "PcapWriter":
-        self._file = open(self._path, "wb")
-        self._file.write(
-            _GLOBAL_HEADER.pack(
-                MAGIC_MICRO_LE, 2, 4, 0, 0, self._snaplen, int(self._link_type)
-            )
-        )
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def write(self, packet: Packet) -> None:
-        """Append one packet record.
-
-        A packet read from a snaplen-cut record keeps its original
-        length, so the cut survives a rewrite.
-        """
-        if self._file is None:
-            raise RuntimeError("PcapWriter used outside its context manager")
-        data = packet.encode()
-        captured = data[: self._snaplen]
-        seconds = int(packet.timestamp)
-        micros = int(round((packet.timestamp - seconds) * 1_000_000))
-        if micros >= 1_000_000:  # rounding can push us into the next second
-            seconds += 1
-            micros -= 1_000_000
-        self._file.write(
-            _RECORD_HEADER.pack(
-                seconds, micros, len(captured), packet.orig_len or len(data)
-            )
-        )
-        self._file.write(captured)
 
 
 class PcapReader:
@@ -178,26 +124,133 @@ class PcapReader:
         return iter(self.records())
 
 
-def write_pcap(
-    path: str | Path,
-    packets: list[Packet],
-    link_type: LinkType | None = None,
-) -> None:
-    """Write a list of packets to a pcap file.
-
-    The link type defaults to that of the first packet so that 802.11
-    traces are tagged correctly.
-    """
-    if link_type is None:
-        link_type = packets[0].link_type if packets else LinkType.ETHERNET
-    with PcapWriter(path, link_type=link_type) as writer:
-        for packet in packets:
-            writer.write(packet)
-
-
 def read_pcap(path: str | Path) -> list[Packet]:
     """Read every packet from a pcap file into memory."""
     return list(PcapReader(path))
+
+
+def write_pcap_table(path: str | Path, table: PacketTable) -> None:
+    """Write ``table`` as a little-endian microsecond capture, in row order.
+
+    Every header and record is laid out with numpy scatters into one
+    buffer, written with one call.  Each row becomes one frame of its
+    ``l2`` link type, with zero payload bytes:
+
+    * 802.11: a three-address header (``addr3`` = ``dst_mac``);
+    * ``l3 == 4``: Ethernet + IPv4 (IHL 5, don't-fragment, a valid
+      header checksum) + the TCP, UDP or ICMP echo-request header of
+      ``proto``;
+    * ``l3 == 6``: Ethernet + a 40-byte IPv6 header with zero addresses
+      + that transport header;
+    * ``l3 == 0`` with an IP address: Ethernet + an ARP request;
+    * any other Ethernet row: ethertype :data:`ETHERTYPE_EXPERIMENTAL`.
+
+    A row whose ``length`` is shorter than that layout lost its
+    transport header to a cut, and is written without one.  The
+    record's original length is ``max(length, frame length)``, so rows
+    a snaplen cut, or whose ``length`` counts IPv4 or TCP options, keep
+    it.  The global header takes its link type from the first row.  A
+    table :func:`read_pcap_table` returns from a microsecond capture
+    reads back from the written file unchanged.
+    """
+    cols = table.columns
+    payload = cols["payload_len"].astype(np.int64)
+    proto = cols["proto"]
+    dot11 = cols["l2"] == LinkType.IEEE802_11
+    ether = ~dot11
+    ipv4 = ether & (cols["l3"] == 4)
+    ipv6 = ether & (cols["l3"] == 6)
+    arp = ether & (cols["l3"] == 0) & ((cols["src_ip"] | cols["dst_ip"]) != 0)
+    header = np.select([dot11, ipv4, ipv6, arp], [24, 34, 54, 42], 14)
+    transport = (ipv4 | ipv6) * np.select(
+        [proto == IPPROTO_TCP, np.isin(proto, (IPPROTO_UDP, IPPROTO_ICMP))],
+        [20, 8], 0,
+    )
+    transport[header + transport + payload > cols["length"]] = 0
+    size = header + transport + payload
+    record = 16 + size
+    start = _GLOBAL_HEADER.size + np.cumsum(record) - record
+    buf = np.zeros(_GLOBAL_HEADER.size + int(record.sum()), np.uint8)
+    link = LinkType.IEEE802_11 if dot11[:1].any() else LinkType.ETHERNET
+    snaplen = max(65535, int(size.max(initial=0)))
+    buf[: _GLOBAL_HEADER.size] = np.frombuffer(
+        _GLOBAL_HEADER.pack(MAGIC_MICRO_LE, 2, 4, 0, 0, snaplen, int(link)), np.uint8
+    )
+
+    ts = cols["ts"]
+    seconds = np.trunc(ts)
+    micros = np.round((ts - seconds) * 1_000_000)  # half to even, as round()
+    carry = micros >= 1_000_000
+    for k, field in enumerate((
+        seconds + carry, micros - 1_000_000 * carry,
+        size, np.maximum(cols["length"], size),
+    )):
+        _put(buf, start + 4 * k, field.astype(np.int64), 4, "<")
+
+    body = start + 16
+    at = body[dot11]
+    buf[at] = ((cols["wlan_type"][dot11] & 0x03) << 2) | (
+        (cols["wlan_subtype"][dot11] & 0x0F) << 4
+    )
+    for offset in (4, 16):
+        _put(buf, at + offset, cols["dst_mac"][dot11], 6)
+    _put(buf, at + 10, cols["src_mac"][dot11], 6)
+
+    at = body[ether]
+    _put(buf, at, cols["dst_mac"][ether], 6)
+    _put(buf, at + 6, cols["src_mac"][ether], 6)
+    ethertype = np.select(
+        [ipv4, ipv6, arp], [ETHERTYPE_IPV4, ETHERTYPE_IPV6, ETHERTYPE_ARP],
+        ETHERTYPE_EXPERIMENTAL,
+    )
+    _put(buf, at + 12, ethertype[ether], 2)
+
+    at = body[arp] + 14
+    _put(buf, at, 0x0001080006040001, 8)  # Ethernet, IPv4, 6, 4, request
+    _put(buf, at + 8, cols["src_mac"][arp], 6)
+    _put(buf, at + 14, cols["src_ip"][arp], 4)
+    _put(buf, at + 18, cols["dst_mac"][arp], 6)
+    _put(buf, at + 24, cols["dst_ip"][arp], 4)
+
+    at = body[ipv4] + 14
+    total = (20 + transport[ipv4] + payload[ipv4]) & 0xFFFF
+    ttl_proto = (cols["ttl"][ipv4].astype(np.int64) << 8) | proto[ipv4]
+    src, dst = cols["src_ip"][ipv4], cols["dst_ip"][ipv4]
+    checksum = (
+        0x4500 + total + 0x4000 + ttl_proto
+        + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
+    )
+    for _ in range(2):
+        checksum = (checksum & 0xFFFF) + (checksum >> 16)
+    buf[at] = 0x45
+    _put(buf, at + 2, total, 2)
+    buf[at + 6] = 0x40  # don't fragment
+    _put(buf, at + 8, ttl_proto, 2)
+    _put(buf, at + 10, ~checksum & 0xFFFF, 2)
+    _put(buf, at + 12, src, 4)
+    _put(buf, at + 16, dst, 4)
+
+    at = body[ipv6] + 14
+    buf[at] = 0x60
+    _put(buf, at + 4, transport[ipv6] + payload[ipv6], 2)
+    buf[at + 6] = proto[ipv6]
+    buf[at + 7] = cols["ttl"][ipv6]
+
+    l4 = body + header
+    tcp = transport == 20
+    udp = (transport == 8) & (proto == IPPROTO_UDP)
+    icmp = (transport == 8) & (proto == IPPROTO_ICMP)
+    ports = tcp | udp
+    _put(buf, l4[ports], cols["src_port"][ports], 2)
+    _put(buf, l4[ports] + 2, cols["dst_port"][ports], 2)
+    buf[l4[tcp] + 12] = 0x50  # data offset 5
+    buf[l4[tcp] + 13] = cols["tcp_flags"][tcp]
+    _put(buf, l4[tcp] + 14, cols["window"][tcp], 2)
+    _put(buf, l4[udp] + 4, 8 + payload[udp], 2)
+    # echo request; over zero payload bytes the checksum is a constant
+    _put(buf, l4[icmp], 0x0800F7FF, 4)
+    with open(path, "wb") as handle:
+        handle.write(buf)
 
 
 def read_pcap_table(path: str | Path) -> PacketTable:
@@ -296,6 +349,18 @@ def _uint(
     for k in range(width) if order == ">" else reversed(range(width)):
         value = (value << 8) | raw[at + k]
     return value
+
+
+def _put(
+    buf: np.ndarray, at: np.ndarray, value, width: int, order: str = ">"
+) -> None:
+    """Scatter the low ``width`` bytes of ``value`` to each offset, in
+    byte order ``order`` (network order by default)."""
+    value = np.broadcast_to(np.asarray(value).astype(order + "u8"), at.shape)
+    raw = np.ascontiguousarray(value).reshape(-1, 1).view(np.uint8)
+    buf[at[:, None] + np.arange(width)] = (
+        raw[:, 8 - width :] if order == ">" else raw[:, :width]
+    )
 
 
 def _fill_dot11(columns, raw, body, captured) -> None:

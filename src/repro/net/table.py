@@ -11,8 +11,9 @@ feature extraction over a full dataset is vectorised end to end.
 A capture file becomes a table in bulk through
 :func:`repro.net.pcap.read_pcap_table`, which decodes regular frames
 with numpy gathers and fills only irregular rows through
-:meth:`PacketTable._fill_row`.  A table can also be built from and
-converted back to :class:`repro.net.packet.Packet` objects
+:meth:`PacketTable._fill_row`, and a table becomes a capture through
+:func:`repro.net.pcap.write_pcap_table`.  A table can also be built
+from decoded :class:`repro.net.packet.Packet` objects
 (:meth:`PacketTable.from_packets` is the oracle the bulk reader must
 match byte for byte), and persisted to ``.npz`` for the benchmarking
 suite's intermediate-result cache.
@@ -26,17 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.net.headers import (
-    ARPHeader,  # noqa: F401 - used for ARP row handling
+    ARPHeader,
     Dot11Header,
     EthernetHeader,
-    ICMPHeader,
     IPv4Header,
     IPv6Header,
     TCPHeader,
     UDPHeader,
-    IPPROTO_ICMP,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
 )
 from repro.net.packet import LinkType, Packet
 
@@ -66,17 +63,14 @@ PACKET_COLUMNS: dict[str, np.dtype] = {
 
 @dataclass
 class PacketTable:
-    """A trace as aligned numpy columns, plus optional raw payloads.
+    """A trace as aligned numpy columns.
 
     ``attacks`` maps each ``attack_id`` value to an attack name; benign
-    rows use ``attack_id == -1``.  ``payloads`` (when present) is a list
-    of bytes aligned with the rows, kept for payload-consuming algorithms
-    such as the nPrint payload variant.
+    rows use ``attack_id == -1``.
     """
 
     columns: dict[str, np.ndarray]
     attacks: list[str] = field(default_factory=list)
-    payloads: list[bytes] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -95,13 +89,10 @@ class PacketTable:
         return cls(columns=columns)
 
     @classmethod
-    def from_packets(
-        cls, packets: list[Packet], *, keep_payloads: bool = False
-    ) -> "PacketTable":
+    def from_packets(cls, packets: list[Packet]) -> "PacketTable":
         """Build a table from parsed packets (one row per packet)."""
         table = cls.empty(len(packets))
         attack_ids: dict[str, int] = {}
-        payloads: list[bytes] = []
         for i, packet in enumerate(packets):
             cls._fill_row(table.columns, i, packet)
             if packet.label and packet.attack:
@@ -109,10 +100,6 @@ class PacketTable:
                     attack_ids[packet.attack] = len(attack_ids)
                     table.attacks.append(packet.attack)
                 table.columns["attack_id"][i] = attack_ids[packet.attack]
-            if keep_payloads:
-                payloads.append(packet.payload)
-        if keep_payloads:
-            table.payloads = payloads
         return table
 
     @staticmethod
@@ -220,15 +207,7 @@ class PacketTable:
         ``mask`` may be a boolean mask or an integer index array.
         """
         columns = {name: array[mask] for name, array in self.columns.items()}
-        payloads = None
-        if self.payloads is not None:
-            indices = (
-                np.flatnonzero(mask) if mask.dtype == np.bool_ else np.asarray(mask)
-            )
-            payloads = [self.payloads[i] for i in indices]
-        return PacketTable(
-            columns=columns, attacks=list(self.attacks), payloads=payloads
-        )
+        return PacketTable(columns=columns, attacks=list(self.attacks))
 
     def sort_by_time(self) -> "PacketTable":
         """Return a copy sorted by timestamp (stable)."""
@@ -261,112 +240,14 @@ class PacketTable:
             if name != "attack_id"
         }
         columns["attack_id"] = np.concatenate(remapped_ids)
-        payloads = None
-        if all(t.payloads is not None for t in tables):
-            payloads = [p for t in tables for p in t.payloads]  # type: ignore[union-attr]
-        return cls(columns=columns, attacks=merged_attacks, payloads=payloads)
-
-    def to_packets(self) -> list[Packet]:
-        """Materialise :class:`Packet` objects (synthetic layer stacks).
-
-        The reconstructed packets carry the header fields the table knows
-        about; payload bytes are restored when the table kept them and
-        zero-filled to the recorded payload length otherwise.
-        """
-        packets: list[Packet] = []
-        cols = self.columns
-        for i in range(len(self)):
-            packets.append(self._row_to_packet(cols, i))
-        return packets
-
-    def _row_to_packet(self, cols: dict[str, np.ndarray], i: int) -> Packet:
-        if self.payloads is not None:
-            payload = self.payloads[i]
-        else:
-            payload = b"\x00" * int(cols["payload_len"][i])
-        layers: list = []
-        if cols["l2"][i] == int(LinkType.IEEE802_11):
-            layers.append(
-                Dot11Header(
-                    frame_type=int(cols["wlan_type"][i]) & 0x03,
-                    subtype=int(cols["wlan_subtype"][i]) & 0x0F,
-                    addr1=int(cols["dst_mac"][i]),
-                    addr2=int(cols["src_mac"][i]),
-                    addr3=int(cols["dst_mac"][i]),
-                )
-            )
-        else:
-            ethertype = 0x0800 if cols["l3"][i] == 4 else 0x0806
-            layers.append(
-                EthernetHeader(
-                    src_mac=int(cols["src_mac"][i]),
-                    dst_mac=int(cols["dst_mac"][i]),
-                    ethertype=ethertype,
-                )
-            )
-            is_arp = (
-                cols["l3"][i] == 0
-                and (cols["src_ip"][i] or cols["dst_ip"][i])
-            )
-            if is_arp:
-                layers.append(
-                    ARPHeader(
-                        operation=ARPHeader.REQUEST,
-                        sender_mac=int(cols["src_mac"][i]),
-                        sender_ip=int(cols["src_ip"][i]),
-                        target_mac=int(cols["dst_mac"][i]),
-                        target_ip=int(cols["dst_ip"][i]),
-                    )
-                )
-                payload = b""
-            if cols["l3"][i] == 4:
-                proto = int(cols["proto"][i])
-                transport_len = {IPPROTO_TCP: 20, IPPROTO_UDP: 8, IPPROTO_ICMP: 8}.get(
-                    proto, 0
-                )
-                layers.append(
-                    IPv4Header(
-                        src_ip=int(cols["src_ip"][i]),
-                        dst_ip=int(cols["dst_ip"][i]),
-                        protocol=proto,
-                        total_length=20 + transport_len + len(payload),
-                        ttl=int(cols["ttl"][i]),
-                    )
-                )
-                if proto == IPPROTO_TCP:
-                    layers.append(
-                        TCPHeader(
-                            src_port=int(cols["src_port"][i]),
-                            dst_port=int(cols["dst_port"][i]),
-                            flags=int(cols["tcp_flags"][i]),
-                            window=int(cols["window"][i]),
-                        )
-                    )
-                elif proto == IPPROTO_UDP:
-                    layers.append(
-                        UDPHeader(
-                            src_port=int(cols["src_port"][i]),
-                            dst_port=int(cols["dst_port"][i]),
-                            length=8 + len(payload),
-                        )
-                    )
-                elif proto == IPPROTO_ICMP:
-                    layers.append(ICMPHeader(icmp_type=ICMPHeader.ECHO_REQUEST))
-        attack_id = int(cols["attack_id"][i])
-        return Packet(
-            timestamp=float(cols["ts"][i]),
-            layers=layers,
-            payload=payload,
-            label=int(cols["label"][i]),
-            attack=self.attacks[attack_id] if attack_id >= 0 else "",
-        )
+        return cls(columns=columns, attacks=merged_attacks)
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Persist the table (without payloads) to a compressed ``.npz``."""
+        """Persist the table to a compressed ``.npz``."""
         attack_array = np.array(self.attacks, dtype=np.str_)
         np.savez_compressed(path, __attacks__=attack_array, **self.columns)
 
@@ -379,7 +260,7 @@ class PacketTable:
         return cls(columns=columns, attacks=attacks)
 
     def equals(self, other: "PacketTable") -> bool:
-        """Exact equality of rows (payloads ignored).
+        """Exact equality of rows.
 
         Attack ids are compared by *name*, not numeric id, because the
         id space is just an interning order and differs between tables

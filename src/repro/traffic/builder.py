@@ -3,8 +3,9 @@
 Generators append rows here instead of constructing
 :class:`~repro.net.packet.Packet` objects; the builder produces a
 :class:`~repro.net.table.PacketTable` directly, which keeps generating a
-multi-thousand-packet dataset fast.  ``to_packets``/pcap round-trips are
-still available through the table for fidelity tests.
+multi-thousand-packet dataset fast.  A built table round-trips through a
+real capture with :func:`repro.net.pcap.write_pcap_table` and
+:func:`repro.net.pcap.read_pcap_table`.
 """
 
 from __future__ import annotations

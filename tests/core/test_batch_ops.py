@@ -26,7 +26,6 @@ from repro.obs import metrics as metric_names
 CONVERTED = [
     "DeviceLabels",
     "FirstNPackets",
-    "NprintEncode",
     "ProtocolOneHot",
     "WlanFeatures",
 ]
@@ -47,20 +46,6 @@ def scratch_ops():
     yield add
     for name in registered:
         OPERATIONS.pop(name, None)
-
-
-def _with_payloads(table, payload_bytes=6):
-    """A copy of ``table`` carrying deterministic synthetic payloads."""
-    table = table.select(np.arange(len(table)))
-    rng = np.random.default_rng(7)
-    sizes = np.minimum(table.payload_len, payload_bytes).astype(np.int64)
-    blob = rng.integers(0, 256, size=int(sizes.sum()), dtype=np.uint8)
-    payloads, offset = [], 0
-    for size in sizes:
-        payloads.append(bytes(blob[offset:offset + size]))
-        offset += size
-    table.payloads = payloads
-    return table
 
 
 def _run_both(name, inputs, params):
@@ -91,28 +76,6 @@ class TestByteEquality:
         }
         _assert_byte_equal(*_run_both(
             "DeviceLabels", [small_trace], {"device_map": device_map}
-        ))
-
-    def test_nprint_headers_only(self, small_trace):
-        _assert_byte_equal(*_run_both(
-            "NprintEncode", [small_trace],
-            {"layers": ["ipv4", "tcp", "udp", "icmp"]},
-        ))
-
-    def test_nprint_with_payload(self, small_trace):
-        table = _with_payloads(small_trace)
-        for payload_bytes in (4, 8):
-            _assert_byte_equal(*_run_both(
-                "NprintEncode", [table],
-                {"layers": ["ipv4", "tcp", "payload"],
-                 "payload_bytes": payload_bytes},
-            ))
-
-    def test_nprint_payload_layer_without_payload_data(self, small_trace):
-        # payloads=None delegates to the scalar body: trivially equal
-        _assert_byte_equal(*_run_both(
-            "NprintEncode", [small_trace],
-            {"layers": ["ipv4", "payload"], "payload_bytes": 4},
         ))
 
     def test_first_n_packets(self, small_trace):

@@ -49,10 +49,10 @@ def bodies_of(operation):
     return [body for body in bodies if body is not None]
 
 
-# every body kind: fn + batch (NprintEncode, ProtocolOneHot) and
+# every body kind: fn + batch (DeviceLabels, ProtocolOneHot) and
 # fn + stream_fn (KitsuneFeatures)
 @pytest.mark.parametrize(
-    "name", ["KitsuneFeatures", "NprintEncode", "ProtocolOneHot"]
+    "name", ["DeviceLabels", "KitsuneFeatures", "ProtocolOneHot"]
 )
 class TestComputedOnce:
     def test_each_body_is_loaded_once(self, name, fresh_cache, monkeypatch):

@@ -538,8 +538,8 @@ class TestRegistryAudit:
             if entry["batchable"]
         }
         assert batchable == {
-            "DeviceLabels", "FirstNPackets", "NprintEncode",
-            "ProtocolOneHot", "WlanFeatures",
+            "DeviceLabels", "FirstNPackets", "ProtocolOneHot",
+            "WlanFeatures",
         }
 
     def test_every_order_sensitive_op_declares_a_sort_key(self, audit):

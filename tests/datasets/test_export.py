@@ -9,6 +9,7 @@ import pytest
 from repro.core import InputError
 from repro.datasets.export import export_dataset, export_flows_csv, import_dataset
 from repro.flows import assemble_connections
+from repro.net.table import PacketTable
 from repro.traffic import AttackSpec, NetworkScenario
 
 
@@ -88,6 +89,21 @@ class TestExportImport:
         assert table.attacks == ["first", "port_scan"]
         assert table.attack_id[0] == -1 and table.attack_id[1] == 0
         assert set(table.attack_id[2:].tolist()) <= {-1, 1}
+
+    def test_ipv6_row_round_trips(self, tmp_path):
+        table = PacketTable.empty(1)
+        for name, value in [
+            ("ts", 1000.25), ("l3", 6), ("proto", 17), ("ttl", 9),
+            ("src_port", 5353), ("dst_port", 53), ("length", 66),
+            ("payload_len", 4), ("src_mac", 0x02AABBCCDD01),
+            ("dst_mac", 0x02AABBCCDD02), ("label", 1), ("attack_id", 0),
+        ]:
+            table.columns[name][0] = value
+        table.attacks = ["dns_spoof"]
+        rebuilt = import_dataset(*export_dataset(table, tmp_path, "v6"))
+        for name, column in table.columns.items():
+            assert rebuilt.columns[name].tobytes() == column.tobytes(), name
+        assert rebuilt.attacks == table.attacks
 
     def test_flows_csv(self, small_dataset, tmp_path):
         flows = assemble_connections(small_dataset)

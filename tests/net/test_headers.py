@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.checksum import internet_checksum
 from repro.net.headers import (
     ARPHeader,
     Dot11Header,
@@ -18,6 +17,13 @@ from repro.net.headers import (
     UDPHeader,
     ETHERTYPE_ARP,
     IPPROTO_TCP,
+)
+
+from tests.net.encode import (
+    encode,
+    encode_tcp_with_checksum,
+    internet_checksum,
+    tcp_udp_pseudo_header,
 )
 
 
@@ -45,7 +51,7 @@ class TestChecksum:
 class TestEthernet:
     def test_round_trip(self):
         header = EthernetHeader(src_mac=0xAABBCCDDEEFF, dst_mac=0x112233445566)
-        decoded, consumed = EthernetHeader.decode(header.encode())
+        decoded, consumed = EthernetHeader.decode(encode(header))
         assert decoded == header
         assert consumed == 14
 
@@ -60,7 +66,7 @@ class TestEthernet:
     )
     def test_round_trip_property(self, src, dst, ethertype):
         header = EthernetHeader(src_mac=src, dst_mac=dst, ethertype=ethertype)
-        assert EthernetHeader.decode(header.encode())[0] == header
+        assert EthernetHeader.decode(encode(header))[0] == header
 
 
 class TestIPv4:
@@ -73,7 +79,7 @@ class TestIPv4:
             ttl=63,
             identification=777,
         )
-        decoded, consumed = IPv4Header.decode(header.encode())
+        decoded, consumed = IPv4Header.decode(encode(header))
         assert consumed == 20
         assert decoded.src_ip == header.src_ip
         assert decoded.dst_ip == header.dst_ip
@@ -82,17 +88,17 @@ class TestIPv4:
         assert decoded.identification == 777
 
     def test_checksum_is_valid(self):
-        raw = IPv4Header(src_ip=1, dst_ip=2, protocol=6).encode()
+        raw = encode(IPv4Header(src_ip=1, dst_ip=2, protocol=6))
         assert internet_checksum(raw) == 0
 
     def test_rejects_ipv6_version(self):
-        raw = bytearray(IPv4Header(src_ip=1, dst_ip=2, protocol=6).encode())
+        raw = bytearray(encode(IPv4Header(src_ip=1, dst_ip=2, protocol=6)))
         raw[0] = (6 << 4) | 5
         with pytest.raises(HeaderError):
             IPv4Header.decode(bytes(raw))
 
     def test_rejects_bad_ihl(self):
-        raw = bytearray(IPv4Header(src_ip=1, dst_ip=2, protocol=6).encode())
+        raw = bytearray(encode(IPv4Header(src_ip=1, dst_ip=2, protocol=6)))
         raw[0] = (4 << 4) | 4
         with pytest.raises(HeaderError):
             IPv4Header.decode(bytes(raw))
@@ -111,7 +117,7 @@ class TestIPv6:
             payload_length=100,
             hop_limit=255,
         )
-        decoded, consumed = IPv6Header.decode(header.encode())
+        decoded, consumed = IPv6Header.decode(encode(header))
         assert consumed == 40
         assert decoded == header
 
@@ -121,9 +127,7 @@ class TestIPv6:
 
     def test_rejects_wrong_version(self):
         raw = bytearray(
-            IPv6Header(
-                src_ip=b"\x00" * 16, dst_ip=b"\x00" * 16, next_header=6
-            ).encode()
+            encode(IPv6Header(src_ip=b"\x00" * 16, dst_ip=b"\x00" * 16, next_header=6))
         )
         raw[0] = 0x45
         with pytest.raises(HeaderError):
@@ -140,7 +144,7 @@ class TestTCP:
             flags=int(TCPFlags.SYN | TCPFlags.ACK),
             window=1024,
         )
-        decoded, consumed = TCPHeader.decode(header.encode())
+        decoded, consumed = TCPHeader.decode(encode(header))
         assert consumed == 20
         assert decoded == header
 
@@ -152,9 +156,7 @@ class TestTCP:
     def test_checksum_verifies(self):
         header = TCPHeader(src_port=1000, dst_port=443)
         payload = b"hello"
-        raw = header.encode_with_checksum(0x0A000001, 0x0A000002, payload)
-        from repro.net.checksum import tcp_udp_pseudo_header
-
+        raw = encode_tcp_with_checksum(header, 0x0A000001, 0x0A000002, payload)
         pseudo = tcp_udp_pseudo_header(
             0x0A000001, 0x0A000002, IPPROTO_TCP, len(raw) + len(payload)
         )
@@ -172,13 +174,13 @@ class TestTCP:
     )
     def test_round_trip_property(self, sport, dport, seq, flags):
         header = TCPHeader(src_port=sport, dst_port=dport, seq=seq, flags=flags)
-        assert TCPHeader.decode(header.encode())[0] == header
+        assert TCPHeader.decode(encode(header))[0] == header
 
 
 class TestUDPAndICMP:
     def test_udp_round_trip(self):
         header = UDPHeader(src_port=5353, dst_port=53, length=30)
-        decoded, consumed = UDPHeader.decode(header.encode())
+        decoded, consumed = UDPHeader.decode(encode(header))
         assert consumed == 8
         assert decoded == header
 
@@ -188,14 +190,14 @@ class TestUDPAndICMP:
 
     def test_icmp_round_trip(self):
         header = ICMPHeader(icmp_type=ICMPHeader.ECHO_REQUEST, rest=0x00010001)
-        decoded, consumed = ICMPHeader.decode(header.encode(fill_checksum=False))
+        decoded, consumed = ICMPHeader.decode(encode(header))
         assert consumed == 8
         assert decoded.icmp_type == ICMPHeader.ECHO_REQUEST
         assert decoded.rest == 0x00010001
 
     def test_icmp_checksum_covers_payload(self):
         payload = b"ping-data"
-        raw = ICMPHeader(icmp_type=8).encode(payload)
+        raw = encode(ICMPHeader(icmp_type=8), payload)
         assert internet_checksum(raw + payload) == 0
 
 
@@ -208,15 +210,15 @@ class TestARP:
             target_mac=0x112233445566,
             target_ip=0x0A000002,
         )
-        decoded, consumed = ARPHeader.decode(header.encode())
+        decoded, consumed = ARPHeader.decode(encode(header))
         assert consumed == 28
         assert decoded == header
 
     def test_rejects_non_ethernet_arp(self):
         raw = bytearray(
-            ARPHeader(
+            encode(ARPHeader(
                 operation=1, sender_mac=0, sender_ip=0, target_mac=0, target_ip=0
-            ).encode()
+            ))
         )
         raw[1] = 9  # bogus hardware type
         with pytest.raises(HeaderError):
@@ -234,7 +236,7 @@ class TestDot11:
             duration=314,
             seq_ctrl=0x10,
         )
-        decoded, consumed = Dot11Header.decode(header.encode())
+        decoded, consumed = Dot11Header.decode(encode(header))
         assert consumed == 24
         assert decoded == header
 
@@ -250,6 +252,6 @@ class TestDot11:
         header = Dot11Header(
             frame_type=frame_type, subtype=subtype, addr1=1, addr2=2, addr3=3
         )
-        decoded, _ = Dot11Header.decode(header.encode())
+        decoded, _ = Dot11Header.decode(encode(header))
         assert decoded.frame_type == frame_type
         assert decoded.subtype == subtype

@@ -1,4 +1,4 @@
-"""Tests for packet parsing/encoding and pcap round-trips."""
+"""Tests for packet parsing and pcap round-trips through the object path."""
 
 import struct
 
@@ -17,15 +17,16 @@ from repro.net.headers import (
     IPPROTO_UDP,
 )
 from repro.net.packet import LinkType, Packet
-from repro.net.pcap import (
-    PcapFormatError,
-    PcapReader,
+from repro.net.pcap import PcapFormatError, PcapReader, read_pcap, read_pcap_table
+from repro.net.table import PacketTable
+
+from tests.net.encode import (
     PcapWriter,
-    read_pcap,
-    read_pcap_table,
+    encode,
+    encode_packet,
+    table_to_packets,
     write_pcap,
 )
-from repro.net.table import PacketTable
 
 
 def make_tcp_packet(ts=1.0, payload=b"data", flags=0x02):
@@ -57,7 +58,7 @@ class TestPacketModel:
         assert packet.wire_length == 14 + 20 + 20 + 4
 
     def test_parse_keeps_orig_len_only_when_truncated(self):
-        data = make_tcp_packet(payload=b"abcdefgh").encode()
+        data = encode_packet(make_tcp_packet(payload=b"abcdefgh"))
         whole = Packet.parse(data, orig_len=len(data))
         assert whole.orig_len == 0
         assert whole.wire_length == len(data)
@@ -74,14 +75,14 @@ class TestPacketModel:
             total_length=48 + len(ip_options), options=ip_options,
         )
         frame = (
-            EthernetHeader(src_mac=1, dst_mac=2).encode()
-            + ip.encode() + tcp.encode() + b"data"
+            encode(EthernetHeader(src_mac=1, dst_mac=2))
+            + encode(ip) + encode(tcp) + b"data"
         )
         assert len(frame) == 62 + len(ip_options)
         parsed = Packet.parse(frame)
         assert parsed.wire_length == len(frame)
         assert parsed.payload == b"data"
-        assert parsed.encode() == frame
+        assert encode_packet(parsed) == frame
 
     def test_link_type_detection(self):
         assert make_tcp_packet().link_type == LinkType.ETHERNET
@@ -93,7 +94,7 @@ class TestPacketModel:
 
     def test_parse_round_trip_tcp(self):
         original = make_tcp_packet(payload=b"hello")
-        parsed = Packet.parse(original.encode(), timestamp=1.0)
+        parsed = Packet.parse(encode_packet(original), timestamp=1.0)
         assert parsed.layer(EthernetHeader).src_mac == 1
         assert parsed.layer(IPv4Header).dst_ip == 0x0A000002
         assert parsed.layer(TCPHeader).src_port == 4444
@@ -109,7 +110,7 @@ class TestPacketModel:
             ],
             payload=b"12345678",
         )
-        parsed = Packet.parse(packet.encode())
+        parsed = Packet.parse(encode_packet(packet))
         assert parsed.layer(UDPHeader).dst_port == 53
         assert parsed.payload == b"12345678"
 
@@ -123,7 +124,7 @@ class TestPacketModel:
                 ),
             ],
         )
-        parsed = Packet.parse(packet.encode())
+        parsed = Packet.parse(encode_packet(packet))
         assert parsed.layer(ARPHeader).target_ip == 20
 
     def test_parse_round_trip_icmp(self):
@@ -135,7 +136,7 @@ class TestPacketModel:
                 ICMPHeader(icmp_type=8),
             ],
         )
-        parsed = Packet.parse(packet.encode())
+        parsed = Packet.parse(encode_packet(packet))
         assert parsed.layer(ICMPHeader).icmp_type == 8
 
     def test_parse_dot11(self):
@@ -153,14 +154,14 @@ class TestPacketModel:
             payload=b"\x07\x00",
         )
         parsed = Packet.parse(
-            original.encode(), timestamp=2.0, link_type=LinkType.IEEE802_11
+            encode_packet(original), timestamp=2.0, link_type=LinkType.IEEE802_11
         )
         assert parsed.layer(Dot11Header).subtype == Dot11Header.SUBTYPE_DEAUTH
         assert parsed.payload == b"\x07\x00"
 
     def test_garbage_beyond_ethernet_becomes_payload(self):
         ether = EthernetHeader(src_mac=1, dst_mac=2, ethertype=0x0800)
-        raw = ether.encode() + b"\x00\x01\x02"  # not a valid IPv4 header
+        raw = encode(ether) + b"\x00\x01\x02"  # not a valid IPv4 header
         parsed = Packet.parse(raw)
         assert parsed.payload == b"\x00\x01\x02"
         assert parsed.layer(IPv4Header) is None
@@ -224,7 +225,7 @@ class TestPcap:
     def test_big_endian_capture_is_read(self, tmp_path):
         # Hand-assemble a big-endian microsecond capture with one record.
         packet = make_tcp_packet(ts=3.0)
-        raw = packet.encode()
+        raw = encode_packet(packet)
         header = struct.pack(">IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
         record = struct.pack(">IIII", 3, 0, len(raw), len(raw)) + raw
         path = tmp_path / "be.pcap"
@@ -258,7 +259,7 @@ class TestSnaplen:
 
     def round_trip(self, table, path, **writer_kwargs):
         with PcapWriter(path, **writer_kwargs) as writer:
-            for packet in table.to_packets():
+            for packet in table_to_packets(table):
                 writer.write(packet)
         return PacketTable.from_packets(read_pcap(path))
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.payloads import (
+from tests.net.payloads import (
     DnsMessage,
     decode_dns_name,
     dns_query,

@@ -1,15 +1,21 @@
-"""Differential fuzzing of the two pcap readers.
+"""Differential fuzzing of the pcap readers and the pcap writer.
 
-``read_pcap_table`` (columnar) must equal
+Read leg: ``read_pcap_table`` (columnar) must equal
 ``PacketTable.from_packets(read_pcap(path))`` (one ``Packet`` per record)
 in every column, byte for byte, on every input; and where one reader
 rejects an input, the other must raise the same error type with the same
 message.  Only ``PcapFormatError`` and ``HeaderError`` may escape either.
 
-The fuzzer is seeded and stdlib-only: it mutates captures written by
-:mod:`repro.traffic` and a hand-built capture of irregular frames.  The
-short budget runs with the tier-1 suite; ``-m pcap_fuzz_long`` selects a
-longer one.
+Write leg: ``write_pcap_table`` must write the bytes of the scalar
+encoder in :mod:`tests.net.encode` wherever that encoder is correct
+(IPv4, ARP and 802.11 rows whose ``length`` is their frame's length),
+and read -> write -> read must be the identity.
+
+The fuzzers are seeded: the read leg mutates captures written by
+:mod:`repro.traffic` and hand-built captures of irregular frames; the
+write leg mutates the columns of tables sliced from generated traffic
+and read from those captures.  The short budgets run with the tier-1
+suite; ``-m pcap_fuzz_long`` selects longer ones.
 """
 
 import random
@@ -41,11 +47,13 @@ from repro.net.pcap import (
     MAGIC_MICRO_LE,
     MAGIC_NANO_LE,
     PcapFormatError,
-    PcapWriter,
     read_pcap,
     read_pcap_table,
+    write_pcap_table,
 )
 from repro.net.table import PacketTable
+
+from tests.net.encode import PcapWriter, encode, table_to_packets, write_pcap
 
 
 def outcome(read, path):
@@ -63,12 +71,16 @@ def assert_readers_agree(path) -> bool:
     if isinstance(columnar, tuple) or isinstance(objects, tuple):
         assert columnar == objects
         return False
-    assert list(columnar.columns) == list(objects.columns)
-    for name, column in objects.columns.items():
-        assert columnar.columns[name].dtype == column.dtype, name
-        assert columnar.columns[name].tobytes() == column.tobytes(), name
-    assert columnar.attacks == objects.attacks
+    assert_tables_equal(columnar, objects)
     return True
+
+
+def assert_tables_equal(got: PacketTable, want: PacketTable) -> None:
+    assert list(got.columns) == list(want.columns)
+    for name, column in want.columns.items():
+        assert got.columns[name].dtype == column.dtype, name
+        assert got.columns[name].tobytes() == column.tobytes(), name
+    assert got.attacks == want.attacks
 
 
 def capture(frames, *, order="<", nano=False, link=LinkType.ETHERNET, orig=None):
@@ -107,27 +119,27 @@ V6_A, V6_B = bytes(range(16)), bytes(range(16, 32))
 
 
 def ether(ethertype=0x0800):
-    return EthernetHeader(src_mac=MAC_A, dst_mac=MAC_B, ethertype=ethertype).encode()
+    return encode(EthernetHeader(src_mac=MAC_A, dst_mac=MAC_B, ethertype=ethertype))
 
 
 def ipv4(protocol, body_len, options=b""):
-    return IPv4Header(
+    return encode(IPv4Header(
         src_ip=IP_A, dst_ip=IP_B, protocol=protocol, ttl=57,
         total_length=20 + len(options) + body_len, options=options,
-    ).encode()
+    ))
 
 
 def tcp(options=b""):
-    return TCPHeader(
+    return encode(TCPHeader(
         src_port=40000, dst_port=443, flags=0x18, window=1234, options=options
-    ).encode()
+    ))
 
 
 def irregular_frames() -> list[bytes]:
     """Every layout the columnar reader handles, regular or not."""
-    udp = UDPHeader(src_port=5353, dst_port=53, length=12).encode()
-    icmp = ICMPHeader(icmp_type=8).encode()
-    arp = ARPHeader(ARPHeader.REQUEST, MAC_A, IP_A, 0, IP_B).encode()
+    udp = encode(UDPHeader(src_port=5353, dst_port=53, length=12))
+    icmp = encode(ICMPHeader(icmp_type=8))
+    arp = encode(ARPHeader(ARPHeader.REQUEST, MAC_A, IP_A, 0, IP_B))
     tcp_opts = b"\x02\x04\x05\xb4"  # MSS
     ip_opts = b"\x94\x04\x00\x00"  # router alert
     return [
@@ -143,11 +155,12 @@ def irregular_frames() -> list[bytes]:
         ether() + b"\x46" + ipv4(IPPROTO_UDP, 0)[1:],  # IHL 6, no room
         ether() + b"\x65" + ipv4(IPPROTO_UDP, 0)[1:],  # version 6 in IPv4
         ether(ETHERTYPE_IPV6)
-        + IPv6Header(V6_A, V6_B, IPPROTO_TCP, 20, hop_limit=9).encode() + tcp(),
+        + encode(IPv6Header(V6_A, V6_B, IPPROTO_TCP, 20, hop_limit=9)) + tcp(),
         ether(ETHERTYPE_IPV6)
-        + IPv6Header(V6_A, V6_B, IPPROTO_UDP, 8).encode() + udp,
-        ether(ETHERTYPE_IPV6) + IPv6Header(V6_A, V6_B, 59).encode()[:30],
+        + encode(IPv6Header(V6_A, V6_B, IPPROTO_UDP, 8)) + udp,
+        ether(ETHERTYPE_IPV6) + encode(IPv6Header(V6_A, V6_B, 59))[:30],
         ether(ETHERTYPE_ARP) + arp,
+        ether(ETHERTYPE_ARP) + arp + bytes(18),  # padded to 60 bytes
         ether(ETHERTYPE_ARP) + arp[:20],  # short ARP
         ether(ETHERTYPE_ARP) + b"\x00\x06" + arp[2:],  # another variant
         ether(0x88CC) + b"lldp",
@@ -158,7 +171,7 @@ def irregular_frames() -> list[bytes]:
 def dot11_frames() -> list[bytes]:
     header = Dot11Header(frame_type=2, subtype=8, addr1=MAC_A, addr2=MAC_B, addr3=MAC_A)
     beacon = Dot11Header(frame_type=0, subtype=8, addr1=MAC_B, addr2=MAC_A, addr3=MAC_A)
-    return [header.encode() + b"payload", beacon.encode(), beacon.encode() + b"x"]
+    return [encode(header) + b"payload", encode(beacon), encode(beacon) + b"x"]
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +199,7 @@ def seeds(traffic_captures, tmp_path_factory):
         found.append(data[: at + 16 + size])
     table = load_dataset("F0").sort_by_time().select(np.arange(120))
     with PcapWriter(directory / "cut.pcap", snaplen=60) as writer:
-        for packet in table.to_packets():
+        for packet in table_to_packets(table):
             writer.write(packet)
     found.append((directory / "cut.pcap").read_bytes())
     return found
@@ -342,3 +355,179 @@ def test_mutations(seeds, tmp_path, budget):
         except Exception as exc:
             raise AssertionError(f"fuzz case {case} ({kind}): {exc!r}") from exc
     assert accepted and rejected
+
+
+# --------------------------------------------------------------------------
+# the write leg
+# --------------------------------------------------------------------------
+
+
+def written(table: PacketTable, path) -> bytes:
+    write_pcap_table(path, table)
+    return path.read_bytes()
+
+
+def oracle_rows(table: PacketTable) -> np.ndarray:
+    """The rows the scalar encoder writes correctly: IPv4, ARP without
+    payload and 802.11 rows whose ``length`` is their frame's length."""
+    cols = table.columns
+    dot11 = cols["l2"] == LinkType.IEEE802_11
+    ipv4 = ~dot11 & (cols["l3"] == 4)
+    arp = (
+        ~dot11 & (cols["l3"] == 0) & ((cols["src_ip"] | cols["dst_ip"]) != 0)
+        & (cols["payload_len"] == 0)
+    )
+    transport = np.select(
+        [cols["proto"] == IPPROTO_TCP, np.isin(cols["proto"], (IPPROTO_UDP, IPPROTO_ICMP))],
+        [20, 8], 0,
+    )
+    frame = np.select([dot11, ipv4, arp], [24, 34 + transport, 42], -1)
+    return (frame >= 0) & (cols["length"] == frame + cols["payload_len"])
+
+
+def assert_writer_matches_oracle(table: PacketTable, directory) -> None:
+    rows = table.select(oracle_rows(table))
+    write_pcap(directory / "oracle.pcap", table_to_packets(rows))
+    assert written(rows, directory / "columns.pcap") == (
+        directory / "oracle.pcap"
+    ).read_bytes()
+
+
+def assert_round_trip(table: PacketTable, path) -> PacketTable:
+    """read -> write -> read is the identity; return the table read from
+    ``table``'s capture."""
+    write_pcap_table(path, table)
+    once = read_pcap_table(path)
+    write_pcap_table(path, once)
+    assert_tables_equal(read_pcap_table(path), once)
+    return once
+
+
+def read_tables(traffic_captures, seeds, directory) -> list[PacketTable]:
+    """Tables read from microsecond captures: the traffic captures, the
+    hand-built irregular and 802.11 ones, and the snaplen-cut one."""
+    path = directory / "seed.pcap"
+    found = [read_pcap_table(p) for p in traffic_captures.values()]
+    for data in (seeds[0], seeds[2], seeds[-1]):
+        path.write_bytes(data)
+        found.append(read_pcap_table(path))
+    return found
+
+
+class TestWriter:
+    @pytest.mark.parametrize("dataset_id", ["F0", "P0", "P2"])
+    def test_traffic_capture_matches_the_oracle(
+        self, traffic_captures, tmp_path, dataset_id
+    ):
+        table = load_dataset(dataset_id).sort_by_time()
+        assert oracle_rows(table).all()
+        write_pcap(tmp_path / "oracle.pcap", table_to_packets(table))
+        assert traffic_captures[dataset_id].read_bytes() == (
+            tmp_path / "oracle.pcap"
+        ).read_bytes()
+
+    def test_read_tables_read_back_unchanged(self, traffic_captures, seeds, tmp_path):
+        tables = read_tables(traffic_captures, seeds, tmp_path)
+        for table in tables:
+            assert_tables_equal(assert_round_trip(table, tmp_path / "t.pcap"), table)
+        # what the round trip covered: IPv6 rows, a padded ARP frame,
+        # and a snaplen cut that lives on in ``length``
+        irregular = tables[3]
+        assert (irregular.l3 == 6).sum() == 2
+        assert ((irregular.src_ip != 0) & (irregular.l3 == 0) & (irregular.payload_len == 18)).any()
+        assert (tables[-1].length > 60).any()
+
+    def test_ethertype_of_each_row_kind(self, tmp_path):
+        table = PacketTable.empty(4)
+        table.columns["l3"][:] = [4, 6, 0, 0]
+        table.columns["src_ip"][2] = IP_A  # an ARP row; the last has no IP
+        data = written(table, tmp_path / "t.pcap")
+        ethertypes = [data[at + 28 : at + 30] for at, _ in records(data)]
+        assert ethertypes == [b"\x08\x00", b"\x86\xdd", b"\x08\x06", b"\x88\xb5"]
+
+    def test_oracle_rows_of_hand_built_tables(self, traffic_captures, seeds, tmp_path):
+        for table in read_tables(traffic_captures, seeds, tmp_path)[3:]:
+            assert oracle_rows(table).any()
+            assert_writer_matches_oracle(table, tmp_path)
+
+    def test_ipv4_checksum_folds_twice(self, tmp_path):
+        # the header words sum to 0x5FFFD: the first fold carries again
+        table = PacketTable.empty(1)
+        for name, value in [
+            ("l3", 4), ("proto", 255), ("ttl", 255), ("src_ip", 2**32 - 1),
+            ("dst_ip", 2**32 - 1), ("payload_len", 31470), ("length", 31504),
+        ]:
+            table.columns[name][0] = value
+        assert_writer_matches_oracle(table, tmp_path)
+
+    def test_empty_table(self, tmp_path):
+        table = PacketTable.empty()
+        assert_tables_equal(assert_round_trip(table, tmp_path / "t.pcap"), table)
+        assert_writer_matches_oracle(table, tmp_path)
+
+
+#: what each column may be set to: values of its dtype that a capture
+#: can carry (48-bit MACs, timestamps below 2**32 - 1 s) and payloads
+#: short enough to materialise (every payload byte is written)
+COLUMN_VALUES = {
+    "ts": lambda rng: rng.uniform(0, 2**32 - 1),
+    "src_ip": lambda rng: rng.choice([0, rng.getrandbits(32)]),
+    "dst_ip": lambda rng: rng.choice([0, rng.getrandbits(32)]),
+    "src_port": lambda rng: rng.getrandbits(16),
+    "dst_port": lambda rng: rng.getrandbits(16),
+    "proto": lambda rng: rng.choice([0, 1, 6, 17, 47, 58, rng.getrandbits(8)]),
+    "length": lambda rng: rng.choice([0, rng.randrange(100), rng.getrandbits(32)]),
+    "payload_len": lambda rng: rng.choice([0, rng.randrange(64), rng.randrange(1500)]),
+    "tcp_flags": lambda rng: rng.getrandbits(8),
+    "ttl": lambda rng: rng.getrandbits(8),
+    "window": lambda rng: rng.getrandbits(16),
+    "l3": lambda rng: rng.choice([0, 4, 6, rng.getrandbits(8)]),
+    "wlan_type": lambda rng: rng.getrandbits(8),
+    "wlan_subtype": lambda rng: rng.getrandbits(8),
+    "src_mac": lambda rng: rng.getrandbits(48),
+    "dst_mac": lambda rng: rng.getrandbits(48),
+}
+
+
+def mutate_table(table: PacketTable, rng: random.Random) -> PacketTable:
+    """A random slice of ``table`` with some columns mutated: some rows
+    get new values, or the whole ``l2`` column a new link type (a
+    capture has one)."""
+    start = rng.randrange(len(table))
+    table = table.select(np.arange(start, min(len(table), start + rng.randint(1, 64))))
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        if rng.random() < 0.1:
+            table.columns["l2"][:] = rng.choice([1, 105, rng.getrandbits(8)])
+            continue
+        name = rng.choice(sorted(COLUMN_VALUES))
+        column = table.columns[name]
+        share = rng.choice([0.1, 0.5, 1.0])
+        for i in range(len(table)):
+            if rng.random() < share:
+                column[i] = COLUMN_VALUES[name](rng)
+    return table
+
+
+@pytest.fixture(scope="module")
+def table_seeds(traffic_captures, seeds, tmp_path_factory):
+    """Generated F0/P0/P2 tables and the read tables, for slicing."""
+    generated = [load_dataset(d).sort_by_time() for d in ("F0", "P0", "P2")]
+    directory = tmp_path_factory.mktemp("table_seeds")
+    return generated + read_tables(traffic_captures, seeds, directory)
+
+
+@pytest.mark.parametrize(
+    "budget", [400, pytest.param(20_000, marks=pytest.mark.pcap_fuzz_long)]
+)
+def test_write_mutations(table_seeds, tmp_path, budget):
+    compared = 0
+    for case in range(budget):
+        rng = random.Random(case)  # each case replays on its own
+        table = mutate_table(rng.choice(table_seeds), rng)
+        try:
+            assert_round_trip(table, tmp_path / "t.pcap")
+            assert_writer_matches_oracle(table, tmp_path)
+        except Exception as exc:
+            raise AssertionError(f"write fuzz case {case}: {exc!r}") from exc
+        compared += int(oracle_rows(table).sum())
+    assert compared

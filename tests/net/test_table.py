@@ -15,6 +15,8 @@ from repro.net.headers import (
 from repro.net.packet import LinkType, Packet
 from repro.net.table import PACKET_COLUMNS, PacketTable
 
+from tests.net.encode import table_to_packets
+
 
 def make_packets():
     packets = []
@@ -71,10 +73,6 @@ class TestConstruction:
         table = PacketTable.from_packets(make_packets())
         assert table.payload_len[4] == 4
 
-    def test_keep_payloads(self):
-        table = PacketTable.from_packets(make_packets(), keep_payloads=True)
-        assert table.payloads[5] == b"xxxxx"
-
     def test_udp_ports_extracted(self):
         packet = Packet(
             timestamp=0.0,
@@ -122,11 +120,6 @@ class TestTransforms:
         assert len(malicious) == 3
         assert (malicious.label == 1).all()
 
-    def test_select_preserves_payloads(self):
-        table = PacketTable.from_packets(make_packets(), keep_payloads=True)
-        subset = table.select(table.ts >= 8)
-        assert subset.payloads == [b"x" * 8, b"x" * 9]
-
     def test_sort_by_time(self):
         table = PacketTable.from_packets(make_packets())
         shuffled = table.select(np.array([5, 1, 9, 0, 3, 2, 8, 4, 7, 6]))
@@ -161,7 +154,7 @@ class TestTransforms:
 
     def test_to_packets_round_trip(self):
         table = PacketTable.from_packets(make_packets())
-        rebuilt = PacketTable.from_packets(table.to_packets())
+        rebuilt = PacketTable.from_packets(table_to_packets(table))
         assert table.equals(rebuilt)
 
     def test_duration(self):

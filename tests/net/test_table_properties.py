@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.net.table import PACKET_COLUMNS, PacketTable
 from repro.traffic.builder import TraceBuilder
 
+from tests.net.encode import table_to_packets
+
 
 @st.composite
 def tables(draw):
@@ -92,5 +94,5 @@ def test_save_load_round_trip_property(table, tmp_path_factory):
 @settings(max_examples=30, deadline=None)
 @given(table=tables())
 def test_packets_round_trip_property(table):
-    rebuilt = PacketTable.from_packets(table.to_packets())
+    rebuilt = PacketTable.from_packets(table_to_packets(table))
     assert rebuilt.equals(table)

@@ -348,8 +348,10 @@ class TestTransactions:
             return features(self, *args, **kwargs)
 
         monkeypatch.setattr(KitsuneStreamState, "features", hang_first)
+        # the deadline binds every chunk: one no healthy chunk comes near,
+        # so that only the hung one overruns
         daemon = make_daemon(
-            serve_trace, tmp_path, retries=0, chunk_deadline=0.05
+            serve_trace, tmp_path, retries=0, chunk_deadline=1.0
         )
         try:
             report = daemon.run()

@@ -261,7 +261,7 @@ class TestVectorizeCommand:
         summary = payload["summary"]
         assert summary["opaque"] == 0
         assert summary["errors"] == 0
-        assert summary["batchable"] == 5
+        assert summary["batchable"] == 4
         by_name = {
             entry["operation"]: entry for entry in payload["operations"]
         }
