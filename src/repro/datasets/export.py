@@ -11,6 +11,7 @@ microsecond timestamps).
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from pathlib import Path
 
@@ -18,6 +19,9 @@ import numpy as np
 
 from repro.net.pcap import read_pcap_table, write_pcap_table
 from repro.net.table import PacketTable
+
+#: label-file rows formatted and written per write call
+_LABEL_BLOCK_ROWS = 65536
 
 
 def export_dataset(
@@ -34,20 +38,29 @@ def export_dataset(
     pcap_path = directory / f"{name}.pcap"
     labels_path = directory / f"{name}.labels.csv"
     write_pcap_table(pcap_path, sorted_table)
+    names = [_csv_field(attack) for attack in sorted_table.attacks]
+    ts, label, attack_id = sorted_table.ts, sorted_table.label, sorted_table.attack_id
     with open(labels_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "timestamp", "label", "attack"])
-        for i in range(len(sorted_table)):
-            attack_id = int(sorted_table.attack_id[i])
-            writer.writerow(
-                [
-                    i,
-                    f"{float(sorted_table.ts[i]):.6f}",
-                    int(sorted_table.label[i]),
-                    sorted_table.attacks[attack_id] if attack_id >= 0 else "",
-                ]
-            )
+        handle.write("index,timestamp,label,attack\r\n")
+        for start in range(0, len(sorted_table), _LABEL_BLOCK_ROWS):
+            stop = start + _LABEL_BLOCK_ROWS
+            handle.write("".join([
+                f"{i},{t:.6f},{lab},{names[a] if a >= 0 else ''}\r\n"
+                for i, t, lab, a in zip(
+                    range(start, stop),
+                    ts[start:stop].tolist(),
+                    label[start:stop].tolist(),
+                    attack_id[start:stop].tolist(),
+                )
+            ]))
     return pcap_path, labels_path
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row (quoted if need be)."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["", text])
+    return buffer.getvalue()[1:-2]
 
 
 def import_dataset(pcap_path: str | Path, labels_path: str | Path) -> PacketTable:

@@ -6,6 +6,15 @@ Generators append rows here instead of constructing
 multi-thousand-packet dataset fast.  A built table round-trips through a
 real capture with :func:`repro.net.pcap.write_pcap_table` and
 :func:`repro.net.pcap.read_pcap_table`.
+
+Each ``add_*`` helper appends one plain tuple, its fields in
+:data:`~repro.net.table.PACKET_COLUMNS` order.  Every
+:data:`BLOCK_ROWS` rows the pending tuples become one structured numpy
+block (one field per column), so the Python objects held at any time
+stay bounded; :meth:`TraceBuilder.build` converts the tail and
+concatenates the blocks column by column.  A value out of its column's
+range raises ``OverflowError`` when its block is converted: at the
+``add_*`` call that fills the block, or at ``build()`` for the tail.
 """
 
 from __future__ import annotations
@@ -30,17 +39,26 @@ from repro.net.table import PACKET_COLUMNS, PacketTable
 from repro.obs import METRICS, get_tracer
 from repro.obs import metrics as metric_names
 
+#: pending rows converted to one numpy block at a time
+BLOCK_ROWS = 4096
+
+_ROW_DTYPE = np.dtype(list(PACKET_COLUMNS.items()))
+_ETHERNET = int(LinkType.ETHERNET)
+_DOT11 = int(LinkType.IEEE802_11)
+_IPV4_LEN = EthernetHeader.WIRE_LEN + IPv4Header.WIRE_LEN
+
 
 class TraceBuilder:
     """Accumulates packet rows and finalises them into a PacketTable."""
 
     def __init__(self) -> None:
-        self._rows: dict[str, list] = {name: [] for name in PACKET_COLUMNS}
+        self._pending: list[tuple] = []
+        self._blocks: list[np.ndarray] = []  # each BLOCK_ROWS rows
         self._attacks: list[str] = []
         self._attack_index: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._rows["ts"])
+        return len(self._blocks) * BLOCK_ROWS + len(self._pending)
 
     def _attack_id(self, attack: str) -> int:
         if not attack:
@@ -50,34 +68,18 @@ class TraceBuilder:
             self._attacks.append(attack)
         return self._attack_index[attack]
 
-    def _append(self, **values) -> None:
-        defaults = {
-            "ts": 0.0,
-            "src_ip": 0,
-            "dst_ip": 0,
-            "src_port": 0,
-            "dst_port": 0,
-            "proto": 0,
-            "length": 0,
-            "payload_len": 0,
-            "tcp_flags": 0,
-            "ttl": 64,
-            "window": 0,
-            "l2": int(LinkType.ETHERNET),
-            "l3": 4,
-            "wlan_type": 255,
-            "wlan_subtype": 255,
-            "src_mac": 0,
-            "dst_mac": 0,
-            "label": 0,
-            "attack_id": -1,
-        }
-        defaults.update(values)
-        for name, value in defaults.items():
-            self._rows[name].append(value)
+    def _push(self, row: tuple) -> None:
+        pending = self._pending
+        pending.append(row)
+        if len(pending) == BLOCK_ROWS:
+            self._blocks.append(np.array(pending, dtype=_ROW_DTYPE))
+            pending.clear()
 
     # ------------------------------------------------------------------
-    # Per-protocol row helpers
+    # Per-protocol row helpers; each tuple is in PACKET_COLUMNS order:
+    # ts, src_ip, dst_ip, src_port, dst_port, proto, length, payload_len,
+    # tcp_flags, ttl, window, l2, l3, wlan_type, wlan_subtype, src_mac,
+    # dst_mac, label, attack_id
     # ------------------------------------------------------------------
 
     def add_tcp(
@@ -95,24 +97,12 @@ class TraceBuilder:
         dst_mac: int = 0,
         attack: str = "",
     ) -> None:
-        self._append(
-            ts=ts,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            src_port=src_port,
-            dst_port=dst_port,
-            proto=IPPROTO_TCP,
-            length=(EthernetHeader.WIRE_LEN + IPv4Header.WIRE_LEN
-                    + TCPHeader.WIRE_LEN + payload_len),
-            payload_len=payload_len,
-            tcp_flags=flags,
-            ttl=ttl,
-            window=window,
-            src_mac=src_mac,
-            dst_mac=dst_mac,
-            label=1 if attack else 0,
-            attack_id=self._attack_id(attack),
-        )
+        self._push((
+            ts, src_ip, dst_ip, src_port, dst_port, IPPROTO_TCP,
+            _IPV4_LEN + TCPHeader.WIRE_LEN + payload_len, payload_len,
+            flags, ttl, window, _ETHERNET, 4, 255, 255, src_mac, dst_mac,
+            1 if attack else 0, self._attack_id(attack),
+        ))
 
     def add_udp(
         self,
@@ -127,22 +117,12 @@ class TraceBuilder:
         dst_mac: int = 0,
         attack: str = "",
     ) -> None:
-        self._append(
-            ts=ts,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            src_port=src_port,
-            dst_port=dst_port,
-            proto=IPPROTO_UDP,
-            length=(EthernetHeader.WIRE_LEN + IPv4Header.WIRE_LEN
-                    + UDPHeader.WIRE_LEN + payload_len),
-            payload_len=payload_len,
-            ttl=ttl,
-            src_mac=src_mac,
-            dst_mac=dst_mac,
-            label=1 if attack else 0,
-            attack_id=self._attack_id(attack),
-        )
+        self._push((
+            ts, src_ip, dst_ip, src_port, dst_port, IPPROTO_UDP,
+            _IPV4_LEN + UDPHeader.WIRE_LEN + payload_len, payload_len,
+            0, ttl, 0, _ETHERNET, 4, 255, 255, src_mac, dst_mac,
+            1 if attack else 0, self._attack_id(attack),
+        ))
 
     def add_icmp(
         self,
@@ -153,18 +133,12 @@ class TraceBuilder:
         ttl: int = 64,
         attack: str = "",
     ) -> None:
-        self._append(
-            ts=ts,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            proto=IPPROTO_ICMP,
-            length=(EthernetHeader.WIRE_LEN + IPv4Header.WIRE_LEN
-                    + ICMPHeader.WIRE_LEN + payload_len),
-            payload_len=payload_len,
-            ttl=ttl,
-            label=1 if attack else 0,
-            attack_id=self._attack_id(attack),
-        )
+        self._push((
+            ts, src_ip, dst_ip, 0, 0, IPPROTO_ICMP,
+            _IPV4_LEN + ICMPHeader.WIRE_LEN + payload_len, payload_len,
+            0, ttl, 0, _ETHERNET, 4, 255, 255, 0, 0,
+            1 if attack else 0, self._attack_id(attack),
+        ))
 
     def add_arp(
         self,
@@ -175,18 +149,12 @@ class TraceBuilder:
         target_ip: int,
         attack: str = "",
     ) -> None:
-        self._append(
-            ts=ts,
-            src_ip=sender_ip,
-            dst_ip=target_ip,
-            l3=0,
-            length=EthernetHeader.WIRE_LEN + ARPHeader.WIRE_LEN,
-            payload_len=0,
-            src_mac=src_mac,
-            dst_mac=dst_mac,
-            label=1 if attack else 0,
-            attack_id=self._attack_id(attack),
-        )
+        self._push((
+            ts, sender_ip, target_ip, 0, 0, 0,
+            EthernetHeader.WIRE_LEN + ARPHeader.WIRE_LEN, 0,
+            0, 64, 0, _ETHERNET, 0, 255, 255, src_mac, dst_mac,
+            1 if attack else 0, self._attack_id(attack),
+        ))
 
     def add_dot11(
         self,
@@ -198,20 +166,11 @@ class TraceBuilder:
         payload_len: int = 0,
         attack: str = "",
     ) -> None:
-        self._append(
-            ts=ts,
-            l2=int(LinkType.IEEE802_11),
-            l3=0,
-            wlan_type=frame_type,
-            wlan_subtype=subtype,
-            length=Dot11Header.WIRE_LEN + payload_len,
-            payload_len=payload_len,
-            src_mac=src_mac,
-            dst_mac=dst_mac,
-            ttl=0,
-            label=1 if attack else 0,
-            attack_id=self._attack_id(attack),
-        )
+        self._push((
+            ts, 0, 0, 0, 0, 0, Dot11Header.WIRE_LEN + payload_len, payload_len,
+            0, 0, 0, _DOT11, 0, frame_type, subtype, src_mac, dst_mac,
+            1 if attack else 0, self._attack_id(attack),
+        ))
 
     # ------------------------------------------------------------------
     # Compound helpers
@@ -287,11 +246,10 @@ class TraceBuilder:
 
     def build(self, sort: bool = True) -> PacketTable:
         """Finalise into a (time-sorted) PacketTable."""
+        blocks = [*self._blocks, np.array(self._pending, dtype=_ROW_DTYPE)]
         columns = {
-            name: np.asarray(values, dtype=dtype)
-            for (name, dtype), values in zip(
-                PACKET_COLUMNS.items(), self._rows.values()
-            )
+            name: np.concatenate([block[name] for block in blocks])
+            for name in PACKET_COLUMNS
         }
         table = PacketTable(columns=columns, attacks=list(self._attacks))
         attack_packets = int((columns["label"] == 1).sum())

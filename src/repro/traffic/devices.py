@@ -101,7 +101,7 @@ def _camera(builder, device, servers, rng, t0, t1, intensity) -> None:
     ts = t0 + float(rng.uniform(0.0, 0.5))
     rate = 18.0 * intensity  # frames per second-ish
     while ts < t1:
-        size = int(np.clip(rng.normal(1100, 120), 400, 1460))
+        size = int(min(max(rng.normal(1100, 120), 400), 1460))
         builder.add_tcp(ts, device.ip, cloud, port, 443, size)
         if rng.random() < 0.15:  # server ACK with small reply
             builder.add_tcp(
@@ -218,7 +218,7 @@ def _workstation(builder, device, servers, rng, t0, t1, intensity) -> None:
             port,
             request_sizes=[int(rng.integers(80, 700)) for _ in range(min(n_objects, 20))],
             response_sizes=[
-                int(np.clip(rng.pareto(1.2) * 300, 60, 1460))
+                int(min(max(rng.pareto(1.2) * 300, 60), 1460))
                 for _ in range(min(n_objects * 2, 40))
             ],
             rng=rng,
@@ -239,7 +239,7 @@ def _smart_tv(builder, device, servers, rng, t0, t1, intensity) -> None:
         t = ts + 0.2
         while t < session_end:
             builder.add_tcp(t, cloud, device.ip, 443, port,
-                            int(np.clip(rng.normal(1350, 80), 400, 1460)))
+                            int(min(max(rng.normal(1350, 80), 400), 1460)))
             if rng.random() < 0.05:  # sparse ACK upstream
                 builder.add_tcp(t + 0.002, device.ip, cloud, port, 443, 0)
             t += float(rng.exponential(1.0 / rate))

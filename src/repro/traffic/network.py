@@ -118,7 +118,7 @@ class NetworkScenario:
                 src, dst = (device.mac, ap_mac) if up else (ap_mac, device.mac)
                 builder.add_dot11(
                     ts, Dot11Header.TYPE_DATA, 0, src, dst,
-                    payload_len=int(np.clip(rng.normal(220, 120), 28, 1400)),
+                    payload_len=int(min(max(rng.normal(220, 120), 28), 1400)),
                 )
                 ts += float(rng.exponential(1.0 / rate))
 

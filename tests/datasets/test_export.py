@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from repro.core import InputError
+from repro.datasets import export
 from repro.datasets.export import export_dataset, export_flows_csv, import_dataset
 from repro.flows import assemble_connections
 from repro.net.table import PacketTable
-from repro.traffic import AttackSpec, NetworkScenario
+from repro.traffic import AttackSpec, NetworkScenario, TraceBuilder
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,42 @@ class TestExportImport:
         for name, column in table.columns.items():
             assert rebuilt.columns[name].tobytes() == column.tobytes(), name
         assert rebuilt.attacks == table.attacks
+
+    def test_attack_names_needing_quotes_round_trip(self, tmp_path):
+        names = ['scan, "fast"', "plain", 'say "hi"', "multi\nline"]
+        builder = TraceBuilder()
+        for i in range(8):
+            attack = names[i % 4] if i % 2 else ""
+            builder.add_udp(float(i), 1, 2, 1000, 53, 10, attack=attack)
+        table = builder.build()
+        pcap_path, labels_path = export_dataset(table, tmp_path, "q")
+        with open(labels_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[3] for row in rows[1:]] == [
+            names[i % 4] if i % 2 else "" for i in range(8)
+        ]
+        rebuilt = import_dataset(pcap_path, labels_path)
+        assert rebuilt.attacks == table.attacks
+        assert rebuilt.attack_id.tolist() == table.attack_id.tolist()
+
+    def test_label_file_matches_csv_writer(self, small_dataset, tmp_path, monkeypatch):
+        # rows are written in blocks; a small block makes them straddle
+        monkeypatch.setattr(export, "_LABEL_BLOCK_ROWS", 7)
+        table = small_dataset.sort_by_time()
+        assert len(table) % 7
+        table.attacks = ['port, "scan"']
+        _, labels_path = export_dataset(table, tmp_path, "D")
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["index", "timestamp", "label", "attack"])
+            for i in range(len(table)):
+                attack_id = int(table.attack_id[i])
+                writer.writerow([
+                    i, f"{float(table.ts[i]):.6f}", int(table.label[i]),
+                    table.attacks[attack_id] if attack_id >= 0 else "",
+                ])
+        assert labels_path.read_bytes() == expected.read_bytes()
 
     def test_flows_csv(self, small_dataset, tmp_path):
         flows = assemble_connections(small_dataset)

@@ -6,7 +6,7 @@ import pytest
 from repro.net.headers import TCPFlags
 from repro.net.packet import LinkType
 from repro.net.table import PACKET_COLUMNS
-from repro.traffic.builder import TraceBuilder
+from repro.traffic.builder import BLOCK_ROWS, TraceBuilder
 
 
 class TestRowHelpers:
@@ -122,3 +122,99 @@ class TestCompoundHelpers:
         table = builder.build()
         for name in PACKET_COLUMNS:
             assert len(table.columns[name]) == 1
+
+
+def keyword_row(**values) -> dict:
+    """A row as the per-keyword builder laid it out: defaults, then values."""
+    row = {
+        "ts": 0.0, "src_ip": 0, "dst_ip": 0, "src_port": 0, "dst_port": 0,
+        "proto": 0, "length": 0, "payload_len": 0, "tcp_flags": 0,
+        "ttl": 64, "window": 0, "l2": int(LinkType.ETHERNET), "l3": 4,
+        "wlan_type": 255, "wlan_subtype": 255, "src_mac": 0, "dst_mac": 0,
+        "label": 0, "attack_id": -1,
+    }
+    row.update(values)
+    return row
+
+
+class TestRowLayout:
+    def test_empty_builder_builds_zero_rows(self):
+        table = TraceBuilder().build()
+        assert len(table) == 0
+        assert table.attacks == []
+        for name, dtype in PACKET_COLUMNS.items():
+            assert table.columns[name].dtype == dtype, name
+            assert table.columns[name].shape == (0,), name
+
+    def test_rows_straddling_a_block_keep_their_order(self):
+        builder = TraceBuilder()
+        n = 2 * BLOCK_ROWS + 3
+        for i in range(n):
+            # timestamps fall, so build(sort=False) must keep append order
+            builder.add_udp(float(n - i), i, 2, 1000, 53, payload_len=i % 7)
+            assert len(builder) == i + 1
+        table = builder.build(sort=False)
+        assert len(table) == n
+        assert table.src_ip.tolist() == list(range(n))
+        assert table.ts.tolist() == [float(n - i) for i in range(n)]
+        assert table.length.tolist() == [42 + i % 7 for i in range(n)]
+        assert builder.build().ts.tolist() == [float(i + 1) for i in range(n)]
+
+    def test_out_of_range_value_raises_at_build(self):
+        builder = TraceBuilder()
+        builder.add_tcp(0.0, 1, 2, 3, 4, ttl=300)
+        with pytest.raises(OverflowError):
+            builder.build()
+
+    @pytest.mark.parametrize(
+        "add, expected",
+        [
+            (
+                lambda b: b.add_tcp(1.5, 10, 20, 1000, 80, 100, 2, 55, 512,
+                                    0xA, 0xB, attack="scan"),
+                keyword_row(ts=1.5, src_ip=10, dst_ip=20, src_port=1000,
+                            dst_port=80, proto=6, length=154, payload_len=100,
+                            tcp_flags=2, ttl=55, window=512, src_mac=0xA,
+                            dst_mac=0xB, label=1, attack_id=0),
+            ),
+            (
+                lambda b: b.add_tcp(2.0, 10, 20, 1000, 80),
+                keyword_row(ts=2.0, src_ip=10, dst_ip=20, src_port=1000,
+                            dst_port=80, proto=6, length=54,
+                            tcp_flags=int(TCPFlags.ACK), window=65535),
+            ),
+            (
+                lambda b: b.add_udp(3.0, 1, 2, 5353, 53, 30, 9, 0xC, 0xD,
+                                    attack="dns"),
+                keyword_row(ts=3.0, src_ip=1, dst_ip=2, src_port=5353,
+                            dst_port=53, proto=17, length=72, payload_len=30,
+                            ttl=9, src_mac=0xC, dst_mac=0xD, label=1,
+                            attack_id=0),
+            ),
+            (
+                lambda b: b.add_icmp(4.0, 1, 2, 56, 33),
+                keyword_row(ts=4.0, src_ip=1, dst_ip=2, proto=1, length=98,
+                            payload_len=56, ttl=33),
+            ),
+            (
+                lambda b: b.add_arp(5.0, 0xA, 0xB, sender_ip=1, target_ip=2,
+                                    attack="arp_mitm"),
+                keyword_row(ts=5.0, src_ip=1, dst_ip=2, l3=0, length=42,
+                            src_mac=0xA, dst_mac=0xB, label=1, attack_id=0),
+            ),
+            (
+                lambda b: b.add_dot11(6.0, 0, 12, 0xA, 0xB, payload_len=2),
+                keyword_row(ts=6.0, l2=int(LinkType.IEEE802_11), l3=0,
+                            wlan_type=0, wlan_subtype=12, length=26,
+                            payload_len=2, src_mac=0xA, dst_mac=0xB, ttl=0),
+            ),
+        ],
+        ids=["tcp", "tcp_defaults", "udp", "icmp", "arp", "dot11"],
+    )
+    def test_helper_row_matches_keyword_defaults(self, add, expected):
+        builder = TraceBuilder()
+        add(builder)
+        table = builder.build()
+        for name, dtype in PACKET_COLUMNS.items():
+            want = np.asarray([expected[name]], dtype=dtype)
+            assert table.columns[name].tobytes() == want.tobytes(), name
