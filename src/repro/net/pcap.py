@@ -324,19 +324,23 @@ def _record_starts(
     """Offsets of the complete records in ``buf[:end]``, and why the
     walk stopped short of ``end`` (``None`` when it did not)."""
     captured_len = struct.Struct(order + "I").unpack_from
+    header = _RECORD_HEADER.size
     starts = []
+    append = starts.append
     failure = None
     at = _GLOBAL_HEADER.size
     while at < end:
-        if end - at < _RECORD_HEADER.size:
-            failure = "truncated pcap record header"
+        # a header cut short by ``end`` reads the zero padding past it;
+        # ``following`` lands past ``end`` either way
+        following = at + header + captured_len(buf, at + 8)[0]
+        if following > end:
+            failure = (
+                "truncated pcap record header" if end - at < header
+                else "truncated pcap record body"
+            )
             break
-        (size,) = captured_len(buf, at + 8)
-        if end - at - _RECORD_HEADER.size < size:
-            failure = "truncated pcap record body"
-            break
-        starts.append(at)
-        at += _RECORD_HEADER.size + size
+        append(at)
+        at = following
     return np.array(starts, dtype=np.int64), failure
 
 

@@ -65,16 +65,24 @@ class TestExportImport:
             (4, "2,0.5", r":4: 2 fields"),
             # blank lines are no rows, but they count as lines
             (4, "\n\n2,0.5,-1,", r":6: label '-1'"),
+            # a lone surrogate writes the byte 0xFF, which is not UTF-8
+            (4, "\r\r\n2,0.5,1,sc\udcffan", r":6: not UTF-8 text \(invalid start byte\)"),
+            (4, "2,0.5,1," + "x" * 131073, r":4: field larger than field limit \(131072\)"),
         ],
-        ids=["no_label", "no_attack", "label_300", "label_x", "short_row", "blank_lines"],
+        ids=[
+            "no_label", "no_attack", "label_300", "label_x", "short_row",
+            "blank_lines", "not_utf8", "field_limit",
+        ],
     )
     def test_bad_label_file_names_path_and_line(
         self, small_dataset, tmp_path, line, text, message
     ):
         pcap_path, labels_path = export_dataset(small_dataset, tmp_path, "D")
-        lines = labels_path.read_text().splitlines()
+        lines = labels_path.read_text(encoding="utf-8").splitlines()
         lines[line - 1] = text
-        labels_path.write_text("\n".join(lines) + "\n")
+        labels_path.write_text(
+            "\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape"
+        )
         with pytest.raises(InputError, match=re.escape(str(labels_path)) + message):
             import_dataset(pcap_path, labels_path)
 

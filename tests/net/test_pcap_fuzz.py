@@ -249,6 +249,14 @@ class TestReadersAgree:
             read_pcap_table(path)
         assert not assert_readers_agree(path)
 
+    def test_every_cut_of_the_last_record(self, tmp_path):
+        data = capture(irregular_frames()[:2])
+        at, _ = records(data)[-1]
+        path = tmp_path / "cut.pcap"
+        for keep in range(at, len(data) + 1):
+            path.write_bytes(data[:keep])
+            assert assert_readers_agree(path) == (keep in (at, len(data)))
+
     @pytest.mark.parametrize("link", [LinkType.ETHERNET, LinkType.IEEE802_11])
     def test_every_cut_of_every_frame(self, tmp_path, link):
         ethernet = link == LinkType.ETHERNET
