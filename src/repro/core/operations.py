@@ -361,7 +361,8 @@ def _groupby(inputs: list, params: dict) -> FlowTable:
     ValueType.FLOWS,
     required_params=("window",),
     description="Subdivide each flow into fixed windows of `window` "
-    "seconds (flow features then describe per-window behaviour).",
+    "seconds from its first packet (flow features then describe "
+    "per-window behaviour); a window is a run of one flow's packets.",
     sort_key="ts",
 )
 def _time_slice(inputs: list, params: dict) -> FlowTable:
@@ -370,46 +371,34 @@ def _time_slice(inputs: list, params: dict) -> FlowTable:
     if window <= 0:
         raise TemplateError("window must be positive")
     table = flows.packets
-    new_order: list[np.ndarray] = []
-    new_counts: list[int] = []
-    keep_flow: list[int] = []
-    forward_pieces: list[np.ndarray] = []
-    for i in range(len(flows)):
-        indices = flows.packet_indices(i)
-        positions = flows.packet_positions(i)
-        ts = table.ts[indices]
-        slot = ((ts - ts[0]) // window).astype(np.int64)
-        boundaries = np.flatnonzero(np.diff(slot)) + 1
-        pieces = np.split(np.arange(len(indices)), boundaries)
-        for piece in pieces:
-            new_order.append(indices[piece])
-            forward_pieces.append(flows.forward[positions[piece]])
-            new_counts.append(len(piece))
-            keep_flow.append(i)
-    counts = np.array(new_counts, dtype=np.int64)
-    starts = (
-        np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-        if len(counts)
-        else np.empty(0, dtype=np.int64)
-    )
-    order = (
-        np.concatenate(new_order) if new_order else np.empty(0, dtype=np.int64)
-    )
-    keep = np.array(keep_flow, dtype=np.int64)
-    labels = flows.labels[keep] if len(keep) else flows.labels[:0]
+    # FlowTable keeps each flow a contiguous range of ``order``, in flow
+    # order.  Windows only split those ranges, so the result reuses the
+    # input's ``order`` and ``forward``: a window starts wherever the
+    # flow or the packet's window index changes.
+    membership = flow_membership(flows.starts, flows.counts)
+    ts = table.ts[flows.order]
+    slot = ((ts - ts[flows.starts][membership]) // window).astype(np.int64)
+    new_window = np.ones(len(ts), dtype=bool)
+    np.not_equal(membership[1:], membership[:-1], out=new_window[1:])
+    new_window[1:] |= slot[1:] != slot[:-1]
+    starts = np.flatnonzero(new_window)
+    counts = np.diff(starts, append=len(ts))
+    keep = membership[starts]
     # Window labels re-derive from member packets: a window of a
     # malicious flow that contains only benign packets stays benign.
-    if len(order):
+    if len(ts):
+        order = flows.order
         labels = (np.maximum.reduceat(table.label[order], starts) > 0).astype(np.uint8)
         attack_ids = np.where(
             labels == 1, np.maximum.reduceat(table.attack_id[order], starts), -1
         ).astype(np.int16)
     else:
+        labels = flows.labels[:0]
         attack_ids = flows.attack_ids[:0]
     return FlowTable(
         packets=table,
         granularity=flows.granularity,
-        order=order,
+        order=flows.order,
         starts=starts,
         counts=counts,
         key_columns={
@@ -417,11 +406,7 @@ def _time_slice(inputs: list, params: dict) -> FlowTable:
         },
         labels=labels,
         attack_ids=attack_ids,
-        forward=(
-            np.concatenate(forward_pieces)
-            if forward_pieces
-            else np.empty(0, dtype=bool)
-        ),
+        forward=flows.forward,
     )
 
 

@@ -151,11 +151,18 @@ def _csv_labels(
                 f"{labels_path}:{line}: label {text!r} is not an integer in 0..255"
             )
     label = np.array([values[text] for text in texts], dtype=np.uint8)
+    malicious = np.flatnonzero(label)
     index: dict[str, int] = {}
     ids = [
         index.setdefault(name, len(index)) if name else -1
-        for name in (records[i][fields["attack"]] for i in np.flatnonzero(label))
+        for name in (records[i][fields["attack"]] for i in malicious)
     ]
+    limit = np.iinfo(np.int16).max + 1  # ids ``attack_id`` holds
+    if len(index) > limit:
+        line = lines[malicious[ids.index(limit)]]
+        raise _label_error(
+            f"{labels_path}:{line}: more than {limit} attack names"
+        )
     return label, ids, list(index)
 
 

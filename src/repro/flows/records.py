@@ -26,7 +26,10 @@ class FlowTable:
         packets: the source packet table.
         granularity: what one row represents.
         order: permutation of packet row indices, grouped by flow.
-        starts: start position of each flow inside ``order``.
+        starts: start position of each flow inside ``order``.  Flows
+            are contiguous and in flow order: ``starts`` is the running
+            sum of ``counts``.  :meth:`select` repacks to keep it so;
+            :meth:`reduce` and the ``TimeSlice`` operation rely on it.
         counts: packets per flow.
         key_columns: per-flow key fields (e.g. src_ip/dst_ip/ports/proto);
             for connections, the *initiator* endpoint comes first.

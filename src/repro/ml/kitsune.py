@@ -9,10 +9,11 @@ This implementation keeps the three-stage structure -- feature mapping
 via hierarchical clustering on correlation distance, an ensemble layer,
 an output layer -- trained in batch (the incremental statistics live in
 the feature pipeline, :mod:`repro.core.incstats`, as in the original
-two-part design).  Ensemble members of the same width train in lock
-step as one stack (:func:`repro.ml.neural.fit_autoencoders`); each is
-byte-equal to training it alone, and after the fit each is an ordinary
-:class:`~repro.ml.neural.Autoencoder`.
+two-part design).  The whole ensemble trains in one loop
+(:func:`repro.ml.neural.fit_autoencoders`): members of one width form
+one stack, and every stack shares one Adam update per batch.  Each
+member is byte-equal to training it alone, and after the fit each is
+an ordinary :class:`~repro.ml.neural.Autoencoder`.
 """
 
 from __future__ import annotations
@@ -92,18 +93,9 @@ class KitNET(BaseEstimator):
         )
         seeds = [int(rng.integers(0, 2**31 - 1)) for _ in self.groups_]
         self._ensemble = [self._autoencoder(seed) for seed in seeds]
-        # members of one width train as one lock-step stack
-        widths: dict[int, list[int]] = {}
-        for i, group in enumerate(self.groups_):
-            widths.setdefault(len(group), []).append(i)
-        member_scores = np.empty((len(array), len(self.groups_)))
-        for indices in widths.values():
-            scores = fit_autoencoders(
-                [self._ensemble[i] for i in indices],
-                [array[:, self.groups_[i]] for i in indices],
-            )
-            for i, score in zip(indices, scores):
-                member_scores[:, i] = score
+        member_scores = np.column_stack(fit_autoencoders(
+            self._ensemble, [array[:, group] for group in self.groups_]
+        ))
         self._output = self._autoencoder(int(rng.integers(0, 2**31 - 1)))
         (train_scores,) = fit_autoencoders([self._output], [member_scores])
         self.threshold_ = float(np.quantile(train_scores, self.quantile))

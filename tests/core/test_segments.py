@@ -1,5 +1,7 @@
 """Tests for segmented per-flow helpers (entropy, nunique, median)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,17 @@ class TestNunique:
         assert out[0] == len(set(values))
 
 
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)),
+                    min_size=1, max_size=60))
+    @settings(max_examples=40)
+    def test_many_flows_match_sets(self, pairs):
+        membership = np.array([flow for flow, _ in pairs])
+        values = np.array([value for _, value in pairs])
+        out = segmented_nunique(membership, values, 6)
+        for flow in range(6):
+            assert out[flow] == len({v for f, v in pairs if f == flow})
+
+
 class TestEntropy:
     def test_uniform_two_values_is_one_bit(self):
         membership = np.zeros(4, dtype=int)
@@ -69,6 +82,20 @@ class TestEntropy:
         out = segmented_entropy(membership, np.array(values), 1)
         distinct = len(set(values))
         assert -1e-9 <= out[0] <= np.log2(max(distinct, 2)) + 1e-9
+
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)),
+                    min_size=1, max_size=60))
+    @settings(max_examples=40)
+    def test_many_flows_match_counts(self, pairs):
+        membership = np.array([flow for flow, _ in pairs])
+        values = np.array([value for _, value in pairs])
+        out = segmented_entropy(membership, values, 6)
+        for flow in range(6):
+            counts = Counter(v for f, v in pairs if f == flow)
+            total = sum(counts.values())
+            expected = -sum(c / total * np.log2(c / total) for c in counts.values())
+            assert out[flow] == pytest.approx(expected, abs=1e-12)
 
 
 class TestMedian:

@@ -25,6 +25,18 @@ def small_dataset():
     ).generate()
 
 
+@pytest.fixture(scope="module")
+def crowded_dataset():
+    """32,769 malicious packets, the first 32,768 each with its own
+    attack name: every id ``attack_id`` holds is taken."""
+    table = PacketTable.empty(32_769)
+    table.columns["ts"][:] = np.arange(32_769) * 1e-3
+    table.columns["label"][:] = 1
+    table.columns["attack_id"][:-1] = np.arange(32_768)
+    table.attacks = [f"a{i}" for i in range(32_768)]
+    return table
+
+
 class TestExportImport:
     def test_files_created(self, small_dataset, tmp_path):
         pcap_path, labels_path = export_dataset(small_dataset, tmp_path, "D")
@@ -68,16 +80,20 @@ class TestExportImport:
             # a lone surrogate writes the byte 0xFF, which is not UTF-8
             (4, "\r\r\n2,0.5,1,sc\udcffan", r":6: not UTF-8 text \(invalid start byte\)"),
             (4, "2,0.5,1," + "x" * 131073, r":4: field larger than field limit \(131072\)"),
+            # in the crowded dataset, the last row's new name needs id 32,768
+            (32_770, "32768,32.768000,1,a32768",
+             r":32770: more than 32768 attack names"),
         ],
         ids=[
             "no_label", "no_attack", "label_300", "label_x", "short_row",
-            "blank_lines", "not_utf8", "field_limit",
+            "blank_lines", "not_utf8", "field_limit", "attack_names",
         ],
     )
     def test_bad_label_file_names_path_and_line(
-        self, small_dataset, tmp_path, line, text, message
+        self, small_dataset, crowded_dataset, tmp_path, line, text, message
     ):
-        pcap_path, labels_path = export_dataset(small_dataset, tmp_path, "D")
+        dataset = crowded_dataset if line > 32_768 else small_dataset
+        pcap_path, labels_path = export_dataset(dataset, tmp_path, "D")
         lines = labels_path.read_text(encoding="utf-8").splitlines()
         lines[line - 1] = text
         labels_path.write_text(

@@ -1,13 +1,13 @@
 """Byte-equality of the stacked neural trainer.
 
-:mod:`repro.ml.neural` trains a stack of K same-shaped networks with one
-Adam update per step over flat buffers, and KitNET trains its same-width
-ensemble members as one such stack.  The oracle here is the per-tensor
-trainer it replaced: one ``_Dense`` layer object per weight matrix, each
-with its own Adam moments, and one network trained at a time.  The
-stacked trainer must match it byte for byte, lock-step training must
-match training each member alone, and the sha256 pins below were taken
-from the per-tensor trainer.
+:mod:`repro.ml.neural` trains stacks of K same-shaped networks with one
+Adam update per step over flat buffers, and KitNET trains its whole
+ensemble, stacks of every width, in one such loop.  The oracle here is
+the per-tensor trainer it replaced: one ``_Dense`` layer object per
+weight matrix, each with its own Adam moments, and one network trained
+at a time.  The stacked trainer must match it byte for byte, lock-step
+training must match training each member alone, and the sha256 pins
+below were taken from the per-tensor trainer.
 """
 
 import hashlib
@@ -283,6 +283,25 @@ class TestLockStep:
             assert_bytes_equal(scores[i], alone.score_samples(block))
             assert_bytes_equal(model.score_samples(block), scores[i])
             assert model.threshold_ == alone.threshold_
+
+    def test_mixed_widths_equal_each_member_alone(self):
+        # widths 1 and 2 have one hidden layer, 3 and up have three; 1, 3
+        # and 7 form stacks of two; 150 rows leave a ragged batch of 22
+        widths = [4, 1, 7, 10, 2, 3, 1, 9, 5, 7, 6, 3, 8]
+        blocks = [correlated(200 + i, 150, w) for i, w in enumerate(widths)]
+        together = [Autoencoder(n_epochs=2, seed=60 + i) for i in range(len(widths))]
+        scores = fit_autoencoders(together, blocks)
+        for i, (model, block) in enumerate(zip(together, blocks)):
+            alone = Autoencoder(n_epochs=2, seed=60 + i).fit(block)
+            assert_bytes_equal(scores[i], alone.score_samples(block))
+            assert_bytes_equal(model.score_samples(block), scores[i])
+            assert model.threshold_ == alone.threshold_
+
+    def test_members_must_share_a_row_count(self):
+        blocks = [correlated(1, 20, 3), correlated(2, 21, 3)]
+        members = [Autoencoder(n_epochs=2), Autoencoder(n_epochs=2)]
+        with pytest.raises(ValueError, match="row count"):
+            fit_autoencoders(members, blocks)
 
     def test_members_must_share_hyper_parameters(self):
         blocks = [correlated(1, 20, 3)] * 2
