@@ -4,6 +4,27 @@ Algorithm A07 (Efficient One-Class SVM, Yang et al.) studies exactly this
 trade-off: the exact kernel OCSVM versus Nystrom-approximated features
 fed to cheap models (GMM, linear OCSVM) -- our A08/A09.  Both
 approximations are implemented here.
+
+Both pick gamma with :func:`median_heuristic_gamma` when none is given.
+It needs the squared distance of every pair of (up to 500) sampled rows,
+and computes them without an (n, n, d) or (n, n) array:
+
+* *Upper triangle only.*  ``(a - b) ** 2`` and ``(b - a) ** 2`` are the
+  same float, so the positive entries of the full distance matrix are
+  the positive i < j distances ``u``, each present twice.
+* *Bounded tiles.*  Rows are taken a tile at a time against every later
+  row.  A tile's difference block holds at most ``_TILE_BYTES`` unless
+  two rows alone exceed it.  Each pair is still
+  ``((a - b) ** 2).sum(axis=-1)``, on a block laid out as the full
+  broadcast lays it out (feature axis last for a C-ordered input), so
+  every distance is the same float as in the full broadcast.
+* *The median of the doubled set.*  ``np.median`` of the full matrix's
+  ``2m`` positives is the ``np.mean`` of its middle two, which are
+  order statistics ``(m - 1) // 2`` and ``m // 2`` of ``u``.  That mean
+  is taken as ``np.median`` takes it: ``np.median(u)`` is not the same
+  number.  For ``[[0], [1e154]]`` the doubled set's two middle values sum
+  past the float maximum, the median is ``inf`` and gamma is 0.0, where
+  ``np.median(u)`` would give 1e-308.
 """
 
 from __future__ import annotations
@@ -23,15 +44,52 @@ def rbf_kernel(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * squared)
 
 
+# Byte budget of one tile's difference block in median_heuristic_gamma.
+_TILE_BYTES = 2 << 20
+
+
+def _tile_rows(n: int, d: int) -> int:
+    """Rows per tile: a tile of n - 1 columns by d features in budget.
+
+    Never fewer than two, so that no tile is a single (1, 1, d) pair:
+    numpy lays such a block out in C order whatever the input's layout,
+    where the full tensor of a Fortran-ordered input keeps the feature
+    axis outermost and sums it in another order.
+    """
+    return max(2, _TILE_BYTES // (8 * max(d, 1) * max(n - 1, 1)))
+
+
 def median_heuristic_gamma(X: np.ndarray, *, max_samples: int = 500, seed: int = 0) -> float:
-    """The median pairwise-distance heuristic for choosing gamma."""
+    """The median pairwise-distance heuristic for choosing gamma.
+
+    Equal, to the bit, to ``1 / np.median`` of the positive entries of
+    the full squared-distance matrix (see the module docstring).
+    """
     array = np.atleast_2d(np.asarray(X, dtype=np.float64))
     rng = check_random_state(seed)
     if len(array) > max_samples:
         array = array[rng.choice(len(array), max_samples, replace=False)]
-    diffs = array[:, None, :] - array[None, :, :]
-    squared = (diffs**2).sum(axis=-1)
-    median = float(np.median(squared[squared > 0])) if (squared > 0).any() else 1.0
+    n, d = array.shape
+    positives = np.empty(n * (n - 1) // 2)
+    count = 0
+    rows = _tile_rows(n, d)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        diffs = array[start:stop, None, :] - array[None, start + 1 :, :]
+        diffs **= 2
+        squared = diffs.sum(axis=-1)
+        del diffs  # freed before the next tile allocates its block
+        # tile row k is row start + k; column c is row start + 1 + c
+        upper = np.arange(squared.shape[1]) >= np.arange(stop - start)[:, None]
+        values = squared[upper & (squared > 0)]
+        positives[count : count + len(values)] = values
+        count += len(values)
+    if count == 0:
+        return 1.0
+    positives = positives[:count]
+    low, high = (count - 1) // 2, count // 2
+    positives.partition((low, high))
+    median = float(np.mean(positives[[low, high]]))
     return 1.0 / max(median, 1e-12)
 
 
