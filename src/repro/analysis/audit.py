@@ -52,7 +52,6 @@ _RACE_VERDICTS = (
 #: (section, summary key, what) -- one ``--strict`` failure per nonzero
 #: summary count
 _STRICT_COUNTS = (
-    ("vectorize", "errors", "verdict-drift error(s)"),
     ("vectorize", "opaque", "opaque verdict(s)"),
     ("streamable", "errors",
      "drift/state-bound error(s) (L041/L042/L045/L047/L048)"),
@@ -159,8 +158,6 @@ def audit_payload(*, catalog: bool = False) -> dict:
                 "sequential": SEQUENTIAL,
                 "opaque": OPAQUE,
             },
-            batchable=sum(report.batchable for report in vectors),
-            errors=_count(vectors, Severity.ERROR),
         ),
         "streamable": _section(
             streams, "verdict",

@@ -1,7 +1,7 @@
 """Concurrency safety: shared state and lock discipline (L049-L053, L056).
 
-The vectorization and streaming analyzers prove which operations are
-safe to batch and to stream; this module proves which are safe to run
+The effect and streaming analyzers prove which operations are safe to
+cache and to stream; this module proves which are safe to run
 from more than one thread at once.  It reads the shared-access facts
 of every body from :mod:`repro.analysis.facts` (module-global reads
 and writes with the locks held at each site, lock-order edges, bare
@@ -230,7 +230,6 @@ def _report(operation) -> ConcurrencyReport:
     bare: list = []
     bodies = (
         ("", operation.fn),
-        ("batch:", getattr(operation, "batch", None)),
         ("stream:", getattr(operation, "stream_fn", None)),
     )
     for prefix, fn in bodies:
@@ -316,7 +315,6 @@ def operation_concurrency_report(operation) -> ConcurrencyReport:
     return memo(
         (
             "races", operation.name, operation.fn,
-            getattr(operation, "batch", None),
             getattr(operation, "stream_fn", None),
         ),
         lambda: _report(operation),

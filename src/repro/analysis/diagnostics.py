@@ -22,7 +22,8 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-#: every diagnostic code the analyzer can emit, with a short title.
+#: every diagnostic code the analyzer can emit, with a short title;
+#: L034, L039 and L040 are retired and stay reserved.
 CODES: dict[str, str] = {
     "L001": "empty or malformed template",
     "L002": "step is not a mapping",
@@ -56,13 +57,10 @@ CODES: dict[str, str] = {
     "L030": "dead template branch pruned by the shared-work planner",
     "L031": "prefix shared structurally but unshareable (stateful closure)",
     "L032": "semantic fingerprint collision",
-    "L034": "loop-carried dependence in an operation declared batchable",
     "L035": "shape mismatch across a template edge",
     "L036": "dtype widening or object-array fallback on a hot path",
     "L037": "hidden Python-level per-row loop in a featurizer",
     "L038": "row-order-sensitive operation without a declared sort key",
-    "L039": "unvectorizable prefix blocking a shareable plan stage",
-    "L040": "vectorization verdict/declaration drift",
     "L041": "unbounded carried container in an operation with a stream body",
     "L042": "whole-trace reduction in an operation with a stream body",
     "L043": "window bound not derivable from params",

@@ -1,9 +1,9 @@
 """The facts layer: every AST walk the operation analyzers share.
 
-Four analyzers judge every registered operation: three decide what
-the engine may do with it -- :mod:`~repro.analysis.safety` (cache),
-:mod:`~repro.analysis.vectorize` (batch) and
-:mod:`~repro.analysis.streamable` (stream) -- and
+Four analyzers judge every registered operation.  Two decide what
+the engine may do with it: :mod:`~repro.analysis.safety` (cache) and
+:mod:`~repro.analysis.streamable` (stream).
+:mod:`~repro.analysis.vectorize` classifies its row dependence, and
 :mod:`~repro.analysis.concurrency` audits whether it could be shared
 across threads.
 They read the same function bodies, so this module recovers each body
@@ -1042,7 +1042,8 @@ ROW_PARALLEL = "row-parallel"
 SEQUENTIAL = "windowed-sequential"
 OPAQUE = "opaque"
 
-#: verdicts that permit the engine's batched execution path
+#: verdicts whose output rows are independent: a Python row loop in
+#: such a body should be a numpy body (L037, astlint AL009)
 BATCHABLE_VERDICTS = frozenset({ELEMENTWISE, ROW_PARALLEL})
 
 #: :class:`~repro.core.types.ValueType` values with row structure
@@ -1094,7 +1095,6 @@ class RowFinding:
 #:   rows, any order;
 #: * ``select`` -- a row subset: each output row is one input row;
 #: * ``object`` -- a Python-level fallback numpy cannot fuse;
-#: * ``incremental`` -- no batching strategy can absorb it (L039);
 #: * ``whole-trace`` -- depends on the whole trace: fits, global sorts,
 #:   full-column moments (batch-only, L042);
 #: * ``window`` -- bounds the needed history to a window/timeout;
@@ -1104,7 +1104,7 @@ CALLEE_KINDS: dict[str, frozenset] = {
     name: frozenset(kinds.split())
     for name, kinds in {
         "kitsune_packet_features":
-            "sequential order incremental prefix group-state",
+            "sequential order prefix group-state",
         **dict.fromkeys(
             ("cumsum", "cumprod", "accumulate"), "sequential order prefix"
         ),
@@ -1112,7 +1112,7 @@ CALLEE_KINDS: dict[str, frozenset] = {
         "assemble_flows": "sequential window",
         **dict.fromkeys(
             ("fit", "fit_transform", "partial_fit"),
-            "sequential incremental whole-trace",
+            "sequential whole-trace",
         ),
         **dict.fromkeys(
             (
@@ -1413,7 +1413,7 @@ def order_sensitive(findings) -> bool:
 
 
 def prefixed(findings, prefix: str) -> tuple:
-    """Row findings with ``prefix`` (``batch:``/``stream:``) on each detail."""
+    """Row findings with ``prefix`` (``stream:``) on each detail."""
     return tuple(RowFinding(f.kind, f.line, prefix + f.detail) for f in findings)
 
 
@@ -2129,7 +2129,7 @@ class AccessFacts:
 
 @dataclass(frozen=True)
 class BodyFacts:
-    """Everything the analyzers know about one body (fn/batch/stream_fn).
+    """Everything the analyzers know about one body (fn/stream_fn).
 
     ``node`` is ``None`` when no source could be recovered; the effect
     and row findings then hold a single source-unavailable finding.
@@ -2300,13 +2300,3 @@ def memo(key, compute):
     value = compute()
     with _LOCK:
         return _CACHE.setdefault(key, value)
-
-
-def operation_rows(operation) -> tuple:
-    """Row findings of an operation's scalar body plus its ``batch:`` body."""
-    findings = body_facts(operation.fn).rows
-    batch = getattr(operation, "batch", None)
-    if batch is not None:
-        findings += prefixed(body_facts(batch).rows, "batch:")
-    return findings
-

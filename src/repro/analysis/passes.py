@@ -7,6 +7,7 @@ is assembled by :func:`repro.analysis.analyze_template`.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Collection
 
 from repro.analysis.diagnostics import Diagnostic, Severity
@@ -149,6 +150,46 @@ def _check_positive(key: str) -> Callable[[StepNode, list[Diagnostic]], None]:
     return check
 
 
+def _whole(value) -> int | None:
+    """``value`` as an int when it is one (a bool is not), else ``None``."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_device_map(node: StepNode, diagnostics: list[Diagnostic]) -> None:
+    def bad(message: str) -> None:
+        diagnostics.append(
+            Diagnostic(
+                "L018", Severity.ERROR, message,
+                step=node.index, operation=node.func,
+                hint="map each integer IPv4 source address (a string "
+                "key in JSON) to an integer class id",
+            )
+        )
+
+    device_map = node.params.get("device_map")
+    if not isinstance(device_map, dict):
+        bad(f"'device_map' must be an object, got {device_map!r}")
+        return
+    for key, value in device_map.items():
+        try:
+            ip = int(key) if isinstance(key, str) else _whole(key)
+        except ValueError:
+            ip = None
+        if ip is None or not 0 <= ip < 2**32:
+            bad(f"device_map key {key!r} is not an integer IPv4 source "
+                "in [0, 2**32)")
+            continue
+        class_id = _whole(value)
+        if class_id is None or not -(2**63) <= class_id < 2**63:
+            bad(f"device_map key {key!r} maps to {value!r}, not an "
+                "int64 class id")
+
+
 #: per-operation parameter *value* checks (schemas come from the
 #: operation registry itself)
 PARAM_CHECKERS: dict[str, Callable[[StepNode, list[Diagnostic]], None]] = {
@@ -162,6 +203,7 @@ PARAM_CHECKERS: dict[str, Callable[[StepNode, list[Diagnostic]], None]] = {
     "Downsample": _check_positive("max_packets"),
     "TimeSlice": _check_positive("window"),
     "FirstNPackets": _check_positive("n"),
+    "DeviceLabels": _check_device_map,
 }
 
 

@@ -114,33 +114,21 @@ def _diagnostics_for(name: str, findings) -> tuple:
 
 
 def _report(operation) -> EffectReport:
-    findings: tuple = ()
-    seeds: set = set()
-    for body in (operation.fn, getattr(operation, "batch", None)):
-        if body is None:
-            continue
-        facts = body_facts(body)
-        findings += facts.effects
-        seeds.update(facts.seed_params)
+    facts = body_facts(operation.fn)
+    findings = facts.effects
     return EffectReport(
         operation=operation.name,
         purity=purity_of(findings),
-        seed_params=tuple(sorted(seeds)),
+        seed_params=facts.seed_params,
         findings=findings,
         diagnostics=_diagnostics_for(operation.name, findings),
     )
 
 
 def operation_report(operation) -> EffectReport:
-    """The cached :class:`EffectReport` for a registered operation.
-
-    When the operation declares a ``batch=`` implementation its effects
-    are folded into the same report: a pure scalar path gains nothing
-    from a batched path the engine must refuse to cache.
-    """
-    batch = getattr(operation, "batch", None)
+    """The cached :class:`EffectReport` for a registered operation."""
     return memo(
-        ("effects", operation.name, operation.fn, batch),
+        ("effects", operation.name, operation.fn),
         lambda: _report(operation),
     )
 

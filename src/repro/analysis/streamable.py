@@ -1,7 +1,7 @@
 """Streaming safety: incrementality and state-bound inference (L041-L048).
 
-The vectorization analyzer proves which operations are safe to
-*batch*; this module proves which are safe to *stream* -- to execute
+The vectorization analyzer proves which operations have independent
+rows; this module proves which are safe to *stream* -- to execute
 chunk by chunk over a live capture with carried state, as the engine's
 ``run_stream`` mode and ``repro serve`` require.  It reads the row
 findings and the carried-state growth/eviction sites of every body
@@ -26,8 +26,8 @@ operation's incrementality:
 Alongside the verdict the pass infers a symbolic *state-size bound* --
 ``O(1)``, ``O(window)``, ``O(flows)`` or ``O(n)`` -- and emits the
 stable diagnostics L041-L048.  The verdicts gate
-``ExecutionEngine.run_stream`` exactly as purity verdicts gate caching
-and vectorization verdicts gate batching: nothing unproven streams.
+``ExecutionEngine.run_stream`` exactly as purity verdicts gate
+caching: nothing unproven streams.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.analysis.facts import (
     body_facts,
     callees,
     memo,
-    operation_rows,
     order_sensitive,
     prefixed,
     row_domain,
@@ -86,7 +85,7 @@ _WINDOW_PARAMS = frozenset({"window", "timeout"})
 def _marker_names(findings) -> set:
     """Callee names carried by call-marker findings.
 
-    Strips the ``batch:``/``stream:`` body prefixes and any dotted
+    Strips the ``stream:`` body prefix and any dotted
     qualification, so markers match regardless of which body they came
     from.
     """
@@ -209,7 +208,7 @@ def _report(operation) -> StreamReport:
     declared_bound = getattr(operation, "state_bound", None)
     input_kinds = tuple(t.value for t in operation.input_types)
     output_kind = operation.output_type.value
-    findings = operation_rows(operation)
+    findings = body_facts(operation.fn).rows
     stream_findings: tuple = ()
     growth: tuple = ()
     eviction: tuple = ()
@@ -225,8 +224,8 @@ def _report(operation) -> StreamReport:
     params |= set(getattr(operation, "optional_params", {}) or {})
     window_derivable = bool(params & _WINDOW_PARAMS)
 
-    # a stream body is the streaming declaration, as a batch body is
-    # for the vectorization analyzer: the body-gated codes check it
+    # a stream body is the streaming declaration: the body-gated codes
+    # check it
     has_body = stream_fn is not None
     diagnostics = []
     whole_trace = (
@@ -366,7 +365,6 @@ def operation_stream_report(operation) -> StreamReport:
     return memo(
         (
             "streamable", operation.name, operation.fn,
-            getattr(operation, "batch", None),
             getattr(operation, "stream_fn", None),
             getattr(operation, "state_bound", None),
         ),

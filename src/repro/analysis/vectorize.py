@@ -1,10 +1,10 @@
-"""Vectorization safety: which operations may run batched (L034-L040).
+"""Vectorization safety: which operations are columnar (L035-L038).
 
 The effect analyzer (:mod:`repro.analysis.safety`) proves which
-operations are safe to *cache*; this module proves
-which are safe to *batch*.  It reads the row findings of every body
-from :mod:`repro.analysis.facts` and classifies each operation's
-per-row behaviour:
+operations are safe to *cache*; this module proves which have
+independent rows, so that one numpy body covers them.  It reads the
+row findings of every body from :mod:`repro.analysis.facts` and
+classifies each operation's per-row behaviour:
 
 ``elementwise``
     row *i* of the output depends only on row *i* of the inputs
@@ -19,10 +19,11 @@ per-row behaviour:
     no source is available to analyze.
 
 Registry-facing reports attach the verdicts to operations (and, via
-the canonical normal form, to semantic fingerprints), emit the stable
-diagnostics L034-L040, and gate the engine's batched execution path
-exactly as purity verdicts gate caching.  The template pass propagates
-symbolic shapes and dtypes (L035-L039).
+the canonical normal form, to semantic fingerprints) and emit the
+stable diagnostics L036-L038: a Python row loop in a provably
+row-independent featurizer should be a numpy body.  The template pass
+propagates symbolic shapes and dtypes (L035-L038).  L034, L039 and L040
+are retired and stay reserved.
 """
 
 from __future__ import annotations
@@ -38,14 +39,11 @@ from repro.analysis.facts import (
     SEQUENTIAL,
     RowKind,
     body_facts,
-    callees,
     classify,
     memo,
-    operation_rows,
     order_sensitive,
     row_domain,
 )
-from repro.analysis.safety import operation_report
 
 __all__ = [
     "ELEMENTWISE",
@@ -64,18 +62,6 @@ __all__ = [
 ]
 
 
-def hard_sequential(findings) -> bool:
-    """Whether findings mark an op no batching strategy can absorb."""
-    kinds = {finding.kind for finding in findings}
-    if RowKind.ROW_LOOP in kinds or RowKind.LOOP_CARRIED in kinds:
-        return True
-    return any(
-        finding.kind is RowKind.SEQUENTIAL_CALL
-        and finding.detail in callees("incremental")
-        for finding in findings
-    )
-
-
 # ---------------------------------------------------------------------------
 # Registry-facing reports
 # ---------------------------------------------------------------------------
@@ -88,17 +74,10 @@ class VectorReport:
     operation: str
     verdict: str
     domain: str
-    batch_declared: bool
     sort_key: str | None
     order_sensitive: bool
     findings: tuple = ()
     diagnostics: tuple = ()
-    refusal: str | None = None
-
-    @property
-    def batchable(self) -> bool:
-        """Whether the engine may take the declared batched path."""
-        return self.batch_declared and self.refusal is None
 
     def codes(self) -> set:
         return {diagnostic.code for diagnostic in self.diagnostics}
@@ -108,11 +87,8 @@ class VectorReport:
             "operation": self.operation,
             "verdict": self.verdict,
             "domain": self.domain,
-            "batch": self.batch_declared,
-            "batchable": self.batchable,
             "sort_key": self.sort_key,
             "order_sensitive": self.order_sensitive,
-            "refusal": self.refusal,
             "findings": [finding.to_dict() for finding in self.findings],
             "diagnostics": [str(d) for d in self.diagnostics],
         }
@@ -121,30 +97,14 @@ class VectorReport:
 def _report(operation) -> VectorReport:
     input_kinds = tuple(t.value for t in operation.input_types)
     output_kind = operation.output_type.value
-    findings = operation_rows(operation)
+    findings = body_facts(operation.fn).rows
     verdict = classify(findings, input_kinds, output_kind)
     domain = row_domain(input_kinds, output_kind)
     sort_key = getattr(operation, "sort_key", None)
     ordered = order_sensitive(findings)
     kinds = {finding.kind for finding in findings}
-    batch_declared = getattr(operation, "batch", None) is not None
 
     diagnostics = []
-    if batch_declared and RowKind.LOOP_CARRIED in kinds:
-        carried = next(
-            f for f in findings if f.kind is RowKind.LOOP_CARRIED
-        )
-        diagnostics.append(
-            Diagnostic(
-                "L034", Severity.ERROR,
-                f"operation {operation.name!r} declares a batch "
-                f"implementation but carries state across rows "
-                f"({carried.detail})",
-                operation=operation.name,
-                hint="remove the loop-carried accumulator or withdraw "
-                "the batch= declaration",
-            )
-        )
     if RowKind.OBJECT_DTYPE in kinds:
         fallback = next(
             f for f in findings if f.kind is RowKind.OBJECT_DTYPE
@@ -163,7 +123,6 @@ def _report(operation) -> VectorReport:
         RowKind.ROW_LOOP in kinds
         and verdict in BATCHABLE_VERDICTS
         and output_kind == "features"
-        and not batch_declared
     ):
         loop = next(f for f in findings if f.kind is RowKind.ROW_LOOP)
         diagnostics.append(
@@ -173,8 +132,7 @@ def _report(operation) -> VectorReport:
                 f"but iterates rows in Python ({loop.detail}, "
                 f"line {loop.line})",
                 operation=operation.name,
-                hint="declare a batch= numpy implementation so the "
-                "engine can vectorize it",
+                hint="replace the row loop with a numpy body",
             )
         )
     if ordered and sort_key is None:
@@ -189,44 +147,21 @@ def _report(operation) -> VectorReport:
                 "registration",
             )
         )
-    refusal = None
-    if batch_declared:
-        if verdict not in BATCHABLE_VERDICTS:
-            refusal = f"verdict:{verdict}"
-        elif RowKind.OBJECT_DTYPE in kinds:
-            refusal = "object-dtype-fallback"
-    else:
-        refusal = "no-batch-implementation"
-    if batch_declared and refusal is not None:
-        diagnostics.append(
-            Diagnostic(
-                "L040", Severity.ERROR,
-                f"operation {operation.name!r} declares batch= but the "
-                f"analyzer refuses it ({refusal}): declaration and "
-                "verdict have drifted",
-                operation=operation.name,
-                hint="fix the implementation or withdraw batch=",
-            )
-        )
-
     return VectorReport(
         operation=operation.name,
         verdict=verdict,
         domain=domain,
-        batch_declared=batch_declared,
         sort_key=sort_key,
         order_sensitive=ordered,
         findings=tuple(findings),
         diagnostics=tuple(diagnostics),
-        refusal=refusal,
     )
 
 
 def operation_vector_report(operation) -> VectorReport:
     """The cached vectorization-safety report for one operation."""
-    batch = getattr(operation, "batch", None)
     return memo(
-        ("vectorize", operation.name, operation.fn, batch),
+        ("vectorize", operation.name, operation.fn),
         lambda: _report(operation),
     )
 
@@ -237,7 +172,7 @@ def verdict_fingerprints(template, *, outputs=None) -> dict:
     Canonicalizes the template and maps each canonical step's
     fingerprint to ``{"func", "verdict"}`` -- two differently spelled
     steps that intern to the same stage get (and must get) the same
-    verdict, so a planner can decide batchability per shared stage.
+    verdict.
     """
     from repro.analysis.equivalence import canonicalize
     from repro.core.operations import OPERATIONS
@@ -256,7 +191,7 @@ def verdict_fingerprints(template, *, outputs=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Template-level shape/dtype propagation (L035/L036/L037/L038/L039)
+# Template-level shape/dtype propagation (L035/L036/L037/L038)
 # ---------------------------------------------------------------------------
 
 
@@ -332,7 +267,7 @@ def _vector_from(fact) -> ShapeFact:
 
 
 def pass_vectorize(graph, diagnostics) -> None:
-    """Propagate shape facts and emit L035-L039 over one template.
+    """Propagate shape facts and emit L035-L038 over one template.
 
     Runs after parameter/dataflow passes: ``node.params`` are validated
     with defaults filled wherever the step itself is well-formed.  All
@@ -346,8 +281,6 @@ def pass_vectorize(graph, diagnostics) -> None:
     facts: dict = {
         SOURCE_NAME: ShapeFact("packets", unit="packet", rows=next(symbols))
     }
-    producer_of: dict = {}
-    reports: dict = {}
 
     def fresh() -> int:
         return next(symbols)
@@ -380,7 +313,7 @@ def pass_vectorize(graph, diagnostics) -> None:
     for node in graph.nodes:
         if node.operation is None:
             continue
-        report = reports[node.index] = operation_vector_report(node.operation)
+        report = operation_vector_report(node.operation)
         for diagnostic in report.diagnostics:
             if diagnostic.code in ("L036", "L037", "L038"):
                 diagnostics.append(
@@ -401,52 +334,6 @@ def pass_vectorize(graph, diagnostics) -> None:
         except Exception:
             out = ShapeFact("unknown")
         facts[node.output] = out
-        for name in node.inputs:
-            producer_of.setdefault(node.output, node)
-        producer_of[node.output] = node
-
-    # L039: a proven-batchable, cache-shareable stage fed by a
-    # hard-sequential same-unit producer cannot actually run batched --
-    # the prefix pins the whole chain to scalar order.
-    for node in graph.nodes:
-        report = reports.get(node.index)
-        if report is None or not report.batchable:
-            continue
-        if not operation_report(node.operation).cacheable:
-            continue
-        for name in node.inputs:
-            producer = producer_of.get(name)
-            if producer is None:
-                continue
-            prod_report = reports.get(producer.index)
-            if prod_report is None:
-                continue
-            if prod_report.verdict not in (SEQUENTIAL, OPAQUE):
-                continue
-            if not hard_sequential(prod_report.findings):
-                continue
-            prod_fact = facts.get(producer.output)
-            in_fact = facts.get(
-                producer.inputs[0] if producer.inputs else ""
-            )
-            if (
-                prod_fact is not None
-                and in_fact is not None
-                and prod_fact.unit is not None
-                and in_fact.unit is not None
-                and prod_fact.unit != in_fact.unit
-            ):
-                continue  # a granularity change is a legitimate boundary
-            warn(
-                "L039",
-                f"step {producer.index} ({producer.func}) is "
-                f"{prod_report.verdict} and blocks the batchable, "
-                f"shareable stage {node.index} ({node.func}) from "
-                "running vectorized",
-                producer,
-                hint="move the sequential step after the batchable "
-                "prefix, or accept scalar execution",
-            )
 
 
 def _apply_shape_rule(node, in_facts, fresh, warn, mismatch) -> ShapeFact:

@@ -361,18 +361,12 @@ def _print_effects(section: dict, verbose: bool) -> None:
 
 
 def _print_vectorize(section: dict, verbose: bool) -> None:
-    header = (
-        f"{'operation':<22} {'verdict':<20} {'batch':<6} "
-        f"{'sort_key':<9} codes"
-    )
+    header = f"{'operation':<22} {'verdict':<20} {'sort_key':<9} codes"
     print(header)
     print("-" * len(header))
     for op in section["operations"]:
-        batch = "-"
-        if op["batch"]:
-            batch = "yes" if op["batchable"] else "DRIFT"
         print(
-            f"{op['operation']:<22} {op['verdict']:<20} {batch:<6} "
+            f"{op['operation']:<22} {op['verdict']:<20} "
             f"{op['sort_key'] or '-':<9} {_codes(op)}"
         )
         if verbose:
@@ -383,8 +377,7 @@ def _print_vectorize(section: dict, verbose: bool) -> None:
         f"{summary['elementwise']} elementwise, "
         f"{summary['row_parallel']} row-parallel, "
         f"{summary['sequential']} sequential, "
-        f"{summary['opaque']} opaque; "
-        f"{summary['batchable']} batchable"
+        f"{summary['opaque']} opaque"
     )
 
 
@@ -475,7 +468,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     else:
         sections = (
             ("effects", "purity and caching", _print_effects),
-            ("vectorize", "row dependence and batching", _print_vectorize),
+            ("vectorize", "row dependence", _print_vectorize),
             ("streamable", "incrementality and state bounds",
              _print_streamable),
             ("races", "shared state and lock discipline", _print_races),
@@ -832,9 +825,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write the JSON audit to a file")
     p.add_argument("--strict", action="store_true",
-                   help="exit 1 on any stateful/io operation, verdict "
-                   "drift, opaque verdict, racy operation or module, "
-                   "or lock cycle")
+                   help="exit 1 on any stateful/io operation, stream "
+                   "declaration drift, opaque verdict, racy operation "
+                   "or module, or lock cycle")
     p.add_argument("--catalog", action="store_true",
                    help="also attach vectorization and streaming "
                    "verdicts to every catalog algorithm's template")

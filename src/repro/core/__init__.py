@@ -30,7 +30,6 @@ from repro.core.engine import ExecutionEngine, StreamSession, StreamSnapshot
 from repro.core.operations import (
     OPERATIONS,
     Operation,
-    register_batch,
     register_operation,
 )
 from repro.core.profiling import OperationProfile, ProfileReport
@@ -57,7 +56,6 @@ __all__ = [
     "StreamSnapshot",
     "OPERATIONS",
     "Operation",
-    "register_batch",
     "register_operation",
     "OperationProfile",
     "ProfileReport",

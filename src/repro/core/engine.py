@@ -42,7 +42,7 @@ from typing import Any
 from repro.core.errors import PipelineError, TemplateError, UnknownIdError
 from repro.core.pipeline import Pipeline, SOURCE_NAME, step_key, step_token
 from repro.core.profiling import OperationProfile, ProfileReport
-from repro.core.types import ValueType, check_type, infer_type_info
+from repro.core.types import ValueType, check_type
 from repro.net.table import PacketTable
 from repro.obs import METRICS, ResourceProbe, get_tracer
 from repro.obs import metrics as metric_names
@@ -85,31 +85,11 @@ def _operation_report(operation):
     return operation_report(operation)
 
 
-def _vector_refusal(operation, inputs):
-    """Why the batch path must not run for this step, or ``None``.
-
-    The static verdict (analyzer-proven elementwise/row-parallel with
-    no declaration drift) gates first; a runtime dtype check then
-    refuses object-dtype inputs the AST could not see, mirroring how
-    purity verdicts gate the cache.
-    """
-    from repro.analysis.vectorize import operation_vector_report
-
-    report = operation_vector_report(operation)
-    if report.refusal is not None:
-        return report.refusal
-    for value in inputs:
-        info = infer_type_info(value)
-        if info.dtype == "object":
-            return "object-dtype-input"
-    return None
-
-
 def _stream_refusal(operation):
     """Why ``run_stream`` must not chunk this step, or ``None``.
 
-    The streaming analyzer's verdict gates exactly like the purity and
-    vectorization verdicts do: batch-only/opaque ops, stream bodies
+    The streaming analyzer's verdict gates exactly like the purity
+    verdict gates caching: batch-only/opaque ops, stream bodies
     the verdict does not support, and unbounded carried state all
     refuse (L041-L048); proven stateful verdicts additionally need a
     registered ``stream_fn``.
@@ -497,8 +477,9 @@ class StreamSession:
                 f"{produced}"
             )
         self.source_token = source_token
+        #: ``(step name, reason)`` for every step the gate refuses
         self.refusals = [
-            f"{call.name}:{refusal}"
+            (call.name, refusal)
             for call in pipeline.calls
             for refusal in (_stream_refusal(call.operation),)
             if refusal is not None
@@ -512,7 +493,9 @@ class StreamSession:
 
     @property
     def refusal_reason(self) -> str | None:
-        return ";".join(self.refusals) if self.refusals else None
+        if not self.refusals:
+            return None
+        return ";".join(f"{name}:{reason}" for name, reason in self.refusals)
 
     def raise_if_refused(self, span=None) -> None:
         """Refuse visibly: span attr + counter + ``TemplateError``."""
@@ -521,10 +504,13 @@ class StreamSession:
         reason = self.refusal_reason
         if span is not None:
             span.set("stream_refused", reason)
-        METRICS.counter(
+        refused = METRICS.counter(
             metric_names.STREAM_REFUSALS,
-            "steps refused by the streaming-safety gate",
-        ).inc(len(self.refusals))
+            "steps refused by the streaming-safety gate, by reason",
+            labelnames=("reason",),
+        )
+        for _, why in self.refusals:
+            refused.labels(reason=why).inc()
         raise TemplateError(f"pipeline is not proven streamable: {reason}")
 
     def _step_tokens(self) -> dict[int, str]:
@@ -835,34 +821,18 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
 
-    def _body(self, operation, inputs, state, span):
+    @staticmethod
+    def _body(operation, state):
         """The implementation one step runs, as ``body(inputs, params)``.
 
         A stream step with a registered ``stream_fn`` threads its
-        carried ``state`` through it; otherwise an op's ``batch`` body
-        replaces ``fn`` whenever the analyzer approves it (see
-        :func:`_vector_refusal`).
+        carried ``state`` through it; every other step runs ``fn``.
         """
         if state is not None and operation.stream_fn is not None:
             return lambda inputs, params: operation.stream_fn(
                 inputs, params, state
             )
-        if operation.batch is None:
-            return operation.fn
-        refusal = _vector_refusal(operation, inputs)
-        if refusal is not None:
-            span.set("vector_refused", refusal)
-            METRICS.counter(
-                metric_names.VECTOR_REFUSALS,
-                "batch-declaring steps refused vectorized execution",
-            ).inc()
-            return operation.fn
-        span.set("vectorized", True)
-        METRICS.counter(
-            metric_names.VECTORIZED_STEPS,
-            "steps executed via the analyzer-approved batch path",
-        ).inc()
-        return operation.batch
+        return operation.fn
 
     def _run_step(
         self, index, call, env, keys=None, report=None, parent=None, *,
@@ -910,8 +880,9 @@ class ExecutionEngine:
                 METRICS.counter(
                     metric_names.CACHE_REFUSALS,
                     "cacheable-typed steps refused memoization because"
-                    " their operation is not proven pure/seeded",
-                ).inc()
+                    " their operation is not proven pure/seeded, by purity",
+                    labelnames=("reason",),
+                ).labels(reason=safety.purity).inc()
             if cacheable:
                 hit, value = self.shared_cache.get(key)
                 if hit:
@@ -929,7 +900,7 @@ class ExecutionEngine:
             inputs = [env[name] for name in call.inputs]
             for value, expected in zip(inputs, operation.input_types):
                 check_type(value, expected, f"operation {call.name!r}")
-            body = self._body(operation, inputs, state, span)
+            body = self._body(operation, state)
             started = time.perf_counter()
             try:
                 result = body(inputs, call.params)

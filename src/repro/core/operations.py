@@ -83,10 +83,6 @@ class Operation:
     required_params: tuple[str, ...] = ()
     optional_params: dict[str, Any] = field(default_factory=dict)
     description: str = ""
-    #: optional batched implementation with the same (inputs, params)
-    #: signature; the engine selects it only when the vectorization
-    #: analyzer proves the op elementwise/row-parallel (L034/L040 gate)
-    batch: OpFn | None = None
     #: the column whose ordering the op's output depends on, when the
     #: implementation is row-order sensitive (L038 gate)
     sort_key: str | None = None
@@ -163,42 +159,6 @@ def register_operation(
     return wrap
 
 
-def _with_body(name: str, slot: str, fn: Callable) -> Operation:
-    """The registered operation ``name`` with ``fn`` in its empty ``slot``.
-
-    The caller stores it: registry writes stay in ``register*``
-    functions, which the race audit exempts as import-time code.
-    """
-    kind = slot.removesuffix("_fn")
-    operation = OPERATIONS.get(name)
-    if operation is None:
-        raise ValueError(
-            f"cannot attach {kind} implementation: operation "
-            f"{name!r} is not registered"
-        )
-    if getattr(operation, slot) is not None:
-        raise ValueError(
-            f"operation {name!r} already has a {kind} implementation"
-        )
-    return dataclasses.replace(operation, **{slot: fn})
-
-
-def register_batch(name: str) -> Callable[[OpFn], OpFn]:
-    """Decorator attaching a ``batch=`` implementation to an operation.
-
-    The batched body must take the same ``(inputs, params)`` arguments
-    and produce byte-identical output; the engine only selects it when
-    the vectorization analyzer proves the operation elementwise or
-    row-parallel (anything else is an L040 drift error).
-    """
-
-    def wrap(fn: OpFn) -> OpFn:
-        OPERATIONS[name] = _with_body(name, "batch", fn)
-        return fn
-
-    return wrap
-
-
 def register_stream(name: str) -> Callable[[StreamFn], StreamFn]:
     """Decorator attaching a ``stream_fn=`` chunked body to an operation.
 
@@ -208,14 +168,23 @@ def register_stream(name: str) -> Callable[[StreamFn], StreamFn]:
     batch result byte for byte (any documented float tolerance lives
     with the op).  Attach one only to an operation that carries state
     across chunks: a stateless verdict already streams through ``fn``
-    (or its verdict-gated ``batch`` body) per chunk.  The body is the
-    streaming declaration, as a ``batch`` body is for vectorization:
-    the analyzer checks it (L041/L042/L043/L047) and refuses it on an
-    operation it does not prove streamable (L045).
+    per chunk.  The body is the streaming declaration: the analyzer
+    checks it (L041/L042/L043/L047) and refuses it on an operation it
+    does not prove streamable (L045).
     """
 
     def wrap(fn: StreamFn) -> StreamFn:
-        OPERATIONS[name] = _with_body(name, "stream_fn", fn)
+        operation = OPERATIONS.get(name)
+        if operation is None:
+            raise ValueError(
+                f"cannot attach stream implementation: operation "
+                f"{name!r} is not registered"
+            )
+        if operation.stream_fn is not None:
+            raise ValueError(
+                f"operation {name!r} already has a stream implementation"
+            )
+        OPERATIONS[name] = dataclasses.replace(operation, stream_fn=fn)
         return fn
 
     return wrap
@@ -438,19 +407,7 @@ def _packet_fields(inputs: list, params: dict) -> np.ndarray:
     description="One-hot encoding of the transport protocol per packet.",
 )
 def _protocol_one_hot(inputs: list, params: dict) -> np.ndarray:
-    table: PacketTable = inputs[0]
-    out = np.zeros((len(table), 4))
-    out[:, 0] = table.proto == 6  # TCP
-    out[:, 1] = table.proto == 17  # UDP
-    out[:, 2] = table.proto == 1  # ICMP
-    out[:, 3] = table.l3 == 0  # non-IP
-    return out.astype(np.float64)
-
-
-@register_batch("ProtocolOneHot")
-def _protocol_one_hot_batch(inputs: list, params: dict) -> np.ndarray:
-    # the comparisons write straight into the output columns, skipping
-    # the scalar path's zeros memset and trailing astype copy
+    # the comparisons write straight into the float output columns
     table: PacketTable = inputs[0]
     out = np.empty((len(table), 4))
     np.equal(table.proto, 6, out=out[:, 0], casting="unsafe")
@@ -468,26 +425,8 @@ def _protocol_one_hot_batch(inputs: list, params: dict) -> np.ndarray:
     "and broadcast flag; zero rows for non-WLAN packets.",
 )
 def _wlan_features(inputs: list, params: dict) -> np.ndarray:
-    table: PacketTable = inputs[0]
-    n = len(table)
-    is_wlan = (table.l2 == 105).astype(np.float64)
-    type_onehot = np.zeros((n, 3))
-    for t in range(3):
-        type_onehot[:, t] = (table.wlan_type == t) & (table.l2 == 105)
-    subtype_onehot = np.zeros((n, 16))
-    for s in range(16):
-        subtype_onehot[:, s] = (table.wlan_subtype == s) & (table.l2 == 105)
-    broadcast = (table.dst_mac == 0xFFFFFFFFFFFF).astype(np.float64)
-    return np.column_stack(
-        [is_wlan, type_onehot, subtype_onehot, broadcast,
-         table.length.astype(np.float64)]
-    )
-
-
-@register_batch("WlanFeatures")
-def _wlan_features_batch(inputs: list, params: dict) -> np.ndarray:
-    # scatter the one-hots only at WLAN rows instead of 19 full-column
-    # comparisons; on mostly-wired traffic nearly all rows stay zero
+    # scatter the one-hots only at WLAN rows; on mostly-wired traffic
+    # nearly all rows stay zero
     table: PacketTable = inputs[0]
     n = len(table)
     out = np.zeros((n, 22))
@@ -737,35 +676,8 @@ def _apply_aggregates(inputs: list, params: dict) -> np.ndarray:
     sort_key="ts",
 )
 def _first_n_packets(inputs: list, params: dict) -> np.ndarray:
-    flows: FlowTable = inputs[0]
-    n = int(params["n"])
-    if n <= 0:
-        raise TemplateError("n must be positive")
-    lengths = flows.segment("length").astype(np.float64)
-    ts = flows.segment("ts")
-    out_blocks = []
-    sizes = np.zeros((len(flows), n))
-    iats = np.zeros((len(flows), n))
-    directions = np.zeros((len(flows), n))
-    for i in range(len(flows)):
-        start, count = flows.starts[i], min(flows.counts[i], n)
-        piece = slice(start, start + count)
-        sizes[i, :count] = lengths[piece]
-        if count > 1:
-            iats[i, 1:count] = np.diff(ts[piece])
-        directions[i, :count] = flows.forward[piece] * 2.0 - 1.0
-    out_blocks.append(sizes)
-    if params["include_iat"]:
-        out_blocks.append(iats)
-    if params["include_direction"]:
-        out_blocks.append(directions)
-    return np.hstack(out_blocks)
-
-
-@register_batch("FirstNPackets")
-def _first_n_packets_batch(inputs: list, params: dict) -> np.ndarray:
-    # one (n_flows, n) gather per block replaces the per-flow Python
-    # loop; masked positions clamp to 0 and are zeroed afterwards
+    # one (n_flows, n) gather per block; masked positions clamp to 0
+    # and are zeroed afterwards
     flows: FlowTable = inputs[0]
     n = int(params["n"])
     if n <= 0:
@@ -781,7 +693,7 @@ def _first_n_packets_batch(inputs: list, params: dict) -> np.ndarray:
         gathered = ts[pos]
         iats = np.zeros((len(flows), n))
         iats[:, 1:] = np.where(
-            mask[:, 1:], gathered[:, 1:] - gathered[:, :-1], 0.0
+            mask[:, 1:], np.diff(gathered, axis=1), 0.0
         )
         out_blocks.append(iats)
     if params["include_direction"]:
@@ -1245,24 +1157,7 @@ def _tune(inputs: list, params: dict) -> object:
     "sources get class -1.",
 )
 def _device_labels(inputs: list, params: dict) -> np.ndarray:
-    source = inputs[0]
-    mapping = {int(k): int(v) for k, v in params["device_map"].items()}
-    if isinstance(source, PacketTable):
-        ips = source.src_ip
-    elif isinstance(source, FlowTable):
-        ips = source.key_columns["src_ip"]
-    else:
-        raise TemplateError("DeviceLabels expects packets or flows")
-    out = np.full(len(ips), -1, dtype=np.int64)
-    for ip, class_id in mapping.items():
-        out[ips == ip] = class_id
-    return out
-
-
-@register_batch("DeviceLabels")
-def _device_labels_batch(inputs: list, params: dict) -> np.ndarray:
-    # one searchsorted against the sorted key set replaces a full-column
-    # equality scan per mapped device
+    # one searchsorted against the sorted key set labels every row
     source = inputs[0]
     mapping = {int(k): int(v) for k, v in params["device_map"].items()}
     if isinstance(source, PacketTable):

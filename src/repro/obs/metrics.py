@@ -58,8 +58,6 @@ EVALUATION_TIMEOUTS = "bench_evaluation_timeouts_total"
 CACHE_CORRUPT = "engine_cache_corrupt_total"
 CACHE_WRITE_ERRORS = "engine_cache_write_errors_total"
 FAULTS_INJECTED = "faults_injected_total"
-VECTORIZED_STEPS = "engine_vectorized_steps_total"
-VECTOR_REFUSALS = "engine_vector_refusals_total"
 PROGRESS_EVENTS = "bench_progress_events_total"
 STREAM_STEPS = "engine_stream_steps_total"
 STREAM_REFUSALS = "engine_stream_refusals_total"

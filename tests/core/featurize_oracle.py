@@ -5,13 +5,18 @@ every packet's window over the whole flow-grouped order at once.
 ``segmented_nunique`` and ``segmented_entropy`` find each flow's
 distinct values with ``np.unique(pairs, axis=0)`` over stacked
 (flow, value) rows, as :mod:`repro.core.segments` did before it took
-them from one ``np.lexsort``.  Tests import this module as
-``tests.core.featurize_oracle``.
+them from one ``np.lexsort``.  ``protocol_one_hot``, ``wlan_features``,
+``first_n_packets`` and ``device_labels`` are the column-at-a-time and
+per-flow bodies of the operations of the same names, as they ran
+before each operation kept only its numpy body.  Tests import this
+module as ``tests.core.featurize_oracle``.
 """
 
 import numpy as np
 
+from repro.core.errors import TemplateError
 from repro.flows.records import FlowTable
+from repro.net.table import PacketTable
 
 
 def time_slice(flows: FlowTable, window: float) -> FlowTable:
@@ -96,4 +101,76 @@ def segmented_entropy(
     contributions = -probabilities * np.log2(probabilities)
     out = np.zeros(n_flows, dtype=np.float64)
     np.add.at(out, unique_pairs[:, 0], contributions)
+    return out
+
+
+def protocol_one_hot(inputs: list, params: dict) -> np.ndarray:
+    """``ProtocolOneHot``: one full-column comparison per protocol."""
+    table: PacketTable = inputs[0]
+    out = np.zeros((len(table), 4))
+    out[:, 0] = table.proto == 6  # TCP
+    out[:, 1] = table.proto == 17  # UDP
+    out[:, 2] = table.proto == 1  # ICMP
+    out[:, 3] = table.l3 == 0  # non-IP
+    return out.astype(np.float64)
+
+
+def wlan_features(inputs: list, params: dict) -> np.ndarray:
+    """``WlanFeatures``: one full-column comparison per one-hot column."""
+    table: PacketTable = inputs[0]
+    n = len(table)
+    is_wlan = (table.l2 == 105).astype(np.float64)
+    type_onehot = np.zeros((n, 3))
+    for t in range(3):
+        type_onehot[:, t] = (table.wlan_type == t) & (table.l2 == 105)
+    subtype_onehot = np.zeros((n, 16))
+    for s in range(16):
+        subtype_onehot[:, s] = (table.wlan_subtype == s) & (table.l2 == 105)
+    broadcast = (table.dst_mac == 0xFFFFFFFFFFFF).astype(np.float64)
+    return np.column_stack(
+        [is_wlan, type_onehot, subtype_onehot, broadcast,
+         table.length.astype(np.float64)]
+    )
+
+
+def first_n_packets(inputs: list, params: dict) -> np.ndarray:
+    """``FirstNPackets``: fill each flow's row in a Python loop."""
+    flows: FlowTable = inputs[0]
+    n = int(params["n"])
+    if n <= 0:
+        raise TemplateError("n must be positive")
+    lengths = flows.segment("length").astype(np.float64)
+    ts = flows.segment("ts")
+    out_blocks = []
+    sizes = np.zeros((len(flows), n))
+    iats = np.zeros((len(flows), n))
+    directions = np.zeros((len(flows), n))
+    for i in range(len(flows)):
+        start, count = flows.starts[i], min(flows.counts[i], n)
+        piece = slice(start, start + count)
+        sizes[i, :count] = lengths[piece]
+        if count > 1:
+            iats[i, 1:count] = np.diff(ts[piece])
+        directions[i, :count] = flows.forward[piece] * 2.0 - 1.0
+    out_blocks.append(sizes)
+    if params["include_iat"]:
+        out_blocks.append(iats)
+    if params["include_direction"]:
+        out_blocks.append(directions)
+    return np.hstack(out_blocks)
+
+
+def device_labels(inputs: list, params: dict) -> np.ndarray:
+    """``DeviceLabels``: one full-column equality scan per mapped source."""
+    source = inputs[0]
+    mapping = {int(k): int(v) for k, v in params["device_map"].items()}
+    if isinstance(source, PacketTable):
+        ips = source.src_ip
+    elif isinstance(source, FlowTable):
+        ips = source.key_columns["src_ip"]
+    else:
+        raise TemplateError("DeviceLabels expects packets or flows")
+    out = np.full(len(ips), -1, dtype=np.int64)
+    for ip, class_id in mapping.items():
+        out[ips == ip] = class_id
     return out

@@ -7,6 +7,7 @@ that is the analyzer's contract with its users.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis import CODES, analyze_pipeline, analyze_template
@@ -219,6 +220,34 @@ class TestParameterLints:
              "window": -1.0},
         ]
         assert "L018" in codes_of(template)
+
+    @pytest.mark.parametrize("device_map", [
+        {"abc": 1}, {"1": "x"}, {"1.5": 1}, {"99999999999999999999": 1},
+        {str(2**32): 1}, {"-1": 1}, {"1": True}, {"1": 2**63}, [[1, 2]],
+    ], ids=repr)
+    def test_malformed_device_map(self, device_map):
+        template = [
+            {"func": "DeviceLabels", "input": None, "output": "y",
+             "device_map": device_map},
+        ]
+        result = analyze_template(template)
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.code == "L018"
+        if isinstance(device_map, dict):
+            assert repr(next(iter(device_map))) in diagnostic.message
+
+    def test_device_map_keys_from_json_or_python(self):
+        # JSON keys are strings; a Python template (as in
+        # examples/device_classification.py) maps int or numpy sources
+        device_map = {
+            "0": 0, str(2**32 - 1): -1, 167772161: 2,
+            np.uint32(167772162): np.int64(3),
+        }
+        template = [
+            {"func": "DeviceLabels", "input": None, "output": "y",
+             "device_map": device_map},
+        ]
+        assert analyze_template(template).diagnostics == []
 
 
 class TestOrderingLints:

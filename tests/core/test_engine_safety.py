@@ -168,7 +168,9 @@ class TestSafetyMetrics:
         template = [
             {"func": "StatefulFixture", "input": None, "output": "bad"},
         ]
-        refusals = METRICS.counter(metric_names.CACHE_REFUSALS)
+        refusals = METRICS.counter(
+            metric_names.CACHE_REFUSALS, labelnames=("reason",)
+        ).labels(reason="stateful")
         before = refusals.value
         ExecutionEngine(track_memory=False).run(
             Pipeline.from_template(template), small_trace,

@@ -3,7 +3,7 @@
 Each operation body is loaded and walked once no matter how many of
 the four analyzers ask about it, each module file is parsed once, and
 the shared-access walk stays lazy: the engine's per-step verdicts
-(purity, batching, streaming) never pay for it.
+(purity, row dependence, streaming) never pay for it.
 """
 
 from collections import Counter
@@ -45,11 +45,11 @@ def counting(monkeypatch, name):
 
 
 def bodies_of(operation):
-    bodies = [operation.fn, operation.batch, operation.stream_fn]
+    bodies = [operation.fn, operation.stream_fn]
     return [body for body in bodies if body is not None]
 
 
-# every body kind: fn + batch (DeviceLabels, ProtocolOneHot) and
+# every body kind: fn alone (DeviceLabels, ProtocolOneHot) and
 # fn + stream_fn (KitsuneFeatures)
 @pytest.mark.parametrize(
     "name", ["DeviceLabels", "KitsuneFeatures", "ProtocolOneHot"]
@@ -58,7 +58,7 @@ class TestComputedOnce:
     def test_each_body_is_loaded_once(self, name, fresh_cache, monkeypatch):
         operation = OPERATIONS[name]
         bodies = bodies_of(operation)
-        assert len(bodies) == 2
+        assert len(bodies) == (1 if operation.stream_fn is None else 2)
         loads = counting(monkeypatch, "load_source")
         for report in ALL_REPORTS:
             report(operation)

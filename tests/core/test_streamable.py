@@ -593,9 +593,10 @@ class TestRunStream:
                 {"func": "ProtocolOneHot", "input": ["s"], "output": "X"},
             ]
         )
-        before = METRICS.counter(
-            metric_names.STREAM_REFUSALS, ""
-        ).value
+        refused = METRICS.counter(
+            metric_names.STREAM_REFUSALS, "", labelnames=("reason",)
+        ).labels(reason="verdict:batch-only")
+        before = refused.value
         spans = []
 
         def attempt():
@@ -610,8 +611,7 @@ class TestRunStream:
         assert "Downsample:verdict:batch-only" in (
             run["attrs"]["stream_refused"]
         )
-        after = METRICS.counter(metric_names.STREAM_REFUSALS, "").value
-        assert after == before + 1
+        assert refused.value == before + 1
 
     def test_refuses_stateful_step_without_body(self, small_trace):
         engine = ExecutionEngine(use_cache=False, track_memory=False)

@@ -368,8 +368,8 @@ class TestKitsuneStreamState:
 
 class TestConvertedOpStreams:
     """Every streamable featurizer is chunk-size invariant through a
-    stream session: stateless ops run ``fn`` (or their batch body) per
-    chunk, stateful ones their stream body."""
+    stream session: stateless ops run ``fn`` per chunk, stateful ones
+    their stream body."""
 
     CONVERTED = {
         "ProtocolOneHot": {},

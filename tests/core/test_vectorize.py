@@ -2,9 +2,9 @@
 
 Covers the AST layer (row-loop/taint detection, loop-carried state,
 callee markers), the verdict classifier, the registry-facing reports
-with the L034-L040 diagnostics (positive and negative cases via fixture
+with the L036-L038 diagnostics (positive and negative cases via fixture
 operations), the full-registry audit regression, fingerprint-attached
-verdicts, and the template-level shape pass (L035/L039).
+verdicts, and the template-level shape pass (L035).
 """
 
 import ast
@@ -26,12 +26,9 @@ from repro.analysis.vectorize import (
     operation_vector_report,
     verdict_fingerprints,
 )
+from repro.analysis.diagnostics import Severity
 from repro.analysis.facts import RowFinding, analyze_rows
-from repro.core.operations import (
-    OPERATIONS,
-    register_batch,
-    register_operation,
-)
+from repro.core.operations import OPERATIONS, register_operation
 from repro.core.types import ValueType
 
 
@@ -55,11 +52,9 @@ def scratch_ops():
     registered = []
 
     def add(name, fn, *, inputs=(ValueType.PACKETS,),
-            output=ValueType.FEATURES, batch=None, **kwargs):
+            output=ValueType.FEATURES, **kwargs):
         register_operation(name, inputs, output, **kwargs)(fn)
         registered.append(name)
-        if batch is not None:
-            register_batch(name)(batch)
         return OPERATIONS[name]
 
     yield add
@@ -268,6 +263,15 @@ class TestCalleeMarkers:
                 return shim(inputs[0])
             """
         )
+        assert RowKind.OBJECT_DTYPE in kinds_of(
+            """
+            import numpy as np
+
+            def op(inputs, params):
+                shim = np.frompyfunc(float, 1, 1)
+                return shim(inputs[0].length).reshape(-1, 1)
+            """
+        )
 
     def test_findings_are_deterministically_ordered(self):
         source = """
@@ -350,43 +354,6 @@ class TestClassifier:
 
 
 class TestOperationReports:
-    def test_l034_loop_carried_under_batch_declaration(self, scratch_ops):
-        def scalar(inputs, params):
-            total = 0.0
-            out = np.zeros((len(inputs[0]), 1))
-            for i, size in enumerate(inputs[0].length):
-                total += float(size)
-                out[i, 0] = total
-            return out
-
-        def batch(inputs, params):
-            return np.cumsum(
-                inputs[0].length.astype(np.float64)
-            ).reshape(-1, 1)
-
-        operation = scratch_ops("CarriedFixture", scalar, batch=batch)
-        report = operation_vector_report(operation)
-        assert report.verdict == SEQUENTIAL
-        assert "L034" in report.codes()
-        assert "L040" in report.codes()
-        assert report.batchable is False
-        assert report.refusal == f"verdict:{SEQUENTIAL}"
-
-    def test_l034_absent_without_batch_declaration(self, scratch_ops):
-        def scalar(inputs, params):
-            total = 0.0
-            out = np.zeros((len(inputs[0]), 1))
-            for i, size in enumerate(inputs[0].length):
-                total += float(size)
-                out[i, 0] = total
-            return out
-
-        operation = scratch_ops("CarriedScalarFixture", scalar)
-        report = operation_vector_report(operation)
-        assert report.verdict == SEQUENTIAL
-        assert "L034" not in report.codes()
-        assert report.refusal == "no-batch-implementation"
-
     def test_l036_object_dtype_fallback(self, scratch_ops):
         def scalar(inputs, params):
             return np.array(
@@ -396,20 +363,6 @@ class TestOperationReports:
         operation = scratch_ops("ObjectFixture", scalar)
         report = operation_vector_report(operation)
         assert "L036" in report.codes()
-
-    def test_l036_refuses_declared_batch(self, scratch_ops):
-        def scalar(inputs, params):
-            shim = np.frompyfunc(float, 1, 1)
-            return shim(inputs[0].length).reshape(-1, 1)
-
-        def batch(inputs, params):
-            return inputs[0].length.astype(np.float64).reshape(-1, 1)
-
-        operation = scratch_ops("ObjectBatchFixture", scalar, batch=batch)
-        report = operation_vector_report(operation)
-        assert report.verdict in BATCHABLE_VERDICTS
-        assert report.refusal == "object-dtype-fallback"
-        assert "L040" in report.codes()
 
     def test_l037_hidden_row_loop_in_featurizer(self, scratch_ops):
         def scalar(inputs, params):
@@ -422,21 +375,6 @@ class TestOperationReports:
         report = operation_vector_report(operation)
         assert report.verdict == ELEMENTWISE
         assert "L037" in report.codes()
-
-    def test_l037_silenced_by_batch_declaration(self, scratch_ops):
-        def scalar(inputs, params):
-            out = np.zeros((len(inputs[0]), 1))
-            for i, size in enumerate(inputs[0].length):
-                out[i, 0] = float(size)
-            return out
-
-        def batch(inputs, params):
-            return inputs[0].length.astype(np.float64).reshape(-1, 1)
-
-        operation = scratch_ops("CoveredLoopFixture", scalar, batch=batch)
-        report = operation_vector_report(operation)
-        assert "L037" not in report.codes()
-        assert report.batchable is True
 
     def test_l038_order_sensitive_without_sort_key(self, scratch_ops):
         def scalar(inputs, params):
@@ -461,22 +399,6 @@ class TestOperationReports:
         report = operation_vector_report(operation)
         assert "L038" not in report.codes()
 
-    def test_l040_batch_on_sequential_verdict(self, scratch_ops):
-        def scalar(inputs, params):
-            order = np.argsort(inputs[0].ts)
-            return inputs[0].length[order].astype(
-                np.float64
-            ).reshape(-1, 1)
-
-        def batch(inputs, params):
-            return scalar(inputs, params)
-
-        operation = scratch_ops("DriftFixture", scalar, batch=batch)
-        report = operation_vector_report(operation)
-        assert report.verdict == SEQUENTIAL
-        assert "L040" in report.codes()
-        assert report.batchable is False
-
     def test_lambda_is_opaque(self, scratch_ops):
         operation = scratch_ops(
             "LambdaFixture", eval("lambda inputs, params: None")
@@ -492,8 +414,10 @@ class TestOperationReports:
         payload = operation_vector_report(operation).to_dict()
         assert payload["operation"] == "SerializeFixture"
         assert payload["verdict"] == ELEMENTWISE
-        assert payload["batch"] is False
-        assert payload["refusal"] == "no-batch-implementation"
+        assert set(payload) == {
+            "operation", "verdict", "domain", "sort_key",
+            "order_sensitive", "findings", "diagnostics",
+        }
 
 
 class TestRegistryAudit:
@@ -510,7 +434,13 @@ class TestRegistryAudit:
         assert audit["summary"]["opaque"] == 0
 
     def test_no_stock_operation_errors(self, audit):
-        assert audit["summary"]["errors"] == 0
+        errors = [
+            (name, diagnostic)
+            for name, operation in sorted(OPERATIONS.items())
+            for diagnostic in operation_vector_report(operation).diagnostics
+            if diagnostic.severity is Severity.ERROR
+        ]
+        assert errors == []
 
     def test_summary_counts_are_consistent(self, audit):
         summary = audit["summary"]
@@ -532,15 +462,13 @@ class TestRegistryAudit:
         assert by_name["Normalize"]["verdict"] == SEQUENTIAL
 
     def test_converted_ops_are_batchable(self, audit):
-        batchable = {
-            entry["operation"]
-            for entry in audit["operations"]
-            if entry["batchable"]
+        by_name = {
+            entry["operation"]: entry for entry in audit["operations"]
         }
-        assert batchable == {
-            "DeviceLabels", "FirstNPackets", "ProtocolOneHot",
-            "WlanFeatures",
-        }
+        for name in ("DeviceLabels", "FirstNPackets", "ProtocolOneHot",
+                     "WlanFeatures"):
+            assert by_name[name]["verdict"] in BATCHABLE_VERDICTS, name
+            assert by_name[name]["diagnostics"] == [], name
 
     def test_every_order_sensitive_op_declares_a_sort_key(self, audit):
         missing = [
@@ -627,36 +555,6 @@ class TestTemplatePass:
         result = analyze_template(template, outputs=["Xs"])
         assert "L035" in result.codes()
 
-    def test_l039_sequential_prefix_blocks_batchable_stage(
-        self, scratch_ops
-    ):
-        def prefix(inputs, params):
-            table = inputs[0]
-            total = 0.0
-            for size in table.length:
-                total += float(size)
-            return table
-
-        scratch_ops(
-            "SeqPrefixFixture", prefix, output=ValueType.PACKETS
-        )
-        template = [
-            {"func": "SeqPrefixFixture", "input": None, "output": "p"},
-            {"func": "ProtocolOneHot", "input": ["p"], "output": "X"},
-        ]
-        result = analyze_template(template, outputs=["X"])
-        assert "L039" in result.codes()
-
-    def test_no_l039_for_sort_prefix(self):
-        # a sort is sequential but not hard-sequential: the batchable
-        # stage after it still runs vectorized on the sorted rows
-        template = [
-            {"func": "SortByTime", "input": None, "output": "p"},
-            {"func": "ProtocolOneHot", "input": ["p"], "output": "X"},
-        ]
-        result = analyze_template(template, outputs=["X"])
-        assert "L039" not in result.codes()
-
     def test_stock_catalog_templates_stay_warning_free(self):
         from repro.algorithms import ALGORITHMS
 
@@ -666,6 +564,6 @@ class TestTemplatePass:
                 spec.full_template(), outputs=["metrics"]
             )
             vector_codes = result.codes() & {
-                "L034", "L035", "L036", "L037", "L038", "L039", "L040"
+                "L035", "L036", "L037", "L038"
             }
             assert vector_codes == set(), (algorithm_id, vector_codes)

@@ -361,8 +361,7 @@ class TestBuiltinHash:
 class TestRowLoopGate:
     HEADER = (
         "import numpy as np\n"
-        "from repro.core.operations import register_batch,"
-        " register_operation\n"
+        "from repro.core.operations import register_operation\n"
         "from repro.core.types import ValueType\n"
     )
     DECORATOR = (
@@ -382,31 +381,7 @@ class TestRowLoopGate:
         )
         assert [v.code for v in found] == ["AL009"]
         assert "elementwise" in found[0].message
-        assert "register_batch" in found[0].message
-
-    def test_batch_declaration_exempts_the_scalar_body(self, tmp_path):
-        found = violations_for(
-            tmp_path,
-            self.HEADER + self.DECORATOR + self.LOOPY_BODY
-            + "@register_batch('X')\n"
-            "def _x_batch(inputs, params) -> np.ndarray:\n"
-            "    return inputs[0].length.astype(np.float64)"
-            ".reshape(-1, 1)\n",
-        )
-        assert found == []
-
-    def test_row_loop_in_batch_body_flagged(self, tmp_path):
-        found = violations_for(
-            tmp_path,
-            self.HEADER + self.DECORATOR
-            + "def _x(inputs, params) -> np.ndarray:\n"
-            "    return inputs[0].length.astype(np.float64)"
-            ".reshape(-1, 1)\n"
-            "@register_batch('X')\n"
-            + self.LOOPY_BODY.replace("def _x", "def _x_batch"),
-        )
-        assert [v.code for v in found] == ["AL009"]
-        assert "batch implementation" in found[0].message
+        assert "numpy body" in found[0].message
 
     def test_sequential_op_may_loop(self, tmp_path):
         # a loop-carried accumulator makes the op windowed-sequential:

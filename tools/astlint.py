@@ -41,11 +41,8 @@ Rules:
   equivalence analyzer both use sha-family digests).
 * **AL009** -- a ``for ... in packets``-style Python row loop inside a
   ``@register_operation`` function whose analyzer verdict is
-  elementwise/row-parallel and that declares no ``register_batch``
-  implementation in the same module (rows are provably independent:
-  declare a ``batch=`` numpy body so the engine can vectorize), or a
-  Python row loop inside a ``@register_batch`` body itself (the batch
-  path exists to *be* the vectorized one).
+  elementwise/row-parallel: its rows are provably independent, so
+  replace the row loop with a numpy body.
 * **AL010** -- unbounded carried-state growth in streaming code: a
   ``@register_stream`` body or a class with a ``process_chunk`` method
   that grows a carried container (``append``/``setdefault``/non-constant
@@ -442,19 +439,9 @@ def _value_kinds(node: ast.AST | None) -> list[str] | None:
 
 def _check_row_loops(tree: ast.AST, path: Path, out: list[Violation]) -> None:
     """AL009: Python row loops where the analyzer proves independence."""
-    batch_ops: dict[str, ast.FunctionDef] = {}
-    scalar_ops: list[tuple[ast.FunctionDef, str, list[str], str]] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
-        batch = _decorator_call(node, "register_batch")
-        if (
-            batch is not None
-            and batch.args
-            and isinstance(batch.args[0], ast.Constant)
-            and isinstance(batch.args[0].value, str)
-        ):
-            batch_ops[batch.args[0].value] = node
         reg = _decorator_call(node, "register_operation")
         if reg is None:
             continue
@@ -478,38 +465,22 @@ def _check_row_loops(tree: ast.AST, path: Path, out: list[Violation]) -> None:
         declared, _ = _decorator_output_type(reg)
         if input_kinds is None or declared is None:
             continue
-        scalar_ops.append((node, str(name), input_kinds, declared.lower()))
-
-    for node, name, input_kinds, output_kind in scalar_ops:
         findings = _facts.analyze_rows(node)
-        verdict = _facts.classify(findings, input_kinds, output_kind)
+        verdict = _facts.classify(findings, input_kinds, declared.lower())
         if verdict not in _facts.BATCHABLE_VERDICTS:
             continue
-        if name in batch_ops:
-            continue
-        for finding in findings:
-            if finding.kind is _facts.RowKind.ROW_LOOP:
-                out.append(Violation(
-                    path, finding.line, "AL009",
-                    f"{node.name}() iterates rows in Python "
-                    f"({finding.detail}) but the analyzer classifies "
-                    f"{name!r} as {verdict} -- declare a batch= numpy "
-                    f"implementation (register_batch)",
-                ))
-                break
-
-    for name, node in sorted(batch_ops.items()):
-        findings = _facts.analyze_rows(node)
-        for finding in findings:
-            if finding.kind is _facts.RowKind.ROW_LOOP:
-                out.append(Violation(
-                    path, finding.line, "AL009",
-                    f"{node.name}() is the batch implementation of "
-                    f"{name!r} but still iterates rows in Python "
-                    f"({finding.detail}) -- the batch path must stay "
-                    f"columnar",
-                ))
-                break
+        loop = next(
+            (f for f in findings if f.kind is _facts.RowKind.ROW_LOOP),
+            None,
+        )
+        if loop is not None:
+            out.append(Violation(
+                path, loop.line, "AL009",
+                f"{node.name}() iterates rows in Python "
+                f"({loop.detail}) but the analyzer classifies "
+                f"{name!r} as {verdict} -- replace the row loop "
+                f"with a numpy body",
+            ))
 
 
 def _check_stream_growth(
