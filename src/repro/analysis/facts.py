@@ -2151,17 +2151,26 @@ class BodyFacts:
 
 
 _CACHE: dict = {}
-_LOCK = threading.Lock()
+_LOCK = threading.RLock()
 
 
 def load_source(fn):
-    """The source loader: ``(function node or None, module path or None)``."""
+    """The source loader: ``(function node or None, module path or None)``.
+
+    A registered body is read from the lines its file held when it
+    registered (``fn.__source_lines__``), so a later edit cannot move
+    the body judged; any other callable is read from its file now.
+    """
     try:
         path = inspect.getsourcefile(fn)
     except TypeError:
         path = None
+    lines = getattr(fn, "__source_lines__", None)
     try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        if lines is not None:  # from its decorator or ``def`` line on
+            lines = inspect.getblock(lines[fn.__code__.co_firstlineno - 1 :])
+        source = inspect.getsource(fn) if lines is None else "".join(lines)
+        tree = ast.parse(textwrap.dedent(source))
     except (OSError, TypeError, SyntaxError, ValueError):
         return None, path
     for node in ast.walk(tree):
@@ -2173,20 +2182,21 @@ def load_source(fn):
     return None, path
 
 
-def _parse_module(path: str) -> ModuleFacts | None:
+def _parse_module(path: str, lines=None) -> ModuleFacts | None:
     try:
-        tree = ast.parse(Path(path).read_text())
+        tree = ast.parse("".join(lines) if lines else Path(path).read_text())
     except (OSError, SyntaxError, ValueError):
         return None
     return ModuleFacts(tree, collect_module_context(tree), module_locks(tree))
 
 
-def module_facts(path: str) -> ModuleFacts | None:
-    """The parsed module at ``path`` (``None`` when unreadable), cached."""
+def module_facts(path: str, lines=None) -> ModuleFacts | None:
+    """The parsed module at ``path`` (``None`` when unreadable), cached;
+    ``lines`` are its text when the caller holds them."""
     key = ("module", path)
     with _LOCK:
         if key not in _CACHE:
-            _CACHE[key] = _parse_module(path)
+            _CACHE[key] = _parse_module(path, lines)
         return _CACHE[key]
 
 
@@ -2275,13 +2285,10 @@ def body_facts(fn, *, access: bool = False) -> BodyFacts:
         record = _CACHE.get(key)
         if record is None:
             node, path = load_source(fn)
+            lines = getattr(fn, "__source_lines__", None)
             module = None
             if node is not None and path is not None:
-                # module_facts() inline: _LOCK is held and not reentrant
-                module_key = ("module", path)
-                if module_key not in _CACHE:
-                    _CACHE[module_key] = _parse_module(path)
-                module = _CACHE[module_key]
+                module = module_facts(path, lines)
             record = _CACHE[key] = _body(fn, node, module)
         if access and record.access is None and record.node is not None:
             record = _CACHE[key] = replace(record, access=_access(record))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import linecache
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -123,6 +124,15 @@ class Operation:
 OPERATIONS: dict[str, Operation] = {}
 
 
+def _pin_source(fn: Callable) -> None:
+    """Keep the lines of ``fn``'s file, as they read at registration, on
+    ``fn`` for :func:`repro.analysis.facts.load_source`."""
+    code = getattr(fn, "__code__", None)
+    if code is not None:
+        linecache.checkcache(code.co_filename)
+        fn.__source_lines__ = linecache.getlines(code.co_filename, fn.__globals__)
+
+
 def register_operation(
     name: str,
     input_types: tuple[ValueType, ...],
@@ -143,6 +153,7 @@ def register_operation(
                 f"operation {name!r}: state_bound={state_bound!r} is "
                 f"not one of {STATE_BOUNDS}"
             )
+        _pin_source(fn)
         OPERATIONS[name] = Operation(
             name=name,
             input_types=input_types,
@@ -184,6 +195,7 @@ def register_stream(name: str) -> Callable[[StreamFn], StreamFn]:
             raise ValueError(
                 f"operation {name!r} already has a stream implementation"
             )
+        _pin_source(fn)
         OPERATIONS[name] = dataclasses.replace(operation, stream_fn=fn)
         return fn
 

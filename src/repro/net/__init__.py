@@ -12,8 +12,7 @@ paper builds on.  It provides:
 * :mod:`repro.net.headers` -- binary decoders for Ethernet, IPv4, IPv6,
   TCP, UDP, ICMP, ARP and 802.11 headers.
 * :mod:`repro.net.packet` -- the :class:`Packet` object model that
-  :func:`read_pcap` and the columnar reader's irregular records decode
-  into.
+  :func:`read_pcap` decodes into: the oracle of the columnar reader.
 """
 
 from repro.net.addresses import (

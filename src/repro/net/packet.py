@@ -3,15 +3,13 @@
 A :class:`Packet` is a timestamp plus a stack of decoded header layers and
 an opaque payload, parsed from a raw frame of a pcap file.
 
-Bulk feature extraction does not iterate over ``Packet`` objects -- it
-uses the columnar :class:`repro.net.table.PacketTable` -- and neither do
-bulk import and export: :func:`repro.net.pcap.read_pcap_table` decodes
-regular frames with numpy gathers, and
-:func:`repro.net.pcap.write_pcap_table` lays frames out with numpy
-scatters.  :meth:`Packet.parse` decodes the irregular records
-that reader hands back (IPv6, IPv4 or TCP options, frames too short for
-their layout), and it is the oracle the columnar reader must match byte
-for byte.
+Nothing in the program's read path iterates over ``Packet`` objects.
+Feature extraction uses the columnar :class:`repro.net.table.PacketTable`,
+:func:`repro.net.pcap.read_pcap_table` decodes every record with numpy
+gathers, and :func:`repro.net.pcap.write_pcap_table` lays frames out
+with numpy scatters.  :meth:`Packet.parse`, behind
+:func:`repro.net.pcap.read_pcap`, is the oracle the columnar reader
+must match byte for byte.
 """
 
 from __future__ import annotations

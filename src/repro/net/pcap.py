@@ -14,9 +14,9 @@ link types can be ingested directly.
 out with numpy scatters.  There are two readers.  :class:`PcapReader`
 (and :func:`read_pcap`) yields one :class:`~repro.net.packet.Packet` per
 record.  :func:`read_pcap_table` decodes a whole capture into a table
-with numpy gathers and hands only irregular records to
-:meth:`Packet.parse`; it equals ``PacketTable.from_packets(read_pcap(path))``
-column for column and fails on the same record with the same error.  A
+with numpy gathers, every record as columns; it equals
+``PacketTable.from_packets(read_pcap(path))`` column for column and
+fails on the same record with the same error.  A
 malformed file raises :class:`PcapFormatError`; a record whose
 link-layer header does not decode raises
 :class:`~repro.net.headers.HeaderError`.
@@ -32,6 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from repro.net.headers import (
+    Dot11Header,
+    EthernetHeader,
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
@@ -47,9 +49,9 @@ MAGIC_NANO_LE = 0xA1B23C4D
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
-#: zero bytes after a capture in memory; more than the deepest field
-#: offset the columnar reader gathers (the TCP window, at frame byte 49)
-_PADDING = 64
+#: zero bytes after a capture in memory; more than the deepest offset
+#: gathered from every record (TCP data offset behind IHL 15: byte 86)
+_PADDING = 87
 #: the IEEE 802 local-experimental ethertype, written for Ethernet rows
 #: that are neither IPv4, IPv6 nor ARP
 ETHERTYPE_EXPERIMENTAL = 0x88B5
@@ -256,19 +258,10 @@ def write_pcap_table(path: str | Path, table: PacketTable) -> None:
 def read_pcap_table(path: str | Path) -> PacketTable:
     """Read a whole capture into a :class:`PacketTable`.
 
-    The file is read once and its record headers walked once.  Regular
-    frames are decoded as columns:
-
-    * Ethernet + IPv4 with IHL 5, carrying TCP with data offset 5, UDP,
-      ICMP or any other protocol;
-    * Ethernet + ARP, and Ethernet with any other ethertype;
-    * 802.11.
-
-    The irregular rest -- IPv6, IPv4 or TCP options, frames too short
-    for their layout -- goes one record at a time through
-    :meth:`Packet.parse` and :meth:`PacketTable._fill_row`.  The result
-    equals ``PacketTable.from_packets(read_pcap(path))`` byte for byte
-    in every column, and a malformed capture raises what
+    The file is read once and its record headers walked once, and every
+    record is decoded as columns.  The result equals
+    ``PacketTable.from_packets(read_pcap(path))`` byte for byte in
+    every column, and a malformed capture raises what
     :func:`read_pcap` raises, for the first bad record in file order.
     """
     with open(path, "rb") as handle:
@@ -288,20 +281,15 @@ def read_pcap_table(path: str | Path) -> PacketTable:
     body = starts + _RECORD_HEADER.size
     ts = seconds.astype(np.float64) + fraction / divisor
 
-    def packet(i: int) -> Packet:
-        at = int(body[i])
-        return Packet.parse(
-            bytes(buf[at : at + int(captured[i])]),
-            float(ts[i]), link_type, int(orig[i]),
-        )
-
     if link_type == LinkType.IEEE802_11:
-        broken = (captured < 24) | (raw[body] & 0x03 != 0)
+        decode = Dot11Header.decode
+        broken = np.flatnonzero((captured < 24) | (raw[body] & 0x03 != 0))
     else:
-        broken = captured < 14
-    broken = np.flatnonzero(broken)
+        decode = EthernetHeader.decode
+        broken = np.flatnonzero(captured < 14)
     if broken.size:
-        packet(broken[0])  # raises the object decoder's HeaderError
+        at = int(body[broken[0]])
+        decode(bytes(buf[at : at + int(captured[broken[0]])]))  # raises
     if failure is not None:
         raise PcapFormatError(failure)
 
@@ -311,10 +299,8 @@ def read_pcap_table(path: str | Path) -> PacketTable:
     columns["length"][:] = np.maximum(captured, orig)
     if link_type == LinkType.IEEE802_11:
         _fill_dot11(columns, raw, body, captured)
-        return table
-    irregular = _fill_ethernet(columns, raw, body, captured)
-    for i in irregular:
-        PacketTable._fill_row(columns, i, packet(i))
+    else:
+        _fill_ethernet(columns, raw, body, captured)
     return table
 
 
@@ -368,8 +354,7 @@ def _put(
 
 
 def _fill_dot11(columns, raw, body, captured) -> None:
-    """Fill the columns of 802.11 records; past the header check every
-    record is regular."""
+    """Fill the columns of 802.11 records, every one past the header check."""
     frame_control = raw[body]
     columns["l2"][:] = int(LinkType.IEEE802_11)
     columns["wlan_type"][:] = (frame_control >> 2) & 0x03
@@ -379,51 +364,51 @@ def _fill_dot11(columns, raw, body, captured) -> None:
     columns["payload_len"][:] = captured - 24
 
 
-def _fill_ethernet(columns, raw, body, captured) -> np.ndarray:
-    """Fill the columns of the regular Ethernet records, and return the
-    indices of the irregular ones for :meth:`PacketTable._fill_row`.
-
-    An irregular row holds only values ``_fill_row`` writes too, and
-    defaults in the columns it leaves alone.
+def _fill_ethernet(columns, raw, body, captured) -> None:
+    """Fill the columns of Ethernet records, each layer decoded where
+    :meth:`Packet.parse` decodes it, at per-row offsets: ``4 * IHL``
+    IPv4 bytes or 40 IPv6 bytes, then ``4 * data offset`` TCP bytes.  A
+    layer that does not decode ends the headers; its bytes are payload.
     """
     columns["dst_mac"][:] = _uint(raw, body, 6)
     columns["src_mac"][:] = _uint(raw, body + 6, 6)
     ethertype = _uint(raw, body + 12, 2)
-    is_ipv4 = ethertype == ETHERTYPE_IPV4
-    # version 4, IHL 5: no options
-    ipv4 = is_ipv4 & (captured >= 34) & (raw[body + 14] == 0x45)
-    protocol = raw[body + 23]
+    first = raw[body + 14]  # the IP version, and IPv4's IHL
+    ihl = (first & 0x0F).astype(np.int64)
+    ipv4 = (
+        (ethertype == ETHERTYPE_IPV4) & (first >> 4 == 4) & (ihl >= 5)
+        & (captured >= 14 + 4 * ihl)  # options fully captured
+    )
+    ipv6 = (ethertype == ETHERTYPE_IPV6) & (first >> 4 == 6) & (captured >= 54)
+    ip = ipv4 | ipv6
+    l4 = np.where(ipv6, 54, 14 + 4 * ihl)
+    protocol = raw[body + 23 - 3 * ipv6]  # IPv6's next header is byte 20
+    data_offset = (raw[body + l4 + 12] >> 4).astype(np.int64)
     tcp = (
-        ipv4 & (protocol == IPPROTO_TCP) & (captured >= 54)
-        & (raw[body + 46] >> 4 == 5)  # data offset 5: no options
+        ip & (protocol == IPPROTO_TCP) & (data_offset >= 5)
+        & (captured >= l4 + 4 * data_offset)  # options fully captured
     )
-    udp = ipv4 & (protocol == IPPROTO_UDP) & (captured >= 42)
-    icmp = ipv4 & (protocol == IPPROTO_ICMP) & (captured >= 42)
-    other = ipv4 & ~np.isin(protocol, (IPPROTO_TCP, IPPROTO_UDP, IPPROTO_ICMP))
-    arp = (
-        (ethertype == ETHERTYPE_ARP)
-        & (captured >= 42)
-        # hardware Ethernet, protocol IPv4, address lengths 6 and 4
-        & (_uint(raw, body + 14, 6) == 0x000108000604)
-    )
+    udp = ip & (protocol == IPPROTO_UDP) & (captured >= l4 + 8)
+    icmp = ip & (protocol == IPPROTO_ICMP) & (captured >= l4 + 8)
+    arp = (ethertype == ETHERTYPE_ARP) & (captured >= 42)
+    # hardware Ethernet, protocol IPv4, address lengths 6 and 4
+    arp[arp] = _uint(raw, body[arp] + 14, 6) == 0x000108000604
 
-    header_len = np.full(len(body), 14)
-    header_len[other] = 34
-    header_len[udp | icmp | arp] = 42
-    header_len[tcp] = 54
-    columns["payload_len"][:] = captured - header_len
+    columns["payload_len"][:] = captured - np.where(
+        ip, l4 + 8 * (udp | icmp) + 4 * data_offset * tcp, 14 + 28 * arp
+    )
     columns["l3"][ipv4] = 4
-    columns["proto"][ipv4] = protocol[ipv4]
-    columns["ttl"][ipv4] = raw[body[ipv4] + 22]
+    columns["l3"][ipv6] = 6
+    columns["proto"][ip] = protocol[ip]
+    columns["ttl"][ip] = raw[(body + 22 - ipv6)[ip]]  # IPv6's hop limit: 21
     columns["src_ip"][ipv4] = _uint(raw, body[ipv4] + 26, 4)
     columns["dst_ip"][ipv4] = _uint(raw, body[ipv4] + 30, 4)
     columns["src_ip"][arp] = _uint(raw, body[arp] + 28, 4)
     columns["dst_ip"][arp] = _uint(raw, body[arp] + 38, 4)
     ports = tcp | udp
-    columns["src_port"][ports] = _uint(raw, body[ports] + 34, 2)
-    columns["dst_port"][ports] = _uint(raw, body[ports] + 36, 2)
-    columns["tcp_flags"][tcp] = raw[body[tcp] + 47]
-    columns["window"][tcp] = _uint(raw, body[tcp] + 48, 2)
-
-    decoded = tcp | udp | icmp | other
-    return np.flatnonzero((is_ipv4 & ~decoded) | (ethertype == ETHERTYPE_IPV6))
+    at = body[ports] + l4[ports]
+    columns["src_port"][ports] = _uint(raw, at, 2)
+    columns["dst_port"][ports] = _uint(raw, at + 2, 2)
+    at = body[tcp] + l4[tcp]
+    columns["tcp_flags"][tcp] = raw[at + 13]
+    columns["window"][tcp] = _uint(raw, at + 14, 2)

@@ -9,9 +9,8 @@ bulk data; our equivalent is :class:`PacketTable`, a struct-of-arrays
 feature extraction over a full dataset is vectorised end to end.
 
 A capture file becomes a table in bulk through
-:func:`repro.net.pcap.read_pcap_table`, which decodes regular frames
-with numpy gathers and fills only irregular rows through
-:meth:`PacketTable._fill_row`, and a table becomes a capture through
+:func:`repro.net.pcap.read_pcap_table`, which decodes every record
+with numpy gathers, and a table becomes a capture through
 :func:`repro.net.pcap.write_pcap_table`.  A table can also be built
 from decoded :class:`repro.net.packet.Packet` objects
 (:meth:`PacketTable.from_packets` is the oracle the bulk reader must
@@ -92,68 +91,64 @@ class PacketTable:
     def from_packets(cls, packets: list[Packet]) -> "PacketTable":
         """Build a table from parsed packets (one row per packet)."""
         table = cls.empty(len(packets))
+        columns = table.columns
         attack_ids: dict[str, int] = {}
         for i, packet in enumerate(packets):
-            cls._fill_row(table.columns, i, packet)
+            columns["ts"][i] = packet.timestamp
+            columns["length"][i] = packet.wire_length
+            columns["payload_len"][i] = len(packet.payload)
+            columns["label"][i] = packet.label
+            columns["l2"][i] = int(packet.link_type)
+
+            ether = packet.layer(EthernetHeader)
+            if ether is not None:
+                columns["src_mac"][i] = ether.src_mac
+                columns["dst_mac"][i] = ether.dst_mac
+            dot11 = packet.layer(Dot11Header)
+            if dot11 is not None:
+                columns["wlan_type"][i] = dot11.frame_type
+                columns["wlan_subtype"][i] = dot11.subtype
+                columns["src_mac"][i] = dot11.addr2
+                columns["dst_mac"][i] = dot11.addr1
+
+            arp = packet.layer(ARPHeader)
+            if arp is not None:
+                # ARP carries addressing but no IP layer; keep the endpoints
+                # queryable in the same columns, with l3 == 0 marking non-IP.
+                columns["src_ip"][i] = arp.sender_ip
+                columns["dst_ip"][i] = arp.target_ip
+
+            ipv4 = packet.layer(IPv4Header)
+            if ipv4 is not None:
+                columns["l3"][i] = 4
+                columns["src_ip"][i] = ipv4.src_ip
+                columns["dst_ip"][i] = ipv4.dst_ip
+                columns["proto"][i] = ipv4.protocol
+                columns["ttl"][i] = ipv4.ttl
+            elif packet.has(IPv6Header):
+                ipv6 = packet.layer(IPv6Header)
+                columns["l3"][i] = 6
+                columns["proto"][i] = ipv6.next_header
+                columns["ttl"][i] = ipv6.hop_limit
+
+            tcp = packet.layer(TCPHeader)
+            if tcp is not None:
+                columns["src_port"][i] = tcp.src_port
+                columns["dst_port"][i] = tcp.dst_port
+                columns["tcp_flags"][i] = tcp.flags & 0xFF
+                columns["window"][i] = tcp.window
+            else:
+                udp = packet.layer(UDPHeader)
+                if udp is not None:
+                    columns["src_port"][i] = udp.src_port
+                    columns["dst_port"][i] = udp.dst_port
+
             if packet.label and packet.attack:
                 if packet.attack not in attack_ids:
                     attack_ids[packet.attack] = len(attack_ids)
                     table.attacks.append(packet.attack)
-                table.columns["attack_id"][i] = attack_ids[packet.attack]
+                columns["attack_id"][i] = attack_ids[packet.attack]
         return table
-
-    @staticmethod
-    def _fill_row(columns: dict[str, np.ndarray], i: int, packet: Packet) -> None:
-        """Write one packet's fields into row ``i``; columns the packet
-        has no field for keep their defaults."""
-        columns["ts"][i] = packet.timestamp
-        columns["length"][i] = packet.wire_length
-        columns["payload_len"][i] = len(packet.payload)
-        columns["label"][i] = packet.label
-        columns["l2"][i] = int(packet.link_type)
-
-        ether = packet.layer(EthernetHeader)
-        if ether is not None:
-            columns["src_mac"][i] = ether.src_mac
-            columns["dst_mac"][i] = ether.dst_mac
-        dot11 = packet.layer(Dot11Header)
-        if dot11 is not None:
-            columns["wlan_type"][i] = dot11.frame_type
-            columns["wlan_subtype"][i] = dot11.subtype
-            columns["src_mac"][i] = dot11.addr2
-            columns["dst_mac"][i] = dot11.addr1
-
-        arp = packet.layer(ARPHeader)
-        if arp is not None:
-            # ARP carries addressing but no IP layer; keep the endpoints
-            # queryable in the same columns, with l3 == 0 marking non-IP.
-            columns["src_ip"][i] = arp.sender_ip
-            columns["dst_ip"][i] = arp.target_ip
-
-        ipv4 = packet.layer(IPv4Header)
-        if ipv4 is not None:
-            columns["l3"][i] = 4
-            columns["src_ip"][i] = ipv4.src_ip
-            columns["dst_ip"][i] = ipv4.dst_ip
-            columns["proto"][i] = ipv4.protocol
-            columns["ttl"][i] = ipv4.ttl
-        elif packet.has(IPv6Header):
-            ipv6 = packet.layer(IPv6Header)
-            columns["l3"][i] = 6
-            columns["proto"][i] = ipv6.next_header
-            columns["ttl"][i] = ipv6.hop_limit
-
-        tcp = packet.layer(TCPHeader)
-        if tcp is not None:
-            columns["src_port"][i] = tcp.src_port
-            columns["dst_port"][i] = tcp.dst_port
-            columns["tcp_flags"][i] = tcp.flags & 0xFF
-            columns["window"][i] = tcp.window
-        else:
-            udp = packet.layer(UDPHeader)
-            if udp is not None:
-                columns["src_port"][i] = udp.src_port
-                columns["dst_port"][i] = udp.dst_port
 
     # ------------------------------------------------------------------
     # Introspection

@@ -677,8 +677,9 @@ class ServeDaemon:
         if kind == "quarantine":
             METRICS.counter(
                 metric_names.SERVE_CHUNKS_QUARANTINED,
-                "chunks quarantined after exhausting their retries",
-            ).inc()
+                "chunks quarantined after exhausting their retries, by error",
+                labelnames=("error",),
+            ).labels(error=type(exc).__name__).inc()
         if self._quarantine_journal is not None:
             record = {
                 "kind": kind,

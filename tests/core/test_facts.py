@@ -6,6 +6,7 @@ the shared-access walk stays lazy: the engine's per-step verdicts
 (purity, row dependence, streaming) never pay for it.
 """
 
+import importlib.util
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from repro.analysis.concurrency import operation_concurrency_report
 from repro.analysis.safety import operation_report
 from repro.analysis.streamable import operation_stream_report
 from repro.analysis.vectorize import operation_vector_report
+from repro.core import operations
 from repro.core.operations import OPERATIONS
 
 ALL_REPORTS = (
@@ -100,3 +102,47 @@ class TestBodyFacts:
             facts.RowKind.SOURCE_UNAVAILABLE
         ]
         assert record.purity == facts.STATEFUL
+
+
+PROBE = """\
+from repro.core.operations import register_operation
+from repro.core.types import ValueType
+
+
+@register_operation("ShiftedProbe", (ValueType.FEATURES,), ValueType.FEATURES)
+def shifted_probe(inputs, params):
+    return inputs[0] + 1
+"""
+
+#: lines that put a stateful, seedless body where the probe's
+#: decorator stood at import (line 5)
+SHIFT = """\
+import random
+
+_SINK = {}
+
+def noisy(inputs, params):
+    _SINK["x"] = random.random()
+    return inputs[0]
+
+
+"""
+
+
+class TestImportedBody:
+    def test_a_file_edited_after_import_is_not_judged(
+        self, tmp_path, monkeypatch, fresh_cache
+    ):
+        monkeypatch.setattr(operations, "OPERATIONS", dict(OPERATIONS))
+        path = tmp_path / "shifted_probe.py"
+        path.write_text(PROBE)
+        spec = importlib.util.spec_from_file_location("shifted_probe", path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        path.write_text(SHIFT + PROBE)
+        operation = operations.OPERATIONS["ShiftedProbe"]
+        for report in ALL_REPORTS:
+            report(operation)
+        record = facts.body_facts(operation.fn)
+        assert record.node.name == "shifted_probe"
+        assert record.effects == ()
+        assert operation_report(operation).purity == facts.PURE

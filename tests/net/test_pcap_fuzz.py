@@ -42,7 +42,7 @@ from repro.net.headers import (
     IPPROTO_TCP,
     IPPROTO_UDP,
 )
-from repro.net.packet import LinkType
+from repro.net.packet import LinkType, Packet
 from repro.net.pcap import (
     MAGIC_MICRO_LE,
     MAGIC_NANO_LE,
@@ -142,11 +142,19 @@ def irregular_frames() -> list[bytes]:
     arp = encode(ARPHeader(ARPHeader.REQUEST, MAC_A, IP_A, 0, IP_B))
     tcp_opts = b"\x02\x04\x05\xb4"  # MSS
     ip_opts = b"\x94\x04\x00\x00"  # router alert
+    nops = b"\x01" * 40  # the longest options: IHL 15, data offset 15
+    deepest = ether() + ipv4(IPPROTO_TCP, 64, nops) + tcp(nops) + b"data"
+    offset_4 = bytearray(tcp())
+    offset_4[12] = 0x40 | (offset_4[12] & 0x0F)
     return [
         ether() + ipv4(IPPROTO_TCP, 24) + tcp() + b"data",
         ether() + ipv4(IPPROTO_TCP, 24, ip_opts) + tcp() + b"data",
         ether() + ipv4(IPPROTO_TCP, 24) + tcp(tcp_opts),  # 62 bytes
         ether() + ipv4(IPPROTO_TCP, 28, ip_opts) + tcp(tcp_opts) + b"data",
+        deepest,  # the TCP data offset sits at frame byte 86
+        deepest[:114],  # cut inside the TCP options
+        ether() + b"\x44" + ipv4(IPPROTO_UDP, 12)[1:] + udp + b"abcd",  # IHL 4
+        ether() + ipv4(IPPROTO_TCP, 20) + bytes(offset_4),  # data offset 4
         ether() + ipv4(IPPROTO_UDP, 12) + udp + b"abcd",
         ether() + ipv4(IPPROTO_ICMP, 8) + icmp,
         ether() + ipv4(47, 4) + b"gre!",
@@ -159,12 +167,22 @@ def irregular_frames() -> list[bytes]:
         ether(ETHERTYPE_IPV6)
         + encode(IPv6Header(V6_A, V6_B, IPPROTO_UDP, 8)) + udp,
         ether(ETHERTYPE_IPV6) + encode(IPv6Header(V6_A, V6_B, 59))[:30],
+        ether(ETHERTYPE_IPV6)
+        + encode(IPv6Header(V6_A, V6_B, IPPROTO_ICMP, 8, hop_limit=1)) + icmp,
+        ether(ETHERTYPE_IPV6)
+        + encode(IPv6Header(V6_A, V6_B, IPPROTO_TCP, 28, hop_limit=255))
+        + tcp(tcp_opts) + b"data",
+        # a version-4 nibble under the IPv6 ethertype
+        ether(ETHERTYPE_IPV6) + ipv4(IPPROTO_UDP, 12) + udp + b"abcd" + bytes(8),
         ether(ETHERTYPE_ARP) + arp,
         ether(ETHERTYPE_ARP) + arp + bytes(18),  # padded to 60 bytes
         ether(ETHERTYPE_ARP) + arp[:20],  # short ARP
         ether(ETHERTYPE_ARP) + b"\x00\x06" + arp[2:],  # another variant
         ether(0x88CC) + b"lldp",
         ether(),  # Ethernet header only
+        # last: an IHL of 15 in the capture's last byte sends the TCP
+        # data offset gather deep into the padding past the file
+        ether() + b"\x4f",
     ]
 
 
@@ -226,7 +244,26 @@ class TestReadersAgree:
         table = read_pcap_table(path)
         # options count toward ``length``: it is the captured length
         assert table.length.tolist() == [len(frame) for frame in frames]
-        assert table.l3.tolist().count(6) == 2
+        assert table.l3.tolist().count(6) == 4
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("nano", [False, True])
+    def test_no_record_takes_the_object_decoder(
+        self, tmp_path, monkeypatch, order, nano
+    ):
+        path = tmp_path / "frames.pcap"
+        path.write_bytes(capture(irregular_frames(), order=order, nano=nano))
+        want = PacketTable.from_packets(read_pcap(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record reached the object decoder")
+
+        monkeypatch.setattr(Packet, "parse", refuse)
+        monkeypatch.setattr(PacketTable, "from_packets", refuse)
+        for header in (EthernetHeader, IPv4Header, IPv6Header, TCPHeader,
+                       UDPHeader, ICMPHeader, ARPHeader):
+            monkeypatch.setattr(header, "decode", refuse)
+        assert_tables_equal(read_pcap_table(path), want)
 
     def test_dot11_frames(self, tmp_path):
         path = tmp_path / "wifi.pcap"
@@ -284,7 +321,7 @@ def _set_u32(data: bytearray, at: int, value: int) -> None:
 
 #: where a layer of some supported layout ends: cuts just short of one
 #: leave a frame too short for that layout
-BOUNDARIES = (14, 24, 34, 42, 54, 62, 74)
+BOUNDARIES = (14, 24, 34, 42, 54, 62, 74, 134)
 
 
 def _cut(size: int, rng: random.Random) -> int:
@@ -334,14 +371,19 @@ def mutate(seed: bytes, rng: random.Random) -> tuple[str, bytes]:
             data[body + 14] = rng.choice(
                 [(data[body + 14] & 0xF0) | rng.randrange(16), rng.randrange(256)]
             )
-        elif kind == "data_offset" and size > 46:
-            data[body + 46] = (rng.randrange(16) << 4) | (data[body + 46] & 0x0F)
+        elif kind == "data_offset" and size > 14:
+            # behind the IPv6 header, or behind the IPv4 header's IHL
+            ipv6 = data[body + 12 : body + 14] == b"\x86\xdd"
+            at = body + (66 if ipv6 else 26 + 4 * (data[body + 14] & 0x0F))
+            if at < body + size:
+                data[at] = (rng.randrange(16) << 4) | (data[at] & 0x0F)
         elif kind == "short_frame":
             keep = max(_cut(size, rng), min(floor, size))
             _set_u32(data, at + 8, keep)
             del data[body + keep : body + size]
         elif kind == "frame_byte" and size:
-            data[body + rng.randrange(min(size, 64))] = rng.randrange(256)
+            # up to the end of the deepest headers: IHL 15, data offset 15
+            data[body + rng.randrange(min(size, 134))] = rng.randrange(256)
     return kind, bytes(data)
 
 
@@ -441,7 +483,7 @@ class TestWriter:
         # what the round trip covered: IPv6 rows, a padded ARP frame,
         # and a snaplen cut that lives on in ``length``
         irregular = tables[3]
-        assert (irregular.l3 == 6).sum() == 2
+        assert (irregular.l3 == 6).sum() == 4
         assert ((irregular.src_ip != 0) & (irregular.l3 == 0) & (irregular.payload_len == 18)).any()
         assert (tables[-1].length > 60).any()
 

@@ -222,6 +222,25 @@ class TestChaos:
             len(serve_trace) - report.packets_lost
         )
 
+    def test_quarantines_are_counted_by_error(self, serve_trace, tmp_path):
+        # the counter's label is the exception type the journal records
+        plan = FaultPlan(rules=(FaultRule("score_chunk", fail_first=8),))
+        daemon = make_daemon(serve_trace, tmp_path, retries=1)
+        with active(plan):
+            report = daemon.run()
+        errors = {
+            json.loads(line)["error"]
+            for line in (tmp_path / "quarantine.jsonl").read_text().splitlines()
+            if line.strip()
+        }
+        assert errors == {"FaultInjected"}
+        assert METRICS.snapshot()[metric_names.SERVE_CHUNKS_QUARANTINED] == {
+            '{error="FaultInjected"}': report.chunks_quarantined
+        }
+        assert "serve_chunks_quarantined_total{error=\"FaultInjected\"} 4" in (
+            METRICS.render_prometheus()
+        )
+
     def test_drop_oldest_losses_are_visible(self, serve_trace):
         # unpaced replay assembles many chunks per tick but scores only
         # one, so a tiny drop-oldest queue must evict -- visibly
