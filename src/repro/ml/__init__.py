@@ -2,7 +2,7 @@
 
 The paper relies on sklearn/TensorFlow for its models; this package
 implements the same model families from scratch on numpy so the
-reproduction has no dependency beyond numpy/scipy:
+reproduction has no dependency beyond numpy:
 
 * supervised classifiers: :class:`DecisionTreeClassifier`,
   :class:`RandomForestClassifier`, :class:`KNeighborsClassifier`,

@@ -190,6 +190,22 @@ class TestKNN:
         knn = KNeighborsClassifier(n_neighbors=1).fit(X, y)
         assert knn.predict([[4.9]])[0] == 1
 
+    def test_exact_ties_go_to_the_lowest_training_index(self):
+        # rows 1-3 are one point with three labels; rows 0 and 4 sit at
+        # the same distance from the query [2, 2]
+        X = np.array([[0.0, 2.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0], [4.0, 2.0]])
+        y = np.array([7, 1, 2, 3, 8])
+        for order in ([0, 1, 2, 3, 4], [0, 3, 2, 1, 4], [4, 2, 3, 1, 0]):
+            knn = KNeighborsClassifier(n_neighbors=1).fit(X[order], y[order])
+            assert knn.predict([[2.0, 2.0]])[0] == y[order][1]
+        knn = KNeighborsClassifier(n_neighbors=4, weights="distance").fit(X, y)
+        distances, indices = knn._kneighbors(np.array([[2.0, 2.0], [2.0, 3.0]]), 4)
+        assert indices.tolist() == [[1, 2, 3, 0], [1, 2, 3, 0]]
+        assert distances.tolist() == [[0.0, 0.0, 0.0, 2.0], [1.0, 1.0, 1.0, 5 ** 0.5]]
+        # the three tied labels share the vote equally
+        proba = knn.predict_proba([[2.0, 3.0]])[0]
+        assert proba[0] == proba[1] == proba[2] > proba[3] > 0.0
+
 
 class TestNaiveBayes:
     def test_recovers_class_means(self, blobs):
