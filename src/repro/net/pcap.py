@@ -10,13 +10,15 @@ synthetic traces produced by :mod:`repro.traffic` can be written to real
 ``.pcap`` files and read back, and third-party pcaps of the supported
 link types can be ingested directly.
 
-:func:`write_pcap_table` lays a whole :class:`~repro.net.table.PacketTable`
-out with numpy scatters.  There are two readers.  :class:`PcapReader`
-(and :func:`read_pcap`) yields one :class:`~repro.net.packet.Packet` per
-record.  :func:`read_pcap_table` decodes a whole capture into a table
-with numpy gathers, every record as columns; it equals
+:func:`write_pcap_table` lays a :class:`~repro.net.table.PacketTable`
+out with numpy, a piece of the file at a time.  There are two
+readers.  :class:`PcapReader` (and :func:`read_pcap`) yields one
+:class:`~repro.net.packet.Packet` per record.  :func:`read_pcap_table`
+reads a capture in pieces, keeps a fixed window of each record and
+decodes those windows as columns; it equals
 ``PacketTable.from_packets(read_pcap(path))`` column for column and
-fails on the same record with the same error.  A
+fails on the same record with the same error.  Neither columnar
+function holds the whole file in memory.  A
 malformed file raises :class:`PcapFormatError`; a record whose
 link-layer header does not decode raises
 :class:`~repro.net.headers.HeaderError`.
@@ -30,6 +32,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.net.headers import (
     Dot11Header,
@@ -49,9 +52,19 @@ MAGIC_NANO_LE = 0xA1B23C4D
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
-#: zero bytes after a capture in memory; more than the deepest offset
-#: gathered from every record (TCP data offset behind IHL 15: byte 86)
-_PADDING = 87
+#: bytes of a capture read, or laid out to be written, at a time; at
+#: least a window (:data:`_WINDOW`), so that every piece read holds one
+_PIECE = 1 << 20
+#: the bytes of a frame the reader decodes: up to the end of the TCP
+#: window behind the longest IPv4 header (IHL 15: frame bytes 88-89)
+_FRAME_BYTES = 90
+#: a record's window: its header and the frame's first
+#: :data:`_FRAME_BYTES` bytes, what the reader keeps of a record and the
+#: writer lays out for one (the deepest frame it writes is 74 bytes)
+_WINDOW = _RECORD_HEADER.size + _FRAME_BYTES
+#: records decoded, or laid out, together: enough to amortise numpy's
+#: cost per call, few enough that their windows and temporaries stay small
+_BATCH = 4096
 #: the IEEE 802 local-experimental ethertype, written for Ethernet rows
 #: that are neither IPv4, IPv6 nor ARP
 ETHERTYPE_EXPERIMENTAL = 0x88B5
@@ -134,9 +147,10 @@ def read_pcap(path: str | Path) -> list[Packet]:
 def write_pcap_table(path: str | Path, table: PacketTable) -> None:
     """Write ``table`` as a little-endian microsecond capture, in row order.
 
-    Every header and record is laid out with numpy scatters into one
-    buffer, written with one call.  Each row becomes one frame of its
-    ``l2`` link type, with zero payload bytes:
+    Consecutive rows are laid out in blocks of at most :data:`_PIECE`
+    bytes and :data:`_BATCH` rows, and each block is written with one
+    call; a record larger than a piece is a block of its own.  Each row
+    becomes one frame of its ``l2`` link type, with zero payload bytes:
 
     * 802.11: a three-address header (``addr3`` = ``dst_mac``);
     * ``l3 == 4``: Ethernet + IPv4 (IHL 5, don't-fragment, a valid
@@ -156,7 +170,33 @@ def write_pcap_table(path: str | Path, table: PacketTable) -> None:
     reads back from the written file unchanged.
     """
     cols = table.columns
-    payload = cols["payload_len"].astype(np.int64)
+    frames = _frames(cols)
+    dot11, _, _, _, header, transport = frames
+    size = header + transport + cols["payload_len"]
+    ends = np.cumsum(_RECORD_HEADER.size + size)
+    link = LinkType.IEEE802_11 if dot11[:1].any() else LinkType.ETHERNET
+    snaplen = max(65535, int(size.max(initial=0)))
+    with open(path, "wb") as handle:
+        handle.write(_GLOBAL_HEADER.pack(MAGIC_MICRO_LE, 2, 4, 0, 0, snaplen, int(link)))
+        first = 0
+        while first < len(ends):
+            written = int(ends[first - 1]) if first else 0
+            last = min(
+                first + _BATCH,
+                max(first + 1, int(np.searchsorted(ends, written + _PIECE, "right"))),
+            )
+            rows = slice(first, last)
+            handle.write(_records(
+                {name: column[rows] for name, column in cols.items()},
+                *(layout[rows] for layout in frames),
+            ))
+            first = last
+
+
+def _frames(cols: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The frame layout of each row: whether it is 802.11, IPv4, IPv6 or
+    ARP, and the byte counts of its link and network headers and of its
+    transport header."""
     proto = cols["proto"]
     dot11 = cols["l2"] == LinkType.IEEE802_11
     ether = ~dot11
@@ -165,56 +205,63 @@ def write_pcap_table(path: str | Path, table: PacketTable) -> None:
     arp = ether & (cols["l3"] == 0) & ((cols["src_ip"] | cols["dst_ip"]) != 0)
     header = np.select([dot11, ipv4, ipv6, arp], [24, 34, 54, 42], 14)
     transport = (ipv4 | ipv6) * np.select(
-        [proto == IPPROTO_TCP, np.isin(proto, (IPPROTO_UDP, IPPROTO_ICMP))],
+        [proto == IPPROTO_TCP, (proto == IPPROTO_UDP) | (proto == IPPROTO_ICMP)],
         [20, 8], 0,
     )
-    transport[header + transport + payload > cols["length"]] = 0
+    transport[header + transport + cols["payload_len"] > cols["length"]] = 0
+    return dot11, ipv4, ipv6, arp, header, transport
+
+
+def _records(cols, dot11, ipv4, ipv6, arp, header, transport) -> np.ndarray:
+    """The records of the rows of ``cols``, of the layout
+    :func:`_frames` gives, laid out one after another.
+
+    Each row's record header and frame headers are set in its window,
+    a field at a time for every row of a kind; then each window's bytes
+    that belong to the record are copied to it.  Payload bytes stay
+    zero.
+    """
+    ether = ~dot11
+    proto = cols["proto"]
+    payload = cols["payload_len"].astype(np.int64)
     size = header + transport + payload
-    record = 16 + size
-    start = _GLOBAL_HEADER.size + np.cumsum(record) - record
-    buf = np.zeros(_GLOBAL_HEADER.size + int(record.sum()), np.uint8)
-    link = LinkType.IEEE802_11 if dot11[:1].any() else LinkType.ETHERNET
-    snaplen = max(65535, int(size.max(initial=0)))
-    buf[: _GLOBAL_HEADER.size] = np.frombuffer(
-        _GLOBAL_HEADER.pack(MAGIC_MICRO_LE, 2, 4, 0, 0, snaplen, int(link)), np.uint8
-    )
+    windows = np.zeros((len(size), _WINDOW), np.uint8)
 
     ts = cols["ts"]
     seconds = np.trunc(ts)
     micros = np.round((ts - seconds) * 1_000_000)  # half to even, as round()
     carry = micros >= 1_000_000
+    record_header = windows[:, : _RECORD_HEADER.size].view("<u4")
     for k, field in enumerate((
         seconds + carry, micros - 1_000_000 * carry,
         size, np.maximum(cols["length"], size),
     )):
-        _put(buf, start + 4 * k, field.astype(np.int64), 4, "<")
+        record_header[:, k] = field.astype(np.int64)  # the low 4 bytes
 
-    body = start + 16
-    at = body[dot11]
-    buf[at] = ((cols["wlan_type"][dot11] & 0x03) << 2) | (
+    frame = windows[:, _RECORD_HEADER.size :]
+    frame[:, 0][dot11] = ((cols["wlan_type"][dot11] & 0x03) << 2) | (
         (cols["wlan_subtype"][dot11] & 0x0F) << 4
     )
-    for offset in (4, 16):
-        _put(buf, at + offset, cols["dst_mac"][dot11], 6)
-    _put(buf, at + 10, cols["src_mac"][dot11], 6)
+    for at in (4, 16):
+        _set_mac(frame, at, dot11, cols["dst_mac"][dot11])
+    _set_mac(frame, 10, dot11, cols["src_mac"][dot11])
 
-    at = body[ether]
-    _put(buf, at, cols["dst_mac"][ether], 6)
-    _put(buf, at + 6, cols["src_mac"][ether], 6)
+    _set_mac(frame, 0, ether, cols["dst_mac"][ether])
+    _set_mac(frame, 6, ether, cols["src_mac"][ether])
     ethertype = np.select(
         [ipv4, ipv6, arp], [ETHERTYPE_IPV4, ETHERTYPE_IPV6, ETHERTYPE_ARP],
         ETHERTYPE_EXPERIMENTAL,
     )
-    _put(buf, at + 12, ethertype[ether], 2)
+    _field(frame, 12, 2)[ether] = ethertype[ether]
 
-    at = body[arp] + 14
-    _put(buf, at, 0x0001080006040001, 8)  # Ethernet, IPv4, 6, 4, request
-    _put(buf, at + 8, cols["src_mac"][arp], 6)
-    _put(buf, at + 14, cols["src_ip"][arp], 4)
-    _put(buf, at + 18, cols["dst_mac"][arp], 6)
-    _put(buf, at + 24, cols["dst_ip"][arp], 4)
+    # Ethernet, IPv4, address lengths 6 and 4, request
+    _field(frame, 14, 4)[arp] = 0x00010800
+    _field(frame, 18, 4)[arp] = 0x06040001
+    _set_mac(frame, 22, arp, cols["src_mac"][arp])
+    _field(frame, 28, 4)[arp] = cols["src_ip"][arp]
+    _set_mac(frame, 32, arp, cols["dst_mac"][arp])
+    _field(frame, 38, 4)[arp] = cols["dst_ip"][arp]
 
-    at = body[ipv4] + 14
     total = (20 + transport[ipv4] + payload[ipv4]) & 0xFFFF
     ttl_proto = (cols["ttl"][ipv4].astype(np.int64) << 8) | proto[ipv4]
     src, dst = cols["src_ip"][ipv4], cols["dst_ip"][ipv4]
@@ -224,156 +271,205 @@ def write_pcap_table(path: str | Path, table: PacketTable) -> None:
     )
     for _ in range(2):
         checksum = (checksum & 0xFFFF) + (checksum >> 16)
-    buf[at] = 0x45
-    _put(buf, at + 2, total, 2)
-    buf[at + 6] = 0x40  # don't fragment
-    _put(buf, at + 8, ttl_proto, 2)
-    _put(buf, at + 10, ~checksum & 0xFFFF, 2)
-    _put(buf, at + 12, src, 4)
-    _put(buf, at + 16, dst, 4)
+    frame[:, 14][ipv4] = 0x45
+    _field(frame, 16, 2)[ipv4] = total
+    frame[:, 20][ipv4] = 0x40  # don't fragment
+    _field(frame, 22, 2)[ipv4] = ttl_proto
+    _field(frame, 24, 2)[ipv4] = ~checksum & 0xFFFF
+    _field(frame, 26, 4)[ipv4] = src
+    _field(frame, 30, 4)[ipv4] = dst
 
-    at = body[ipv6] + 14
-    buf[at] = 0x60
-    _put(buf, at + 4, transport[ipv6] + payload[ipv6], 2)
-    buf[at + 6] = proto[ipv6]
-    buf[at + 7] = cols["ttl"][ipv6]
+    frame[:, 14][ipv6] = 0x60
+    _field(frame, 18, 2)[ipv6] = transport[ipv6] + payload[ipv6]  # low 2 bytes
+    frame[:, 20][ipv6] = proto[ipv6]
+    frame[:, 21][ipv6] = cols["ttl"][ipv6]
 
-    l4 = body + header
     tcp = transport == 20
     udp = (transport == 8) & (proto == IPPROTO_UDP)
     icmp = (transport == 8) & (proto == IPPROTO_ICMP)
-    ports = tcp | udp
-    _put(buf, l4[ports], cols["src_port"][ports], 2)
-    _put(buf, l4[ports] + 2, cols["dst_port"][ports], 2)
-    buf[l4[tcp] + 12] = 0x50  # data offset 5
-    buf[l4[tcp] + 13] = cols["tcp_flags"][tcp]
-    _put(buf, l4[tcp] + 14, cols["window"][tcp], 2)
-    _put(buf, l4[udp] + 4, 8 + payload[udp], 2)
-    # echo request; over zero payload bytes the checksum is a constant
-    _put(buf, l4[icmp], 0x0800F7FF, 4)
-    with open(path, "wb") as handle:
-        handle.write(buf)
+    for ip, l4 in ((ipv4, 34), (ipv6, 54)):
+        ports = (tcp | udp) & ip
+        _field(frame, l4, 2)[ports] = cols["src_port"][ports]
+        _field(frame, l4 + 2, 2)[ports] = cols["dst_port"][ports]
+        rows = tcp & ip
+        frame[:, l4 + 12][rows] = 0x50  # data offset 5
+        frame[:, l4 + 13][rows] = cols["tcp_flags"][rows]
+        _field(frame, l4 + 14, 2)[rows] = cols["window"][rows]
+        rows = udp & ip
+        _field(frame, l4 + 4, 2)[rows] = 8 + payload[rows]
+        # echo request; over zero payload bytes the checksum is a constant
+        _field(frame, l4, 4)[icmp & ip] = 0x0800F7FF
+
+    record = _RECORD_HEADER.size + size
+    start = np.cumsum(record) - record
+    # zeros after the records, so that every record starts a window
+    buf = np.zeros(int(record.sum()) + _WINDOW, np.uint8)
+    into = sliding_window_view(buf, _WINDOW, writeable=True)
+    kept = _RECORD_HEADER.size + header + transport
+    for width in np.flatnonzero(np.bincount(kept)):
+        rows = kept == width
+        into[start[rows], :width] = windows[rows, :width]
+    return buf[:-_WINDOW]
+
+
+def _field(rows: np.ndarray, at: int, width: int) -> np.ndarray:
+    """A view of the network-order field of ``width`` (1, 2 or 4) bytes
+    at byte ``at`` of each row of the byte matrix ``rows``."""
+    return rows[:, at : at + width].view(f">u{width}")[:, 0]
+
+
+def _set_mac(frame: np.ndarray, at: int, rows: np.ndarray, mac: np.ndarray) -> None:
+    """Write the 6-byte ``mac`` of each of ``rows`` at byte ``at``."""
+    _field(frame, at, 2)[rows] = mac >> 32
+    _field(frame, at + 2, 4)[rows] = mac  # the low 4 bytes
+
+
+def _mac(frame: np.ndarray, at: int) -> np.ndarray:
+    """The 6-byte MAC address at byte ``at`` of each row."""
+    return (_field(frame, at, 2).astype(np.int64) << 32) | _field(frame, at + 2, 4)
 
 
 def read_pcap_table(path: str | Path) -> PacketTable:
     """Read a whole capture into a :class:`PacketTable`.
 
-    The file is read once and its record headers walked once, and every
-    record is decoded as columns.  The result equals
-    ``PacketTable.from_packets(read_pcap(path))`` byte for byte in
-    every column, and a malformed capture raises what
+    The file is read in pieces of :data:`_PIECE` bytes and its record
+    headers are walked once.  Of each complete record only its window is
+    kept: the record header and the frame's first :data:`_FRAME_BYTES`
+    bytes, which hold every field the decoder reads; the walk seeks past
+    the rest of a body.  The windows are decoded as columns,
+    :data:`_BATCH` records at a time, so that besides the table the
+    reader holds one piece, the offsets of its records and one batch of
+    windows, whatever the size of the file.
+
+    The result equals ``PacketTable.from_packets(read_pcap(path))`` byte
+    for byte in every column, and a malformed capture raises what
     :func:`read_pcap` raises, for the first bad record in file order.
+    Only on that error path is the bad frame read again, whole, so that
+    its header decoder sees the bytes it sees in :func:`read_pcap`.
     """
     with open(path, "rb") as handle:
-        # zero padding past the end of the file, so that fixed-offset
-        # gathers past a short last record stay inside the buffer (those
-        # rows are masked out)
-        buf = bytearray(os.fstat(handle.fileno()).st_size + _PADDING)
-        end = handle.readinto(memoryview(buf)[:-_PADDING])
-    order, divisor, _, link_type = _global_header(
-        bytes(buf[: min(end, _GLOBAL_HEADER.size)])
-    )
-    starts, failure = _record_starts(buf, end, order)
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    seconds, fraction, captured, orig = (
-        _uint(raw, starts + 4 * k, 4, order) for k in range(4)
-    )
-    body = starts + _RECORD_HEADER.size
-    ts = seconds.astype(np.float64) + fraction / divisor
+        order, divisor, _, link_type = _global_header(
+            handle.read(_GLOBAL_HEADER.size)
+        )
+        if link_type == LinkType.IEEE802_11:
+            decode, fill = Dot11Header.decode, _fill_dot11
+        else:
+            decode, fill = EthernetHeader.decode, _fill_ethernet
+        parts = [PacketTable.empty()]
+        for starts, windows in _record_windows(handle, order):
+            seconds, fraction, captured, orig = (
+                windows[:, : _RECORD_HEADER.size].view(order + "u4").T
+            )
+            frame = windows[:, _RECORD_HEADER.size :]
+            if link_type == LinkType.IEEE802_11:
+                broken = (captured < 24) | (frame[:, 0] & 0x03 != 0)
+            else:
+                broken = captured < 14
+            if broken.any():
+                first = np.argmax(broken)
+                handle.seek(starts[first] + _RECORD_HEADER.size)
+                decode(handle.read(captured[first]))  # raises
+            part = PacketTable.empty(len(windows))
+            part.columns["ts"][:] = seconds.astype(np.float64) + fraction / divisor
+            part.columns["length"][:] = np.maximum(captured, orig)
+            fill(part.columns, windows, captured)
+            parts.append(part)
+    # column by column, so that the parts and the table overlap by one
+    # column at a time
+    return PacketTable({
+        name: np.concatenate([part.columns.pop(name) for part in parts])
+        for name in list(parts[0].columns)
+    })
 
-    if link_type == LinkType.IEEE802_11:
-        decode = Dot11Header.decode
-        broken = np.flatnonzero((captured < 24) | (raw[body] & 0x03 != 0))
-    else:
-        decode = EthernetHeader.decode
-        broken = np.flatnonzero(captured < 14)
-    if broken.size:
-        at = int(body[broken[0]])
-        decode(bytes(buf[at : at + int(captured[broken[0]])]))  # raises
+
+def _record_windows(
+    handle, order: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The complete records after the global header, in file order and
+    at most :data:`_BATCH` at a time: each record's offset in the file,
+    and its window of :data:`_WINDOW` bytes (record header, then frame).
+    The arrays yielded are overwritten by the next batch.
+
+    A window holds what followed the frame where the frame is shorter
+    than :data:`_FRAME_BYTES`: the next record, or zeros past the last
+    byte read.  A piece is read from the first record whose window the
+    previous piece did not hold; a body that runs past the end of a
+    piece is skipped with a seek.  Where the walk stops short of the end
+    of the file, the records before that point are yielded first and
+    :class:`PcapFormatError` is raised after them.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    captured_len = struct.Struct(order + "I").unpack_from
+    header = _RECORD_HEADER.size
+    # zeros after the piece, for the windows of the records at its end
+    piece = bytearray(min(_PIECE, size) + _WINDOW)
+    raw = np.frombuffer(piece, dtype=np.uint8)
+    in_piece = sliding_window_view(raw, _WINDOW)
+    starts = np.empty(_BATCH, dtype=np.int64)
+    windows = np.empty((_BATCH, _WINDOW), dtype=np.uint8)
+    held = 0
+    failure = None
+    at = _GLOBAL_HEADER.size
+    while at < size and failure is None:
+        handle.seek(at)
+        base = at
+        got = handle.readinto(memoryview(piece)[:-_WINDOW])
+        raw[got : got + _WINDOW] = 0
+        end = base + got
+        found = []
+        while True:
+            if at + header > end:
+                if at < size == end:
+                    failure = "truncated pcap record header"
+                break
+            following = at + header + captured_len(piece, at - base + 8)[0]
+            if following > size:
+                failure = "truncated pcap record body"
+                break
+            if following > end and at + _WINDOW > end:
+                break  # the window runs past the piece
+            found.append(at)
+            at = following
+        found = np.array(found, dtype=np.int64)
+        while len(found):
+            new = slice(held, min(_BATCH, held + len(found)))
+            starts[new] = found[: new.stop - held]
+            windows[new] = in_piece[starts[new] - base]
+            found = found[new.stop - held :]
+            held = new.stop
+            if held == _BATCH:
+                yield starts, windows
+                held = 0
+        if held and (at >= size or failure is not None):
+            yield starts[:held], windows[:held]
+            held = 0
     if failure is not None:
         raise PcapFormatError(failure)
 
-    table = PacketTable.empty(len(starts))
-    columns = table.columns
-    columns["ts"][:] = ts
-    columns["length"][:] = np.maximum(captured, orig)
-    if link_type == LinkType.IEEE802_11:
-        _fill_dot11(columns, raw, body, captured)
-    else:
-        _fill_ethernet(columns, raw, body, captured)
-    return table
 
-
-def _record_starts(
-    buf: bytearray, end: int, order: str
-) -> tuple[np.ndarray, str | None]:
-    """Offsets of the complete records in ``buf[:end]``, and why the
-    walk stopped short of ``end`` (``None`` when it did not)."""
-    captured_len = struct.Struct(order + "I").unpack_from
-    header = _RECORD_HEADER.size
-    starts = []
-    append = starts.append
-    failure = None
-    at = _GLOBAL_HEADER.size
-    while at < end:
-        # a header cut short by ``end`` reads the zero padding past it;
-        # ``following`` lands past ``end`` either way
-        following = at + header + captured_len(buf, at + 8)[0]
-        if following > end:
-            failure = (
-                "truncated pcap record header" if end - at < header
-                else "truncated pcap record body"
-            )
-            break
-        append(at)
-        at = following
-    return np.array(starts, dtype=np.int64), failure
-
-
-def _uint(
-    raw: np.ndarray, at: np.ndarray, width: int, order: str = ">"
-) -> np.ndarray:
-    """The ``width``-byte unsigned field at each offset, in byte order
-    ``order`` (network order by default)."""
-    value = np.zeros(len(at), dtype=np.int64)
-    for k in range(width) if order == ">" else reversed(range(width)):
-        value = (value << 8) | raw[at + k]
-    return value
-
-
-def _put(
-    buf: np.ndarray, at: np.ndarray, value, width: int, order: str = ">"
-) -> None:
-    """Scatter the low ``width`` bytes of ``value`` to each offset, in
-    byte order ``order`` (network order by default)."""
-    value = np.broadcast_to(np.asarray(value).astype(order + "u8"), at.shape)
-    raw = np.ascontiguousarray(value).reshape(-1, 1).view(np.uint8)
-    buf[at[:, None] + np.arange(width)] = (
-        raw[:, 8 - width :] if order == ">" else raw[:, :width]
-    )
-
-
-def _fill_dot11(columns, raw, body, captured) -> None:
+def _fill_dot11(columns, windows, captured) -> None:
     """Fill the columns of 802.11 records, every one past the header check."""
-    frame_control = raw[body]
+    frame = windows[:, _RECORD_HEADER.size :]
+    frame_control = frame[:, 0]
     columns["l2"][:] = int(LinkType.IEEE802_11)
     columns["wlan_type"][:] = (frame_control >> 2) & 0x03
     columns["wlan_subtype"][:] = frame_control >> 4
-    columns["dst_mac"][:] = _uint(raw, body + 4, 6)
-    columns["src_mac"][:] = _uint(raw, body + 10, 6)
+    columns["dst_mac"][:] = _mac(frame, 4)
+    columns["src_mac"][:] = _mac(frame, 10)
     columns["payload_len"][:] = captured - 24
 
 
-def _fill_ethernet(columns, raw, body, captured) -> None:
+def _fill_ethernet(columns, windows, captured) -> None:
     """Fill the columns of Ethernet records, each layer decoded where
     :meth:`Packet.parse` decodes it, at per-row offsets: ``4 * IHL``
     IPv4 bytes or 40 IPv6 bytes, then ``4 * data offset`` TCP bytes.  A
     layer that does not decode ends the headers; its bytes are payload.
     """
-    columns["dst_mac"][:] = _uint(raw, body, 6)
-    columns["src_mac"][:] = _uint(raw, body + 6, 6)
-    ethertype = _uint(raw, body + 12, 2)
-    first = raw[body + 14]  # the IP version, and IPv4's IHL
+    frame = windows[:, _RECORD_HEADER.size :]
+    columns["dst_mac"][:] = _mac(frame, 0)
+    columns["src_mac"][:] = _mac(frame, 6)
+    ethertype = _field(frame, 12, 2)
+    first = frame[:, 14]  # the IP version, and IPv4's IHL
     ihl = (first & 0x0F).astype(np.int64)
     ipv4 = (
         (ethertype == ETHERTYPE_IPV4) & (first >> 4 == 4) & (ihl >= 5)
@@ -382,17 +478,24 @@ def _fill_ethernet(columns, raw, body, captured) -> None:
     ipv6 = (ethertype == ETHERTYPE_IPV6) & (first >> 4 == 6) & (captured >= 54)
     ip = ipv4 | ipv6
     l4 = np.where(ipv6, 54, 14 + 4 * ihl)
-    protocol = raw[body + 23 - 3 * ipv6]  # IPv6's next header is byte 20
-    data_offset = (raw[body + l4 + 12] >> 4).astype(np.int64)
+    protocol = np.where(ipv6, frame[:, 20], frame[:, 23])
+    # one gather per record: the first 16 transport bytes (ports, TCP
+    # data offset, flags and window) at that record's offset
+    transport = sliding_window_view(windows.reshape(-1), 16)[
+        np.arange(len(windows)) * _WINDOW + _RECORD_HEADER.size + l4
+    ]
+    data_offset = (transport[:, 12] >> 4).astype(np.int64)
     tcp = (
         ip & (protocol == IPPROTO_TCP) & (data_offset >= 5)
         & (captured >= l4 + 4 * data_offset)  # options fully captured
     )
     udp = ip & (protocol == IPPROTO_UDP) & (captured >= l4 + 8)
     icmp = ip & (protocol == IPPROTO_ICMP) & (captured >= l4 + 8)
-    arp = (ethertype == ETHERTYPE_ARP) & (captured >= 42)
     # hardware Ethernet, protocol IPv4, address lengths 6 and 4
-    arp[arp] = _uint(raw, body[arp] + 14, 6) == 0x000108000604
+    arp = (
+        (ethertype == ETHERTYPE_ARP) & (captured >= 42)
+        & (_field(frame, 14, 4) == 0x00010800) & (_field(frame, 18, 2) == 0x0604)
+    )
 
     columns["payload_len"][:] = captured - np.where(
         ip, l4 + 8 * (udp | icmp) + 4 * data_offset * tcp, 14 + 28 * arp
@@ -400,15 +503,13 @@ def _fill_ethernet(columns, raw, body, captured) -> None:
     columns["l3"][ipv4] = 4
     columns["l3"][ipv6] = 6
     columns["proto"][ip] = protocol[ip]
-    columns["ttl"][ip] = raw[(body + 22 - ipv6)[ip]]  # IPv6's hop limit: 21
-    columns["src_ip"][ipv4] = _uint(raw, body[ipv4] + 26, 4)
-    columns["dst_ip"][ipv4] = _uint(raw, body[ipv4] + 30, 4)
-    columns["src_ip"][arp] = _uint(raw, body[arp] + 28, 4)
-    columns["dst_ip"][arp] = _uint(raw, body[arp] + 38, 4)
+    columns["ttl"][ip] = np.where(ipv6, frame[:, 21], frame[:, 22])[ip]
+    columns["src_ip"][ipv4] = _field(frame, 26, 4)[ipv4]
+    columns["dst_ip"][ipv4] = _field(frame, 30, 4)[ipv4]
+    columns["src_ip"][arp] = _field(frame, 28, 4)[arp]
+    columns["dst_ip"][arp] = _field(frame, 38, 4)[arp]
     ports = tcp | udp
-    at = body[ports] + l4[ports]
-    columns["src_port"][ports] = _uint(raw, at, 2)
-    columns["dst_port"][ports] = _uint(raw, at + 2, 2)
-    at = body[tcp] + l4[tcp]
-    columns["tcp_flags"][tcp] = raw[at + 13]
-    columns["window"][tcp] = _uint(raw, at + 14, 2)
+    columns["src_port"][ports] = _field(transport, 0, 2)[ports]
+    columns["dst_port"][ports] = _field(transport, 2, 2)[ports]
+    columns["tcp_flags"][tcp] = transport[tcp, 13]
+    columns["window"][tcp] = _field(transport, 14, 2)[tcp]

@@ -14,8 +14,11 @@ and read -> write -> read must be the identity.
 The fuzzers are seeded: the read leg mutates captures written by
 :mod:`repro.traffic` and hand-built captures of irregular frames; the
 write leg mutates the columns of tables sliced from generated traffic
-and read from those captures.  The short budgets run with the tier-1
-suite; ``-m pcap_fuzz_long`` selects longer ones.
+and read from those captures.  Each leg runs again with the piece and
+batch sizes of :mod:`repro.net.pcap` patched small, so that record
+headers, record windows and whole records straddle piece edges and
+batches end mid-capture.  The short budgets run with the tier-1 suite;
+``-m pcap_fuzz_long`` selects longer ones.
 """
 
 import random
@@ -42,6 +45,7 @@ from repro.net.headers import (
     IPPROTO_TCP,
     IPPROTO_UDP,
 )
+from repro.net import pcap
 from repro.net.packet import LinkType, Packet
 from repro.net.pcap import (
     MAGIC_MICRO_LE,
@@ -54,6 +58,22 @@ from repro.net.pcap import (
 from repro.net.table import PacketTable
 
 from tests.net.encode import PcapWriter, encode, table_to_packets, write_pcap
+
+
+#: piece sizes that put record headers, record windows and whole records
+#: across piece edges: a piece of one window (106 bytes; every record
+#: with a frame over 90 bytes is larger), one byte more, and pieces of a
+#: few records
+SMALL_PIECES = (pcap._WINDOW, pcap._WINDOW + 1, 128, 333, 1000)
+#: batch sizes that end batches mid-piece and mid-capture
+SMALL_BATCHES = (1, 2, 7, 64)
+
+
+def small_pieces(monkeypatch, case: int) -> None:
+    """Patch the reader's and writer's piece and batch sizes small, a
+    combination per ``case``."""
+    monkeypatch.setattr(pcap, "_PIECE", SMALL_PIECES[case % len(SMALL_PIECES)])
+    monkeypatch.setattr(pcap, "_BATCH", SMALL_BATCHES[case % len(SMALL_BATCHES)])
 
 
 def outcome(read, path):
@@ -310,6 +330,84 @@ class TestReadersAgree:
         assert len(read_pcap_table(path)) == 0
 
 
+class TestPieces:
+    """Captures read in pieces and batches of every size decode as in one."""
+
+    @pytest.mark.parametrize("case", range(len(SMALL_PIECES) * len(SMALL_BATCHES)))
+    def test_hand_built_frames(self, tmp_path, monkeypatch, case):
+        small_pieces(monkeypatch, case)
+        path = tmp_path / "frames.pcap"
+        path.write_bytes(capture(irregular_frames() * 3))
+        assert assert_readers_agree(path)
+
+    @pytest.mark.parametrize("case", range(len(SMALL_PIECES)))
+    def test_every_cut_of_the_last_record(self, tmp_path, monkeypatch, case):
+        small_pieces(monkeypatch, case)
+        data = capture(irregular_frames()[:6])
+        at, _ = records(data)[-1]
+        path = tmp_path / "cut.pcap"
+        for keep in range(at, len(data) + 1):
+            path.write_bytes(data[:keep])
+            assert assert_readers_agree(path) == (keep in (at, len(data)))
+
+
+#: 1,100 records of 1,030 bytes: more than one piece of 1 MiB
+LONG = [ether(0x88B5) + bytes(1000)] * 1100
+
+
+def bad_capture(bad: int, frame: bytes, tail: str, lying: int | None = None) -> bytes:
+    """:data:`LONG` with record ``bad`` replaced by ``frame``, its last
+    record cut in its header or its body, and record ``lying``, if any,
+    given an ``incl_len`` that runs past the end of the file."""
+    data = bytearray(capture(LONG[:bad] + [frame] + LONG[bad + 1 :]))
+    at, _ = records(bytes(data))[-1]
+    del data[at + 10 if tail == "header" else len(data) - 3 :]
+    if lying is not None:
+        at, _ = records(capture(LONG))[lying]
+        _set_u32(data, at + 8, len(data))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("small", [False, True])
+class TestFirstBadRecordInALaterPiece:
+    """The first bad record in file order decides, wherever the pieces
+    and batches end; the bad frame lies past the first piece."""
+
+    @pytest.fixture(autouse=True)
+    def pieces(self, monkeypatch, small):
+        if small:
+            monkeypatch.setattr(pcap, "_PIECE", 333)
+            monkeypatch.setattr(pcap, "_BATCH", 7)
+
+    @pytest.mark.parametrize("tail", ["header", "body"])
+    def test_short_frame_before_a_truncated_tail(self, tmp_path, tail):
+        path = tmp_path / "bad.pcap"
+        path.write_bytes(bad_capture(1050, ether()[:10], tail))
+        with pytest.raises(HeaderError, match="truncated Ethernet header"):
+            read_pcap_table(path)
+        assert not assert_readers_agree(path)
+
+    def test_truncated_body_before_a_short_frame(self, tmp_path):
+        # the lying record's body covers the short frame's bytes
+        path = tmp_path / "bad.pcap"
+        path.write_bytes(bad_capture(1050, ether()[:10], "body", lying=1049))
+        with pytest.raises(PcapFormatError, match="truncated pcap record body"):
+            read_pcap_table(path)
+        assert not assert_readers_agree(path)
+
+    def test_bad_dot11_frame_longer_than_its_window(self, tmp_path):
+        # the error path reads the whole frame again for the decoder
+        bad = bytearray(dot11_frames()[0] + bytes(200))
+        bad[0] |= 0x01  # protocol version 1
+        frames = [dot11_frames()[0] + bytes(1000)] * 1100
+        frames[1050] = bytes(bad)
+        path = tmp_path / "bad.pcap"
+        path.write_bytes(capture(frames, link=LinkType.IEEE802_11))
+        with pytest.raises(HeaderError, match="unsupported 802.11 version: 1"):
+            read_pcap_table(path)
+        assert not assert_readers_agree(path)
+
+
 # --------------------------------------------------------------------------
 # the mutation fuzzer
 # --------------------------------------------------------------------------
@@ -387,14 +485,29 @@ def mutate(seed: bytes, rng: random.Random) -> tuple[str, bytes]:
     return kind, bytes(data)
 
 
-@pytest.mark.parametrize(
-    "budget", [400, pytest.param(20_000, marks=pytest.mark.pcap_fuzz_long)]
-)
+#: the short budget runs with tier-1, the long one with ``-m pcap_fuzz_long``
+BUDGETS = [400, pytest.param(20_000, marks=pytest.mark.pcap_fuzz_long)]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
 def test_mutations(seeds, tmp_path, budget):
+    fuzz_reads(seeds, tmp_path, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_mutations_in_small_pieces(seeds, tmp_path, monkeypatch, budget):
+    fuzz_reads(seeds, tmp_path, budget, monkeypatch)
+
+
+def fuzz_reads(seeds, tmp_path, budget, small=None) -> None:
+    """Both readers agree on ``budget`` mutated captures; with a
+    ``monkeypatch`` for ``small``, in small pieces and batches."""
     path = tmp_path / "fuzz.pcap"
     accepted = rejected = 0
     for case in range(budget):
         rng = random.Random(case)  # each case replays on its own
+        if small is not None:
+            small_pieces(small, case)
         kind, data = mutate(rng.choice(seeds), rng)
         path.write_bytes(data)
         try:
@@ -566,13 +679,25 @@ def table_seeds(traffic_captures, seeds, tmp_path_factory):
     return generated + read_tables(traffic_captures, seeds, directory)
 
 
-@pytest.mark.parametrize(
-    "budget", [400, pytest.param(20_000, marks=pytest.mark.pcap_fuzz_long)]
-)
+@pytest.mark.parametrize("budget", BUDGETS)
 def test_write_mutations(table_seeds, tmp_path, budget):
+    fuzz_writes(table_seeds, tmp_path, budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_write_mutations_in_small_pieces(table_seeds, tmp_path, monkeypatch, budget):
+    fuzz_writes(table_seeds, tmp_path, budget, monkeypatch)
+
+
+def fuzz_writes(table_seeds, tmp_path, budget, small=None) -> None:
+    """The writer matches the scalar encoder and round-trips on
+    ``budget`` mutated tables; with a ``monkeypatch`` for ``small``, in
+    small pieces and batches."""
     compared = 0
     for case in range(budget):
         rng = random.Random(case)  # each case replays on its own
+        if small is not None:
+            small_pieces(small, case)
         table = mutate_table(rng.choice(table_seeds), rng)
         try:
             assert_round_trip(table, tmp_path / "t.pcap")
