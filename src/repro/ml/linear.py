@@ -13,6 +13,16 @@ import numpy as np
 from repro.ml.base import BaseEstimator, check_array, check_random_state, check_X_y
 
 
+def _mean_gradient(weights: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, float]:
+    """The batch means of ``weights[:, None] * X`` and of ``weights``.
+
+    ``np.add.reduce(...) / m`` is what ``ndarray.mean`` computes, without
+    its per-call bookkeeping.
+    """
+    m = len(weights)
+    return np.add.reduce(weights[:, None] * X, axis=0) / m, float(np.add.reduce(weights) / m)
+
+
 class _LinearBinaryModel(BaseEstimator):
     """Shared SGD training loop; subclasses define the loss gradient."""
 
@@ -60,9 +70,10 @@ class _LinearBinaryModel(BaseEstimator):
         self.intercept_ = 0.0
         for _ in range(self.n_epochs):
             order = rng.permutation(n)
+            epoch_rows, epoch_signs = scaled[order], signs[order]
             for start in range(0, n, self.batch_size):
-                batch = order[start : start + self.batch_size]
-                grad_w, grad_b = self._gradient(scaled[batch], signs[batch])
+                stop = start + self.batch_size
+                grad_w, grad_b = self._gradient(epoch_rows[start:stop], epoch_signs[start:stop])
                 grad_w += self.l2 * self.coef_
                 self.coef_ -= self.learning_rate * grad_w
                 self.intercept_ -= self.learning_rate * grad_b
@@ -88,9 +99,7 @@ class LogisticRegression(_LinearBinaryModel):
         margins = signs * (X @ self.coef_ + self.intercept_)
         # d/dw of log(1 + exp(-m)) = -sigma(-m) * s * x
         weights = -signs / (1.0 + np.exp(np.clip(margins, -500, 500)))
-        grad_w = (weights[:, None] * X).mean(axis=0)
-        grad_b = float(weights.mean())
-        return grad_w, grad_b
+        return _mean_gradient(weights, X)
 
     def predict_proba(self, X) -> np.ndarray:
         scores = self.decision_function(X)
@@ -109,6 +118,4 @@ class LinearSVC(_LinearBinaryModel):
         if not active.any():
             return np.zeros_like(self.coef_), 0.0
         weights = np.where(active, -signs, 0.0)
-        grad_w = (weights[:, None] * X).mean(axis=0)
-        grad_b = float(weights.mean())
-        return grad_w, grad_b
+        return _mean_gradient(weights, X)
