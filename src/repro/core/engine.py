@@ -37,7 +37,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from repro.core.errors import PipelineError, TemplateError, UnknownIdError
 from repro.core.pipeline import Pipeline, SOURCE_NAME, step_key, step_token
@@ -769,6 +769,31 @@ class ExecutionEngine:
         the reasons recorded on the ``run_stream`` span
         (``stream_refused``) and the refusal counter.
         """
+        collected: dict[str, list] = {}
+        for out in self._stream_outputs(
+            pipeline, source, chunk_seconds=chunk_seconds,
+            outputs=outputs, source_token=source_token,
+        ):
+            for name, value in out.items():
+                collected.setdefault(name, []).append(value)
+        return {
+            name: _concat_stream_parts(name, parts)
+            for name, parts in collected.items()
+        }
+
+    def _stream_outputs(
+        self,
+        pipeline: Pipeline,
+        source: PacketTable,
+        *,
+        chunk_seconds: float,
+        outputs: list[str] | None = None,
+        source_token: str | None = None,
+    ) -> Iterator[dict[str, Any]]:
+        """The chunk loop of :meth:`run_stream`: each chunk's requested
+        outputs, in order, inside the ``run_stream`` span.  Iterate it to
+        the end: the span closes, and an empty source raises, after the
+        last chunk."""
         from repro.core.streaming import chunked
 
         session = self.open_stream(
@@ -786,18 +811,12 @@ class ExecutionEngine:
         ) as run_span:
             session.raise_if_refused(run_span)
             ordered = source.sort_by_time()
-            collected: dict[str, list] = {name: [] for name in wanted}
             for chunk in chunked(ordered, chunk_seconds):
                 out = session.process_chunk(chunk, parent=run_span)
-                for name in wanted:
-                    collected[name].append(out[name])
+                yield {name: out[name] for name in wanted}
             run_span.set("chunks", session.chunks)
         if session.chunks == 0:
             raise TemplateError("run_stream needs a non-empty source")
-        return {
-            name: _concat_stream_parts(name, parts)
-            for name, parts in collected.items()
-        }
 
     def open_stream(
         self,

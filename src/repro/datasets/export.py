@@ -176,8 +176,13 @@ def _bulk_labels(
     fixed-width byte strings drop), one that is no label file of
     ``rows`` rows, and one with a line past csv's field size limit or a
     field so long that padding every row to it would take more than
-    eight times the file's size.  Each distinct label text is resolved
-    once, and each attack name decoded once.
+    eight times the file's size.
+
+    One scan finds every line break and comma.  Where every label is
+    one ASCII digit, as :func:`export_dataset` writes them, the label is
+    that byte's digit; otherwise each distinct label text is resolved
+    once.  An attack name is decoded where it differs from the previous
+    malicious row's.
     """
     if b'"' in data or b"\0" in data:
         return None
@@ -187,63 +192,97 @@ def _bulk_labels(
         except UnicodeDecodeError:
             return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    # csv.reader ends a line at \n, \r\n or a lone \r.  Splitting at
-    # every \r and \n leaves each blank line, and the middle of each
-    # \r\n, an empty segment: no row.
-    breaks = np.flatnonzero((raw == 10) | (raw == 13))
-    starts = np.append(0, breaks + 1)
-    ends = np.append(breaks, len(raw))
+    at, breaks = _delimiters(raw)
     fields = {
-        name: i for i, name in enumerate(data[: ends[0]].decode().split(","))
+        name: i for i, name in enumerate(data[: at[breaks[1]]].decode().split(","))
     }
     if "label" not in fields or "attack" not in fields:
         return None
-    kept = ends[1:] > starts[1:]
-    starts, ends = starts[1:][kept], ends[1:][kept]
-    if len(starts) != rows:
+    # line i runs from at[breaks[i]] + 1 to at[breaks[i + 1]]: one byte
+    # more than its length apart
+    apart = np.diff(at[breaks[1:]])
+    lines = np.flatnonzero(apart > 1)  # rows: lines after the header, not blank
+    if len(lines) != rows:
         return None
     if not rows:
         return np.zeros(0, dtype=np.uint8), [], []
-    if (ends - starts).max() > csv.field_size_limit():
+    if apart.max() - 1 > csv.field_size_limit():
         return None
-    commas = np.flatnonzero(raw == 44)
-    first = np.searchsorted(commas, starts)
-    count = np.searchsorted(commas, ends) - first
-    if count.min() < max(fields["label"], fields["attack"]):
-        return None
+    del apart  # the temporaries go as they are done with, to bound the peak
+    if np.diff(breaks)[1:][lines].min() <= max(fields["label"], fields["attack"]):
+        return None  # a row short of a field
+    # field k of a row spans at[first + k] + 1 to at[first + k + 1]
+    first = breaks[1:][lines]
+    del breaks, lines
 
-    def texts(k: int, where=slice(None)):
-        """Field ``k`` of the rows ``where`` as fixed-width byte strings."""
-        begin = starts if k == 0 else commas[first + k - 1] + 1
-        end = np.where(count > k, commas[np.minimum(first + k, len(commas) - 1)], ends)
-        begin, size = begin[where], (end - begin)[where]
-        width = max(int(size.max(initial=0)), 1)
-        if len(size) * width > 8 * len(data):
+    def field(k: int, where=slice(None)):
+        """The offset and byte count of field ``k`` of the rows ``where``."""
+        where = first[where] + k
+        begin = at[where] + 1
+        return begin, at[where + 1] - begin
+
+    begin, size = field(fields["label"])
+    digit = raw[begin[size == 1]] - ord("0")  # a byte below "0" wraps
+    if len(digit) == rows and digit.max() < 10:
+        label = digit
+    else:
+        texts = _padded(raw, begin, size, 8 * len(data))
+        if texts is None:
             return None
-        windows = sliding_window_view(np.append(raw, np.zeros(width, raw.dtype)), width)
-        padded = windows[begin]
-        padded[np.arange(width) >= size[:, None]] = 0
-        return padded.view(f"S{width}").ravel()
-
-    label_texts = texts(fields["label"])
-    if label_texts is None:
-        return None
-    distinct, inverse = np.unique(label_texts, return_inverse=True)
-    values = [_label_value(text.decode()) for text in distinct]
-    if None in values:
-        return None
-    label = np.array(values, dtype=np.uint8)[inverse]
-    names = texts(fields["attack"], np.flatnonzero(label))
+        distinct, inverse = np.unique(texts, return_inverse=True)
+        values = [_label_value(text.decode()) for text in distinct]
+        if None in values:
+            return None
+        label = np.array(values, dtype=np.uint8)[inverse]
+    begin, size = field(fields["attack"], np.flatnonzero(label))
+    names = _padded(raw, begin, size, 8 * len(data))
     if names is None:
         return None
-    distinct, at, inverse = np.unique(names, return_index=True, return_inverse=True)
-    named = np.flatnonzero(distinct != b"")
-    named = named[np.argsort(at[named])]  # in order of first appearance
-    if len(named) > np.iinfo(np.int16).max + 1:
+    # a name is looked up where it differs from the previous row's
+    new = np.ones(len(size), dtype=bool)
+    new[1:] = (size[1:] != size[:-1]) | (names[1:] != names[:-1])
+    index: dict[bytes, int] = {}
+    ids = np.array([
+        index.setdefault(data[b : b + s], len(index)) if s else -1
+        for b, s in zip(begin[new].tolist(), size[new].tolist())
+    ], dtype=np.int64)
+    if len(index) > np.iinfo(np.int16).max + 1:
         return None  # more ids than ``attack_id`` holds
-    rank = np.full(len(distinct), -1)
-    rank[named] = np.arange(len(named))
-    return label, rank[inverse], [name.decode() for name in distinct[named]]
+    return label, ids[np.cumsum(new) - 1], [name.decode() for name in index]
+
+
+def _delimiters(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r"""The offset of every comma and line break of a label file, after
+    a line break at -1 and before one at ``len(raw)``, and the indices
+    of the line breaks among them.
+
+    csv.reader ends a line at \n, \r\n or a lone \r.  Splitting at
+    every \r and \n leaves each blank line, and the middle of each
+    \r\n, an empty line: no row.
+    """
+    delimiter = np.ones(len(raw) + 2, dtype=bool)
+    inner = delimiter[1:-1]
+    np.equal(raw, 44, out=inner)
+    inner |= raw == 10
+    inner |= raw == 13
+    at = np.flatnonzero(delimiter)
+    at -= 1
+    line_break = np.ones(len(at), dtype=bool)
+    line_break[1:-1] = raw[at[1:-1]] != 44
+    return at, np.flatnonzero(line_break)
+
+
+def _padded(raw: np.ndarray, begin: np.ndarray, size: np.ndarray, limit: int):
+    """The byte strings of ``size`` bytes at ``begin`` in ``raw``, as one
+    ``S<width>`` array padded with NULs, or ``None`` where that array
+    would take more than ``limit`` bytes."""
+    width = max(int(size.max(initial=0)), 1)
+    if len(size) * width > limit:
+        return None
+    windows = sliding_window_view(np.append(raw, np.zeros(width, raw.dtype)), width)
+    padded = windows[begin]
+    padded *= np.arange(width) < size[:, None]
+    return padded.view(f"S{width}").ravel()
 
 
 def _label_value(text: str) -> int | None:

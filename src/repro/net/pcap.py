@@ -397,9 +397,17 @@ def _record_windows(
     piece is skipped with a seek.  Where the walk stops short of the end
     of the file, the records before that point are yielded first and
     :class:`PcapFormatError` is raised after them.
+
+    Each piece is walked in two parts.  Every record whose window lies
+    wholly inside the piece is walked with no checks, reading only its
+    captured length: its header is in the file, and only the last such
+    record can run past the end of the file, so that one is checked
+    after the loop.  The few records left at the piece's end are walked
+    with every check.
     """
     size = os.fstat(handle.fileno()).st_size
-    captured_len = struct.Struct(order + "I").unpack_from
+    # a record's captured length, read at the start of its header
+    captured_len = struct.Struct(order + "8xI").unpack_from
     header = _RECORD_HEADER.size
     # zeros after the piece, for the windows of the records at its end
     piece = bytearray(min(_PIECE, size) + _WINDOW)
@@ -416,25 +424,36 @@ def _record_windows(
         got = handle.readinto(memoryview(piece)[:-_WINDOW])
         raw[got : got + _WINDOW] = 0
         end = base + got
-        found = []
-        while True:
+        found = []  # offsets in the piece
+        append = found.append
+        off, last = 0, got - _WINDOW
+        while off <= last:
+            append(off)
+            (captured,) = captured_len(piece, off)
+            off += header + captured
+        at = base + off
+        if at > size:
+            found.pop()
+            failure = "truncated pcap record body"
+        while failure is None:  # each window here runs past the piece
             if at + header > end:
                 if at < size == end:
                     failure = "truncated pcap record header"
                 break
-            following = at + header + captured_len(piece, at - base + 8)[0]
+            following = at + header + captured_len(piece, at - base)[0]
             if following > size:
                 failure = "truncated pcap record body"
-                break
-            if following > end and at + _WINDOW > end:
-                break  # the window runs past the piece
-            found.append(at)
-            at = following
-        found = np.array(found, dtype=np.int64)
+            elif following > end:
+                break  # the next piece starts at this record
+            else:
+                append(at - base)
+                at = following
+        found = np.fromiter(found, dtype=np.int64, count=len(found))
         while len(found):
             new = slice(held, min(_BATCH, held + len(found)))
-            starts[new] = found[: new.stop - held]
-            windows[new] = in_piece[starts[new] - base]
+            taken = found[: new.stop - held]
+            starts[new] = base + taken
+            windows[new] = in_piece[taken]
             found = found[new.stop - held :]
             held = new.stop
             if held == _BATCH:

@@ -899,25 +899,71 @@ class ServeDaemon:
         over the *surviving* rows -- so the concatenated daemon outputs
         must be byte-equal to ``run_stream`` on the surviving table.
         Returns ``{output name: bool}``; every value must be True.
+
+        The offline stream is compared as it runs, each chunk's rows
+        against the same rows of the daemon's kept chunk outputs, whose
+        chunk edges may differ; neither side is concatenated.  Outputs
+        that are not arrays are concatenated and compared whole.
         """
-        surviving = self.surviving_table()
-        reference = self.engine.run_stream(
+        parts = {name: self._collected.get(name, []) for name in self.session.outputs}
+        matchers = {
+            name: _Rows(kept) for name, kept in parts.items()
+            if kept and all(isinstance(part, np.ndarray) and part.ndim for part in kept)
+        }
+        whole: dict[str, list] = {name: [] for name in parts if name not in matchers}
+        for out in self.engine._stream_outputs(
             self.session.pipeline,
-            surviving,
+            self.surviving_table(),
             chunk_seconds=self.config.chunk_seconds,
             outputs=self.session.outputs,
-        )
-        mine = self.collected()
-        verdict: dict[str, bool] = {}
-        for name in self.session.outputs:
-            ours, theirs = mine.get(name), reference.get(name)
-            if ours is None or theirs is None:
-                verdict[name] = ours is None and theirs is None
-            else:
-                verdict[name] = bool(
-                    np.array_equal(np.asarray(ours), np.asarray(theirs))
-                )
-        return verdict
+        ):
+            for name, value in out.items():
+                if name in matchers:
+                    matchers[name].match(value)
+                else:
+                    whole[name].append(value)
+        verdict = {name: matcher.done() for name, matcher in matchers.items()}
+        for name, theirs in whole.items():
+            theirs = _concat_stream_parts(name, theirs)
+            verdict[name] = bool(parts[name]) and bool(np.array_equal(
+                np.asarray(_concat_stream_parts(name, parts[name])),
+                np.asarray(theirs),
+            ))
+        return {name: verdict[name] for name in self.session.outputs}
+
+
+class _Rows:
+    """A daemon's kept chunk outputs of one name, matched row range by
+    row range against another chunking of the same rows."""
+
+    def __init__(self, parts: list[np.ndarray]) -> None:
+        self.parts = parts
+        self.part = self.row = 0  # the next row to match
+        self.equal = True
+
+    def match(self, value) -> None:
+        """Match ``value`` against the next ``len(value)`` rows."""
+        if not isinstance(value, np.ndarray) or not value.ndim:
+            self.equal = False
+        at = 0
+        while self.equal and at < len(value):
+            if self.part == len(self.parts):
+                self.equal = False  # the daemon kept fewer rows
+                return
+            part = self.parts[self.part]
+            take = min(len(part) - self.row, len(value) - at)
+            self.equal = np.array_equal(
+                part[self.row : self.row + take], value[at : at + take]
+            )
+            at += take
+            self.row += take
+            if self.row == len(part):
+                self.part, self.row = self.part + 1, 0
+
+    def done(self) -> bool:
+        """Whether every row matched and no kept row is left over."""
+        left = sum(len(part) for part in self.parts[self.part :]) - self.row
+        return self.equal and left == 0
 
 
 def _digest_outputs(out: dict) -> str:

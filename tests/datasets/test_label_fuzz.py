@@ -188,6 +188,74 @@ class TestPathsAgree:
         assert not assert_paths_agree(path, 0)
 
 
+def label_file(path, labels, ending="\r\n") -> int:
+    """Write a label file of one row per label text, malicious rows
+    named by their label; return its row count."""
+    rows = [HEADER] + [
+        f"{i},{i / 4:.6f},{label},{'' if label == '0' else 'scan' + label}"
+        for i, label in enumerate(labels)
+    ]
+    path.write_bytes((ending.join(rows) + ending).encode())
+    return len(labels)
+
+
+class TestDigitLabels:
+    """Labels of one ASCII digit are read from their byte; every other
+    label text still resolves as ``int`` reads it, or fails alike."""
+
+    DIGITS = ["0", "1", "0", "7", "9", "1", "0"]
+
+    @pytest.mark.parametrize("ending", ENDINGS)
+    def test_one_digit_labels_skip_the_text_path(self, tmp_path, monkeypatch, ending):
+        path = tmp_path / "labels.csv"
+        rows = label_file(path, self.DIGITS, ending)
+        assert assert_paths_agree(path, rows)
+
+        def refuse(text):
+            raise AssertionError("a one-digit label was resolved as text")
+
+        monkeypatch.setattr(export, "_label_value", refuse)
+        label, ids, attacks = export._bulk_labels(path.read_bytes(), rows)
+        assert label.tolist() == [0, 1, 0, 7, 9, 1, 0]
+        assert ids.tolist() == [0, 1, 2, 0]
+        assert attacks == ["scan1", "scan7", "scan9"]
+
+    @pytest.mark.parametrize("text", ["01", " 1", "+1", "1_0", "00", "1 "])
+    def test_digits_mixed_with_other_integer_texts(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        rows = label_file(path, self.DIGITS[:3] + [text] + self.DIGITS[3:])
+        assert assert_paths_agree(path, rows)
+        table = PacketTable.empty(rows)
+        export._join_labels(table, path)
+        assert table.label[3] == int(text)
+
+    @pytest.mark.parametrize("text", ["x", "-", ":", "/", "", "١"])
+    def test_one_text_that_is_no_digit(self, tmp_path, text):
+        # ":" and "/" are the bytes either side of the ASCII digits;
+        # "١" is an Arabic-Indic one, which int() reads as 1
+        path = tmp_path / "labels.csv"
+        rows = label_file(path, self.DIGITS + [text])
+        accepted = assert_paths_agree(path, rows)
+        got = outcome(path, rows)
+        if text == "١":
+            assert accepted and got[0][-1] == 1
+        else:
+            assert not accepted
+            assert f"label {text!r} is not an integer in 0..255" in got
+
+    def test_every_label_a_non_ascii_digit(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        rows = label_file(path, ["٣", "٠", "٣"])
+        assert assert_paths_agree(path, rows)
+        assert outcome(path, rows)[0] == bytes([3, 0, 3])
+
+    def test_empty_label_field_on_the_last_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(f"{HEADER}\r0,0.0,1,scan\r1,0.5,,".encode())
+        assert not assert_paths_agree(path, 2)
+        assert "label '' is not an integer in 0..255" in outcome(path, 2)
+
+
 @pytest.mark.parametrize(
     "budget", [400, pytest.param(20_000, marks=pytest.mark.pcap_fuzz_long)]
 )

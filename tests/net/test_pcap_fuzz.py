@@ -351,6 +351,65 @@ class TestPieces:
             assert assert_readers_agree(path) == (keep in (at, len(data)))
 
 
+def framed(sizes: list[int]) -> list[bytes]:
+    """Ethernet + IPv4 + TCP frames of the given byte counts (54 or
+    more), padded with payload bytes."""
+    head = ether() + ipv4(IPPROTO_TCP, 20) + tcp()
+    return [head + bytes(size - len(head)) for size in sizes]
+
+
+@pytest.mark.parametrize("order, nano", [("<", False), (">", False), ("<", True), (">", True)])
+class TestFastRegion:
+    """The walk takes every record whose window lies wholly inside a
+    piece with no per-record check, and checks the rest; records placed
+    at and around the edge of that region read as ``read_pcap`` reads
+    them, in either byte order and either timestamp resolution."""
+
+    @pytest.mark.parametrize("piece", [333, 1000])
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_window_at_the_end_of_the_piece(self, tmp_path, monkeypatch, order, nano, piece, past):
+        # record 1's window ends ``past`` bytes after the first piece
+        # ends; its frame is the deepest, whose TCP window field is the
+        # last two bytes of the window
+        deepest = irregular_frames()[4]
+        frames = framed([piece + past - pcap._WINDOW - 16]) + [deepest]
+        frames += framed([60, 200, 54, 1200]) + [deepest]
+        monkeypatch.setattr(pcap, "_PIECE", piece)
+        data = capture(frames, order=order, nano=nano)
+        at, _ = records(data)[1]
+        assert at - 24 + pcap._WINDOW == piece + past
+        path = tmp_path / "edge.pcap"
+        path.write_bytes(data)
+        assert assert_readers_agree(path)
+        assert read_pcap_table(path).window[1] == 1234
+
+    @pytest.mark.parametrize("piece", [pcap._WINDOW, 333, 1 << 20])
+    def test_truncated_body_found_by_the_fast_loop(self, tmp_path, monkeypatch, order, nano, piece):
+        monkeypatch.setattr(pcap, "_PIECE", piece)
+        data = bytearray(capture(framed([60, 80, 100, 60]), order=order, nano=nano))
+        at, _ = records(bytes(data))[1]
+        struct.pack_into(order + "I", data, at + 8, len(data))  # runs past the end
+        path = tmp_path / "lying.pcap"
+        path.write_bytes(bytes(data))
+        with pytest.raises(PcapFormatError, match="truncated pcap record body"):
+            read_pcap_table(path)
+        assert not assert_readers_agree(path)
+        # a bad frame before it, in the same piece, still decides
+        data[24 + 12 : 24 + 16] = struct.pack(order + "I", 10)
+        path.write_bytes(bytes(data[: 24 + 16 + 10] + data[24 + 16 + 60 :]))
+        with pytest.raises(HeaderError, match="truncated Ethernet header"):
+            read_pcap_table(path)
+        assert not assert_readers_agree(path)
+
+    def test_pieces_of_exactly_one_window(self, tmp_path, monkeypatch, order, nano):
+        # every record's window is a piece of its own, whatever its size
+        monkeypatch.setattr(pcap, "_PIECE", pcap._WINDOW)
+        frames = framed([54, 90, 91, 150, 54]) + irregular_frames()
+        path = tmp_path / "windows.pcap"
+        path.write_bytes(capture(frames, order=order, nano=nano))
+        assert assert_readers_agree(path)
+
+
 #: 1,100 records of 1,030 bytes: more than one piece of 1 MiB
 LONG = [ether(0x88B5) + bytes(1000)] * 1100
 
